@@ -3,7 +3,8 @@
 Exit codes: 0 for success (Found / CrossingFree / lemma upheld), 1 for a
 negative verdict (NotFound, Violation, chain too short, configuration
 found), 2 for input errors.  The TREELINES_SEED environment variable
-supplies the default --seed.
+supplies the default --seed; a value that is not an integer is an input
+error.
 """
 
 from __future__ import annotations
@@ -19,19 +20,15 @@ from .lineset import ColorClasses, LineSetError, all_region_indices, \
     classify_cap_cup, longest_cap_cup, region_hull, verify_general_position
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("TREELINES_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # argparse passes a string default through type=int, so a bad
+    # TREELINES_SEED exits with code 2 on the subcommands that take --seed
+    seed = os.environ.get("TREELINES_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="treelines",
         description="Exact tools for crossing-free tree embeddings on "
@@ -63,14 +60,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("instance")
     p.add_argument("--refine", type=int, default=4)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
 
     p = sub.add_parser("scan", help="solve every bijection of an "
                                     "assignment-free instance")
     p.add_argument("instance")
     p.add_argument("--refine", type=int, default=4)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--force", action="store_true",
                    help="allow n > 7 despite the factorial cost")
 
@@ -78,7 +75,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="frame validation plus configuration search")
     p.add_argument("lines6")
     p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
 
     p = sub.add_parser("regions", help="region partition hulls")
     p.add_argument("lines")
@@ -113,11 +110,8 @@ def _dispatch(args) -> int:
     if cmd == "extract-cap":
         ls = io_formats.parse_lines(_read(args.lines))
         kind, sub_ls = longest_cap_cup(ls)
-        ids = sorted(l.id for l in ls
-                     if any(l.slope == m.slope and
-                            l.dual_offset == m.dual_offset for m in sub_ls))
         print(f"{kind.value}: size {len(sub_ls)}")
-        print("ids: " + " ".join(map(str, ids)))
+        print("ids: " + " ".join(map(str, sub_ls.parent_ids)))
         return 0
 
     if cmd == "extract-monotone":

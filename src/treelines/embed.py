@@ -17,18 +17,20 @@ import numpy as np
 from .geometry import (
     DegenerateContact,
     Point,
+    PostconditionError,
     Segment,
     SegmentRelation,
     convex_hull,
+    on_segment,
     segments_intersect,
 )
 from .lineset import (
     ColorClasses,
     LineSet,
-    LineSetError,
     RegionHull,
     RegionIndex,
     all_region_indices,
+    intersection_order,
     region_hull,
     region_of,
 )
@@ -214,7 +216,7 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
             if v in (u, w):
                 continue
             s = segs[k]
-            if orientation_zero_on(s, p):
+            if on_segment(s, p):
                 violations.append(Violation(ViolationKind.VERTEX_ON_EDGE,
                                             (v, k)))
 
@@ -225,21 +227,12 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
                             f"intersection point")
     for k, s in enumerate(segs):
         for q in inter:
-            if q not in (s.p, s.q) and orientation_zero_on(s, q):
+            if q not in (s.p, s.q) and on_segment(s, q):
                 warnings.append(f"edge {edge_list[k]} passes through an "
                                 f"arrangement intersection point")
                 break
 
     return CheckReport(not violations, tuple(violations), tuple(warnings))
-
-
-def orientation_zero_on(s: Segment, p: Point) -> bool:
-    """Whether p lies on the closed segment s."""
-    d = (s.q.x - s.p.x) * (p.y - s.p.y) - (s.q.y - s.p.y) * (p.x - s.p.x)
-    if d != 0:
-        return False
-    return (min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
-            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
 
 
 def candidate_positions(ls: LineSet, line_id: int,
@@ -250,7 +243,6 @@ def candidate_positions(ls: LineSet, line_id: int,
     returns a breakpoint."""
     if refine < 1:
         raise EmbedError("refine must be >= 1")
-    from .lineset import intersection_order
     xs = [pt.x for _, pt in intersection_order(ls, line_id)]
     out: List[Fraction] = [xs[0] - 1]
     for x0, x1 in zip(xs, xs[1:]):
@@ -291,14 +283,14 @@ class _Placer:
             new_seg = Segment(pp, p)
         # the new vertex must avoid existing edges entirely
         for _, s in self.segs:
-            if orientation_zero_on(s, p):
+            if on_segment(s, p):
                 return None
         if new_seg is not None:
             # existing vertices must avoid the new edge's relative interior
             for w, q in self.points.items():
                 if w == self.parent[v]:
                     continue
-                if orientation_zero_on(new_seg, q):
+                if on_segment(new_seg, q):
                     return None
             for child, s in self.segs:
                 shared = {child, self.parent.get(child)} & \
@@ -328,16 +320,22 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
 
     Backtracking over vertices in root-first BFS order through the
     discretized candidate positions, then up to ``budget`` randomized
-    continuous restarts.  Found embeddings are re-verified exactly;
-    NotFound only reports budget exhaustion, never non-embeddability."""
+    continuous restarts.  ``budget`` bounds only the restarts: the
+    backtracking has no node limit, and on some 12-vertex instances it
+    runs for more than a minute whatever the budget.  Found embeddings are
+    re-verified exactly; NotFound only reports budget exhaustion, never
+    non-embeddability."""
     if len(ls) != t.n:
         raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)
     cand = {v: candidate_positions(ls, asg.line_of(v), refine)
             for v in range(t.n)}
-    order = sorted(t.bfs_order(), key=lambda v: (_depth(t, v),
-                                                 len(cand[v]), v))
     placer = _Placer(ls, t, asg)
+    bfs = t.bfs_order()
+    depth = {t.root: 0}
+    for v in bfs[1:]:       # a parent precedes its children in BFS order
+        depth[v] = depth[placer.parent[v]] + 1
+    order = sorted(bfs, key=lambda v: (depth[v], len(cand[v]), v))
     nodes = 0
 
     def backtrack(k: int) -> Optional[Dict[int, Fraction]]:
@@ -363,7 +361,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     if sol is None:
         rng = np.random.default_rng(seed)
         breakpoints = {v: sorted(pt.x for _, pt in
-                                 _iorder(ls, asg.line_of(v)))
+                                 intersection_order(ls, asg.line_of(v)))
                        for v in range(t.n)}
         while sol is None and restarts < budget:
             restarts += 1
@@ -372,23 +370,9 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     if sol is None:
         return SolveResult(False, None, nodes, restarts)
     emb = Embedding(tuple(sol[v] for v in range(t.n)))
-    report = check_embedding(ls, t, asg, emb)
-    assert report.crossing_free, "solver produced an invalid embedding"
+    if not check_embedding(ls, t, asg, emb).crossing_free:
+        raise PostconditionError("solver produced an invalid embedding")
     return SolveResult(True, emb, nodes, restarts)
-
-
-def _iorder(ls: LineSet, line_id: int):
-    from .lineset import intersection_order
-    return intersection_order(ls, line_id)
-
-
-def _depth(t: Tree, v: int) -> int:
-    parent = t.parent_of()
-    d = 0
-    while v != t.root:
-        v = parent[v]
-        d += 1
-    return d
 
 
 _DENOM = 9973      # prime denominator keeps random rationals off breakpoints
@@ -476,7 +460,7 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     entry/exit side labels; traversals are ordered along the segment (by
     the midpoint of each clipped parameter interval)."""
     for q in ls.intersection_points():
-        if orientation_zero_on(seg, q):
+        if on_segment(seg, q):
             raise DegenerateContact("segment touches an arrangement "
                                     "intersection point")
     if hulls is None:
@@ -487,17 +471,12 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
         if iv is None:
             continue
         t_lo, t_hi = iv
-        enter = 0 if t_lo == 0 else h.side_label_at(_param_point(seg, t_lo))
-        leave = 0 if t_hi == 1 else h.side_label_at(_param_point(seg, t_hi))
+        enter = 0 if t_lo == 0 else h.side_label_at(seg.at(t_lo))
+        leave = 0 if t_hi == 1 else h.side_label_at(seg.at(t_hi))
         visits.append(((t_lo + t_hi) / 2, t_lo,
                        CombTuple(r.a, r.b, enter, leave)))
     visits.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
     return [v[2] for v in visits]
-
-
-def _param_point(seg: Segment, t: Fraction) -> Point:
-    return Point(seg.p.x + t * (seg.q.x - seg.p.x),
-                 seg.p.y + t * (seg.q.y - seg.p.y))
 
 
 def color_type(t: Tree, asg: Assignment, cc: ColorClasses,
@@ -565,7 +544,7 @@ def _walk_path(ls: LineSet, cc: ColorClasses, asg: Assignment,
             regions.append(r)
             h = hulls[r]
             iv = h.clip_parameter_interval(seg)
-            entries.append(_param_point(seg, iv[0]))
+            entries.append(seg.at(iv[0]))
     return regions, entries
 
 

@@ -29,6 +29,11 @@ def scalar(value: ScalarLike) -> Fraction:
     return Fraction(value)
 
 
+class PostconditionError(RuntimeError):
+    """A result failed the exact check its producer runs on it before
+    returning it; unlike an ``assert``, ``python -O`` keeps the check."""
+
+
 class ParallelLines(ValueError):
     """Raised when intersecting two lines of equal slope."""
 
@@ -98,6 +103,11 @@ class Segment:
     def reversed(self) -> "Segment":
         return Segment(self.q, self.p)
 
+    def at(self, t: Fraction) -> Point:
+        """The point p + t*(q - p): p at t=0, q at t=1."""
+        return Point(self.p.x + t * (self.q.x - self.p.x),
+                     self.p.y + t * (self.q.y - self.p.y))
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -122,9 +132,52 @@ def cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
     return ox * ay - oy * ax
 
 
+def side_value(o: Point, dx: Fraction, dy: Fraction, p: Point) -> Fraction:
+    """(dx, dy) x (p - o): >0 when p lies left of the line through o with
+    direction (dx, dy), <0 right of it, 0 on it."""
+    return dx * (p.y - o.y) - dy * (p.x - o.x)
+
+
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of (q-p) x (r-p): +1 left turn, 0 collinear, -1 right turn."""
-    return _sign(cross(q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y))
+    return _sign(side_value(p, q.x - p.x, q.y - p.y, r))
+
+
+def _in_box(s: Segment, p: Point) -> bool:
+    # p inside the bounding box of s: on s when p is collinear with it
+    return (min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
+            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
+
+
+def on_segment(s: Segment, p: Point) -> bool:
+    """Whether p lies on the closed segment s."""
+    # the cross product is written out: a call through orientation costs
+    # a sizeable share of this hot test
+    if (s.q.x - s.p.x) * (p.y - s.p.y) != (s.q.y - s.p.y) * (p.x - s.p.x):
+        return False
+    return _in_box(s, p)
+
+
+def clip_to_halfplanes(values: Iterable[Tuple], t_lo, t_hi
+                       ) -> Optional[Tuple]:
+    """Clip the parameter interval [t_lo, t_hi] of a segment p + t*(q - p)
+    to half-planes, each given by its side values (vp, vq) at p and q (a
+    point is inside when its value is >= 0).  Returns the clipped interval,
+    (t, t) when it shrinks to one point, or None when it is empty.  Exact
+    on Fraction values; also used on floats."""
+    for vp, vq in values:
+        if vp < 0 and vq < 0:
+            return None
+        if vp == vq:
+            continue
+        t = vp / (vp - vq)
+        if vp < vq:       # entering the half-plane at t
+            t_lo = max(t_lo, t)
+        else:             # leaving it at t
+            t_hi = min(t_hi, t)
+        if t_lo > t_hi:
+            return None
+    return t_lo, t_hi
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
@@ -153,12 +206,6 @@ class SegmentRelation(enum.Enum):
     OVERLAP = "overlap"
 
 
-def _on_segment_collinear(s: Segment, p: Point) -> bool:
-    # assumes p collinear with s
-    return (min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
-            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
-
-
 def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
     """Exact classification of the intersection of two closed segments."""
     o1 = orientation(s1.p, s1.q, s2.p)
@@ -168,8 +215,8 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
 
     if o1 == 0 and o2 == 0:
         # all four points collinear: 1-d interval arithmetic
-        touching = [p for p in (s2.p, s2.q) if _on_segment_collinear(s1, p)]
-        touching += [p for p in (s1.p, s1.q) if _on_segment_collinear(s2, p)]
+        touching = [p for p in (s2.p, s2.q) if _in_box(s1, p)]
+        touching += [p for p in (s1.p, s1.q) if _in_box(s2, p)]
         if not touching:
             return SegmentRelation.DISJOINT
         distinct = set(touching)
@@ -184,13 +231,13 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
         return SegmentRelation.PROPER_CROSS
 
     contact: Optional[Point] = None
-    if o1 == 0 and _on_segment_collinear(s1, s2.p):
+    if o1 == 0 and _in_box(s1, s2.p):
         contact = s2.p
-    elif o2 == 0 and _on_segment_collinear(s1, s2.q):
+    elif o2 == 0 and _in_box(s1, s2.q):
         contact = s2.q
-    elif o3 == 0 and _on_segment_collinear(s2, s1.p):
+    elif o3 == 0 and _in_box(s2, s1.p):
         contact = s1.p
-    elif o4 == 0 and _on_segment_collinear(s2, s1.q):
+    elif o4 == 0 and _in_box(s2, s1.q):
         contact = s1.q
     if contact is None:
         return SegmentRelation.DISJOINT
@@ -224,11 +271,6 @@ def convex_hull(points: Sequence[Point]) -> List[Point]:
     return hull
 
 
-def _ray_side_value(r: Ray, p: Point) -> Fraction:
-    # >0: p lies to the left of the ray direction, <0: to the right
-    return r.dx * (p.y - r.origin.y) - r.dy * (p.x - r.origin.x)
-
-
 def _along_ray(r: Ray, p: Point) -> Fraction:
     return r.dx * (p.x - r.origin.x) + r.dy * (p.y - r.origin.y)
 
@@ -240,12 +282,12 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     if len(polyline) < 2:
         raise ValueError("polyline needs at least 2 points")
     for v in polyline:
-        if _ray_side_value(r, v) == 0 and _along_ray(r, v) >= 0:
+        if side_value(r.origin, r.dx, r.dy, v) == 0 and _along_ray(r, v) >= 0:
             raise DegenerateContact(f"polyline vertex {v} lies on the ray")
     total = 0
     for p, q in zip(polyline, polyline[1:]):
-        sp = _ray_side_value(r, p)
-        sq = _ray_side_value(r, q)
+        sp = side_value(r.origin, r.dx, r.dy, p)
+        sq = side_value(r.origin, r.dx, r.dy, q)
         if sp == 0 and sq == 0:
             # collinear with the supporting line but off the ray (vertices on
             # the ray were rejected above); the sub-segment could still reach
@@ -260,10 +302,7 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
         if (sp > 0) == (sq > 0):
             continue
         # transversal crossing of the supporting line; locate it on the ray
-        t = sp / (sp - sq)
-        ix = p.x + t * (q.x - p.x)
-        iy = p.y + t * (q.y - p.y)
-        along = r.dx * (ix - r.origin.x) + r.dy * (iy - r.origin.y)
+        along = _along_ray(r, Segment(p, q).at(sp / (sp - sq)))
         if along < 0:
             continue
         if along == 0:

@@ -8,17 +8,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import (
-    GapMeasure,
     Line,
     Point,
+    PostconditionError,
     Segment,
+    clip_to_halfplanes,
     convex_hull,
     cross,
     line_intersection,
+    on_segment,
     orientation,
+    side_value,
 )
 
 
@@ -66,14 +69,19 @@ class LineSet:
     """A general-position set of lines, slope-sorted with ids 1..n.
 
     Construct through :func:`verify_general_position`; instances are
-    immutable and cache pairwise intersections.
+    immutable and cache pairwise intersections.  A set cut out by
+    :meth:`subset` keeps in ``parent_ids[k]`` the id that its line k+1 has
+    in the set it was cut from; other sets have ``parent_ids`` None.
     """
 
-    def __init__(self, lines: Sequence[Line], _validated: bool = False):
+    def __init__(self, lines: Sequence[Line], _validated: bool = False,
+                 parent_ids: Optional[Sequence[int]] = None):
         if not _validated:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
         self._cache: Dict[Tuple[int, int], Point] = {}
+        self.parent_ids: Optional[Tuple[int, ...]] = (
+            None if parent_ids is None else tuple(parent_ids))
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -104,10 +112,13 @@ class LineSet:
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
-        """A new LineSet of the selected lines, renumbered in slope order."""
-        picked = sorted((self.line(i) for i in ids), key=lambda l: l.slope)
-        return LineSet([l.with_id(k + 1) for k, l in enumerate(picked)],
-                       _validated=True)
+        """A new LineSet of the selected lines, renumbered in slope order;
+        its ``parent_ids`` are the selected ids (ids are slope ranks, so
+        they come out sorted)."""
+        picked = sorted(ids)
+        return LineSet([self.line(i).with_id(k + 1)
+                        for k, i in enumerate(picked)],
+                       _validated=True, parent_ids=picked)
 
 
 def verify_general_position(lines: Sequence[Line]) -> LineSet:
@@ -162,32 +173,38 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     return CapCup.CUP if is_cup else CapCup.NEITHER
 
 
-def _longest_turn_chain(points: Sequence[Point], turn: int) -> List[int]:
-    """Longest subsequence of the x-sorted points whose consecutive triples
-    all turn in the given direction (+1 convex/cup, -1 concave/cap).
-    Returns indices into ``points``.  O(n^3), smallest-index tie-breaking."""
-    n = len(points)
-    best_len: Dict[Tuple[int, int], int] = {}
-    parent: Dict[Tuple[int, int], Optional[int]] = {}
-    for j in range(n):
-        for i in range(j):
-            best_len[(i, j)] = 2
-            parent[(i, j)] = None
-    for j in range(n):
-        for i in range(j):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) == turn:
-                    if best_len[(i, j)] + 1 > best_len[(j, k)]:
-                        best_len[(j, k)] = best_len[(i, j)] + 1
-                        parent[(j, k)] = i
-    if n < 2:
-        return list(range(n))
-    best_pair = min(best_len, key=lambda p: (-best_len[p], p))
-    chain = [best_pair[1], best_pair[0]]
-    while parent[(chain[-1], chain[-2])] is not None:
-        chain.append(parent[(chain[-1], chain[-2])])
-    chain.reverse()
-    return chain
+class LabelledChains:
+    """Longest chains i_1 < ... < i_m of the increasing ``vertices`` whose
+    consecutive triples all carry the same label, by one dynamic program
+    over (j, k, label) that labels each triple i < j < k once.
+
+    ``length[(j, k, lab)]`` is the length of the longest lab-chain ending
+    with j, k, for the keys some triple extends (any pair alone is a chain
+    of length 2).  Each key keeps its smallest predecessor, which
+    :meth:`chain` follows back.
+    """
+
+    def __init__(self, vertices: Sequence[int],
+                 label: Callable[[int, int, int], Hashable]):
+        length: Dict[Tuple[int, int, Hashable], int] = {}
+        parent: Dict[Tuple[int, int, Hashable], int] = {}
+        for b, j in enumerate(vertices):
+            for k in vertices[b + 1:]:
+                for i in vertices[:b]:
+                    lab = label(i, j, k)
+                    cand = length.get((i, j, lab), 2) + 1
+                    if cand > length.get((j, k, lab), 2):
+                        length[(j, k, lab)] = cand
+                        parent[(j, k, lab)] = i
+        self.length = length
+        self._parent = parent
+
+    def chain(self, j: int, k: int, lab: Hashable) -> List[int]:
+        seq = [k, j]
+        while (seq[-1], seq[-2], lab) in self._parent:
+            seq.append(self._parent[(seq[-1], seq[-2], lab)])
+        seq.reverse()
+        return seq
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
@@ -197,16 +214,26 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     if n < 3:
         raise TooFew("need at least 3 lines")
     # dual points are (slope, dual_offset), already x-sorted by slope order;
-    # a concave dual chain gives a line cap, a convex one a line cup
+    # a concave dual chain (turn -1) gives a line cap, a convex one a cup
     duals = [Point(l.slope, l.dual_offset) for l in ls]
-    cap_chain = _longest_turn_chain(duals, -1)
-    cup_chain = _longest_turn_chain(duals, +1)
+    chains = LabelledChains(range(n), lambda i, j, k: orientation(
+        duals[i], duals[j], duals[k]))
+
+    def longest(turn: int) -> List[int]:
+        # the longest chain, ties to the smallest final pair (j, k)
+        _, j, k = min(((-m, j, k) for (j, k, lab), m in chains.length.items()
+                       if lab == turn), default=(-2, 0, 1))
+        return chains.chain(j, k, turn)
+
+    cap_chain, cup_chain = longest(-1), longest(+1)
     if len(cap_chain) >= len(cup_chain):
         kind, chain = CapCup.CAP, cap_chain
     else:
         kind, chain = CapCup.CUP, cup_chain
     sub = ls.subset([i + 1 for i in chain])
-    assert classify_cap_cup(sub) == kind
+    if classify_cap_cup(sub) != kind:
+        raise PostconditionError(f"extracted {kind.value} fails the "
+                                 f"cap/cup check")
     return kind, sub
 
 
@@ -284,16 +311,14 @@ class HullSide:
 
     def halfplane_value(self, p: Point) -> Fraction:
         """>0 strictly inside, 0 on the side's supporting line."""
-        if self.start is not None and self.end is not None:
-            return cross(self.end.x - self.start.x, self.end.y - self.start.y,
-                         p.x - self.start.x, p.y - self.start.y)
-        anchor = self.start if self.start is not None else self.end
-        dx, dy = self.direction
         if self.start is None:
             # boundary runs from infinity toward ``end``: direction -d
-            dx, dy = -dx, -dy
-            anchor = self.end
-        return cross(dx, dy, p.x - anchor.x, p.y - anchor.y)
+            dx, dy = self.direction
+            return side_value(self.end, -dx, -dy, p)
+        if self.end is None:
+            return side_value(self.start, *self.direction, p)
+        return side_value(self.start, self.end.x - self.start.x,
+                          self.end.y - self.start.y, p)
 
 
 class UnboundedHullError(LineSetError):
@@ -333,29 +358,18 @@ class RegionHull:
     ) -> Optional[Tuple[Fraction, Fraction]]:
         """Parameter interval [t0, t1] of seg (p at t=0, q at t=1) inside the
         closed hull, or None if the intersection is empty or a single point."""
-        t_lo, t_hi = Fraction(0), Fraction(1)
-        for s in self.sides:
-            vp = s.halfplane_value(seg.p)
-            vq = s.halfplane_value(seg.q)
-            if vp == vq:
-                if vp < 0:
-                    return None
-                continue
-            t = vp / (vp - vq)
-            if vp < vq:       # entering the halfplane at t
-                t_lo = max(t_lo, t)
-            else:             # leaving at t
-                t_hi = min(t_hi, t)
-            if t_lo >= t_hi:
-                return None
-        return (t_lo, t_hi)
+        iv = clip_to_halfplanes(
+            ((s.halfplane_value(seg.p), s.halfplane_value(seg.q))
+             for s in self.sides), Fraction(0), Fraction(1))
+        if iv is None or iv[0] == iv[1]:
+            return None
+        return iv
 
 
 def _point_on_side(s: HullSide, p: Point) -> bool:
     # assumes p on the supporting line
     if s.start is not None and s.end is not None:
-        return (min(s.start.x, s.end.x) <= p.x <= max(s.start.x, s.end.x)
-                and min(s.start.y, s.end.y) <= p.y <= max(s.start.y, s.end.y))
+        return on_segment(Segment(s.start, s.end), p)
     anchor = s.start if s.start is not None else s.end
     dx, dy = s.direction
     return dx * (p.x - anchor.x) + dy * (p.y - anchor.y) >= 0

@@ -7,10 +7,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .geometry import GapClass, angle_gap, compare_angle_gap
-from .lineset import LineSet, LineSetError
+from .geometry import GapClass, PostconditionError, angle_gap, \
+    compare_angle_gap
+from .lineset import LabelledChains, LineSet, LineSetError
 
 
 class Color(enum.Enum):
@@ -93,41 +94,13 @@ def longest_mono_path(tc: TripleColoring) -> HyperPath:
     n = tc.n
     if n < 3:
         raise ValueError("need n >= 3")
-    # best[(i, j, color)] = length of the longest path of that color ending
-    # with the consecutive vertices i < j
-    best: Dict[Tuple[int, int, Color], int] = {}
-    parent: Dict[Tuple[int, int, Color], Optional[int]] = {}
-    for color in Color:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                best[(i, j, color)] = 2
-                parent[(i, j, color)] = None
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            for i in range(1, j):
-                color = tc.of(i, j, k)
-                cand = best[(i, j, color)] + 1
-                if cand > best[(j, k, color)]:
-                    best[(j, k, color)] = cand
-                    parent[(j, k, color)] = i
-    top = max(best.values())
-    if top < 3:
-        # no extension happened (impossible for n >= 3, kept defensive)
-        raise AssertionError("DP failed to build a single triple")
-    ends = [key for key, v in best.items() if v == top]
+    # every triple has a colour, so the first one is already a path of 3
+    chains = LabelledChains(range(1, n + 1), tc.of)
+    top = max(chains.length.values())
+    ends = [key for key, m in chains.length.items() if m == top]
     j, k, color = min(
-        ends, key=lambda key: (_reconstruct(parent, key), key[2].value))
-    verts = _reconstruct(parent, (j, k, color))
-    return HyperPath(tuple(verts), color)
-
-
-def _reconstruct(parent, key) -> List[int]:
-    j, k, color = key
-    seq = [k, j]
-    while parent[(seq[-1], seq[-2], color)] is not None:
-        seq.append(parent[(seq[-1], seq[-2], color)])
-    seq.reverse()
-    return seq
+        ends, key=lambda key: (chains.chain(*key), key[2].value))
+    return HyperPath(tuple(chains.chain(j, k, color)), color)
 
 
 def color_by_gaps(ls: LineSet) -> TripleColoring:
@@ -159,7 +132,8 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
     direction = (Direction.NON_INCREASING if path.color == Color.RED
                  else Direction.NON_DECREASING)
     chain = MonotoneGapChain(path.vertices, direction)
-    assert check_monotone(ls, chain)
+    if not check_monotone(ls, chain):
+        raise PostconditionError("extracted chain has non-monotone gaps")
     return chain
 
 
@@ -207,8 +181,6 @@ def extract_doubling(ls: LineSet) -> DoublingChain:
     if len(majority) < 3:
         raise ChainTooShort("majority sign class below 3 lines")
     sub = ls.subset(majority)
-    back = {k + 1: majority[k] for k in range(len(majority))}
-
     chain = extract_monotone_gaps(sub)
     m = len(chain.ids)
     if chain.direction == Direction.NON_DECREASING:
@@ -217,11 +189,12 @@ def extract_doubling(ls: LineSet) -> DoublingChain:
     else:
         picks = [m - 1 - i for i in reversed(_doubling_indices(m))]
         variant = Variant.UPPER
-    ids = tuple(back[chain.ids[i]] for i in picks)
+    ids = tuple(sub.parent_ids[chain.ids[i] - 1] for i in picks)
     if len(ids) < 3:
         raise ChainTooShort(f"doubling subsequence has {len(ids)} lines")
     result = DoublingChain(ids, variant)
-    assert check_doubling(ls, result)
+    if not check_doubling(ls, result):
+        raise PostconditionError("extracted chain fails the doubling check")
     return result
 
 

@@ -23,12 +23,13 @@ from .geometry import (
     Point,
     Segment,
     angle_gap,
+    clip_to_halfplanes,
     compare_angle_gap,
     convex_hull,
     line_intersection,
-    orientation,
     segments_intersect,
     SegmentRelation,
+    side_value,
 )
 from .lineset import CapCup, LineSet, LineSetError, classify_cap_cup
 from .ramsey import Variant
@@ -163,33 +164,10 @@ _NEXT_EDGE = {1: 2, 2: 3, 3: 1}   # j -> j+1 with modulo class 0 written as 3
 
 
 def _hull_halfplanes(frame: SixLineFrame):
+    """The CCW hull of the 15 crossings as (vertex, edge dx, edge dy)."""
     hull = convex_hull(frame.intersection_points())
-    return [(hull[k], hull[(k + 1) % len(hull)]) for k in range(len(hull))]
-
-
-def _segment_meets_convex(seg: Segment, edges) -> bool:
-    """Whether a closed segment meets a closed convex polygon (given as CCW
-    edge list), via exact halfplane interval clipping."""
-    t_lo, t_hi = Fraction(0), Fraction(1)
-    for u, v in edges:
-        vp = _cross3(u, v, seg.p)
-        vq = _cross3(u, v, seg.q)
-        if vp < 0 and vq < 0:
-            return False
-        if vp == vq:
-            continue
-        t = vp / (vp - vq)
-        if vp < vq:
-            t_lo = max(t_lo, t)
-        else:
-            t_hi = min(t_hi, t)
-        if t_lo > t_hi:
-            return False
-    return True
-
-
-def _cross3(u: Point, v: Point, p: Point) -> Fraction:
-    return (v.x - u.x) * (p.y - u.y) - (v.y - u.y) * (p.x - u.x)
+    return [(u, v.x - u.x, v.y - u.y)
+            for u, v in zip(hull, hull[1:] + hull[:1])]
 
 
 def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
@@ -224,8 +202,7 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
                 failures.append(("i", j))
                 continue
             # y of the edge at the apex abscissa
-            t = (apex.x - e.p.x) / (e.q.x - e.p.x)
-            y = e.p.y + t * (e.q.y - e.p.y)
+            y = e.at((apex.x - e.p.x) / (e.q.x - e.p.x)).y
             below = y < apex.y
             if (j in (1, 3)) != below or y == apex.y:
                 failures.append(("i", j))
@@ -233,7 +210,12 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
     if "ii" not in skip:
         hull_edges = _hull_halfplanes(frame)
         for j in (1, 2, 3):
-            if _segment_meets_convex(cfg.edges[j - 1], hull_edges):
+            e = cfg.edges[j - 1]
+            # a single common point already counts as meeting the hull
+            if clip_to_halfplanes(
+                    ((side_value(u, dx, dy, e.p), side_value(u, dx, dy, e.q))
+                     for u, dx, dy in hull_edges),
+                    Fraction(0), Fraction(1)) is not None:
                 failures.append(("ii", j))
 
     if "iii" not in skip:
@@ -245,8 +227,7 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
             if vp == 0 or vq == 0 or (vp > 0) == (vq > 0):
                 failures.append(("iii-missing", j))
                 continue
-            t = vp / (vp - vq)
-            cross_x = nxt.p.x + t * (nxt.q.x - nxt.p.x)
+            cross_x = nxt.at(vp / (vp - vq)).x
             apex_x = frame.apex(j).x
             a_x = cfg.endpoint_on_even(j).x
             lo, hi = sorted((apex_x, cross_x))
@@ -436,33 +417,27 @@ class _FrameFloats:
         self.center = pts.mean(axis=0)
         self.radius = max(1.0, np.max(np.linalg.norm(pts - self.center,
                                                      axis=1)))
-        hull = convex_hull(frame.intersection_points())
-        self.hull = np.array([[float(p.x), float(p.y)] for p in hull])
+        hull = [(float(p.x), float(p.y))
+                for p in convex_hull(frame.intersection_points())]
+        # (vertex x, vertex y, edge dx, edge dy) as plain floats: the hull
+        # has a handful of edges, too few for numpy to pay off per call
+        self.hull_edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
+                           in zip(hull, hull[1:] + hull[:1])]
 
     def clearly_meets_hull(self, u, t) -> bool:
         """Float pre-screen of rule (ii): True when some edge cuts well into
         the hull of the 15 crossings, so the exact check cannot pass.
         Borderline cases return False and go to the exact check."""
-        m = len(self.hull)
         for j in (1, 2, 3):
-            px, py = u[j - 1], self.s[2 * j - 2] * u[j - 1] - self.b[2 * j - 2]
-            qx, qy = t[j - 1], self.s[2 * j - 1] * t[j - 1] - self.b[2 * j - 1]
-            t_lo, t_hi = 0.0, 1.0
-            for e in range(m):
-                u0, u1 = self.hull[e], self.hull[(e + 1) % m]
-                dx, dy = u1 - u0
-                vp = dx * (py - u0[1]) - dy * (px - u0[0])
-                vq = dx * (qy - u0[1]) - dy * (qx - u0[0])
-                if vp < 0 and vq < 0:
-                    t_lo, t_hi = 1.0, 0.0
-                    break
-                if vp != vq:
-                    tt = vp / (vp - vq)
-                    if vp < vq:
-                        t_lo = max(t_lo, tt)
-                    else:
-                        t_hi = min(t_hi, tt)
-            if t_hi - t_lo > 1e-9:
+            px = float(u[j - 1])
+            py = float(self.s[2 * j - 2] * u[j - 1] - self.b[2 * j - 2])
+            qx = float(t[j - 1])
+            qy = float(self.s[2 * j - 1] * t[j - 1] - self.b[2 * j - 1])
+            iv = clip_to_halfplanes(
+                ((dx * (py - y0) - dy * (px - x0),
+                  dx * (qy - y0) - dy * (qx - x0))
+                 for x0, y0, dx, dy in self.hull_edges), 0.0, 1.0)
+            if iv is not None and iv[1] - iv[0] > 1e-9:
                 return True
         return False
 

@@ -19,6 +19,7 @@ from treelines.io_formats import (
     serialize_instance,
     serialize_lines,
 )
+from treelines.lineset import longest_cap_cup
 
 from conftest import DOUBLING_DEGREES, angle_lineset, random_lines
 
@@ -133,6 +134,23 @@ def test_cli_extract_commands(files, capsys):
     assert "variant: lower" in capsys.readouterr().out
 
 
+def test_cli_extract_cap_prints_input_ids(tmp_path, capsys, rng):
+    # a random set whose largest cap or cup is not a prefix of the ids;
+    # its input ids are found again by matching slope and offset
+    while True:
+        ls = random_lines(rng, 12)
+        _, sub = longest_cap_cup(ls)
+        picked = {(m.slope, m.dual_offset) for m in sub}
+        ids = [l.id for l in ls if (l.slope, l.dual_offset) in picked]
+        if ids != list(range(1, len(ids) + 1)):
+            break
+    path = tmp_path / "lines.txt"
+    path.write_text(serialize_lines(ls))
+    assert main(["extract-cap", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "ids: " + " ".join(map(str, ids))
+
+
 def test_cli_check(files, capsys):
     assert main(["check", str(files / "inst3.txt"),
                  str(files / "emb3.txt")]) == 0
@@ -208,4 +226,9 @@ def test_cli_seed_env(files, capsys, monkeypatch):
     assert main(["solve", str(files / "inst3.txt")]) == 0
     capsys.readouterr()
     monkeypatch.setenv("TREELINES_SEED", "junk")
-    assert main(["solve", str(files / "inst3.txt")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(files / "inst3.txt")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    # an explicit --seed overrides the bad environment value
+    assert main(["solve", str(files / "inst3.txt"), "--seed", "1"]) == 0

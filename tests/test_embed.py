@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from treelines.geometry import DegenerateContact, Line, Point, Segment, scalar
+from treelines import embed
+from treelines.geometry import (
+    DegenerateContact,
+    Line,
+    Point,
+    PostconditionError,
+    Segment,
+    scalar,
+)
 from treelines.lineset import (
     ColorClasses,
     RegionIndex,
@@ -15,6 +23,7 @@ from treelines.lineset import (
 )
 from treelines.embed import (
     Assignment,
+    CheckReport,
     CombTuple,
     DivisibilityError,
     EmbedError,
@@ -150,6 +159,14 @@ def test_solve_and_verify(four_lines):
     assert res.found
     rep = check_embedding(four_lines, PATH4, ASG4, res.embedding)
     assert rep.crossing_free
+
+
+def test_solve_raises_when_its_embedding_fails_the_check(four_lines,
+                                                         monkeypatch):
+    monkeypatch.setattr(embed, "check_embedding",
+                        lambda *args: CheckReport(False, (), ()))
+    with pytest.raises(PostconditionError):
+        solve(four_lines, PATH4, ASG4, refine=3, budget=200, seed=1)
 
 
 def test_scan_universality_small(four_lines, rng):

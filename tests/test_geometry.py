@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treelines.geometry import (
@@ -18,11 +18,13 @@ from treelines.geometry import (
     Segment,
     SegmentRelation,
     angle_gap,
+    clip_to_halfplanes,
     compare_angle_gap,
     convex_hull,
     dualize_line,
     dualize_point,
     line_intersection,
+    on_segment,
     orientation,
     point,
     scalar,
@@ -158,6 +160,27 @@ def test_segments_against_brute_force(rng):
         want = _brute_segment_relation(s1, s2)
         assert got == want, (s1, s2)
         assert segments_intersect(s2, s1) == got
+
+
+@given(points, points,
+       st.fractions(min_value=-2, max_value=3, max_denominator=16))
+def test_on_segment_at_parameter(p, q, t):
+    assume(p != q)
+    s = Segment(p, q)
+    assert on_segment(s, s.at(t)) == (0 <= t <= 1)
+
+
+@given(st.lists(st.tuples(rationals, rationals), max_size=6))
+def test_clip_to_halfplanes_keeps_the_common_parameters(values):
+    # (vp, vq) are a half-plane's side values at t=0 and t=1, so its value
+    # at t is vp + t*(vq - vp)
+    iv = clip_to_halfplanes(values, Fraction(0), Fraction(1))
+    probes = {Fraction(k, 64) for k in range(65)}
+    if iv is not None:
+        probes |= set(iv)
+    for t in probes:
+        inside = all(vp + t * (vq - vp) >= 0 for vp, vq in values)
+        assert inside == (iv is not None and iv[0] <= t <= iv[1]), t
 
 
 def test_convex_hull_examples():

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treelines import lineset
 from treelines.geometry import (
     Line,
     Point,
+    PostconditionError,
     cross,
     dualize_line,
     line_intersection,
@@ -118,6 +120,26 @@ def test_longest_cap_cup_vs_brute_force(rng):
         kind, sub = longest_cap_cup(ls)
         assert classify_cap_cup(sub) == kind
         assert len(sub) == max(_brute_longest_cap_cup(ls), 3)
+
+
+def test_longest_cap_cup_raises_when_its_subset_fails_the_check(
+        rng, monkeypatch):
+    monkeypatch.setattr(lineset, "classify_cap_cup",
+                        lambda ls: CapCup.NEITHER)
+    with pytest.raises(PostconditionError):
+        longest_cap_cup(random_lines(rng, 8))
+
+
+def test_subset_keeps_parent_ids(rng):
+    ls = random_lines(rng, 10)
+    sub = ls.subset([9, 2, 5, 7])
+    assert ls.parent_ids is None
+    assert sub.parent_ids == (2, 5, 7, 9)
+    assert [l.id for l in sub] == [1, 2, 3, 4]
+    assert [(l.slope, l.dual_offset) for l in sub] == [
+        (ls.line(i).slope, ls.line(i).dual_offset) for i in sub.parent_ids]
+    # ids refer to the set a subset was cut from, not to the first one
+    assert sub.subset([2, 4]).parent_ids == (2, 4)
 
 
 def test_longest_cap_cup_erdos_szekeres_bound(rng):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from treelines.geometry import Line, scalar
+from treelines import ramsey
+from treelines.geometry import Line, PostconditionError, scalar
 from treelines.lineset import verify_general_position
 from treelines.ramsey import (
     ChainTooShort,
@@ -156,6 +157,34 @@ def test_extract_doubling_random(rng):
         signs = {ls.line(i).slope >= 0 for i in sub_ids}
         assert len(signs) == 1        # one slope-sign class only
     assert hits > 0
+
+
+def test_extract_doubling_maps_ids_back_to_the_input(rng):
+    # a set whose majority slope class, the non-negative slopes, is not a
+    # prefix of the ids, so the subset's ids differ from the input's
+    while True:
+        ls = random_lines(rng, 16)
+        majority = [l.id for l in ls if l.slope >= 0]
+        if len(majority) > 8:
+            break
+    chain = extract_doubling(ls)
+    assert set(chain.ids) <= set(majority)
+    assert check_doubling(ls, chain)
+    # the same chain found on the majority lines renumbered from 1
+    sub = verify_general_position([ls.line(i) for i in majority])
+    assert extract_doubling(sub).ids == tuple(
+        majority.index(i) + 1 for i in chain.ids)
+
+
+@pytest.mark.parametrize("extract, checker", [
+    (extract_monotone_gaps, "check_monotone"),
+    (extract_doubling, "check_doubling"),
+])
+def test_extractors_raise_when_the_chain_fails_its_check(
+        extract, checker, monkeypatch):
+    monkeypatch.setattr(ramsey, checker, lambda ls, chain: False)
+    with pytest.raises(PostconditionError):
+        extract(angle_lineset(DOUBLING_DEGREES))
 
 
 def test_extract_doubling_too_short():

@@ -4,6 +4,7 @@ chain contradiction."""
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from treelines.geometry import Line, line_intersection
@@ -11,6 +12,7 @@ from treelines.lineset import CapCup, verify_general_position
 from treelines.ramsey import Variant
 from treelines.unstretch import (
     FrameError,
+    _FrameFloats,
     HypothesisFail,
     Lemma24Result,
     NotCapOrCup,
@@ -117,6 +119,29 @@ def test_validate_config_hull_rule(cup_frame):
                               skip=frozenset({"i", "iii"}))
     assert not verdict.ok
     assert {("ii", 1), ("ii", 2)} <= set(verdict.failures)
+
+
+@pytest.mark.parametrize("kind", ["cup", "cap"])
+def test_float_hull_screen_rejects_only_exact_rule_ii_failures(
+        kind, cup_frame, cap_frame, rng):
+    frame = cup_frame if kind == "cup" else cap_frame
+    screen = _FrameFloats(frame)
+    rejected = meets = 0
+    for _ in range(300):
+        # endpoints a few units either side of each apex; the exact check
+        # sees the same float values the screen sees, as in the search
+        xs = [float(frame.apex(j).x) + off
+              for j in (1, 2, 3) for off in rng.uniform(-4, 4, size=2)]
+        cfg = config_from_params(frame, [Fraction(x) for x in xs])
+        hull_met = not validate_config(frame, cfg,
+                                       skip=frozenset({"i", "iii"})).ok
+        meets += hull_met
+        if screen.clearly_meets_hull(np.array(xs[0::2]),
+                                     np.array(xs[1::2])):
+            rejected += 1
+            assert hull_met, xs
+    # both outcomes occur, so a screen rejecting everything would fail
+    assert 0 < rejected and meets < 300
 
 
 def test_chain_equal_angles_contradiction():
