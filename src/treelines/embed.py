@@ -10,7 +10,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -220,7 +220,7 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
                 violations.append(Violation(ViolationKind.VERTEX_ON_EDGE,
                                             (v, k)))
 
-    inter = set(ls.intersection_points())
+    inter = _arrangement_points(ls)
     for v, p in enumerate(pts):
         if p in inter:
             warnings.append(f"vertex {v} sits on an arrangement "
@@ -235,20 +235,32 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     return CheckReport(not violations, tuple(violations), tuple(warnings))
 
 
+def _arrangement_points(ls: LineSet) -> FrozenSet[Point]:
+    """The intersection points of ``ls``, built once per line set."""
+    if ls._point_set is None:
+        ls._point_set = frozenset(ls.intersection_points())
+    return ls._point_set
+
+
 def candidate_positions(ls: LineSet, line_id: int,
-                        refine: int) -> List[Fraction]:
+                        refine: int) -> Tuple[Fraction, ...]:
     """Discretized x-positions on a line: ``refine`` equally spaced rational
     points strictly inside each finite interval between consecutive
     intersection abscissas, plus one sentinel beyond each extreme.  Never
-    returns a breakpoint."""
+    returns a breakpoint.  Computed once per line set, line and
+    ``refine``."""
     if refine < 1:
         raise EmbedError("refine must be >= 1")
-    xs = [pt.x for _, pt in intersection_order(ls, line_id)]
-    out: List[Fraction] = [xs[0] - 1]
-    for x0, x1 in zip(xs, xs[1:]):
-        step = (x1 - x0) / (refine + 1)
-        out.extend(x0 + k * step for k in range(1, refine + 1))
-    out.append(xs[-1] + 1)
+    key = (line_id, refine)
+    out = ls._candidates.get(key)
+    if out is None:
+        xs = [pt.x for _, pt in intersection_order(ls, line_id)]
+        cand: List[Fraction] = [xs[0] - 1]
+        for x0, x1 in zip(xs, xs[1:]):
+            step = (x1 - x0) / (refine + 1)
+            cand.extend(x0 + k * step for k in range(1, refine + 1))
+        cand.append(xs[-1] + 1)
+        out = ls._candidates[key] = tuple(cand)
     return out
 
 
@@ -459,7 +471,7 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     """The sequence of region hulls a segment traverses from p to q, with
     entry/exit side labels; traversals are ordered along the segment (by
     the midpoint of each clipped parameter interval)."""
-    for q in ls.intersection_points():
+    for q in _arrangement_points(ls):
         if on_segment(seg, q):
             raise DegenerateContact("segment touches an arrangement "
                                     "intersection point")

@@ -2,15 +2,18 @@
 everything else is built on.
 
 All coordinates and slopes are ``fractions.Fraction`` values, so every
-predicate here is decided exactly; nothing rounds.  Angles are never stored
-numerically: angle-gap comparisons reduce to rational sign tests via the
-tangent subtraction formula.
+predicate here is decided exactly; nothing rounds.  The orientation and
+collinearity signs are taken on each point's integer homogeneous
+coordinates, which skips the gcd normalisation of Fraction arithmetic.
+Angles are never stored numerically: angle-gap comparisons reduce to
+rational sign tests via the tangent subtraction formula.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -48,6 +51,14 @@ class DegenerateContact(ValueError):
 class Point:
     x: Fraction
     y: Fraction
+
+    @cached_property
+    def homogeneous(self) -> Tuple[int, int, int]:
+        """Integer coordinates (X, Y, W) with W > 0 of the point
+        (X/W, Y/W); computed on first use, outside the dataclass fields."""
+        xn, xd = self.x.numerator, self.x.denominator
+        yn, yd = self.y.numerator, self.y.denominator
+        return xn * yd, yn * xd, xd * yd
 
     def translated(self, dx: Fraction, dy: Fraction) -> "Point":
         return Point(self.x + dx, self.y + dy)
@@ -120,14 +131,6 @@ class Ray:
             raise ValueError("ray needs a nonzero direction")
 
 
-def _sign(v: Fraction) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
-
-
 def cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
     return ox * ay - oy * ax
 
@@ -138,9 +141,20 @@ def side_value(o: Point, dx: Fraction, dy: Fraction, p: Point) -> Fraction:
     return dx * (p.y - o.y) - dy * (p.x - o.x)
 
 
+def _det(p: Point, q: Point, r: Point) -> int:
+    # the 3x3 determinant of the homogeneous rows is (q-p) x (r-p) times
+    # W_p*W_q*W_r > 0, so it carries the orientation sign
+    x1, y1, w1 = p.homogeneous
+    x2, y2, w2 = q.homogeneous
+    x3, y3, w3 = r.homogeneous
+    return (x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2)
+            + w1 * (x2 * y3 - x3 * y2))
+
+
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of (q-p) x (r-p): +1 left turn, 0 collinear, -1 right turn."""
-    return _sign(side_value(p, q.x - p.x, q.y - p.y, r))
+    d = _det(p, q, r)
+    return (d > 0) - (d < 0)
 
 
 def _in_box(s: Segment, p: Point) -> bool:
@@ -151,9 +165,7 @@ def _in_box(s: Segment, p: Point) -> bool:
 
 def on_segment(s: Segment, p: Point) -> bool:
     """Whether p lies on the closed segment s."""
-    # the cross product is written out: a call through orientation costs
-    # a sizeable share of this hot test
-    if (s.q.x - s.p.x) * (p.y - s.p.y) != (s.q.y - s.p.y) * (p.x - s.p.x):
+    if _det(s.p, s.q, p):
         return False
     return _in_box(s, p)
 

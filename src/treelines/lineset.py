@@ -8,7 +8,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 from .geometry import (
     Line,
@@ -69,7 +70,9 @@ class LineSet:
     """A general-position set of lines, slope-sorted with ids 1..n.
 
     Construct through :func:`verify_general_position`; instances are
-    immutable and cache pairwise intersections.  A set cut out by
+    immutable and cache, when first asked for, pairwise intersections,
+    each line's :func:`intersection_order`, and for ``embed`` the set of
+    arrangement points and the candidate positions.  A set cut out by
     :meth:`subset` keeps in ``parent_ids[k]`` the id that its line k+1 has
     in the set it was cut from; other sets have ``parent_ids`` None.
     """
@@ -80,6 +83,9 @@ class LineSet:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
         self._cache: Dict[Tuple[int, int], Point] = {}
+        self._orders: Dict[int, Tuple[Tuple[int, Point], ...]] = {}
+        self._point_set: Optional[FrozenSet[Point]] = None
+        self._candidates: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         self.parent_ids: Optional[Tuple[int, ...]] = (
             None if parent_ids is None else tuple(parent_ids))
 
@@ -146,10 +152,13 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
 def intersection_order(ls: LineSet, i: int) -> List[Tuple[int, Point]]:
     """The n-1 intersection points on line i sorted by x ascending, each
     with the id of the partner line."""
-    entries = [(j, ls.intersection(i, j))
-               for j in range(1, len(ls) + 1) if j != i]
-    entries.sort(key=lambda e: e[1].x)
-    return entries
+    order = ls._orders.get(i)
+    if order is None:
+        entries = [(j, ls.intersection(i, j))
+                   for j in range(1, len(ls) + 1) if j != i]
+        entries.sort(key=lambda e: e[1].x)
+        order = ls._orders[i] = tuple(entries)
+    return list(order)
 
 
 def classify_cap_cup(ls: LineSet) -> CapCup:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -80,6 +81,14 @@ class SixLineFrame:
     def intersection_points(self) -> List[Point]:
         return [line_intersection(self.lines[i], self.lines[j])
                 for i in range(6) for j in range(i + 1, 6)]
+
+    @cached_property
+    def hull_halfplanes(self) -> Tuple[Tuple[Point, Fraction, Fraction], ...]:
+        """The CCW hull of the 15 crossings as (vertex, edge dx, edge dy),
+        built on first use and kept with the frame."""
+        hull = convex_hull(self.intersection_points())
+        return tuple((u, v.x - u.x, v.y - u.y)
+                     for u, v in zip(hull, hull[1:] + hull[:1]))
 
 
 def validate_frame(ls: LineSet, ids: Sequence[int]) -> SixLineFrame:
@@ -163,13 +172,6 @@ class ConfigVerdict:
 _NEXT_EDGE = {1: 2, 2: 3, 3: 1}   # j -> j+1 with modulo class 0 written as 3
 
 
-def _hull_halfplanes(frame: SixLineFrame):
-    """The CCW hull of the 15 crossings as (vertex, edge dx, edge dy)."""
-    hull = convex_hull(frame.intersection_points())
-    return [(u, v.x - u.x, v.y - u.y)
-            for u, v in zip(hull, hull[1:] + hull[:1])]
-
-
 def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
                     skip: FrozenSet[str] = frozenset()) -> ConfigVerdict:
     """Exact check of the three-edge configuration rules.
@@ -208,13 +210,12 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
                 failures.append(("i", j))
 
     if "ii" not in skip:
-        hull_edges = _hull_halfplanes(frame)
         for j in (1, 2, 3):
             e = cfg.edges[j - 1]
             # a single common point already counts as meeting the hull
             if clip_to_halfplanes(
                     ((side_value(u, dx, dy, e.p), side_value(u, dx, dy, e.q))
-                     for u, dx, dy in hull_edges),
+                     for u, dx, dy in frame.hull_halfplanes),
                     Fraction(0), Fraction(1)) is not None:
                 failures.append(("ii", j))
 
@@ -417,8 +418,7 @@ class _FrameFloats:
         self.center = pts.mean(axis=0)
         self.radius = max(1.0, np.max(np.linalg.norm(pts - self.center,
                                                      axis=1)))
-        hull = [(float(p.x), float(p.y))
-                for p in convex_hull(frame.intersection_points())]
+        hull = [(float(p.x), float(p.y)) for p, _, _ in frame.hull_halfplanes]
         # (vertex x, vertex y, edge dx, edge dy) as plain floats: the hull
         # has a handful of edges, too few for numpy to pay off per call
         self.hull_edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1)

@@ -154,6 +154,34 @@ def test_candidate_positions_counts(four_lines):
     assert not set(candidate_positions(four_lines, 1, 3)) & set(xs)
 
 
+def test_candidate_positions_are_kept_per_line_and_refine(four_lines):
+    first = candidate_positions(four_lines, 2, 2)
+    assert isinstance(first, tuple)
+    assert candidate_positions(four_lines, 2, 2) == first
+    # a cold copy of the set computes the same positions from scratch, and
+    # another refine on the same line gets its own entry
+    cold = verify_general_position(list(four_lines.lines))
+    for refine in (2, 3, 1):
+        got = candidate_positions(four_lines, 2, refine)
+        assert len(got) == 2 * refine + 2
+        assert got == candidate_positions(cold, 2, refine)
+    assert candidate_positions(four_lines, 2, 2) == first
+
+
+def test_check_warnings_on_arrangement_crossings(four_lines):
+    # vertices 0 and 2 sit on crossings (0, 0) and (-1, 1); edge (0, 1)
+    # runs from (0, 0) to (2, 2) through the crossings (1/2, 1/2), (1, 1)
+    emb = _emb(0, 2, -1, 3)
+    want = ("vertex 0 sits on an arrangement intersection point",
+            "vertex 2 sits on an arrangement intersection point",
+            "edge (0, 1) passes through an arrangement intersection point")
+    for ls in (four_lines, verify_general_position(list(four_lines.lines))):
+        for _ in range(2):      # once cold, once with the point set kept
+            rep = check_embedding(ls, PATH4, ASG4, emb)
+            assert rep.crossing_free
+            assert rep.warnings == want
+
+
 def test_solve_and_verify(four_lines):
     res = solve(four_lines, PATH4, ASG4, refine=3, budget=200, seed=1)
     assert res.found
@@ -178,6 +206,17 @@ def test_scan_universality_small(four_lines, rng):
                                 budget=200)
     assert report4.total == 24
     assert report4.all_found
+
+
+def test_scan_universality_same_report_with_warm_caches(four_lines, rng):
+    three = random_lines(rng, 3)
+    for ls, tree, refine, budget in ((three, path_tree(3), 2, 50),
+                                     (four_lines, star_tree(4), 3, 200),
+                                     (four_lines, path_tree(4), 1, 20)):
+        cold = scan_universality(
+            verify_general_position(list(ls.lines)), tree, refine, budget)
+        warm = scan_universality(ls, tree, refine, budget)
+        assert warm == scan_universality(ls, tree, refine, budget) == cold
 
 
 def test_scan_guards(four_lines, rng):

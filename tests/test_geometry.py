@@ -170,6 +170,93 @@ def test_on_segment_at_parameter(p, q, t):
     assert on_segment(s, s.at(t)) == (0 <= t <= 1)
 
 
+def _fraction_orientation(p: Point, q: Point, r: Point) -> int:
+    """Oracle: the sign of (q-p) x (r-p) in Fraction arithmetic."""
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    return (d > 0) - (d < 0)
+
+
+def _fraction_on_segment(s: Segment, p: Point) -> bool:
+    """Oracle: collinear with s in Fraction arithmetic and inside its box."""
+    return (_fraction_orientation(s.p, s.q, p) == 0
+            and min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
+            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
+
+
+def _along(p: Point, q: Point, k: Fraction) -> Point:
+    """p + k*(q - p): a point exactly on the line through p and q."""
+    return Point(p.x + k * (q.x - p.x), p.y + k * (q.y - p.y))
+
+
+# numerators and denominators up to 10**12
+huge = st.builds(Fraction, st.integers(-10**12, 10**12),
+                 st.integers(1, 10**12))
+huge_points = st.builds(Point, huge, huge)
+line_params = st.fractions(min_value=-2, max_value=3,
+                           max_denominator=10**6)
+
+
+@st.composite
+def segment_pairs(draw):
+    """A segment s = pq and a segment t that is free, shares an endpoint
+    with s, starts on the line through p and q, or lies on that line; the
+    last three give the zero signs and every SegmentRelation."""
+    p, q = draw(huge_points), draw(huge_points)
+    assume(p != q)
+    mode = draw(st.sampled_from(("free", "shared", "from_line", "on_line")))
+    if mode == "free":
+        a, b = draw(huge_points), draw(huge_points)
+    elif mode == "shared":
+        a, b = draw(st.sampled_from((p, q))), draw(huge_points)
+    elif mode == "from_line":
+        a, b = _along(p, q, draw(line_params)), draw(huge_points)
+    else:
+        a, b = (_along(p, q, draw(line_params)),
+                _along(p, q, draw(line_params)))
+    assume(a != b)
+    return Segment(p, q), Segment(a, b)
+
+
+# one pair per SegmentRelation, on coordinates near 10**12 in size
+_P = Point(Fraction(123456789012, 999999999989),
+           Fraction(-987654321098, 999999999959))
+_Q = Point(Fraction(-555555555557, 777777777779),
+           Fraction(333333333331, 1000000000000))
+_MID = _along(_P, _Q, Fraction(1, 2))
+_OFF = Point(_MID.x + Fraction(999999999999, 7), _MID.y - Fraction(1, 3))
+KERNEL_EXAMPLES = {
+    SegmentRelation.PROPER_CROSS: Segment(_OFF, _along(_OFF, _MID, 2)),
+    SegmentRelation.TOUCH_ENDPOINT_ENDPOINT: Segment(_Q, _OFF),
+    SegmentRelation.TOUCH_ENDPOINT_INTERIOR: Segment(
+        _along(_P, _Q, Fraction(1, 3)), _OFF),
+    SegmentRelation.OVERLAP: Segment(_MID, _along(_P, _Q, 2)),
+    SegmentRelation.DISJOINT: Segment(_along(_P, _Q, 2),
+                                      _along(_P, _Q, 3)),
+}
+
+
+def _assert_kernel_matches(s: Segment, t: Segment) -> None:
+    for r in (t.p, t.q):
+        assert orientation(s.p, s.q, r) == _fraction_orientation(s.p, s.q, r)
+        assert orientation(r, s.q, s.p) == _fraction_orientation(r, s.q, s.p)
+        assert on_segment(s, r) == _fraction_on_segment(s, r)
+    assert segments_intersect(s, t) == _brute_segment_relation(s, t)
+    assert segments_intersect(t, s) == _brute_segment_relation(t, s)
+
+
+@settings(max_examples=300)
+@given(segment_pairs())
+def test_integer_kernel_matches_fraction_formulas(pair):
+    _assert_kernel_matches(*pair)
+
+
+def test_integer_kernel_on_every_relation():
+    assert KERNEL_EXAMPLES.keys() == set(SegmentRelation)
+    for rel, t in KERNEL_EXAMPLES.items():
+        assert segments_intersect(Segment(_P, _Q), t) == rel
+        _assert_kernel_matches(Segment(_P, _Q), t)
+
+
 @given(st.lists(st.tuples(rationals, rationals), max_size=6))
 def test_clip_to_halfplanes_keeps_the_common_parameters(values):
     # (vp, vq) are a half-plane's side values at t=0 and t=1, so its value

@@ -16,3 +16,39 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _dotted(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        return _dotted(node.func)
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def test_no_process_wide_caches_in_the_package():
+    # an lru_cache or cache decorator keeps every argument and result for
+    # the life of the process; caches belong on the object they describe
+    banned = {"functools.lru_cache", "functools.cache"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {}      # local name -> what it imports from functools
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update((a.asname or a.name, a.name)
+                             for a in node.names if a.name == "functools")
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools":
+                names.update((a.asname or a.name, f"functools.{a.name}")
+                             for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                for dec in node.decorator_list:
+                    head, _, rest = _dotted(dec).partition(".")
+                    name = names.get(head, head) + (f".{rest}" if rest
+                                                    else "")
+                    if name in banned:
+                        found.append(f"{path.name}:{dec.lineno}")
+    assert not found, found

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from treelines import unstretch
 from treelines.geometry import Line, line_intersection
 from treelines.lineset import CapCup, verify_general_position
 from treelines.ramsey import Variant
@@ -119,6 +120,26 @@ def test_validate_config_hull_rule(cup_frame):
                               skip=frozenset({"i", "iii"}))
     assert not verdict.ok
     assert {("ii", 1), ("ii", 2)} <= set(verdict.failures)
+
+
+def test_validate_config_builds_the_frame_hull_once(monkeypatch, rng):
+    calls = []
+    real_hull = unstretch.convex_hull
+
+    def counting_hull(points):
+        calls.append(len(points))
+        return real_hull(points)
+
+    monkeypatch.setattr(unstretch, "convex_hull", counting_hull)
+    frame = validate_frame(angle_lineset(DOUBLING_DEGREES, cup=True), IDS)
+    fresh = validate_frame(angle_lineset(DOUBLING_DEGREES, cup=True), IDS)
+    for _ in range(100):
+        params = [frame.apex(j).x + Fraction(int(v), 4)
+                  for j in (1, 2, 3) for v in rng.integers(-16, 16, size=2)]
+        validate_config(frame, config_from_params(frame, params))
+    assert calls == [15]
+    # the kept hull is no field: equality and hash ignore it
+    assert frame == fresh and hash(frame) == hash(fresh)
 
 
 @pytest.mark.parametrize("kind", ["cup", "cap"])
