@@ -10,7 +10,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -220,26 +220,19 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
                 violations.append(Violation(ViolationKind.VERTEX_ON_EDGE,
                                             (v, k)))
 
-    inter = _arrangement_points(ls)
+    inter = ls.point_set
     for v, p in enumerate(pts):
         if p in inter:
             warnings.append(f"vertex {v} sits on an arrangement "
                             f"intersection point")
     for k, s in enumerate(segs):
         for q in inter:
-            if q not in (s.p, s.q) and on_segment(s, q):
+            if on_segment(s, q) and q not in (s.p, s.q):
                 warnings.append(f"edge {edge_list[k]} passes through an "
                                 f"arrangement intersection point")
                 break
 
     return CheckReport(not violations, tuple(violations), tuple(warnings))
-
-
-def _arrangement_points(ls: LineSet) -> FrozenSet[Point]:
-    """The intersection points of ``ls``, built once per line set."""
-    if ls._point_set is None:
-        ls._point_set = frozenset(ls.intersection_points())
-    return ls._point_set
 
 
 def candidate_positions(ls: LineSet, line_id: int,
@@ -471,7 +464,7 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     """The sequence of region hulls a segment traverses from p to q, with
     entry/exit side labels; traversals are ordered along the segment (by
     the midpoint of each clipped parameter interval)."""
-    for q in _arrangement_points(ls):
+    for q in ls.point_set:
         if on_segment(seg, q):
             raise DegenerateContact("segment touches an arrangement "
                                     "intersection point")

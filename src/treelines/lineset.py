@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
                     Sequence, Tuple)
 
@@ -70,9 +71,8 @@ class LineSet:
     """A general-position set of lines, slope-sorted with ids 1..n.
 
     Construct through :func:`verify_general_position`; instances are
-    immutable and cache, when first asked for, pairwise intersections,
-    each line's :func:`intersection_order`, and for ``embed`` the set of
-    arrangement points and the candidate positions.  A set cut out by
+    immutable and cache, when first asked for, pairwise intersections and
+    the set of arrangement points.  A set cut out by
     :meth:`subset` keeps in ``parent_ids[k]`` the id that its line k+1 has
     in the set it was cut from; other sets have ``parent_ids`` None.
     """
@@ -83,8 +83,7 @@ class LineSet:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
         self._cache: Dict[Tuple[int, int], Point] = {}
-        self._orders: Dict[int, Tuple[Tuple[int, Point], ...]] = {}
-        self._point_set: Optional[FrozenSet[Point]] = None
+        # filled and read by embed.candidate_positions, keyed (line, refine)
         self._candidates: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         self.parent_ids: Optional[Tuple[int, ...]] = (
             None if parent_ids is None else tuple(parent_ids))
@@ -116,6 +115,11 @@ class LineSet:
         n = len(self)
         return [self.intersection(i, j)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    @cached_property
+    def point_set(self) -> FrozenSet[Point]:
+        """The intersection points as a set, built on first use."""
+        return frozenset(self.intersection_points())
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
         """A new LineSet of the selected lines, renumbered in slope order;
@@ -152,13 +156,10 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
 def intersection_order(ls: LineSet, i: int) -> List[Tuple[int, Point]]:
     """The n-1 intersection points on line i sorted by x ascending, each
     with the id of the partner line."""
-    order = ls._orders.get(i)
-    if order is None:
-        entries = [(j, ls.intersection(i, j))
-                   for j in range(1, len(ls) + 1) if j != i]
-        entries.sort(key=lambda e: e[1].x)
-        order = ls._orders[i] = tuple(entries)
-    return list(order)
+    entries = [(j, ls.intersection(i, j))
+               for j in range(1, len(ls) + 1) if j != i]
+    entries.sort(key=lambda e: e[1].x)
+    return entries
 
 
 def classify_cap_cup(ls: LineSet) -> CapCup:
