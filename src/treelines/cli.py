@@ -14,15 +14,22 @@ import os
 import sys
 from typing import List, Optional
 
-from . import embed, io_formats, lineset, ramsey, svg, unstretch
+from . import embed, io_formats, ramsey, svg, unstretch
 from .geometry import Segment
 from .lineset import ColorClasses, LineSetError, all_region_indices, \
-    classify_cap_cup, longest_cap_cup, region_hull, verify_general_position
+    classify_cap_cup, longest_cap_cup, region_hull
 
 
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -74,7 +81,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("unstretch",
                        help="frame validation plus configuration search")
     p.add_argument("lines6")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=_positive_int, default=10**6)
     p.add_argument("--seed", type=int, default=seed)
 
     p = sub.add_parser("regions", help="region partition hulls")

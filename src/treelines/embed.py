@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .lineset import (
     RegionHull,
     RegionIndex,
     all_region_indices,
+    candidate_positions,
     intersection_order,
     region_hull,
     region_of,
@@ -235,28 +236,6 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     return CheckReport(not violations, tuple(violations), tuple(warnings))
 
 
-def candidate_positions(ls: LineSet, line_id: int,
-                        refine: int) -> Tuple[Fraction, ...]:
-    """Discretized x-positions on a line: ``refine`` equally spaced rational
-    points strictly inside each finite interval between consecutive
-    intersection abscissas, plus one sentinel beyond each extreme.  Never
-    returns a breakpoint.  Computed once per line set, line and
-    ``refine``."""
-    if refine < 1:
-        raise EmbedError("refine must be >= 1")
-    key = (line_id, refine)
-    out = ls._candidates.get(key)
-    if out is None:
-        xs = [pt.x for _, pt in intersection_order(ls, line_id)]
-        cand: List[Fraction] = [xs[0] - 1]
-        for x0, x1 in zip(xs, xs[1:]):
-            step = (x1 - x0) / (refine + 1)
-            cand.extend(x0 + k * step for k in range(1, refine + 1))
-        cand.append(xs[-1] + 1)
-        out = ls._candidates[key] = tuple(cand)
-    return out
-
-
 @dataclass(frozen=True)
 class SolveResult:
     found: bool
@@ -340,7 +319,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     depth = {t.root: 0}
     for v in bfs[1:]:       # a parent precedes its children in BFS order
         depth[v] = depth[placer.parent[v]] + 1
-    order = sorted(bfs, key=lambda v: (depth[v], len(cand[v]), v))
+    order = sorted(bfs, key=lambda v: (depth[v], v))
     nodes = 0
 
     def backtrack(k: int) -> Optional[Dict[int, Fraction]]:

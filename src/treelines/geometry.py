@@ -15,7 +15,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 Scalar = Fraction
 
@@ -324,34 +325,24 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     return total
 
 
-class GapClass(enum.Enum):
+class GapClass(enum.IntEnum):
     ACUTE = 0    # gap < pi/2
     RIGHT = 1    # gap = pi/2
     OBTUSE = 2   # gap > pi/2
 
 
-@dataclass(frozen=True)
-class GapMeasure:
+class GapMeasure(NamedTuple):
     """Exact stand-in for the angle gap a(l_hi) - a(l_lo) in (0, pi).
 
     The class comes from the sign of 1 + s_lo*s_hi; ``tangent`` is
     tan(gap) = (s_hi - s_lo)/(1 + s_lo*s_hi), defined for the non-right
     classes.  tan is strictly increasing on (0, pi/2) and on (pi/2, pi),
-    so gaps compare by (class, tangent) without ever evaluating arctan.
+    so gaps order as (class, tangent) tuples without evaluating arctan
+    (two right gaps are equal, so their None tangents never compare).
     """
 
     cls: GapClass
     tangent: Optional[Fraction]
-
-    def _key(self) -> Tuple[int, Fraction]:
-        return (self.cls.value, self.tangent if self.tangent is not None
-                else Fraction(0))
-
-    def __lt__(self, other: "GapMeasure") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "GapMeasure") -> bool:
-        return self._key() <= other._key()
 
 
 def angle_gap(l1: Line, l2: Line) -> GapMeasure:
@@ -370,5 +361,4 @@ def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int
     """-1 / 0 / +1 as the first angle gap is smaller / equal / larger."""
     g1 = angle_gap(*pair1)
     g2 = angle_gap(*pair2)
-    k1, k2 = g1._key(), g2._key()
-    return (k1 > k2) - (k1 < k2)
+    return (g1 > g2) - (g1 < g2)

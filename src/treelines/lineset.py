@@ -1,6 +1,6 @@
-"""Validated line collections: general position, slope order, cap/cup
-structure, color classes and the grid-like region partition of a slope-sorted
-arrangement.
+"""Validated line collections: general position, slope order, candidate
+positions on each line, cap/cup structure, color classes and the grid-like
+region partition of a slope-sorted arrangement.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .geometry import (
     clip_to_halfplanes,
     convex_hull,
     cross,
+    dualize_line,
     line_intersection,
     on_segment,
     orientation,
@@ -83,7 +84,7 @@ class LineSet:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
         self._cache: Dict[Tuple[int, int], Point] = {}
-        # filled and read by embed.candidate_positions, keyed (line, refine)
+        # filled and read by candidate_positions, keyed (line, refine)
         self._candidates: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         self.parent_ids: Optional[Tuple[int, ...]] = (
             None if parent_ids is None else tuple(parent_ids))
@@ -162,6 +163,28 @@ def intersection_order(ls: LineSet, i: int) -> List[Tuple[int, Point]]:
     return entries
 
 
+def candidate_positions(ls: LineSet, line_id: int,
+                        refine: int) -> Tuple[Fraction, ...]:
+    """Discretized x-positions on a line: ``refine`` equally spaced rational
+    points strictly inside each finite interval between consecutive
+    intersection abscissas, plus one sentinel beyond each extreme.  Never
+    returns a breakpoint.  Computed once per line set, line and
+    ``refine``."""
+    if refine < 1:
+        raise LineSetError("refine must be >= 1")
+    key = (line_id, refine)
+    out = ls._candidates.get(key)
+    if out is None:
+        xs = [pt.x for _, pt in intersection_order(ls, line_id)]
+        cand: List[Fraction] = [xs[0] - 1]
+        for x0, x1 in zip(xs, xs[1:]):
+            step = (x1 - x0) / (refine + 1)
+            cand.extend(x0 + k * step for k in range(1, refine + 1))
+        cand.append(xs[-1] + 1)
+        out = ls._candidates[key] = tuple(cand)
+    return out
+
+
 def classify_cap_cup(ls: LineSet) -> CapCup:
     """Cap iff along every line the intersections with the others, taken in
     id order, run right to left; cup for left to right."""
@@ -225,7 +248,7 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
         raise TooFew("need at least 3 lines")
     # dual points are (slope, dual_offset), already x-sorted by slope order;
     # a concave dual chain (turn -1) gives a line cap, a convex one a cup
-    duals = [Point(l.slope, l.dual_offset) for l in ls]
+    duals = [dualize_line(l) for l in ls]
     chains = LabelledChains(range(n), lambda i, j, k: orientation(
         duals[i], duals[j], duals[k]))
 

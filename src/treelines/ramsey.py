@@ -7,10 +7,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import GapClass, PostconditionError, angle_gap, \
-    compare_angle_gap
+from .geometry import GapClass, GapMeasure, Line, PostconditionError, \
+    angle_gap, compare_angle_gap
 from .lineset import LabelledChains, LineSet, LineSetError
 
 
@@ -109,17 +109,17 @@ def color_by_gaps(ls: LineSet) -> TripleColoring:
     n = len(ls)
     if n < 3:
         raise ValueError("need at least 3 lines")
-    # all O(n^3) triple comparisons reuse the O(n^2) pairwise gap keys
-    key: Dict[Tuple[int, int], Tuple] = {}
+    # all O(n^3) triple comparisons reuse the O(n^2) pairwise gaps
+    gap: Dict[Tuple[int, int], GapMeasure] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            key[(i, j)] = angle_gap(ls.line(i), ls.line(j))._key()
+            gap[(i, j)] = angle_gap(ls.line(i), ls.line(j))
     color: Dict[Tuple[int, int, int], Color] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            earlier = key[(i, j)]
+            earlier = gap[(i, j)]
             for k in range(j + 1, n + 1):
-                color[(i, j, k)] = (Color.RED if key[(j, k)] < earlier
+                color[(i, j, k)] = (Color.RED if gap[(j, k)] < earlier
                                     else Color.BLUE)
     return TripleColoring(n, color)
 
@@ -148,24 +148,31 @@ def check_monotone(ls: LineSet, chain: MonotoneGapChain) -> bool:
     return True
 
 
+def doubling_failure(lines: Sequence[Line],
+                     variant: Variant) -> Optional[int]:
+    """The 1-based position of the first inner line of the slope-ordered
+    chain at which the variant's doubling inequality fails, or None when
+    every inner line satisfies it."""
+    for j in range(1, len(lines) - 1):
+        if variant == Variant.LOWER:
+            later = (lines[j], lines[j + 1])
+            earlier = (lines[0], lines[j])
+        else:
+            later = (lines[j - 1], lines[j])
+            earlier = (lines[j], lines[-1])
+        if compare_angle_gap(later, earlier) < 0:
+            return j + 1
+    return None
+
+
 def check_doubling(ls: LineSet, chain: DoublingChain) -> bool:
     """The doubling inequalities plus the span-below-right-angle condition."""
-    ids = chain.ids
-    if len(ids) < 3:
+    lines = [ls.line(i) for i in chain.ids]
+    if len(lines) < 3:
         return False
-    span = angle_gap(ls.line(ids[0]), ls.line(ids[-1]))
-    if span.cls != GapClass.ACUTE:
+    if angle_gap(lines[0], lines[-1]).cls != GapClass.ACUTE:
         return False
-    for j in range(1, len(ids) - 1):
-        if chain.variant == Variant.LOWER:
-            later = (ls.line(ids[j]), ls.line(ids[j + 1]))
-            earlier = (ls.line(ids[0]), ls.line(ids[j]))
-        else:
-            later = (ls.line(ids[j - 1]), ls.line(ids[j]))
-            earlier = (ls.line(ids[j]), ls.line(ids[-1]))
-        if compare_angle_gap(later, earlier) < 0:
-            return False
-    return True
+    return doubling_failure(lines, chain.variant) is None
 
 
 def extract_doubling(ls: LineSet) -> DoublingChain:

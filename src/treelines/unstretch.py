@@ -10,7 +10,7 @@ final comparison.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
@@ -25,15 +25,13 @@ from .geometry import (
     Segment,
     angle_gap,
     clip_to_halfplanes,
-    compare_angle_gap,
     convex_hull,
-    line_intersection,
     segments_intersect,
     SegmentRelation,
     side_value,
 )
-from .lineset import CapCup, LineSet, LineSetError, classify_cap_cup
-from .ramsey import Variant
+from .lineset import CapCup, LineSet, classify_cap_cup
+from .ramsey import Variant, doubling_failure
 
 DPS = 60                      # working precision (decimal digits)
 GUARD_BAND = Fraction(1, 10**9)  # relative guard on the final comparison
@@ -65,22 +63,23 @@ class HypothesisFail(ValueError):
 class SixLineFrame:
     """Six slope-ordered lines forming a cap or cup, with angle span below a
     right angle and doubling gap growth (one of the two inequality
-    families)."""
+    families).  ``sub``, the LineSet of the six lines, keeps their
+    crossings; it is left out of equality, hash and repr."""
 
     lines: Tuple[Line, ...]     # ids 1..6 in slope order
     variant: Variant
     cap_cup: CapCup
+    sub: LineSet = field(compare=False, repr=False)
 
     def line(self, k: int) -> Line:
         return self.lines[k - 1]
 
     def apex(self, j: int) -> Point:
         """Intersection of the two lines edge j joins (l_{2j-1}, l_{2j})."""
-        return line_intersection(self.line(2 * j - 1), self.line(2 * j))
+        return self.sub.intersection(2 * j - 1, 2 * j)
 
     def intersection_points(self) -> List[Point]:
-        return [line_intersection(self.lines[i], self.lines[j])
-                for i in range(6) for j in range(i + 1, 6)]
+        return self.sub.intersection_points()
 
     @cached_property
     def hull_halfplanes(self) -> Tuple[Tuple[Point, Fraction, Fraction], ...]:
@@ -102,33 +101,17 @@ def validate_frame(ls: LineSet, ids: Sequence[int]) -> SixLineFrame:
     if span.cls != GapClass.ACUTE:
         raise SpanTooWide("extreme angle gap is not acute")
 
-    variant = None
-    for cand in (Variant.LOWER, Variant.UPPER):
-        bad = _first_doubling_failure(lines, cand)
+    for variant in (Variant.LOWER, Variant.UPPER):
+        bad = doubling_failure(lines, variant)
         if bad is None:
-            variant = cand
             break
-        if cand == Variant.UPPER:
-            raise NotDoubling(bad)
+    else:
+        raise NotDoubling(bad)
     sub = ls.subset(ids)
     kind = classify_cap_cup(sub)
     if kind == CapCup.NEITHER:
         raise NotCapOrCup("the six lines form neither a cap nor a cup")
-    return SixLineFrame(tuple(sub.lines), variant, kind)
-
-
-def _first_doubling_failure(lines: Sequence[Line],
-                            variant: Variant) -> Optional[int]:
-    for j in range(2, 6):   # inner positions 2..5 of the 6-chain
-        if variant == Variant.LOWER:
-            later = (lines[j - 1], lines[j])
-            earlier = (lines[0], lines[j - 1])
-        else:
-            later = (lines[j - 2], lines[j - 1])
-            earlier = (lines[j - 1], lines[5])
-        if compare_angle_gap(later, earlier) < 0:
-            return j
-    return None
+    return SixLineFrame(tuple(sub.lines), variant, kind, sub)
 
 
 @dataclass(frozen=True)
@@ -271,13 +254,21 @@ def chain_from_parameters(alpha_tail: Sequence, a3, r) -> ChainValues:
         alpha = (a1, *tail)
         a3 = mpmath.mpf(str(a3))
         r = tuple(mpmath.mpf(str(x)) for x in r)
-        s = [mpmath.sin(x) for x in alpha]
-        b3 = s[5] / s[4] * a3
-        a2 = b3 - r[1]
-        b2 = s[3] / s[2] * a2
-        a1_len = b2 - r[0]
-        b1 = s[1] / s[0] * a1_len
-        return ChainValues(alpha, (a1_len, a2, a3), (b1, b2, b3), r)
+        a, b = _forced_lengths([mpmath.sin(x) for x in alpha], a3, r)
+        return ChainValues(alpha, a, b, r)
+
+
+def _forced_lengths(s: Sequence[mpmath.mpf], a3: mpmath.mpf,
+                    r: Sequence[mpmath.mpf]):
+    """The lengths (a1, a2, a3) and (b1, b2, b3) the sines s of alpha_1 ..
+    alpha_6 force from the free length a3 and r_1, r_2, at the caller's
+    precision."""
+    b3 = s[5] / s[4] * a3
+    a2 = b3 - r[1]
+    b2 = s[3] / s[2] * a2
+    a1 = b2 - r[0]
+    b1 = s[1] / s[0] * a1
+    return (a1, a2, a3), (b1, b2, b3)
 
 
 def derive_chain(frame: SixLineFrame, cfg: TripleEdgeConfig) -> ChainValues:
@@ -292,9 +283,8 @@ def derive_chain(frame: SixLineFrame, cfg: TripleEdgeConfig) -> ChainValues:
         alpha = (mpmath.pi - mpmath.fsum(tail), *tail)
 
         # B_j: intersection of l_{2j} and l_{2(j+1 mod 3)}
-        bpts = [line_intersection(frame.line(2), frame.line(4)),
-                line_intersection(frame.line(4), frame.line(6)),
-                line_intersection(frame.line(6), frame.line(2))]
+        bpts = [frame.sub.intersection(2 * j, 2 * (j % 3) + 2)
+                for j in (1, 2, 3)]
         apts = [cfg.endpoint_on_even(j) for j in (1, 2, 3)]
 
         def dist(p: Point, q: Point):
@@ -334,12 +324,8 @@ def lemma24_check(cv: ChainValues) -> Lemma24Result:
             raise HypothesisFail(
                 "no monotone sine ordering with alpha_1 maximal")
         a3 = cv.a[2]
-        b3 = s[5] / s[4] * a3
-        a2 = b3 - cv.r[1]
-        b2 = s[3] / s[2] * a2
-        a1 = b2 - cv.r[0]
-        b1 = s[1] / s[0] * a1
-        lhs = b1 - cv.r[2]
+        _, b = _forced_lengths(s, a3, cv.r)
+        lhs = b[0] - cv.r[2]
         scale = max(abs(lhs), abs(a3), mpmath.mpf(1))
         margin = (lhs - a3) / scale
         guard = mpmath.mpf(GUARD_BAND.numerator) / GUARD_BAND.denominator
@@ -373,6 +359,8 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
     first exactly-valid configuration in deterministic (batch, index)
     order, or None once the sample budget is exhausted.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     geo = _FrameFloats(frame)
     budget = max(1, samples // _CONFIGS_PER_TRIPLE)

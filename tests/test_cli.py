@@ -169,6 +169,8 @@ def test_cli_solve_then_check(files, tmp_path, capsys):
     emb_path = tmp_path / "solved.txt"
     emb_path.write_text(out.split("\n", 1)[1])
     assert main(["check", str(files / "inst3.txt"), str(emb_path)]) == 0
+    assert main(["solve", str(files / "inst3.txt"), "--refine", "0"]) == 2
+    assert "error: refine must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_scan(files, capsys):
@@ -184,6 +186,13 @@ def test_cli_unstretch(files, capsys):
     out = capsys.readouterr().out
     assert "frame: cup, lower variant" in out
     assert "no configuration found" in out
+    # a sample count below 1 is an input error, not an empty search
+    for samples in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["unstretch", str(files / "cup6.txt"), "--samples", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err and not captured.out
 
 
 def test_cli_regions_and_svg(files, tmp_path, capsys):

@@ -15,6 +15,7 @@ from treelines.geometry import (
 )
 from treelines.lineset import (
     ColorClasses,
+    LineSetError,
     RegionIndex,
     all_region_indices,
     intersection_order,
@@ -152,6 +153,8 @@ def test_candidate_positions_counts(four_lines):
     assert len(candidate_positions(four_lines, 2, 2)) == 6
     xs = [p.x for _, p in intersection_order(four_lines, 1)]
     assert not set(candidate_positions(four_lines, 1, 3)) & set(xs)
+    with pytest.raises(LineSetError, match="refine must be >= 1"):
+        candidate_positions(three, 1, 0)
 
 
 def test_candidate_positions_are_kept_per_line_and_refine(four_lines):

@@ -396,15 +396,19 @@ def test_compare_angle_gap_against_arctan(rng):
         s = [Fraction(int(v), 64) for v in rng.integers(-300, 300, size=4)]
         if s[0] == s[1] or s[2] == s[3]:
             continue
-        got = compare_angle_gap(
-            (Line(s[0], Fraction(0)), Line(s[1], Fraction(0))),
-            (Line(s[2], Fraction(0)), Line(s[3], Fraction(0))))
+        pair1 = (Line(s[0], Fraction(0)), Line(s[1], Fraction(0)))
+        pair2 = (Line(s[2], Fraction(0)), Line(s[3], Fraction(0)))
+        got = compare_angle_gap(pair1, pair2)
         def gap(a, b):
             lo, hi = sorted((a, b))
             return mpmath.atan(mpmath.mpf(hi.numerator) / hi.denominator) \
                 - mpmath.atan(mpmath.mpf(lo.numerator) / lo.denominator)
         diff = gap(s[0], s[1]) - gap(s[2], s[3])
         if abs(diff) > mpmath.mpf("1e-60"):
-            assert got == (1 if diff > 0 else -1)
+            want = 1 if diff > 0 else -1
         else:
-            assert got == 0
+            want = 0
+        assert got == want
+        # the gap values themselves order the same way
+        g1, g2 = angle_gap(*pair1), angle_gap(*pair2)
+        assert (g1 < g2, g1 == g2, g1 > g2) == (want < 0, want == 0, want > 0)

@@ -52,3 +52,36 @@ def test_no_process_wide_caches_in_the_package():
                     if name in banned:
                         found.append(f"{path.name}:{dec.lineno}")
     assert not found, found
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a single-underscore name belongs to the module that defines it; a
+    # module that needs it from elsewhere needs a public function instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr) \
+                    and node.attr not in defined:
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.level and \
+                    any(_private(a.name) for a in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

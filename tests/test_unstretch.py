@@ -10,7 +10,7 @@ import pytest
 from treelines import unstretch
 from treelines.geometry import Line, line_intersection
 from treelines.lineset import CapCup, verify_general_position
-from treelines.ramsey import Variant
+from treelines.ramsey import Variant, doubling_failure
 from treelines.unstretch import (
     FrameError,
     _FrameFloats,
@@ -62,7 +62,27 @@ def test_validate_frame_errors():
         validate_frame(angle_lineset([0, 10, 25, 45, 70, 100]), IDS)
     with pytest.raises(NotDoubling) as exc:
         validate_frame(angle_lineset([0, 6, 11, 16, 21, 26]), IDS)
-    assert exc.value.args and "2" in str(exc.value)
+    assert exc.value.j == 2
+
+
+def test_validate_frame_upper_variant():
+    # the mirrored gaps shrink toward l_6: LOWER fails at position 2 and
+    # UPPER holds
+    mirrored = [DOUBLING_DEGREES[-1] - a for a in reversed(DOUBLING_DEGREES)]
+    for cup in (False, True):
+        ls = angle_lineset(mirrored, cup=cup)
+        assert doubling_failure(ls.lines, Variant.LOWER) == 2
+        frame = validate_frame(ls, IDS)
+        assert frame.variant == Variant.UPPER
+        assert frame.cap_cup == (CapCup.CUP if cup else CapCup.CAP)
+
+
+def test_frame_equality_ignores_its_line_set(cup_frame):
+    again = validate_frame(angle_lineset(DOUBLING_DEGREES, cup=True), IDS)
+    assert again.sub is not cup_frame.sub
+    assert again == cup_frame and hash(again) == hash(cup_frame)
+    assert repr(again) == repr(cup_frame)
+    assert "sub" not in repr(cup_frame)
 
 
 def test_validate_frame_not_cap_or_cup():
@@ -254,6 +274,9 @@ def test_feasibility_search_finds_without_hull_rule(cup_frame):
 def test_feasibility_search_full_rules_empty(cup_frame, cap_frame):
     assert feasibility_search(cup_frame, samples=120_000, seed=0) is None
     assert feasibility_search(cap_frame, samples=120_000, seed=0) is None
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            feasibility_search(cup_frame, samples=samples, seed=0)
 
 
 def test_feasibility_search_deterministic(cup_frame):
