@@ -3,8 +3,8 @@
 Exit codes: 0 for success (Found / CrossingFree / lemma upheld), 1 for a
 negative verdict (NotFound, Violation, chain too short, configuration
 found), 2 for input errors.  The TREELINES_SEED environment variable
-supplies the default --seed; a value that is not an integer is an input
-error.
+supplies the default --seed; a value that is not a non-negative integer
+is an input error.
 """
 
 from __future__ import annotations
@@ -32,8 +32,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    # argparse passes a string default through type=int, so a bad
+    # argparse passes a string default through the type function, so a bad
     # TREELINES_SEED exits with code 2 on the subcommands that take --seed
     seed = os.environ.get("TREELINES_SEED", "0")
     parser = argparse.ArgumentParser(
@@ -67,14 +74,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("instance")
     p.add_argument("--refine", type=int, default=4)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_non_negative_int, default=seed)
 
     p = sub.add_parser("scan", help="solve every bijection of an "
                                     "assignment-free instance")
     p.add_argument("instance")
     p.add_argument("--refine", type=int, default=4)
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_non_negative_int, default=seed)
     p.add_argument("--force", action="store_true",
                    help="allow n > 7 despite the factorial cost")
 
@@ -82,7 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="frame validation plus configuration search")
     p.add_argument("lines6")
     p.add_argument("--samples", type=_positive_int, default=10**6)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_non_negative_int, default=seed)
 
     p = sub.add_parser("regions", help="region partition hulls")
     p.add_argument("lines")

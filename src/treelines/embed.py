@@ -76,22 +76,18 @@ class Tree:
         if len(self.edges) != self.n - 1:
             raise EmbedError(f"a tree on {self.n} vertices needs "
                              f"{self.n - 1} edges")
-        parent: Dict[int, int] = {}
+        children = set()
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise EmbedError(f"edge ({u},{v}) outside vertex range")
-            if v in parent or v == self.root:
+            if v in children or v == self.root:
                 raise EmbedError(f"vertex {v} has two parents or is the root")
-            parent[v] = u
+            children.add(v)
         # n-1 edges with unique child endpoints: connectivity is equivalent
-        # to every vertex reaching the root
-        for v in range(self.n):
-            seen = set()
-            while v != self.root:
-                if v in seen or v not in parent:
-                    raise EmbedError("edges do not form a tree")
-                seen.add(v)
-                v = parent[v]
+        # to the search from the root reaching every vertex (it ends, since
+        # no vertex has two parents and the root has none)
+        if len(self.bfs_order()) != self.n:
+            raise EmbedError("edges do not form a tree")
 
     def parent_of(self) -> Dict[int, int]:
         return {v: u for u, v in self.edges}
@@ -197,20 +193,10 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
 
     for a in range(len(segs)):
         for b in range(a + 1, len(segs)):
-            shared = set(edge_list[a]) & set(edge_list[b])
-            rel = segments_intersect(segs[a], segs[b])
-            if rel == SegmentRelation.DISJOINT:
-                continue
-            if rel == SegmentRelation.PROPER_CROSS:
-                violations.append(Violation(ViolationKind.PROPER_CROSS,
-                                            (a, b)))
-            elif rel == SegmentRelation.OVERLAP:
-                violations.append(Violation(ViolationKind.OVERLAP, (a, b)))
-            elif rel == SegmentRelation.TOUCH_ENDPOINT_ENDPOINT:
-                if not shared:
-                    violations.append(Violation(ViolationKind.TOUCH, (a, b)))
-            else:
-                violations.append(Violation(ViolationKind.TOUCH, (a, b)))
+            kind = _contact(segs[a], segs[b],
+                            not set(edge_list[a]).isdisjoint(edge_list[b]))
+            if kind is not None:
+                violations.append(Violation(kind, (a, b)))
 
     for v, p in enumerate(pts):
         for k, (u, w) in enumerate(edge_list):
@@ -221,19 +207,31 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
                 violations.append(Violation(ViolationKind.VERTEX_ON_EDGE,
                                             (v, k)))
 
-    inter = ls.point_set
     for v, p in enumerate(pts):
-        if p in inter:
+        if p in ls.point_set:
             warnings.append(f"vertex {v} sits on an arrangement "
                             f"intersection point")
     for k, s in enumerate(segs):
-        for q in inter:
-            if on_segment(s, q) and q not in (s.p, s.q):
-                warnings.append(f"edge {edge_list[k]} passes through an "
-                                f"arrangement intersection point")
-                break
+        if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
+            warnings.append(f"edge {edge_list[k]} passes through an "
+                            f"arrangement intersection point")
 
     return CheckReport(not violations, tuple(violations), tuple(warnings))
+
+
+def _contact(s1: Segment, s2: Segment,
+             shared: bool) -> Optional[ViolationKind]:
+    """The violation two tree edges make, or None when they are disjoint or
+    touch endpoint to endpoint while sharing a tree vertex (``shared``)."""
+    rel = segments_intersect(s1, s2)
+    if rel == SegmentRelation.DISJOINT or \
+            (rel == SegmentRelation.TOUCH_ENDPOINT_ENDPOINT and shared):
+        return None
+    if rel == SegmentRelation.PROPER_CROSS:
+        return ViolationKind.PROPER_CROSS
+    if rel == SegmentRelation.OVERLAP:
+        return ViolationKind.OVERLAP
+    return ViolationKind.TOUCH
 
 
 @dataclass(frozen=True)
@@ -245,13 +243,14 @@ class SolveResult:
 
 
 class _Placer:
-    """Incremental embedding state with exact conflict checks."""
+    """Incremental embedding state with exact conflict checks; ``x`` records
+    each placed vertex's x-parameter in placement order."""
 
     def __init__(self, ls: LineSet, t: Tree, asg: Assignment):
         self.ls = ls
-        self.t = t
         self.asg = asg
         self.parent = t.parent_of()
+        self.x: Dict[int, Fraction] = {}
         self.points: Dict[int, Point] = {}
         self.segs: List[Tuple[int, Segment]] = []   # (child vertex, segment)
 
@@ -277,22 +276,20 @@ class _Placer:
                 if on_segment(new_seg, q):
                     return None
             for child, s in self.segs:
-                shared = {child, self.parent.get(child)} & \
-                         {v, self.parent[v]}
-                rel = segments_intersect(new_seg, s)
-                if rel == SegmentRelation.DISJOINT:
-                    continue
-                if rel == SegmentRelation.TOUCH_ENDPOINT_ENDPOINT and shared:
-                    continue
-                return None
+                shared = not {child, self.parent[child]}.isdisjoint(
+                    (v, self.parent[v]))
+                if _contact(new_seg, s, shared) is not None:
+                    return None
         return p
 
     def place(self, v: int, x: Fraction, p: Point) -> None:
+        self.x[v] = x
         self.points[v] = p
         if v in self.parent and self.parent[v] in self.points:
             self.segs.append((v, Segment(self.points[self.parent[v]], p)))
 
     def unplace(self, v: int) -> None:
+        del self.x[v]
         del self.points[v]
         if self.segs and self.segs[-1][0] == v:
             self.segs.pop()
@@ -322,10 +319,10 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     order = sorted(bfs, key=lambda v: (depth[v], v))
     nodes = 0
 
-    def backtrack(k: int) -> Optional[Dict[int, Fraction]]:
+    def backtrack(k: int) -> bool:
         nonlocal nodes
         if k == len(order):
-            return {}
+            return True
         v = order[k]
         for x in cand[v]:
             nodes += 1
@@ -333,27 +330,25 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
             if p is None:
                 continue
             placer.place(v, x, p)
-            rest = backtrack(k + 1)
-            if rest is not None:
-                rest[v] = x
-                return rest
+            if backtrack(k + 1):
+                return True
             placer.unplace(v)
-        return None
+        return False
 
-    sol = backtrack(0)
+    found = backtrack(0)
     restarts = 0
-    if sol is None:
+    if not found:
         rng = np.random.default_rng(seed)
-        breakpoints = {v: sorted(pt.x for _, pt in
-                                 intersection_order(ls, asg.line_of(v)))
+        breakpoints = {v: [pt.x for _, pt in
+                           intersection_order(ls, asg.line_of(v))]
                        for v in range(t.n)}
-        while sol is None and restarts < budget:
+        while not found and restarts < budget:
             restarts += 1
-            sol = _random_attempt(placer, order, breakpoints, rng)
+            found = _random_attempt(placer, order, breakpoints, rng)
 
-    if sol is None:
+    if not found:
         return SolveResult(False, None, nodes, restarts)
-    emb = Embedding(tuple(sol[v] for v in range(t.n)))
+    emb = Embedding(tuple(placer.x[v] for v in range(t.n)))
     if not check_embedding(ls, t, asg, emb).crossing_free:
         raise PostconditionError("solver produced an invalid embedding")
     return SolveResult(True, emb, nodes, restarts)
@@ -363,16 +358,13 @@ _DENOM = 9973      # prime denominator keeps random rationals off breakpoints
 
 
 def _random_attempt(placer: _Placer, order: Sequence[int],
-                    breakpoints: Dict[int, List[Fraction]], rng
-                    ) -> Optional[Dict[int, Fraction]]:
-    """One greedy randomized pass: sample each vertex position in order,
-    with a few retries per vertex before giving up on the pass."""
-    placed: List[int] = []
-    sol: Dict[int, Fraction] = {}
+                    breakpoints: Dict[int, List[Fraction]], rng) -> bool:
+    """One greedy randomized pass from an empty placer: sample each vertex
+    position in order, with a few retries per vertex before giving up on
+    the pass.  A failed pass leaves the placer empty again."""
     for v in order:
         bps = breakpoints[v]
         lo, hi = bps[0] - 2, bps[-1] + 2
-        ok = False
         for _ in range(20):
             num = int(rng.integers(0, _DENOM * 1000))
             x = lo + (hi - lo) * Fraction(num, _DENOM * 1000)
@@ -381,17 +373,12 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
             p = placer.can_place(v, x)
             if p is not None:
                 placer.place(v, x, p)
-                placed.append(v)
-                sol[v] = x
-                ok = True
                 break
-        if not ok:
-            for w in reversed(placed):
+        else:
+            for w in reversed(list(placer.x)):
                 placer.unplace(w)
-            return None
-    for w in reversed(placed):
-        placer.unplace(w)
-    return sol
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -443,10 +430,9 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     """The sequence of region hulls a segment traverses from p to q, with
     entry/exit side labels; traversals are ordered along the segment (by
     the midpoint of each clipped parameter interval)."""
-    for q in ls.point_set:
-        if on_segment(seg, q):
-            raise DegenerateContact("segment touches an arrangement "
-                                    "intersection point")
+    if ls.crossings_on(seg):
+        raise DegenerateContact("segment touches an arrangement "
+                                "intersection point")
     if hulls is None:
         hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
     visits = []
@@ -577,7 +563,6 @@ def build_iota(t: Tree, ls: LineSet, cc: ColorClasses, seed: int
         elif len(ch) != delta:
             raise SizeMismatch("tree is not a complete delta-ary tree "
                                "missing one leaf")
-        ch = list(ch)
         rng.shuffle(ch)
         k = 1
         for w in ch:

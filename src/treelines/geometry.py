@@ -18,13 +18,11 @@ from fractions import Fraction
 from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-Scalar = Fraction
-
 ScalarLike = Union[Fraction, int, str]
 
 
 def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int / 'p/q' string / Fraction into an exact Scalar."""
+    """Coerce an int / 'p/q' string / Fraction into an exact Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -111,9 +109,6 @@ class Segment:
     def __post_init__(self):
         if self.p == self.q:
             raise ValueError("degenerate segment: endpoints coincide")
-
-    def reversed(self) -> "Segment":
-        return Segment(self.q, self.p)
 
     def at(self, t: Fraction) -> Point:
         """The point p + t*(q - p): p at t=0, q at t=1."""
@@ -260,8 +255,9 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
 
 
 def convex_hull(points: Sequence[Point]) -> List[Point]:
-    """Convex hull in counter-clockwise order, collinear interior points
-    removed.  Degenerate inputs yield 1 or 2 points."""
+    """Convex hull in counter-clockwise order from the smallest point by
+    (x, y), collinear interior points removed.  Degenerate inputs yield 1
+    or 2 points."""
     if not points:
         raise ValueError("convex_hull of empty set")
     pts = sorted(set(points), key=lambda p: (p.x, p.y))

@@ -9,7 +9,7 @@ Comments start with `#`.  All errors carry the 1-based source line number.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .geometry import Line
 from .lineset import LineSet, LineSetError, verify_general_position

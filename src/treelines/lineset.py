@@ -122,6 +122,10 @@ class LineSet:
         """The intersection points as a set, built on first use."""
         return frozenset(self.intersection_points())
 
+    def crossings_on(self, seg: Segment) -> List[Point]:
+        """The arrangement points on the closed segment ``seg``."""
+        return [q for q in self.point_set if on_segment(seg, q)]
+
     def subset(self, ids: Sequence[int]) -> "LineSet":
         """A new LineSet of the selected lines, renumbered in slope order;
         its ``parent_ids`` are the selected ids (ids are slope ranks, so
@@ -476,16 +480,16 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
     for i, seg_idx in _region_members(ls, cc, r):
         f, ry = _segment_geometry(ls, i, seg_idx, cc.block)
         finite += f
-        rays += [(a, d) for a, d in ry]
+        rays += ry
         finite += [a for a, _ in ry]  # ray apexes are hull generators too
 
     if not rays:
-        hull = convex_hull(finite)
+        hull = convex_hull(finite)     # starts at the smallest vertex
         if len(hull) < 3:
             raise LineSetError(f"degenerate (flat) region {r}")
         sides = tuple(HullSide(hull[k], hull[(k + 1) % len(hull)])
                       for k in range(len(hull)))
-        return _canonicalize(RegionHull(r, tuple(hull), sides, True))
+        return RegionHull(r, tuple(hull), sides, True)
 
     d_right, d_left = _extreme_directions([d for _, d in rays])
     poly = convex_hull(finite)
@@ -521,16 +525,4 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
                   chain[0].y + d_right[1] + d_left[1])
     if not hull.contains(probe):
         raise UnboundedHullError(f"inconsistent unbounded hull for {r}")
-    return _canonicalize(hull)
-
-
-def _canonicalize(h: RegionHull) -> RegionHull:
-    """Rotate the side labeling to start just after the lexicographically
-    smallest vertex (only meaningful for the cyclic bounded case)."""
-    if not h.bounded or not h.vertices:
-        return h
-    smallest = min(range(len(h.vertices)),
-                   key=lambda k: (h.vertices[k].x, h.vertices[k].y))
-    verts = h.vertices[smallest:] + h.vertices[:smallest]
-    sides = h.sides[smallest:] + h.sides[:smallest]
-    return RegionHull(h.index, verts, sides, h.bounded)
+    return hull

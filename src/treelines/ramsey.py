@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import GapClass, GapMeasure, Line, PostconditionError, \
     angle_gap, compare_angle_gap
-from .lineset import LabelledChains, LineSet, LineSetError
+from .lineset import LabelledChains, LineSet, LineSetError, TooFew
 
 
 class Color(enum.Enum):
@@ -108,7 +108,7 @@ def color_by_gaps(ls: LineSet) -> TripleColoring:
     gap(i2, i3) < gap(i1, i2); Blue for >=."""
     n = len(ls)
     if n < 3:
-        raise ValueError("need at least 3 lines")
+        raise TooFew("need at least 3 lines")
     # all O(n^3) triple comparisons reuse the O(n^2) pairwise gaps
     gap: Dict[Tuple[int, int], GapMeasure] = {}
     for i in range(1, n + 1):
@@ -181,7 +181,7 @@ def extract_doubling(ls: LineSet) -> DoublingChain:
     chain of the majority slope-sign class."""
     n = len(ls)
     if n < 3:
-        raise ValueError("need at least 3 lines")
+        raise TooFew("need at least 3 lines")
     neg = [l.id for l in ls if l.slope < 0]
     pos = [l.id for l in ls if l.slope >= 0]
     majority = neg if len(neg) >= len(pos) else pos

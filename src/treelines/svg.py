@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .geometry import Line, Point, Segment
 from .lineset import RegionHull
@@ -31,19 +31,15 @@ class SvgScene:
     hulls: List[RegionHull] = field(default_factory=list)
     segments: List[Segment] = field(default_factory=list)
     vertices: List[Tuple[Point, str]] = field(default_factory=list)
-    doors: List[Sequence[Point]] = field(default_factory=list)
-    frame_points: List[Point] = field(default_factory=list)  # extend bbox
 
 
 def _viewport(scene: SvgScene) -> Tuple[float, float, float, float]:
-    pts: List[Point] = list(scene.points) + list(scene.frame_points)
+    pts: List[Point] = list(scene.points)
     pts += [p for p, _ in scene.vertices]
     for s in scene.segments:
         pts += [s.p, s.q]
     for h in scene.hulls:
         pts += list(h.vertices)
-    for d in scene.doors:
-        pts += list(d)
     if not pts:
         raise EmptyScene("nothing to size the viewport by")
     xs = [float(p.x) for p in pts]
@@ -60,11 +56,9 @@ def render_svg(scene: SvgScene) -> bytes:
     vx, vy, vw, vh = _viewport(scene)
     scale = _CANVAS / max(vw, vh)
 
-    def tx(p) -> Tuple[float, float]:
-        x = float(p.x) if isinstance(p, Point) else float(p[0])
-        y = float(p.y) if isinstance(p, Point) else float(p[1])
+    def tx(p: Point) -> Tuple[float, float]:
         # flip y so the mathematical orientation is preserved on screen
-        return ((x - vx) * scale, (vy + vh - y) * scale)
+        return ((float(p.x) - vx) * scale, (vy + vh - float(p.y)) * scale)
 
     def fmt(v: float) -> str:
         return f"{v:.3f}"
@@ -93,17 +87,6 @@ def render_svg(scene: SvgScene) -> bytes:
         out.append(f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" '
                    f'x2="{fmt(b[0])}" y2="{fmt(b[1])}" '
                    f'stroke="#555555" stroke-width="1"/>\n')
-
-    for d in scene.doors:
-        pts = list(d)
-        path = " ".join(f"{fmt(tx(p)[0])},{fmt(tx(p)[1])}" for p in pts)
-        if len(pts) >= 3:
-            out.append(f'<polygon points="{path}" fill="#d62728" '
-                       f'fill-opacity="0.3" stroke="#d62728" '
-                       f'stroke-width="1"/>\n')
-        else:
-            out.append(f'<polyline points="{path}" fill="none" '
-                       f'stroke="#d62728" stroke-width="2"/>\n')
 
     for s in scene.segments:
         a, b = tx(s.p), tx(s.q)

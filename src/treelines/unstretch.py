@@ -26,6 +26,7 @@ from .geometry import (
     angle_gap,
     clip_to_halfplanes,
     convex_hull,
+    orientation,
     segments_intersect,
     SegmentRelation,
     side_value,
@@ -147,10 +148,6 @@ class ConfigVerdict:
     # or "iii-missing" when the reference crossing does not exist
     failures: Tuple[Tuple[str, int], ...] = ()
 
-    @property
-    def first(self) -> Optional[Tuple[str, int]]:
-        return self.failures[0] if self.failures else None
-
 
 _NEXT_EDGE = {1: 2, 2: 3, 3: 1}   # j -> j+1 with modulo class 0 written as 3
 
@@ -182,14 +179,11 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
         for j in (1, 2, 3):
             e = cfg.edges[j - 1]
             apex = frame.apex(j)
-            lo_x, hi_x = sorted((e.p.x, e.q.x))
-            if not (lo_x <= apex.x <= hi_x) or lo_x == hi_x:
-                failures.append(("i", j))
-                continue
-            # y of the edge at the apex abscissa
-            y = e.at((apex.x - e.p.x) / (e.q.x - e.p.x)).y
-            below = y < apex.y
-            if (j in (1, 3)) != below or y == apex.y:
+            lo, hi = (e.p, e.q) if e.p.x <= e.q.x else (e.q, e.p)
+            # the apex lies left of the edge run left to right, so above it,
+            # exactly when the orientation is +1
+            if not lo.x <= apex.x <= hi.x or lo.x == hi.x or \
+                    orientation(lo, hi, apex) != (1 if j in (1, 3) else -1):
                 failures.append(("i", j))
 
     if "ii" not in skip:

@@ -134,6 +134,16 @@ def test_cli_extract_commands(files, capsys):
     assert "variant: lower" in capsys.readouterr().out
 
 
+def test_cli_extract_commands_need_three_lines(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("l 1 -1 0\nl 2 0 -1\n")
+    for cmd in ("extract-cap", "extract-monotone", "extract-doubling"):
+        assert main([cmd, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least 3 lines\n"
+        assert not captured.out
+
+
 def test_cli_extract_cap_prints_input_ids(tmp_path, capsys, rng):
     # a random set whose largest cap or cup is not a prefix of the ids;
     # its input ids are found again by matching slope and offset
@@ -241,3 +251,16 @@ def test_cli_seed_env(files, capsys, monkeypatch):
     assert "--seed" in capsys.readouterr().err
     # an explicit --seed overrides the bad environment value
     assert main(["solve", str(files / "inst3.txt"), "--seed", "1"]) == 0
+    capsys.readouterr()
+    # a negative seed, given or from the environment, is an input error
+    for env, argv in (("-3", ["solve", str(files / "inst3.txt")]),
+                      ("-3", ["scan", str(files / "inst3.txt")]),
+                      ("-3", ["unstretch", str(files / "cup6.txt")]),
+                      ("0", ["solve", str(files / "inst3.txt"),
+                             "--seed", "-1"])):
+        monkeypatch.setenv("TREELINES_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and not captured.out

@@ -253,6 +253,8 @@ def test_region_hull_side_labels(rng):
                 assert h.side_label_at(mid) == k + 1
         # interior points carry label 0
         if h.bounded:
+            # side 1 starts at the smallest vertex by (x, y)
+            assert h.vertices[0] == min(h.vertices, key=lambda v: (v.x, v.y))
             cx = sum(v.x for v in h.vertices) / len(h.vertices)
             cy = sum(v.y for v in h.vertices) / len(h.vertices)
             assert h.side_label_at(Point(cx, cy)) == 0

@@ -85,3 +85,23 @@ def test_no_module_reads_another_modules_private_names():
                     any(_private(a.name) for a in node.names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_unused_imports_in_the_package():
+    # every imported name is read somewhere in its module, as a name or as
+    # the base of an attribute; ``from __future__`` imports are exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -116,6 +116,17 @@ def test_validate_config_rule_i_failure(cup_frame):
                               skip=frozenset({"ii", "iii"}))
     assert not verdict.ok
     assert set(verdict.failures) == {("i", 1), ("i", 2), ("i", 3)}
+    # an edge through its apex (the apex is its endpoint on l_{2j}) and a
+    # vertical edge fail rule (i) whichever side the rule asks for
+    for j in (1, 2):
+        ax = cup_frame.apex(j).x
+        for u, t in ((ax - 1, ax), (ax + 1, ax + 1)):
+            params = [ax - 1, ax + 1] * 3
+            params[2 * (j - 1):2 * j] = [u, t]
+            verdict = validate_config(
+                cup_frame, config_from_params(cup_frame, params),
+                skip=frozenset({"ii", "iii"}))
+            assert ("i", j) in verdict.failures
 
 
 def test_validate_config_missing_crossing(cup_frame):
