@@ -275,10 +275,10 @@ class _Placer:
                     continue
                 if on_segment(new_seg, q):
                     return None
-            for child, s in self.segs:
-                shared = not {child, self.parent[child]}.isdisjoint(
-                    (v, self.parent[v]))
-                if _contact(new_seg, s, shared) is not None:
+            # p differs from every placed point, so an endpoint-to-endpoint
+            # touch can only be at the parent's point: the edges share it
+            for _, s in self.segs:
+                if _contact(new_seg, s, True) is not None:
                     return None
         return p
 

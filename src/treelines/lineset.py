@@ -6,11 +6,14 @@ region partition of a slope-sorted arrangement.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
-                    Sequence, Tuple)
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
+                    Optional, Sequence, Tuple)
 
 from .geometry import (
     Line,
@@ -23,7 +26,6 @@ from .geometry import (
     dualize_line,
     line_intersection,
     on_segment,
-    orientation,
     side_value,
 )
 
@@ -210,38 +212,69 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     return CapCup.CUP if is_cup else CapCup.NEITHER
 
 
-class LabelledChains:
-    """Longest chains i_1 < ... < i_m of the increasing ``vertices`` whose
-    consecutive triples all carry the same label, by one dynamic program
-    over (j, k, label) that labels each triple i < j < k once.
+class PairChains:
+    """Longest chains i_1 < ... < i_m of increasing vertices whose
+    consecutive triples all carry the same label.
 
     ``length[(j, k, lab)]`` is the length of the longest lab-chain ending
     with j, k, for the keys some triple extends (any pair alone is a chain
-    of length 2).  Each key keeps its smallest predecessor, which
-    :meth:`chain` follows back.
+    of length 2).  ``parent`` keeps for each key the smallest predecessor
+    among the longest, which :meth:`chain` follows back.
     """
 
-    def __init__(self, vertices: Sequence[int],
-                 label: Callable[[int, int, int], Hashable]):
-        length: Dict[Tuple[int, int, Hashable], int] = {}
-        parent: Dict[Tuple[int, int, Hashable], int] = {}
-        for b, j in enumerate(vertices):
-            for k in vertices[b + 1:]:
-                for i in vertices[:b]:
-                    lab = label(i, j, k)
-                    cand = length.get((i, j, lab), 2) + 1
-                    if cand > length.get((j, k, lab), 2):
-                        length[(j, k, lab)] = cand
-                        parent[(j, k, lab)] = i
+    def __init__(self, length: Dict[Tuple[int, int, Hashable], int],
+                 parent: Dict[Tuple[int, int, Hashable], int]):
         self.length = length
-        self._parent = parent
+        self.parent = parent
 
     def chain(self, j: int, k: int, lab: Hashable) -> List[int]:
         seq = [k, j]
-        while (seq[-1], seq[-2], lab) in self._parent:
-            seq.append(self._parent[(seq[-1], seq[-2], lab)])
+        while (seq[-1], seq[-2], lab) in self.parent:
+            seq.append(self.parent[(seq[-1], seq[-2], lab)])
         seq.reverse()
         return seq
+
+
+def ranked_chains(vertices: Sequence[int], key: Callable[[int, int], Any],
+                  lower: Hashable, upper: Hashable) -> PairChains:
+    """The chains of the labelling that gives a triple i < j < k the label
+    ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise.
+
+    The pair keys are ranked once, tied keys sharing a rank.  For each
+    middle vertex j, the incoming pairs (i, j) are sorted by rank and
+    scanned for running maxima of (length, -i), so each outgoing pair
+    (j, k) finds its best predecessor of either label by one bisection:
+    the longest-increasing-subsequence sweep (Fredman 1975) once per
+    middle vertex, O(n^2 log n) in all.
+    """
+    pairs = sorted(((key(i, j), i, j) for b, j in enumerate(vertices)
+                    for i in vertices[:b]), key=itemgetter(0))
+    rank: Dict[Tuple[int, int], int] = {}
+    for r, (_, tied) in enumerate(groupby(pairs, key=itemgetter(0))):
+        for _, i, j in tied:
+            rank[i, j] = r
+    length: Dict[Tuple[int, int, Hashable], int] = {}
+    parent: Dict[Tuple[int, int, Hashable], int] = {}
+    for b, j in enumerate(vertices):
+        incoming = sorted((rank[i, j], i) for i in vertices[:b])
+        ranks = [r for r, _ in incoming]
+        # best[p]: the maximal (length, -i) over incoming[:p + 1] for the
+        # upper label, over incoming[p:] for the lower one
+        best_upper = list(accumulate(
+            ((length.get((i, j, upper), 2), -i) for _, i in incoming), max))
+        best_lower = list(accumulate(
+            ((length.get((i, j, lower), 2), -i)
+             for _, i in reversed(incoming)), max))[::-1]
+        for k in vertices[b + 1:]:
+            # incoming[:p] have key(i, j) <= key(j, k): label upper
+            p = bisect_right(ranks, rank[j, k])
+            if p:
+                m, i = best_upper[p - 1]
+                length[j, k, upper], parent[j, k, upper] = m + 1, -i
+            if p < b:
+                m, i = best_lower[p]
+                length[j, k, lower], parent[j, k, lower] = m + 1, -i
+    return PairChains(length, parent)
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
@@ -250,11 +283,14 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    # dual points are (slope, dual_offset), already x-sorted by slope order;
-    # a concave dual chain (turn -1) gives a line cap, a convex one a cup
+    # dual points are (slope, dual_offset), already x-sorted by slope order,
+    # so the turn d_i, d_j, d_k is the sign of slope(d_j, d_k) minus
+    # slope(d_i, d_j), never 0 in general position; a concave dual chain
+    # (turn -1) gives a line cap, a convex one a cup
     duals = [dualize_line(l) for l in ls]
-    chains = LabelledChains(range(n), lambda i, j, k: orientation(
-        duals[i], duals[j], duals[k]))
+    chains = ranked_chains(
+        range(n), lambda i, j: ((duals[j].y - duals[i].y)
+                                / (duals[j].x - duals[i].x)), -1, +1)
 
     def longest(turn: int) -> List[int]:
         # the longest chain, ties to the smallest final pair (j, k)

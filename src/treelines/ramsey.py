@@ -7,11 +7,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import GapClass, GapMeasure, Line, PostconditionError, \
     angle_gap, compare_angle_gap
-from .lineset import LabelledChains, LineSet, LineSetError, TooFew
+from .lineset import LineSet, LineSetError, PairChains, TooFew, \
+    ranked_chains
 
 
 class Color(enum.Enum):
@@ -88,19 +89,42 @@ def mono_path_bound(n: int) -> int:
     return k
 
 
-def longest_mono_path(tc: TripleColoring) -> HyperPath:
-    """Longest monochromatic path via a dynamic program over ordered vertex
-    pairs; ties broken toward the lexicographically smallest sequence."""
-    n = tc.n
-    if n < 3:
-        raise ValueError("need n >= 3")
-    # every triple has a colour, so the first one is already a path of 3
-    chains = LabelledChains(range(1, n + 1), tc.of)
+class LabelledChains(PairChains):
+    """The chains of an arbitrary labelling of the triples, by the O(n^3)
+    dynamic program of Chvatal and Klincsek (1980) over (j, k, label),
+    which labels each triple i < j < k once."""
+
+    def __init__(self, vertices: Sequence[int],
+                 label: Callable[[int, int, int], Hashable]):
+        length: Dict[Tuple[int, int, Hashable], int] = {}
+        parent: Dict[Tuple[int, int, Hashable], int] = {}
+        for b, j in enumerate(vertices):
+            for k in vertices[b + 1:]:
+                for i in vertices[:b]:
+                    lab = label(i, j, k)
+                    cand = length.get((i, j, lab), 2) + 1
+                    if cand > length.get((j, k, lab), 2):
+                        length[(j, k, lab)] = cand
+                        parent[(j, k, lab)] = i
+        super().__init__(length, parent)
+
+
+def _longest_path(chains: PairChains) -> HyperPath:
+    # ties broken toward the lexicographically smallest sequence
     top = max(chains.length.values())
     ends = [key for key, m in chains.length.items() if m == top]
     j, k, color = min(
         ends, key=lambda key: (chains.chain(*key), key[2].value))
     return HyperPath(tuple(chains.chain(j, k, color)), color)
+
+
+def longest_mono_path(tc: TripleColoring) -> HyperPath:
+    """Longest monochromatic path via a dynamic program over ordered vertex
+    pairs; ties broken toward the lexicographically smallest sequence."""
+    if tc.n < 3:
+        raise ValueError("need n >= 3")
+    # every triple has a colour, so the first one is already a path of 3
+    return _longest_path(LabelledChains(range(1, tc.n + 1), tc.of))
 
 
 def color_by_gaps(ls: LineSet) -> TripleColoring:
@@ -125,10 +149,16 @@ def color_by_gaps(ls: LineSet) -> TripleColoring:
 
 
 def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
-    """Subset of lines whose consecutive angle gaps are monotone, found as a
-    monochromatic path of the gap coloring."""
-    tc = color_by_gaps(ls)
-    path = longest_mono_path(tc)
+    """Subset of lines whose consecutive angle gaps are monotone, found as
+    the longest monochromatic path of the gap colouring of
+    :func:`color_by_gaps`, by the ranked-pair dynamic program on the
+    pairwise gaps instead of the colouring itself."""
+    n = len(ls)
+    if n < 3:
+        raise TooFew("need at least 3 lines")
+    path = _longest_path(ranked_chains(
+        range(1, n + 1), lambda i, j: angle_gap(ls.line(i), ls.line(j)),
+        Color.RED, Color.BLUE))
     direction = (Direction.NON_INCREASING if path.color == Color.RED
                  else Direction.NON_DECREASING)
     chain = MonotoneGapChain(path.vertices, direction)

@@ -3,17 +3,21 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from treelines import ramsey
-from treelines.geometry import Line, PostconditionError, scalar
-from treelines.lineset import verify_general_position
+from treelines import lineset, ramsey
+from treelines.geometry import (Line, PostconditionError, angle_gap,
+                                dualize_line, orientation, scalar)
+from treelines.lineset import (LineSetError, longest_cap_cup, ranked_chains,
+                               verify_general_position)
 from treelines.ramsey import (
     ChainTooShort,
     Color,
     Direction,
     DoublingChain,
     HyperPath,
+    LabelledChains,
     MonotoneGapChain,
     TripleColoring,
     Variant,
@@ -26,7 +30,7 @@ from treelines.ramsey import (
     mono_path_bound,
 )
 
-from conftest import DOUBLING_DEGREES, angle_lineset, random_lines
+from conftest import DOUBLING_DEGREES, angle_lineset, random_cup, random_lines
 
 
 def test_mono_path_bound_table():
@@ -193,3 +197,88 @@ def test_extract_doubling_too_short():
          Line(scalar(1), scalar(3))])
     with pytest.raises(ChainTooShort):
         extract_doubling(ls)
+
+
+def _tied_gap_lines(rng, n):
+    """Lines with distinct integer slopes in a range about n wide, so many
+    angle gaps are equal (slopes -1, 0, 1 give two gaps of tangent 1);
+    retries until the validators pass."""
+    k = n // 2 + 2
+    while True:
+        slopes = rng.choice(np.arange(-k, k + 1), n, replace=False)
+        try:
+            return verify_general_position(
+                [Line(Fraction(int(s)), Fraction(int(b), 7))
+                 for s, b in zip(slopes, rng.integers(-5000, 5000, n))])
+        except LineSetError:
+            continue
+
+
+def _assert_same_chains(vertices, key, lower, upper, label):
+    ranked = ranked_chains(vertices, key, lower, upper)
+    generic = LabelledChains(vertices, label)
+    assert ranked.length == generic.length
+    assert ranked.parent == generic.parent
+
+
+def _assert_gap_chains_match(ls):
+    n = len(ls)
+    tc = color_by_gaps(ls)
+    _assert_same_chains(range(1, n + 1),
+                        lambda i, j: angle_gap(ls.line(i), ls.line(j)),
+                        Color.RED, Color.BLUE, tc.of)
+
+
+def _assert_cap_cup_chains_match(ls):
+    duals = [dualize_line(l) for l in ls]
+    _assert_same_chains(
+        range(len(ls)),
+        lambda i, j: (duals[j].y - duals[i].y) / (duals[j].x - duals[i].x),
+        -1, +1, lambda i, j, k: orientation(duals[i], duals[j], duals[k]))
+
+
+def test_ranked_chains_match_labelled_chains_on_random_sets(rng):
+    for n in range(3, 26):
+        ls = random_lines(rng, n)
+        _assert_gap_chains_match(ls)
+        _assert_cap_cup_chains_match(ls)
+
+
+def test_ranked_chains_match_labelled_chains_on_tied_gaps(rng):
+    ties = 0
+    for n in range(3, 26):
+        ls = _tied_gap_lines(rng, n)
+        # consecutive equal gaps gap(i, j) == gap(j, k), which the two
+        # labels must split as the colouring does (BLUE for >=)
+        ties += sum(angle_gap(ls.line(i), ls.line(j))
+                    == angle_gap(ls.line(j), ls.line(k))
+                    for i, j, k in itertools.combinations(range(1, n + 1), 3))
+        _assert_gap_chains_match(ls)
+        _assert_cap_cup_chains_match(ls)
+    assert ties > 100
+
+
+def test_ranked_chains_match_labelled_chains_on_cups_and_caps(rng):
+    for n in range(3, 21):
+        cup = random_cup(rng, n)
+        cap = verify_general_position(
+            [Line(l.slope, -l.dual_offset) for l in cup])
+        for ls in (cup, cap):
+            _assert_gap_chains_match(ls)
+            _assert_cap_cup_chains_match(ls)
+
+
+def test_extraction_builds_no_triple_colouring(rng, monkeypatch):
+    # the extraction path ranks the pairs; it never colours the triples
+    def refuse(*args):
+        raise AssertionError("a triple colouring was built")
+
+    monkeypatch.setattr(ramsey, "color_by_gaps", refuse)
+    monkeypatch.setattr(ramsey, "TripleColoring", refuse)
+    monkeypatch.setattr(ramsey, "LabelledChains", refuse)
+    ls = random_lines(rng, 24)
+    assert check_monotone(ls, extract_monotone_gaps(ls))
+    spread = angle_lineset(DOUBLING_DEGREES)
+    assert check_doubling(spread, extract_doubling(spread))
+    kind, sub = longest_cap_cup(ls)
+    assert lineset.classify_cap_cup(sub) == kind

@@ -1,11 +1,14 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import treelines
 
 SRC = Path(treelines.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -105,3 +108,23 @@ def test_no_unused_imports_in_the_package():
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer patches each name in LAYERS with getattr, so a
+    # renamed or deleted function would crash a traced run
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from tracing import LAYERS, PACKAGE
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    missing = []
+    for mod_name, names in LAYERS.items():
+        mod = importlib.import_module(f"{PACKAGE}.{mod_name}")
+        for name in names:
+            owner = mod
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{mod_name}.{name}")
+    assert not missing, missing
