@@ -70,18 +70,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("instance")
     p.add_argument("embedding")
 
-    p = sub.add_parser("solve", help="search for a crossing-free embedding")
-    p.add_argument("instance")
-    p.add_argument("--refine", type=int, default=4)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=_non_negative_int, default=seed)
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("instance")
+    search.add_argument("--refine", type=int, default=4)
+    search.add_argument("--budget", type=_non_negative_int, default=1000)
+    search.add_argument("--seed", type=_non_negative_int, default=seed)
 
-    p = sub.add_parser("scan", help="solve every bijection of an "
-                                    "assignment-free instance")
-    p.add_argument("instance")
-    p.add_argument("--refine", type=int, default=4)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=_non_negative_int, default=seed)
+    sub.add_parser("solve", parents=[search],
+                   help="search for a crossing-free embedding")
+
+    p = sub.add_parser("scan", parents=[search],
+                       help="solve every bijection of an "
+                            "assignment-free instance")
     p.add_argument("--force", action="store_true",
                    help="allow n > 7 despite the factorial cost")
 
@@ -114,11 +114,12 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "analyze":
         ls = io_formats.parse_lines(_read(args.lines))
+        kind = classify_cap_cup(ls)     # an input error prints nothing
         print(f"lines: {len(ls)}")
         print("general position: yes")
         print("slope order: " +
               " ".join(f"{l.id}:{l.slope}" for l in ls))
-        print(f"cap/cup: {classify_cap_cup(ls).value}")
+        print(f"cap/cup: {kind.value}")
         return 0
 
     if cmd == "extract-cap":

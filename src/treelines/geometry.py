@@ -5,8 +5,8 @@ All coordinates and slopes are ``fractions.Fraction`` values, so every
 predicate here is decided exactly; nothing rounds.  The orientation and
 collinearity signs are taken on each point's integer homogeneous
 coordinates, which skips the gcd normalisation of Fraction arithmetic.
-Angles are never stored numerically: angle-gap comparisons reduce to
-rational sign tests via the tangent subtraction formula.
+Angles are never stored numerically: an angle gap is represented by its
+negated cotangent, a rational function of the two slopes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+from typing import (Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 ScalarLike = Union[Fraction, int, str]
@@ -321,36 +321,16 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     return total
 
 
-class GapClass(enum.IntEnum):
-    ACUTE = 0    # gap < pi/2
-    RIGHT = 1    # gap = pi/2
-    OBTUSE = 2   # gap > pi/2
-
-
-class GapMeasure(NamedTuple):
-    """Exact stand-in for the angle gap a(l_hi) - a(l_lo) in (0, pi).
-
-    The class comes from the sign of 1 + s_lo*s_hi; ``tangent`` is
-    tan(gap) = (s_hi - s_lo)/(1 + s_lo*s_hi), defined for the non-right
-    classes.  tan is strictly increasing on (0, pi/2) and on (pi/2, pi),
-    so gaps order as (class, tangent) tuples without evaluating arctan
-    (two right gaps are equal, so their None tangents never compare).
-    """
-
-    cls: GapClass
-    tangent: Optional[Fraction]
-
-
-def angle_gap(l1: Line, l2: Line) -> GapMeasure:
-    """The gap between the angles of two non-parallel lines, in (0, pi)."""
+def angle_gap(l1: Line, l2: Line) -> Fraction:
+    """-cot of the angle gap a(l_hi) - a(l_lo) in (0, pi) of two non-parallel
+    lines, -(1 + s_lo*s_hi)/(s_hi - s_lo): cot is finite and strictly
+    decreasing on (0, pi), so the values order and tie as the gaps do.  The
+    sign reads the gap against a right angle: < 0 acute, 0 right, > 0
+    obtuse."""
     s_lo, s_hi = sorted((l1.slope, l2.slope))
     if s_lo == s_hi:
         raise ParallelLines("angle gap of parallel lines")
-    d = 1 + s_lo * s_hi
-    if d == 0:
-        return GapMeasure(GapClass.RIGHT, None)
-    t = (s_hi - s_lo) / d
-    return GapMeasure(GapClass.ACUTE if d > 0 else GapClass.OBTUSE, t)
+    return -(1 + s_lo * s_hi) / (s_hi - s_lo)
 
 
 def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int:

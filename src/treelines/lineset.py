@@ -351,9 +351,15 @@ def all_region_indices(cc: ColorClasses) -> List[RegionIndex]:
             for a in range(1, cc.c + 1) for b in range(a, cc.c + 1)]
 
 
+def _require_sized(ls: LineSet, cc: ColorClasses) -> None:
+    if cc.n != len(ls):
+        raise LineSetError("color classes sized for a different line set")
+
+
 def segment_index_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> int:
     """Which of the c slope-block segments of line i contains the point at
     parameter x.  Errors out if x hits an intersection point."""
+    _require_sized(ls, cc)
     xs = [pt.x for _, pt in intersection_order(ls, i)]
     if x in xs:
         raise OnIntersection(f"x={x} is an intersection point on line {i}")
@@ -363,8 +369,6 @@ def segment_index_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> int:
 
 def region_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> RegionIndex:
     """The unique region R_{a,b} whose open segment contains (x, l_i(x))."""
-    if cc.n != len(ls):
-        raise LineSetError("color classes sized for a different line set")
     seg = segment_index_of(ls, cc, i, x)
     ci = cc.class_of(i)
     return RegionIndex(min(ci, seg), max(ci, seg))
@@ -509,6 +513,7 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
     ids; whether the paper counts segments by position or in the direction
     of increasing partner id is open.
     """
+    _require_sized(ls, cc)
     if cc.c < 2:
         raise LineSetError("region hulls need at least 2 color classes")
     finite: List[Point] = []

@@ -7,10 +7,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import GapClass, GapMeasure, Line, PostconditionError, \
-    angle_gap, compare_angle_gap
+from .geometry import Line, PostconditionError, angle_gap, compare_angle_gap
 from .lineset import LineSet, LineSetError, PairChains, TooFew, \
     ranked_chains
 
@@ -134,7 +134,7 @@ def color_by_gaps(ls: LineSet) -> TripleColoring:
     if n < 3:
         raise TooFew("need at least 3 lines")
     # all O(n^3) triple comparisons reuse the O(n^2) pairwise gaps
-    gap: Dict[Tuple[int, int], GapMeasure] = {}
+    gap: Dict[Tuple[int, int], Fraction] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             gap[(i, j)] = angle_gap(ls.line(i), ls.line(j))
@@ -200,7 +200,7 @@ def check_doubling(ls: LineSet, chain: DoublingChain) -> bool:
     lines = [ls.line(i) for i in chain.ids]
     if len(lines) < 3:
         return False
-    if angle_gap(lines[0], lines[-1]).cls != GapClass.ACUTE:
+    if angle_gap(lines[0], lines[-1]) >= 0:
         return False
     return doubling_failure(lines, chain.variant) is None
 

@@ -19,7 +19,6 @@ import mpmath
 import numpy as np
 
 from .geometry import (
-    GapClass,
     Line,
     Point,
     Segment,
@@ -98,8 +97,7 @@ def validate_frame(ls: LineSet, ids: Sequence[int]) -> SixLineFrame:
     lines = [ls.line(i) for i in ids]
     if any(a.slope >= b.slope for a, b in zip(lines, lines[1:])):
         raise FrameError("ids must be strictly increasing in slope")
-    span = angle_gap(lines[0], lines[5])
-    if span.cls != GapClass.ACUTE:
+    if angle_gap(lines[0], lines[5]) >= 0:
         raise SpanTooWide("extreme angle gap is not acute")
 
     for variant in (Variant.LOWER, Variant.UPPER):

@@ -62,6 +62,9 @@ def angle_lineset(degrees, cup: bool = False) -> LineSet:
 
 
 DOUBLING_DEGREES = [0, 1, 2.1, 4.3, 8.8, 17.8]
+# doubling gaps 3, 5, 9, 20, 53 spanning exactly a right angle: the extreme
+# slopes are -1 and 1; ending at 44 degrees instead makes the span acute
+RIGHT_SPAN_DEGREES = [-45, -42, -37, -28, -8, 45]
 
 
 @pytest.fixture

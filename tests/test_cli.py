@@ -144,6 +144,17 @@ def test_cli_extract_commands_need_three_lines(tmp_path, capsys):
         assert not captured.out
 
 
+def test_cli_analyze_needs_three_lines(tmp_path, capsys):
+    # the set is classified before anything is printed, so an input error
+    # leaves stdout empty
+    path = tmp_path / "two.txt"
+    path.write_text("l 1 -1 0\nl 2 0 -1\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap/cup needs at least 3 lines\n"
+    assert captured.out == ""
+
+
 def test_cli_extract_cap_prints_input_ids(tmp_path, capsys, rng):
     # a random set whose largest cap or cup is not a prefix of the ids;
     # its input ids are found again by matching slope and offset
@@ -188,6 +199,17 @@ def test_cli_scan(files, capsys):
     inst.write_text(LINES3 + "e 0 1\ne 1 2\n")
     assert main(["scan", str(inst), "--refine", "2", "--budget", "50"]) == 0
     assert "found 6/6" in capsys.readouterr().out
+
+
+def test_cli_negative_budget(files, capsys):
+    # a negative restart budget is an input error, not an empty search
+    for cmd in ("solve", "scan"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(files / "inst3.txt"), "--budget", "-2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --budget: must be >= 0, got -2" in captured.err
+        assert not captured.out
 
 
 def test_cli_unstretch(files, capsys):

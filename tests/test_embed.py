@@ -239,6 +239,15 @@ def test_comb_type_single_region(four_lines):
     assert out == [CombTuple(1, 1, 0, 0)]
 
 
+def test_comb_type_rejects_color_classes_of_another_size(four_lines):
+    # without hulls given, comb_type builds them through region_hull, which
+    # refuses classes sized for another line set
+    seg = Segment(Point(Fraction(-50), Fraction(30)),
+                  Point(Fraction(-49), Fraction(30)))
+    with pytest.raises(LineSetError, match="sized for a different line set"):
+        comb_type(four_lines, ColorClasses(2, 2), seg)
+
+
 def test_comb_type_reversal_symmetry(four_lines, rng):
     cc = ColorClasses(2, 4)
     hulls = {r: region_hull(four_lines, cc, r)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from treelines.geometry import (
     DegenerateContact,
-    GapClass,
     Line,
     ParallelLines,
     Point,
@@ -380,14 +379,52 @@ def test_winding_ray_invariance_star_shaped(rng):
 
 
 def test_angle_gap_examples():
-    g = angle_gap(Line(scalar(0), scalar(0)), Line(scalar(1), scalar(0)))
-    assert g.cls == GapClass.ACUTE and g.tangent == 1
-    g = angle_gap(Line(scalar(-2), scalar(0)),
-                  Line(Fraction(1, 2), scalar(0)))
-    assert g.cls == GapClass.RIGHT
+    def gap(s1, s2):
+        return angle_gap(Line(scalar(s1), scalar(0)),
+                         Line(scalar(s2), scalar(0)))
+    # -cot of the gap: -1 at 45 degrees, 0 at a right angle, > 0 when obtuse
+    assert gap(0, 1) == gap(1, 0) == -1
+    assert gap(-1, 1) == gap(1, -1) == 0
+    assert gap("-2", "1/2") == 0
+    assert gap(-2, 2) == Fraction(3, 4)
+    assert gap(0, "1/100") < gap(0, 1) < gap(-1, 1) < gap(-2, 2)
+    with pytest.raises(ParallelLines):
+        gap(3, 3)
     pair1 = (Line(scalar(0), scalar(0)), Line(scalar(1), scalar(0)))
     pair2 = (Line(scalar(1), scalar(0)), Line(scalar(3), scalar(0)))
     assert compare_angle_gap(pair1, pair2) == 1
+
+
+def _arctan_gap(a, b):
+    lo, hi = sorted((a, b))
+    return mpmath.atan(mpmath.mpf(hi.numerator) / hi.denominator) \
+        - mpmath.atan(mpmath.mpf(lo.numerator) / lo.denominator)
+
+
+def _assert_gaps_match_arctan(s):
+    """compare_angle_gap and the gap values of the pairs (s0, s1) and
+    (s2, s3) order as the arctan gaps do, and each value's sign reads its
+    gap against a right angle.  Returns the arctan comparison and the
+    first pair's gap value."""
+    pair1 = (Line(s[0], Fraction(0)), Line(s[1], Fraction(0)))
+    pair2 = (Line(s[2], Fraction(0)), Line(s[3], Fraction(0)))
+    got = compare_angle_gap(pair1, pair2)
+    a1, a2 = _arctan_gap(s[0], s[1]), _arctan_gap(s[2], s[3])
+    diff = a1 - a2
+    if abs(diff) > mpmath.mpf("1e-60"):
+        want = 1 if diff > 0 else -1
+    else:
+        want = 0
+    assert got == want
+    # the gap values themselves order the same way
+    g1, g2 = angle_gap(*pair1), angle_gap(*pair2)
+    assert (g1 < g2, g1 == g2, g1 > g2) == (want < 0, want == 0, want > 0)
+    for g, a in ((g1, a1), (g2, a2)):
+        off = a - mpmath.pi / 2
+        right = abs(off) <= mpmath.mpf("1e-60")
+        assert (g < 0, g == 0, g > 0) == (not right and off < 0, right,
+                                          not right and off > 0)
+    return want, g1
 
 
 def test_compare_angle_gap_against_arctan(rng):
@@ -396,19 +433,25 @@ def test_compare_angle_gap_against_arctan(rng):
         s = [Fraction(int(v), 64) for v in rng.integers(-300, 300, size=4)]
         if s[0] == s[1] or s[2] == s[3]:
             continue
-        pair1 = (Line(s[0], Fraction(0)), Line(s[1], Fraction(0)))
-        pair2 = (Line(s[2], Fraction(0)), Line(s[3], Fraction(0)))
-        got = compare_angle_gap(pair1, pair2)
-        def gap(a, b):
-            lo, hi = sorted((a, b))
-            return mpmath.atan(mpmath.mpf(hi.numerator) / hi.denominator) \
-                - mpmath.atan(mpmath.mpf(lo.numerator) / lo.denominator)
-        diff = gap(s[0], s[1]) - gap(s[2], s[3])
-        if abs(diff) > mpmath.mpf("1e-60"):
-            want = 1 if diff > 0 else -1
-        else:
-            want = 0
-        assert got == want
-        # the gap values themselves order the same way
-        g1, g2 = angle_gap(*pair1), angle_gap(*pair2)
-        assert (g1 < g2, g1 == g2, g1 > g2) == (want < 0, want == 0, want > 0)
+        _assert_gaps_match_arctan(s)
+    # forced right-angle pairs (s, -1/s), against random pairs, against
+    # each other, and pairs turned by a common rational rotation, which
+    # keeps the gap: ties at acute, right and obtuse gaps
+    ties = set()
+    for _ in range(2_000):
+        v = [Fraction(int(x), 64) for x in rng.integers(-300, 300, size=4)]
+        if 0 in v[:2] or v[0] == v[1]:
+            continue
+        for s in ([v[0], -1 / v[0], v[1], v[2]],
+                  [v[0], -1 / v[0], v[1], -1 / v[1]]):
+            if s[2] != s[3]:
+                _assert_gaps_match_arctan(s)
+        t = v[3]          # tan of the common rotation
+        for pair in ((v[0], v[1]), (v[0], -1 / v[0])):
+            if min(1 - x * t for x in pair) <= 0:
+                continue  # a line turns past vertical: the gap flips
+            want, g = _assert_gaps_match_arctan(
+                list(pair) + [(x + t) / (1 - x * t) for x in pair])
+            assert want == 0
+            ties.add((g > 0) - (g < 0))
+    assert ties == {-1, 0, 1}

@@ -24,6 +24,7 @@ from treelines.lineset import (
     ConcurrentTriple,
     DuplicateLine,
     LineSet,
+    LineSetError,
     OnIntersection,
     ParallelPair,
     RegionIndex,
@@ -208,6 +209,24 @@ def test_region_partition_well_defined(rng):
             assert region_of(ls, cc, i, x) == r
             assert (min(cc.class_of(i), seg), max(cc.class_of(i), seg)) \
                 == (r.a, r.b)
+
+
+def test_region_hull_rejects_color_classes_of_another_size(rng):
+    # a 24-line cup with classes sized for 12 lines: region_hull raises the
+    # error region_of raises, rather than building a hull of lines 1..12,
+    # and segment_index_of does not answer segment 8 of 4
+    ls = random_cup(rng, 24)
+    cc = ColorClasses(4, 12)
+    x = max(p.x for _, p in intersection_order(ls, 1)) + 1
+    for locate in (region_of, segment_index_of):
+        with pytest.raises(LineSetError,
+                           match="sized for a different line set"):
+            locate(ls, cc, 1, x)
+    for r in all_region_indices(cc):
+        with pytest.raises(LineSetError,
+                           match="sized for a different line set"):
+            region_hull(ls, cc, r)
+    region_hull(ls, ColorClasses(4, 24), RegionIndex(1, 1))
 
 
 def test_region_hull_contains_its_segments(rng):

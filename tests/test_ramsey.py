@@ -30,7 +30,8 @@ from treelines.ramsey import (
     mono_path_bound,
 )
 
-from conftest import DOUBLING_DEGREES, angle_lineset, random_cup, random_lines
+from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
+                      random_cup, random_lines)
 
 
 def test_mono_path_bound_table():
@@ -138,6 +139,17 @@ def test_check_doubling_rejections():
     wide = angle_lineset([0, 30, 80, 170])
     assert not check_doubling(wide, DoublingChain((1, 2, 3, 4),
                                                   Variant.LOWER))
+
+
+def test_check_doubling_needs_an_acute_span():
+    # doubling gaps whose span is exactly a right angle fail the check; the
+    # same gaps with a span one degree smaller pass it
+    chain = DoublingChain((1, 2, 3, 4, 5, 6), Variant.LOWER)
+    right = angle_lineset(RIGHT_SPAN_DEGREES)
+    assert angle_gap(right.line(1), right.line(6)) == 0
+    assert not check_doubling(right, chain)
+    assert check_doubling(angle_lineset(RIGHT_SPAN_DEGREES[:-1] + [44]),
+                          chain)
 
 
 def test_extract_doubling_on_designed_set():

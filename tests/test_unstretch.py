@@ -30,7 +30,8 @@ from treelines.unstretch import (
     validate_frame,
 )
 
-from conftest import DOUBLING_DEGREES, angle_lineset, slope_of_degrees
+from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
+                      slope_of_degrees)
 
 IDS = [1, 2, 3, 4, 5, 6]
 
@@ -63,6 +64,17 @@ def test_validate_frame_errors():
     with pytest.raises(NotDoubling) as exc:
         validate_frame(angle_lineset([0, 6, 11, 16, 21, 26]), IDS)
     assert exc.value.j == 2
+
+
+def test_validate_frame_right_angle_span():
+    # a doubling cup whose span is exactly a right angle is too wide; one
+    # degree less and the same frame validates
+    right = angle_lineset(RIGHT_SPAN_DEGREES, cup=True)
+    assert right.line(6).slope * right.line(1).slope == -1
+    with pytest.raises(SpanTooWide):
+        validate_frame(right, IDS)
+    acute = angle_lineset(RIGHT_SPAN_DEGREES[:-1] + [44], cup=True)
+    assert validate_frame(acute, IDS).cap_cup == CapCup.CUP
 
 
 def test_validate_frame_upper_variant():
