@@ -187,9 +187,8 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
         else:
             seen[p] = v
 
-    segs = [Segment(pts[u], pts[v]) for u, v in t.edges
-            if pts[u] != pts[v]]
     edge_list = [e for e in t.edges if pts[e[0]] != pts[e[1]]]
+    segs = [Segment(pts[u], pts[v]) for u, v in edge_list]
 
     for a in range(len(segs)):
         for b in range(a + 1, len(segs)):
@@ -244,7 +243,11 @@ class SolveResult:
 
 class _Placer:
     """Incremental embedding state with exact conflict checks; ``x`` records
-    each placed vertex's x-parameter in placement order."""
+    each placed vertex's x-parameter in placement order.
+
+    Callers place parents first, so every placed vertex other than a lone
+    root ends a placed edge, and ``segs`` holds the placed edges in
+    placement order, one per placed non-root vertex."""
 
     def __init__(self, ls: LineSet, t: Tree, asg: Assignment):
         self.ls = ls
@@ -252,32 +255,18 @@ class _Placer:
         self.parent = t.parent_of()
         self.x: Dict[int, Fraction] = {}
         self.points: Dict[int, Point] = {}
-        self.segs: List[Tuple[int, Segment]] = []   # (child vertex, segment)
+        self.segs: List[Segment] = []
 
     def can_place(self, v: int, x: Fraction) -> Optional[Point]:
         p = self.ls.line(self.asg.line_of(v)).point_at(x)
         if p in self.points.values():
             return None
-        new_seg = None
-        if v in self.parent and self.parent[v] in self.points:
-            pp = self.points[self.parent[v]]
-            if pp == p:
-                return None
-            new_seg = Segment(pp, p)
-        # the new vertex must avoid existing edges entirely
-        for _, s in self.segs:
-            if on_segment(s, p):
-                return None
-        if new_seg is not None:
-            # existing vertices must avoid the new edge's relative interior
-            for w, q in self.points.items():
-                if w == self.parent[v]:
-                    continue
-                if on_segment(new_seg, q):
-                    return None
-            # p differs from every placed point, so an endpoint-to-endpoint
-            # touch can only be at the parent's point: the edges share it
-            for _, s in self.segs:
+        if v in self.parent:
+            # p differs from every placed point, each of which ends a placed
+            # edge: p on a placed edge or a placed vertex on the new edge is
+            # a contact, and an endpoint touch is at the shared parent point
+            new_seg = Segment(self.points[self.parent[v]], p)
+            for s in self.segs:
                 if _contact(new_seg, s, True) is not None:
                     return None
         return p
@@ -285,13 +274,13 @@ class _Placer:
     def place(self, v: int, x: Fraction, p: Point) -> None:
         self.x[v] = x
         self.points[v] = p
-        if v in self.parent and self.parent[v] in self.points:
-            self.segs.append((v, Segment(self.points[self.parent[v]], p)))
+        if v in self.parent:
+            self.segs.append(Segment(self.points[self.parent[v]], p))
 
     def unplace(self, v: int) -> None:
         del self.x[v]
         del self.points[v]
-        if self.segs and self.segs[-1][0] == v:
+        if v in self.parent:
             self.segs.pop()
 
 
@@ -344,6 +333,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
                        for v in range(t.n)}
         while not found and restarts < budget:
             restarts += 1
+            placer = _Placer(ls, t, asg)
             found = _random_attempt(placer, order, breakpoints, rng)
 
     if not found:
@@ -361,7 +351,7 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
                     breakpoints: Dict[int, List[Fraction]], rng) -> bool:
     """One greedy randomized pass from an empty placer: sample each vertex
     position in order, with a few retries per vertex before giving up on
-    the pass.  A failed pass leaves the placer empty again."""
+    the pass."""
     for v in order:
         bps = breakpoints[v]
         lo, hi = bps[0] - 2, bps[-1] + 2
@@ -375,8 +365,6 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
                 placer.place(v, x, p)
                 break
         else:
-            for w in reversed(list(placer.x)):
-                placer.unplace(w)
             return False
     return True
 

@@ -207,9 +207,7 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
             is_cup = False
         if not (is_cap or is_cup):
             return CapCup.NEITHER
-    if is_cap:
-        return CapCup.CAP
-    return CapCup.CUP if is_cup else CapCup.NEITHER
+    return CapCup.CAP if is_cap else CapCup.CUP
 
 
 class PairChains:
@@ -464,24 +462,23 @@ def _region_members(ls: LineSet, cc: ColorClasses,
 
 
 def _segment_geometry(ls: LineSet, i: int, seg_idx: int, block: int):
-    """Finite endpoints and infinite directions of segment seg_idx of line i."""
+    """Finite endpoints and ray directions of segment seg_idx of line i;
+    with c >= 2 each ray starts at a finite endpoint."""
     pts = [pt for _, pt in intersection_order(ls, i)]
-    n = len(ls)
     lo = (seg_idx - 1) * block     # 0 means the -infinity sentinel
     hi = seg_idx * block           # n means the +infinity sentinel
     slope = ls.line(i).slope
     finite: List[Point] = []
-    rays: List[Tuple[Point, Tuple[Fraction, Fraction]]] = []
+    dirs: List[Tuple[Fraction, Fraction]] = []
     if lo == 0:
-        rays.append((pts[hi - 1], (Fraction(-1), -slope)))
+        dirs.append((Fraction(-1), -slope))
     else:
         finite.append(pts[lo - 1])
-    if hi >= n:
-        anchor = finite[0] if lo != 0 else pts[0]
-        rays.append((anchor, (Fraction(1), slope)))
+    if hi >= len(ls):
+        dirs.append((Fraction(1), slope))
     else:
         finite.append(pts[hi - 1])
-    return finite, rays
+    return finite, dirs
 
 
 def _extreme_directions(dirs: List[Tuple[Fraction, Fraction]]):
@@ -517,14 +514,13 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
     if cc.c < 2:
         raise LineSetError("region hulls need at least 2 color classes")
     finite: List[Point] = []
-    rays: List[Tuple[Point, Tuple[Fraction, Fraction]]] = []
+    dirs: List[Tuple[Fraction, Fraction]] = []
     for i, seg_idx in _region_members(ls, cc, r):
-        f, ry = _segment_geometry(ls, i, seg_idx, cc.block)
+        f, d = _segment_geometry(ls, i, seg_idx, cc.block)
         finite += f
-        rays += ry
-        finite += [a for a, _ in ry]  # ray apexes are hull generators too
+        dirs += d
 
-    if not rays:
+    if not dirs:
         hull = convex_hull(finite)     # starts at the smallest vertex
         if len(hull) < 3:
             raise LineSetError(f"degenerate (flat) region {r}")
@@ -532,7 +528,7 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
                       for k in range(len(hull)))
         return RegionHull(r, tuple(hull), sides, True)
 
-    d_right, d_left = _extreme_directions([d for _, d in rays])
+    d_right, d_left = _extreme_directions(dirs)
     poly = convex_hull(finite)
 
     def support_vertex(normal, tie_dir):

@@ -330,7 +330,8 @@ def lemma24_check(cv: ChainValues) -> Lemma24Result:
 # ---------------------------------------------------------------------------
 # randomized feasibility search
 
-_PREV = {2: 1, 3: 2, 1: 3}    # edge j carries the betweenness rule of _PREV[j]
+# edge j carries the betweenness rule of _PREV[j]
+_PREV = {k: j for j, k in _NEXT_EDGE.items()}
 
 # one sampled t-triple is screened at up to 7 candidate u values per edge
 _CONFIGS_PER_TRIPLE = 21
@@ -388,7 +389,6 @@ class _FrameFloats:
     """Float mirror of a frame for the vectorized screening stage."""
 
     def __init__(self, frame: SixLineFrame):
-        self.frame = frame
         self.s = np.array([float(l.slope) for l in frame.lines])
         self.b = np.array([float(l.dual_offset) for l in frame.lines])
         self.apex = np.array([[float(frame.apex(j).x),

@@ -200,6 +200,51 @@ def test_solve_raises_when_its_embedding_fails_the_check(four_lines,
         solve(four_lines, PATH4, ASG4, refine=3, budget=200, seed=1)
 
 
+def _placer(ls, tree, asg, *placed):
+    """A solver placer holding the (vertex, x) placements, parents first."""
+    placer = embed._Placer(ls, tree, asg)
+    for v, x in placed:
+        p = placer.can_place(v, Fraction(x))
+        assert p is not None, (v, x)
+        placer.place(v, Fraction(x), p)
+    return placer
+
+
+def test_placer_rejects_a_new_point_on_a_placed_edge(four_lines):
+    # vertices 0, 1, 2 at (-2, 2), (2, 2), (0, 1)
+    placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, 0))
+    assert placer.can_place(3, Fraction(1, 3)) is not None
+    # (1, 2) is inside edge 0-1; (4/5, 7/5) inside the parent's edge 1-2,
+    # so the new edge would fold back onto it
+    assert placer.can_place(3, Fraction(1)) is None
+    assert placer.can_place(3, Fraction(4, 5)) is None
+
+
+def test_placer_rejects_a_placed_vertex_inside_the_new_edge(four_lines):
+    # vertices 0, 1, 2 at (-2, 2), (2, 2), (-4, 1)
+    placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, -4))
+    assert placer.can_place(3, Fraction(1, 3)) is not None
+    # the edge from (-4, 1) to (8/5, 19/5) passes through vertex 0
+    assert placer.can_place(3, Fraction(8, 5)) is None
+
+
+def test_placer_rejects_a_sibling_collinear_with_its_parent_edge(
+        four_lines):
+    star, asg = star_tree(4), Assignment((1, 2, 3, 4))
+    # root at (-2, 2), its child 1 at (0, 1)
+    placer = _placer(four_lines, star, asg, (0, -2), (1, 0))
+    assert placer.can_place(2, Fraction(1, 2)) is not None
+    # (2/3, 2/3) lies on the ray from the root through vertex 1
+    assert placer.can_place(2, Fraction(2, 3)) is None
+
+
+def test_placer_rejects_a_new_point_on_its_parent(four_lines):
+    # vertex 0 at (0, 0), where the lines of vertices 0 and 1 cross
+    placer = _placer(four_lines, PATH4, ASG4, (0, 0))
+    assert placer.can_place(1, Fraction(2)) is not None
+    assert placer.can_place(1, Fraction(0)) is None
+
+
 def test_scan_universality_small(four_lines, rng):
     three = random_lines(rng, 3)
     report = scan_universality(three, path_tree(3), refine=2, budget=50)

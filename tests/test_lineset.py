@@ -59,6 +59,19 @@ def test_general_position_examples():
     assert [l.id for l in ls] == [1, 2, 3]
 
 
+def test_general_position_errors_carry_input_positions():
+    # 0-based positions in the caller's list, not slope-order ids
+    with pytest.raises(ConcurrentTriple) as exc:
+        verify_general_position([L(0, 5), L(3, 2), L(1, 0), L(2, 1)])
+    assert exc.value.triple == (1, 2, 3)
+    with pytest.raises(ParallelPair) as exc:
+        verify_general_position([L(0, 0), L(1, 0), L(2, 3), L(1, 1)])
+    assert exc.value.pair == (1, 3)
+    with pytest.raises(DuplicateLine) as exc:
+        verify_general_position([L(5, 1), L(1, 0), L(1, 0)])
+    assert exc.value.pair == (1, 2)
+
+
 def test_construction_guard():
     with pytest.raises(TypeError):
         LineSet([L(0, 0)])

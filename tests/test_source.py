@@ -8,7 +8,8 @@ from pathlib import Path
 import treelines
 
 SRC = Path(treelines.__file__).parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -128,3 +129,31 @@ def test_benchmark_tracer_names_resolve():
             if not callable(owner):
                 missing.append(f"{mod_name}.{name}")
     assert not missing, missing
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an attribute a package class sets on self but nothing reads, in the
+    # package, its tests or the benchmark, is dead state; reads are matched
+    # by attribute name alone
+    read = set()
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py"),
+                 *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and \
+                    isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store) and \
+                        isinstance(node.value, ast.Name) and \
+                        node.value.id == "self" and node.attr not in read:
+                    unread.add(f"{cls.name}.{node.attr}")
+    assert not unread, sorted(unread)
