@@ -419,14 +419,14 @@ class RegionHull:
         return all(s.halfplane_value(p) >= 0 for s in self.sides)
 
     def side_label_at(self, p: Point) -> int:
-        """1-based label of the side whose supporting line passes through a
-        boundary point; 0 if p is not on any side."""
+        """1-based label of the first side whose supporting line passes
+        through p; 0 if p is not on the hull's boundary.  A hull is never
+        flat, so a point of the closed hull on a side's supporting line
+        lies on that side."""
         if not self.contains(p):
             return 0
-        for k, s in enumerate(self.sides):
-            if s.halfplane_value(p) == 0 and _point_on_side(s, p):
-                return k + 1
-        return 0
+        return next((k + 1 for k, s in enumerate(self.sides)
+                     if s.halfplane_value(p) == 0), 0)
 
     def clip_parameter_interval(
         self, seg: Segment
@@ -439,15 +439,6 @@ class RegionHull:
         if iv is None or iv[0] == iv[1]:
             return None
         return iv
-
-
-def _point_on_side(s: HullSide, p: Point) -> bool:
-    # assumes p on the supporting line
-    if s.start is not None and s.end is not None:
-        return on_segment(Segment(s.start, s.end), p)
-    anchor = s.start if s.start is not None else s.end
-    dx, dy = s.direction
-    return dx * (p.x - anchor.x) + dy * (p.y - anchor.y) >= 0
 
 
 def _region_members(ls: LineSet, cc: ColorClasses,
@@ -520,40 +511,26 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
         finite += f
         dirs += d
 
+    # an unbounded closure is the polygon of the finite member points plus
+    # the cone of d_left and d_right; its vertices are the vertices of the
+    # hull of the polygon's vertices and their translates that are polygon
+    # vertices, in one counter-clockwise run
+    q = convex_hull(finite)     # starts at the smallest vertex
+    if dirs:
+        poly = set(q)
+        d_right, d_left = _extreme_directions(dirs)
+        q = convex_hull([*q, *(v.translated(*d) for v in q
+                               for d in (d_left, d_right))])
+    if len(q) < 3:
+        raise LineSetError(f"degenerate (flat) region {r}")
     if not dirs:
-        hull = convex_hull(finite)     # starts at the smallest vertex
-        if len(hull) < 3:
-            raise LineSetError(f"degenerate (flat) region {r}")
-        sides = tuple(HullSide(hull[k], hull[(k + 1) % len(hull)])
-                      for k in range(len(hull)))
-        return RegionHull(r, tuple(hull), sides, True)
+        return RegionHull(r, tuple(q), tuple(
+            HullSide(u, v) for u, v in zip(q, q[1:] + q[:1])), True)
 
-    d_right, d_left = _extreme_directions(dirs)
-    poly = convex_hull(finite)
-
-    def support_vertex(normal, tie_dir):
-        best = max(poly, key=lambda v: (normal[0] * v.x + normal[1] * v.y))
-        val = normal[0] * best.x + normal[1] * best.y
-        tied = [v for v in poly
-                if normal[0] * v.x + normal[1] * v.y == val]
-        return min(tied, key=lambda v: tie_dir[0] * v.x + tie_dir[1] * v.y)
-
+    k = next(k for k, v in enumerate(q) if v in poly and q[k - 1] not in poly)
+    chain = [v for v in q[k:] + q[:k] if v in poly]
     # CCW boundary: in from infinity along -d_left, the chain, out along
-    # +d_right.  Outward normals of the two infinite sides:
-    n_start = (-d_left[1], d_left[0])
-    n_end = (d_right[1], -d_right[0])
-    v_start = support_vertex(n_start, d_left)
-    v_end = support_vertex(n_end, d_right)
-
-    if len(poly) < 3:
-        chain = [v_start] if v_start == v_end else [v_start, v_end]
-    else:
-        start = poly.index(v_start)
-        chain = [poly[start]]
-        k = start
-        while poly[k] != v_end:
-            k = (k + 1) % len(poly)
-            chain.append(poly[k])
+    # +d_right
     sides: List[HullSide] = [HullSide(None, chain[0], d_left)]
     sides += [HullSide(u, v) for u, v in zip(chain, chain[1:])]
     sides.append(HullSide(chain[-1], None, d_right))

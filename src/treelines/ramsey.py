@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import Line, PostconditionError, angle_gap, compare_angle_gap
+from .geometry import Line, PostconditionError, angle_gap
 from .lineset import LineSet, LineSetError, PairChains, TooFew, \
     ranked_chains
 
@@ -169,11 +169,11 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
 
 def check_monotone(ls: LineSet, chain: MonotoneGapChain) -> bool:
     ids = chain.ids
-    want = -1 if chain.direction == Direction.NON_INCREASING else 1
+    falling = chain.direction == Direction.NON_INCREASING
     for a, b, c in zip(ids, ids[1:], ids[2:]):
-        cmp = compare_angle_gap((ls.line(b), ls.line(c)),
-                                (ls.line(a), ls.line(b)))
-        if cmp == -want:
+        later = angle_gap(ls.line(b), ls.line(c))
+        earlier = angle_gap(ls.line(a), ls.line(b))
+        if (later > earlier) if falling else (later < earlier):
             return False
     return True
 
@@ -190,7 +190,7 @@ def doubling_failure(lines: Sequence[Line],
         else:
             later = (lines[j - 1], lines[j])
             earlier = (lines[j], lines[-1])
-        if compare_angle_gap(later, earlier) < 0:
+        if angle_gap(*later) < angle_gap(*earlier):
             return j + 1
     return None
 

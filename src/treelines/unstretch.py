@@ -275,7 +275,7 @@ def derive_chain(frame: SixLineFrame, cfg: TripleEdgeConfig) -> ChainValues:
         alpha = (mpmath.pi - mpmath.fsum(tail), *tail)
 
         # B_j: intersection of l_{2j} and l_{2(j+1 mod 3)}
-        bpts = [frame.sub.intersection(2 * j, 2 * (j % 3) + 2)
+        bpts = [frame.sub.intersection(2 * j, 2 * _NEXT_EDGE[j])
                 for j in (1, 2, 3)]
         apts = [cfg.endpoint_on_even(j) for j in (1, 2, 3)]
 
@@ -425,16 +425,12 @@ class _FrameFloats:
     def sample_triples(self, rng, n: int) -> np.ndarray:
         """(3, n) even-endpoint abscissas: log-uniform offsets from each
         apex abscissa, either side, over a wide range of scales."""
-        if n <= 0:
-            return np.empty((3, 0))
         off = 10.0 ** rng.uniform(-4, 2.5, size=(3, n)) * self.radius
         sign = rng.choice([-1.0, 1.0], size=(3, n))
         return self.apex[:, :1] + sign * off
 
     def perturb_triples(self, rng, base: np.ndarray, n: int) -> np.ndarray:
         """Jitter near-feasible triples, preserving each t's apex side."""
-        if base.shape[1] == 0 or n <= 0:
-            return np.empty((3, 0))
         picks = rng.integers(0, base.shape[1], size=n)
         off = base[:, picks] - self.apex[:, :1]
         return self.apex[:, :1] + off * np.exp(rng.normal(0.0, 0.5,

@@ -13,7 +13,10 @@ from treelines.lineset import LineSet, LineSetError, verify_general_position
 def random_lines(rng: np.random.Generator, n: int,
                  span: int = 4000) -> LineSet:
     """A random general-position LineSet of n lines with rational
-    coefficients; retries until the validators pass."""
+    coefficients; retries until the validators pass.  Raises ValueError
+    when the 2 * span slopes on offer are fewer than n."""
+    if 2 * span < n:
+        raise ValueError(f"span={span} offers fewer than n={n} slopes")
     while True:
         lines = [Line(Fraction(int(rng.integers(-span, span)), 997),
                       Fraction(int(rng.integers(-span, span)), 1009))

@@ -39,6 +39,7 @@ from treelines.lineset import (
 from treelines.ramsey import (
     ChainTooShort,
     Color,
+    HyperPath,
     TripleColoring,
     check_doubling,
     check_monotone,
@@ -153,7 +154,6 @@ def _random_coloring(rng, n) -> TripleColoring:
 
 
 def _brute_longest_path(tc) -> int:
-    from treelines.ramsey import HyperPath
     best = 2
     for size in range(3, tc.n + 1):
         hit = False

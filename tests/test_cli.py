@@ -243,6 +243,16 @@ def test_cli_regions_and_svg(files, tmp_path, capsys):
     assert svg2.read_bytes() == data
 
 
+def test_cli_regions_reject_flat_regions(tmp_path, capsys):
+    # with c = n = 2 the regions R_{1,1} and R_{2,2} are single rays
+    path = tmp_path / "two.txt"
+    path.write_text("l 1 -1 0\nl 2 1 0\n")
+    assert main(["regions", str(path), "--c", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "degenerate (flat) region" in captured.err
+    assert not captured.out
+
+
 def test_cli_render(files, tmp_path, capsys):
     svg_path = tmp_path / "drawing.svg"
     assert main(["render", str(files / "inst3.txt"), str(files / "emb3.txt"),

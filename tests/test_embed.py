@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from treelines import embed
@@ -82,7 +83,6 @@ def test_tree_validation():
 def test_tree_validation_vs_networkx(rng):
     """Random parent arrays accepted by Tree are exactly those whose edge
     set is a tree rooted at 0 per networkx."""
-    import networkx as nx
     for _ in range(300):
         n = int(rng.integers(2, 9))
         parents = [int(rng.integers(0, n)) for _ in range(1, n)]

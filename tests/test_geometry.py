@@ -1,5 +1,6 @@
 """Exact kernel tests: predicates, hulls, winding numbers, angle gaps."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -357,7 +358,6 @@ def test_winding_ray_invariance_star_shaped(rng):
         base = [(Fraction(int(a), 100), r)
                 for a, r in zip(sorted(rng.choice(628, size=m,
                                                   replace=False)), radii)]
-        import math
         loop = []
         for a, r in base:
             x = Fraction(round(math.cos(float(a)) * 10**6), 10**6) * r

@@ -273,23 +273,58 @@ def test_region_hull_shapes(rng):
                 assert dy / dx in slopes
 
 
+def _past_ends(s):
+    """Points on a side's supporting line just beyond its finite ends: past
+    both ends of a finite side, behind the apex of a ray side."""
+    if s.start is not None and s.end is not None:
+        dx, dy = (s.end.x - s.start.x) / 64, (s.end.y - s.start.y) / 64
+        return [s.end.translated(dx, dy), s.start.translated(-dx, -dy)]
+    # a ray side is its apex plus the nonnegative multiples of direction
+    apex = s.start if s.start is not None else s.end
+    dx, dy = s.direction
+    return [apex.translated(-dx / 64, -dy / 64)]
+
+
 def test_region_hull_side_labels(rng):
-    ls = random_lines(rng, 8)
-    cc = ColorClasses(2, 8)
-    for r in all_region_indices(cc):
-        h = region_hull(ls, cc, r)
-        for k, s in enumerate(h.sides):
-            if s.start is not None and s.end is not None:
-                mid = Point((s.start.x + s.end.x) / 2,
-                            (s.start.y + s.end.y) / 2)
-                assert h.side_label_at(mid) == k + 1
-        # interior points carry label 0
-        if h.bounded:
-            # side 1 starts at the smallest vertex by (x, y)
-            assert h.vertices[0] == min(h.vertices, key=lambda v: (v.x, v.y))
-            cx = sum(v.x for v in h.vertices) / len(h.vertices)
-            cy = sum(v.y for v in h.vertices) / len(h.vertices)
-            assert h.side_label_at(Point(cx, cy)) == 0
+    for ls, c in ((random_lines(rng, 8), 2), (random_cup(rng, 12), 4)):
+        cc = ColorClasses(c, len(ls))
+        for r in all_region_indices(cc):
+            h = region_hull(ls, cc, r)
+            for k, s in enumerate(h.sides):
+                if s.start is not None and s.end is not None:
+                    mid = Point((s.start.x + s.end.x) / 2,
+                                (s.start.y + s.end.y) / 2)
+                    assert h.side_label_at(mid) == k + 1
+                # on the side's supporting line but off the side
+                for p in _past_ends(s):
+                    assert s.halfplane_value(p) == 0
+                    assert h.side_label_at(p) == 0, (r, k)
+            # interior points carry label 0
+            if h.bounded:
+                # side 1 starts at the smallest vertex by (x, y)
+                assert h.vertices[0] == min(h.vertices,
+                                            key=lambda v: (v.x, v.y))
+                cx = sum(v.x for v in h.vertices) / len(h.vertices)
+                cy = sum(v.y for v in h.vertices) / len(h.vertices)
+                assert h.side_label_at(Point(cx, cy)) == 0
+
+
+def test_region_hull_rejects_flat_regions(rng):
+    # at c = n each R_{a,a} is one piece of line a: a segment between two
+    # crossings, or a ray for a = 1 and a = c; neither has an interior
+    for n in (2, 3, 4, 6):
+        cc = ColorClasses(n, n)
+        for ls in (random_lines(rng, n), random_cup(rng, n)):
+            for a in range(1, n + 1):
+                with pytest.raises(LineSetError,
+                                   match=r"degenerate \(flat\) region"):
+                    region_hull(ls, cc, RegionIndex(a, a))
+
+
+def test_random_lines_needs_n_slopes(rng):
+    # span=3 offers the 6 slopes k/997 for k in -3..2, fewer than 7
+    with pytest.raises(ValueError, match="fewer than n=7 slopes"):
+        random_lines(rng, 7, span=3)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
-import importlib
-import sys
+import importlib.util
 from pathlib import Path
 
 import treelines
@@ -111,17 +110,29 @@ def test_no_unused_imports_in_the_package():
     assert not found, found
 
 
+def test_no_imports_inside_functions():
+    # imports sit at the top of a module, where a reader finds every
+    # dependency at once; this holds for the package and its tests
+    found = [f"{path.parent.name}/{path.name}:{inner.lineno}"
+             for path in [*sorted(SRC.glob("*.py")),
+                          *sorted(TESTS.glob("*.py"))]
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, sorted(set(found))
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer patches each name in LAYERS with getattr, so a
     # renamed or deleted function would crash a traced run
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from tracing import LAYERS, PACKAGE
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location(
+        "tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
     missing = []
-    for mod_name, names in LAYERS.items():
-        mod = importlib.import_module(f"{PACKAGE}.{mod_name}")
+    for mod_name, names in tracing.LAYERS.items():
+        mod = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
         for name in names:
             owner = mod
             for part in name.split("."):
