@@ -63,15 +63,14 @@ class DivisibilityError(EmbedError):
 
 @dataclass(frozen=True)
 class Tree:
-    """A rooted tree on vertices 0..n-1 with edges directed away from the
-    root."""
+    """A tree on vertices 0..n-1 rooted at vertex 0, with edges directed
+    away from the root."""
 
     n: int
-    root: int
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if not 0 <= self.root < self.n:
+        if self.n < 1:
             raise EmbedError("root outside vertex range")
         if len(self.edges) != self.n - 1:
             raise EmbedError(f"a tree on {self.n} vertices needs "
@@ -80,7 +79,7 @@ class Tree:
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise EmbedError(f"edge ({u},{v}) outside vertex range")
-            if v in children or v == self.root:
+            if v in children or v == 0:
                 raise EmbedError(f"vertex {v} has two parents or is the root")
             children.add(v)
         # n-1 edges with unique child endpoints: connectivity is equivalent
@@ -100,7 +99,7 @@ class Tree:
 
     def bfs_order(self) -> List[int]:
         children = self.children_of()
-        order = [self.root]
+        order = [0]
         k = 0
         while k < len(order):
             order.extend(sorted(children[order[k]]))
@@ -109,11 +108,11 @@ class Tree:
 
 
 def path_tree(n: int) -> Tree:
-    return Tree(n, 0, tuple((i, i + 1) for i in range(n - 1)))
+    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def star_tree(n: int) -> Tree:
-    return Tree(n, 0, tuple((0, i) for i in range(1, n)))
+    return Tree(n, tuple((0, i) for i in range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
             for v in range(t.n)}
     placer = _Placer(ls, t, asg)
     bfs = t.bfs_order()
-    depth = {t.root: 0}
+    depth = {0: 0}
     for v in bfs[1:]:       # a parent precedes its children in BFS order
         depth[v] = depth[placer.parent[v]] + 1
     order = sorted(bfs, key=lambda v: (depth[v], v))
@@ -428,9 +427,7 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
         iv = h.clip_parameter_interval(seg)
         if iv is None:
             continue
-        t_lo, t_hi = iv
-        enter = 0 if t_lo == 0 else h.side_label_at(seg.at(t_lo))
-        leave = 0 if t_hi == 1 else h.side_label_at(seg.at(t_hi))
+        t_lo, t_hi, enter, leave = iv
         visits.append(((t_lo + t_hi) / 2, t_lo,
                        CombTuple(r.a, r.b, enter, leave)))
     visits.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
@@ -520,7 +517,7 @@ def build_theorem_tree(d: int, delta: int) -> Tree:
     edges = []
     for v in range(1, n):
         edges.append(((v - 1) // delta, v))
-    return Tree(n, 0, tuple(edges))
+    return Tree(n, tuple(edges))
 
 
 def build_iota(t: Tree, ls: LineSet, cc: ColorClasses, seed: int
@@ -540,7 +537,7 @@ def build_iota(t: Tree, ls: LineSet, cc: ColorClasses, seed: int
     pool: Dict[int, List[int]] = {
         k: [i for i in cc.ids_of_class(k)] for k in range(1, cc.c + 1)}
     pool[cc.class_of(1)].remove(1)
-    iota: Dict[int, int] = {t.root: 1}
+    iota: Dict[int, int] = {0: 1}
     for v in t.bfs_order():
         ch = sorted(children[v])
         if not ch:

@@ -131,10 +131,12 @@ def cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
     return ox * ay - oy * ax
 
 
-def side_value(o: Point, dx: Fraction, dy: Fraction, p: Point) -> Fraction:
-    """(dx, dy) x (p - o): >0 when p lies left of the line through o with
-    direction (dx, dy), <0 right of it, 0 on it."""
-    return dx * (p.y - o.y) - dy * (p.x - o.x)
+def side_value(side: Tuple, p) -> Fraction:
+    """(dx, dy) x (p - (x0, y0)) for a side (x0, y0, dx, dy) and an (x, y)
+    pair p: >0 when p lies left of the directed line, <0 right, 0 on it."""
+    x0, y0, dx, dy = side
+    px, py = p
+    return cross(dx, dy, px - x0, py - y0)
 
 
 def _det(p: Point, q: Point, r: Point) -> int:
@@ -166,26 +168,31 @@ def on_segment(s: Segment, p: Point) -> bool:
     return _in_box(s, p)
 
 
-def clip_to_halfplanes(values: Iterable[Tuple], t_lo, t_hi
+def clip_to_halfplanes(sides: Iterable[Tuple], p, q, t_lo, t_hi
                        ) -> Optional[Tuple]:
-    """Clip the parameter interval [t_lo, t_hi] of a segment p + t*(q - p)
-    to half-planes, each given by its side values (vp, vq) at p and q (a
-    point is inside when its value is >= 0).  Returns the clipped interval,
-    (t, t) when it shrinks to one point, or None when it is empty.  Exact
-    on Fraction values; also used on floats."""
-    for vp, vq in values:
+    """Clip the parameter interval [t_lo, t_hi] of the segment p + t*(q - p)
+    to the half-planes left of or on the sides (see side_value), as Cyrus
+    and Beck do.  Returns (t_lo, t_hi, k_lo, k_hi): the clipped interval,
+    (t, t) when it shrinks to one point, and the positions in sides of the
+    half-planes that set its bounds, None for a bound left as given; or
+    None when it is empty.  Exact on Fraction values; also used on floats."""
+    k_lo = k_hi = None
+    for k, side in enumerate(sides):
+        vp = side_value(side, p)
+        vq = side_value(side, q)
         if vp < 0 and vq < 0:
             return None
         if vp == vq:
             continue
         t = vp / (vp - vq)
         if vp < vq:       # entering the half-plane at t
-            t_lo = max(t_lo, t)
-        else:             # leaving it at t
-            t_hi = min(t_hi, t)
+            if t > t_lo:
+                t_lo, k_lo = t, k
+        elif t < t_hi:    # leaving it at t
+            t_hi, k_hi = t, k
         if t_lo > t_hi:
             return None
-    return t_lo, t_hi
+    return t_lo, t_hi, k_lo, k_hi
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
@@ -290,13 +297,14 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     the right count -1."""
     if len(polyline) < 2:
         raise ValueError("polyline needs at least 2 points")
+    side = (r.origin.x, r.origin.y, r.dx, r.dy)
     for v in polyline:
-        if side_value(r.origin, r.dx, r.dy, v) == 0 and _along_ray(r, v) >= 0:
+        if side_value(side, v) == 0 and _along_ray(r, v) >= 0:
             raise DegenerateContact(f"polyline vertex {v} lies on the ray")
     total = 0
     for p, q in zip(polyline, polyline[1:]):
-        sp = side_value(r.origin, r.dx, r.dy, p)
-        sq = side_value(r.origin, r.dx, r.dy, q)
+        sp = side_value(side, p)
+        sq = side_value(side, q)
         if sp == 0 and sq == 0:
             # collinear with the supporting line but off the ray (vertices on
             # the ray were rejected above); the sub-segment could still reach

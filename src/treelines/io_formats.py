@@ -123,7 +123,7 @@ def _parse(text, allow_tree: bool, require_assign: bool):
         raise ValidationProblem(None, "no tree edges declared")
     n = len(edges) + 1
     try:
-        tree = Tree(n, 0, tuple((u, v) for _, u, v in edges))
+        tree = Tree(n, tuple((u, v) for _, u, v in edges))
     except EmbedError as exc:
         raise ValidationProblem(edges[0][0], str(exc))
 

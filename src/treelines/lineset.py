@@ -384,16 +384,17 @@ class HullSide:
     end: Optional[Point]
     direction: Optional[Tuple[Fraction, Fraction]] = None
 
-    def halfplane_value(self, p: Point) -> Fraction:
-        """>0 strictly inside, 0 on the side's supporting line."""
+    @property
+    def halfplane(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The side as a directed line (x0, y0, dx, dy), hull on its left."""
         if self.start is None:
             # boundary runs from infinity toward ``end``: direction -d
             dx, dy = self.direction
-            return side_value(self.end, -dx, -dy, p)
+            return (self.end.x, self.end.y, -dx, -dy)
         if self.end is None:
-            return side_value(self.start, *self.direction, p)
-        return side_value(self.start, self.end.x - self.start.x,
-                          self.end.y - self.start.y, p)
+            return (self.start.x, self.start.y, *self.direction)
+        return (self.start.x, self.start.y, self.end.x - self.start.x,
+                self.end.y - self.start.y)
 
 
 class UnboundedHullError(LineSetError):
@@ -416,29 +417,21 @@ class RegionHull:
         return len(self.sides)
 
     def contains(self, p: Point) -> bool:
-        return all(s.halfplane_value(p) >= 0 for s in self.sides)
-
-    def side_label_at(self, p: Point) -> int:
-        """1-based label of the first side whose supporting line passes
-        through p; 0 if p is not on the hull's boundary.  A hull is never
-        flat, so a point of the closed hull on a side's supporting line
-        lies on that side."""
-        if not self.contains(p):
-            return 0
-        return next((k + 1 for k, s in enumerate(self.sides)
-                     if s.halfplane_value(p) == 0), 0)
+        return all(side_value(s.halfplane, p) >= 0 for s in self.sides)
 
     def clip_parameter_interval(
         self, seg: Segment
-    ) -> Optional[Tuple[Fraction, Fraction]]:
+    ) -> Optional[Tuple[Fraction, Fraction, int, int]]:
         """Parameter interval [t0, t1] of seg (p at t=0, q at t=1) inside the
-        closed hull, or None if the intersection is empty or a single point."""
-        iv = clip_to_halfplanes(
-            ((s.halfplane_value(seg.p), s.halfplane_value(seg.q))
-             for s in self.sides), Fraction(0), Fraction(1))
+        closed hull and the labels of the sides it enters and leaves by (0 at
+        an end of seg), or None if that is empty or a single point."""
+        iv = clip_to_halfplanes((s.halfplane for s in self.sides), seg.p,
+                                seg.q, Fraction(0), Fraction(1))
         if iv is None or iv[0] == iv[1]:
             return None
-        return iv
+        t0, t1, k0, k1 = iv
+        return (t0, t1, 0 if k0 is None else k0 + 1,
+                0 if k1 is None else k1 + 1)
 
 
 def _region_members(ls: LineSet, cc: ColorClasses,

@@ -28,7 +28,6 @@ from .geometry import (
     orientation,
     segments_intersect,
     SegmentRelation,
-    side_value,
 )
 from .lineset import CapCup, LineSet, classify_cap_cup
 from .ramsey import Variant, doubling_failure
@@ -82,11 +81,11 @@ class SixLineFrame:
         return self.sub.intersection_points()
 
     @cached_property
-    def hull_halfplanes(self) -> Tuple[Tuple[Point, Fraction, Fraction], ...]:
-        """The CCW hull of the 15 crossings as (vertex, edge dx, edge dy),
+    def hull_halfplanes(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The CCW hull of the 15 crossings as its sides (x0, y0, dx, dy),
         built on first use and kept with the frame."""
         hull = convex_hull(self.intersection_points())
-        return tuple((u, v.x - u.x, v.y - u.y)
+        return tuple((u.x, u.y, v.x - u.x, v.y - u.y)
                      for u, v in zip(hull, hull[1:] + hull[:1]))
 
 
@@ -122,9 +121,6 @@ class TripleEdgeConfig:
 
     def endpoint_on_even(self, j: int) -> Point:
         return self.edges[j - 1].q
-
-    def endpoint_on_odd(self, j: int) -> Point:
-        return self.edges[j - 1].p
 
 
 def config_from_params(frame: SixLineFrame,
@@ -188,10 +184,8 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
         for j in (1, 2, 3):
             e = cfg.edges[j - 1]
             # a single common point already counts as meeting the hull
-            if clip_to_halfplanes(
-                    ((side_value(u, dx, dy, e.p), side_value(u, dx, dy, e.q))
-                     for u, dx, dy in frame.hull_halfplanes),
-                    Fraction(0), Fraction(1)) is not None:
+            if clip_to_halfplanes(frame.hull_halfplanes, e.p, e.q, 0, 1) \
+                    is not None:
                 failures.append(("ii", j))
 
     if "iii" not in skip:
@@ -398,11 +392,9 @@ class _FrameFloats:
         self.center = pts.mean(axis=0)
         self.radius = max(1.0, np.max(np.linalg.norm(pts - self.center,
                                                      axis=1)))
-        hull = [(float(p.x), float(p.y)) for p, _, _ in frame.hull_halfplanes]
-        # (vertex x, vertex y, edge dx, edge dy) as plain floats: the hull
-        # has a handful of edges, too few for numpy to pay off per call
-        self.hull_edges = [(x0, y0, x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
-                           in zip(hull, hull[1:] + hull[:1])]
+        # plain floats: the hull has a handful of edges, too few for numpy
+        # to pay off per call
+        self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
 
     def clearly_meets_hull(self, u, t) -> bool:
         """Float pre-screen of rule (ii): True when some edge cuts well into
@@ -413,10 +405,8 @@ class _FrameFloats:
             py = float(self.s[2 * j - 2] * u[j - 1] - self.b[2 * j - 2])
             qx = float(t[j - 1])
             qy = float(self.s[2 * j - 1] * t[j - 1] - self.b[2 * j - 1])
-            iv = clip_to_halfplanes(
-                ((dx * (py - y0) - dy * (px - x0),
-                  dx * (qy - y0) - dy * (qx - x0))
-                 for x0, y0, dx, dy in self.hull_edges), 0.0, 1.0)
+            iv = clip_to_halfplanes(self.hull_edges, (px, py), (qx, qy),
+                                    0.0, 1.0)
             if iv is not None and iv[1] - iv[0] > 1e-9:
                 return True
         return False

@@ -357,7 +357,7 @@ def _all_trees(n: int):
     if n == 4:
         return [path_tree(4), star_tree(4)]
     return [path_tree(5), star_tree(5),
-            Tree(5, 0, ((0, 1), (0, 2), (0, 3), (3, 4)))]
+            Tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))]
 
 
 def test_criterion_8_universality_sweep():

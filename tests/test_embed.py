@@ -13,6 +13,7 @@ from treelines.geometry import (
     PostconditionError,
     Segment,
     scalar,
+    side_value,
 )
 from treelines.lineset import (
     ColorClasses,
@@ -49,7 +50,7 @@ from treelines.embed import (
     star_tree,
 )
 
-from conftest import random_lines
+from conftest import random_cup, random_lines
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +71,11 @@ def _emb(*xs):
 
 def test_tree_validation():
     with pytest.raises(EmbedError):
-        Tree(3, 0, ((0, 1),))                    # too few edges
+        Tree(3, ((0, 1),))                 # too few edges
     with pytest.raises(EmbedError):
-        Tree(3, 0, ((0, 1), (0, 1)))             # duplicate child
+        Tree(3, ((0, 1), (0, 1)))          # duplicate child
     with pytest.raises(EmbedError):
-        Tree(4, 0, ((0, 1), (1, 2), (3, 2)))     # two parents for vertex 2
+        Tree(4, ((0, 1), (1, 2), (3, 2)))  # two parents for vertex 2
     t = path_tree(4)
     assert t.bfs_order() == [0, 1, 2, 3]
     assert star_tree(4).children_of()[0] == [1, 2, 3]
@@ -91,7 +92,7 @@ def test_tree_validation_vs_networkx(rng):
         g.add_nodes_from(range(n))
         want = nx.is_tree(g)
         try:
-            Tree(n, 0, edges)
+            Tree(n, edges)
             got = True
         except EmbedError:
             got = False
@@ -312,6 +313,50 @@ def test_comb_type_reversal_symmetry(four_lines, rng):
         done += 1
         assert bwd == [CombTuple(t.a, t.b, t.exit, t.enter)
                        for t in reversed(fwd)]
+
+
+def test_comb_type_labels_name_the_side_crossed(rng):
+    # oracle: a segment enters or leaves a hull strictly inside it on the
+    # one side whose supporting line holds that point, and carries label 0
+    # at an end of the segment
+    checked = 0
+    for ls, c in ((random_lines(rng, 8), 2), (random_cup(rng, 12), 4),
+                  (random_lines(rng, 12), 3)):
+        cc = ColorClasses(c, len(ls))
+        hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
+        pts = ls.intersection_points()
+        lo = min(min(p.x for p in pts), min(p.y for p in pts)) - 1
+        span = max(max(p.x for p in pts), max(p.y for p in pts)) + 1 - lo
+        for _ in range(12):
+            c4 = [lo + span * Fraction(int(v), 997)
+                  for v in rng.integers(0, 997, size=4)]
+            if (c4[0], c4[1]) == (c4[2], c4[3]):
+                continue
+            seg = Segment(Point(c4[0], c4[1]), Point(c4[2], c4[3]))
+            try:
+                got = comb_type(ls, cc, seg, hulls)
+            except DegenerateContact:
+                continue
+            want = []
+            for r, h in hulls.items():
+                iv = h.clip_parameter_interval(seg)
+                if iv is None:
+                    continue
+                labels = []
+                for t, end in ((iv[0], 0), (iv[1], 1)):
+                    if t == end:
+                        labels.append(0)
+                        continue
+                    on = [k + 1 for k, s in enumerate(h.sides)
+                          if side_value(s.halfplane, seg.at(t)) == 0]
+                    assert len(on) == 1, (r, t, on)
+                    labels.append(on[0])
+                    checked += 1
+                want.append(((iv[0] + iv[1]) / 2, iv[0],
+                             CombTuple(r.a, r.b, *labels)))
+            want.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
+            assert got == [v[2] for v in want]
+    assert checked >= 50, checked
 
 
 def test_comb_type_degenerate(four_lines):

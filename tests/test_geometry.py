@@ -257,16 +257,33 @@ def test_integer_kernel_on_every_relation():
         _assert_kernel_matches(Segment(_P, _Q), t)
 
 
-@given(st.lists(st.tuples(rationals, rationals), max_size=6))
-def test_clip_to_halfplanes_keeps_the_common_parameters(values):
-    # (vp, vq) are a half-plane's side values at t=0 and t=1, so its value
-    # at t is vp + t*(vq - vp)
-    iv = clip_to_halfplanes(values, Fraction(0), Fraction(1))
+def _value_at(side, p, q, t):
+    # the side value of p + t*(q - p), written out apart from side_value
+    x0, y0, dx, dy = side
+    return (dx * (p.y + t * (q.y - p.y) - y0)
+            - dy * (p.x + t * (q.x - p.x) - x0))
+
+
+# small integer sides and one reported failure keep a counterexample quick
+# to shrink: rational sides took minutes on a broken clip
+@settings(report_multiple_bugs=False)
+@given(st.lists(st.tuples(*[st.integers(-12, 12)] * 4), max_size=6),
+       points, points)
+def test_clip_to_halfplanes_keeps_the_common_parameters(sides, p, q):
+    iv = clip_to_halfplanes(sides, p, q, Fraction(0), Fraction(1))
     probes = {Fraction(k, 64) for k in range(65)}
     if iv is not None:
-        probes |= set(iv)
+        t_lo, t_hi, k_lo, k_hi = iv
+        probes |= {t_lo, t_hi}
+        # a bound moved off an end of the segment names the side that set
+        # it, and that side's line passes through the bound's point
+        assert (k_lo is None) == (t_lo == 0)
+        assert (k_hi is None) == (t_hi == 1)
+        for t, k in ((t_lo, k_lo), (t_hi, k_hi)):
+            if k is not None:
+                assert _value_at(sides[k], p, q, t) == 0
     for t in probes:
-        inside = all(vp + t * (vq - vp) >= 0 for vp, vq in values)
+        inside = all(_value_at(s, p, q, t) >= 0 for s in sides)
         assert inside == (iv is not None and iv[0] <= t <= iv[1]), t
 
 

@@ -49,7 +49,7 @@ def instances(draw):
     ls = draw(line_sets(min_size=2))
     n = len(ls)
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    tree = Tree(n, 0, tuple((p, v) for v, p in enumerate(parents, 1)))
+    tree = Tree(n, tuple((p, v) for v, p in enumerate(parents, 1)))
     asg = draw(st.none() | st.permutations(range(1, n + 1)).map(
         lambda perm: Assignment(tuple(perm))))
     return ls, tree, asg

@@ -17,6 +17,7 @@ from treelines.geometry import (
     line_intersection,
     orientation,
     scalar,
+    side_value,
 )
 from treelines.lineset import (
     CapCup,
@@ -290,23 +291,23 @@ def test_region_hull_side_labels(rng):
         cc = ColorClasses(c, len(ls))
         for r in all_region_indices(cc):
             h = region_hull(ls, cc, r)
+            # a point strictly inside: the centroid of the vertices, moved
+            # into the recession cone of an unbounded hull
+            cx = sum(v.x for v in h.vertices) / len(h.vertices)
+            cy = sum(v.y for v in h.vertices) / len(h.vertices)
+            for s in h.sides:
+                if s.direction is not None:
+                    cx, cy = cx + s.direction[0], cy + s.direction[1]
             for k, s in enumerate(h.sides):
-                if s.start is not None and s.end is not None:
-                    mid = Point((s.start.x + s.end.x) / 2,
-                                (s.start.y + s.end.y) / 2)
-                    assert h.side_label_at(mid) == k + 1
                 # on the side's supporting line but off the side
                 for p in _past_ends(s):
-                    assert s.halfplane_value(p) == 0
-                    assert h.side_label_at(p) == 0, (r, k)
-            # interior points carry label 0
+                    assert side_value(s.halfplane, p) == 0, (r, k)
+                # the hull lies on the side's left
+                assert side_value(s.halfplane, (cx, cy)) > 0, (r, k)
             if h.bounded:
                 # side 1 starts at the smallest vertex by (x, y)
                 assert h.vertices[0] == min(h.vertices,
                                             key=lambda v: (v.x, v.y))
-                cx = sum(v.x for v in h.vertices) / len(h.vertices)
-                cy = sum(v.y for v in h.vertices) / len(h.vertices)
-                assert h.side_label_at(Point(cx, cy)) == 0
 
 
 def test_region_hull_rejects_flat_regions(rng):

@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import treelines
@@ -168,3 +170,27 @@ def test_every_attribute_set_on_self_is_read():
                         node.value.id == "self" and node.attr not in read:
                     unread.add(f"{cls.name}.{node.attr}")
     assert not unread, sorted(unread)
+
+
+def test_every_package_name_is_referenced():
+    # a function, method or class of the package that nothing names outside
+    # its own definition, in the package, its tests or the benchmark, is
+    # dead; a whole-word match anywhere counts.  Dunder methods are called
+    # by the interpreter, not by name
+    texts = {path: path.read_text() for path in
+             [*SRC.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]}
+    words = Counter(w for text in texts.values()
+                    for w in re.findall(r"\w+", text))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = texts[path].splitlines()
+        for node in ast.walk(ast.parse(texts[path])):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) or \
+                    node.name.startswith("__"):
+                continue
+            own = re.findall(r"\w+", "\n".join(
+                lines[node.lineno - 1:node.end_lineno]))
+            if words[node.name] == own.count(node.name):
+                unused.append(f"{path.name}:{node.name}")
+    assert not unused, unused

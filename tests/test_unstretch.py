@@ -115,7 +115,7 @@ def test_apex_and_endpoints(cup_frame):
     cfg = config_from_params(
         cup_frame, [Fraction(k) for k in (0, 1, 2, 3, 4, 5)])
     for j in (1, 2, 3):
-        assert cup_frame.line(2 * j - 1).contains(cfg.endpoint_on_odd(j))
+        assert cup_frame.line(2 * j - 1).contains(cfg.edges[j - 1].p)
         assert cup_frame.line(2 * j).contains(cfg.endpoint_on_even(j))
 
 
