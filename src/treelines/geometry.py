@@ -196,11 +196,21 @@ def clip_to_halfplanes(sides: Iterable[Tuple], p, q, t_lo, t_hi
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
-    """The unique common point of two non-parallel lines, exactly."""
-    if l1.slope == l2.slope:
+    """The unique common point of two non-parallel lines, exactly.  Times
+    sd*bd, the line y = (sn/sd)*x - bn/bd is a*x + b*y + c = 0 with the
+    integers (a, b, c) = (sn*bd, -sd*bd, -bn*sd); the cross product
+    (X, Y, W) of the two lines' triples is the point (X/W, Y/W)."""
+    s, o = l1.slope, l1.dual_offset
+    a1, b1, c1 = (s.numerator * o.denominator, -s.denominator * o.denominator,
+                  -o.numerator * s.denominator)
+    s, o = l2.slope, l2.dual_offset
+    a2, b2, c2 = (s.numerator * o.denominator, -s.denominator * o.denominator,
+                  -o.numerator * s.denominator)
+    w = a1 * b2 - b1 * a2
+    if w == 0:
         raise ParallelLines(f"lines {l1.id} and {l2.id} have equal slope")
-    x = (l1.dual_offset - l2.dual_offset) / (l1.slope - l2.slope)
-    return Point(x, l1.y_at(x))
+    return Point(Fraction(b1 * c2 - c1 * b2, w),
+                 Fraction(c1 * a2 - a1 * c2, w))
 
 
 def dualize_line(l: Line) -> Point:
@@ -334,11 +344,14 @@ def angle_gap(l1: Line, l2: Line) -> Fraction:
     lines, -(1 + s_lo*s_hi)/(s_hi - s_lo): cot is finite and strictly
     decreasing on (0, pi), so the values order and tie as the gaps do.  The
     sign reads the gap against a right angle: < 0 acute, 0 right, > 0
-    obtuse."""
-    s_lo, s_hi = sorted((l1.slope, l2.slope))
-    if s_lo == s_hi:
+    obtuse.  With slopes p1/q1 and p2/q2 this is
+    -(q1*q2 + p1*p2)/|p2*q1 - p1*q2|, taken on the integers."""
+    p1, q1 = l1.slope.numerator, l1.slope.denominator
+    p2, q2 = l2.slope.numerator, l2.slope.denominator
+    d = p2 * q1 - p1 * q2
+    if d == 0:
         raise ParallelLines("angle gap of parallel lines")
-    return -(1 + s_lo * s_hi) / (s_hi - s_lo)
+    return Fraction(-(q1 * q2 + p1 * p2), abs(d))
 
 
 def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int:

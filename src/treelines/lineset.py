@@ -6,13 +6,14 @@ region partition of a slope-sorted arrangement.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
+from typing import (Callable, Dict, FrozenSet, Hashable, List,
                     Optional, Sequence, Tuple)
 
 from .geometry import (
@@ -23,7 +24,6 @@ from .geometry import (
     clip_to_halfplanes,
     convex_hull,
     cross,
-    dualize_line,
     line_intersection,
     on_segment,
     side_value,
@@ -147,10 +147,11 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
                 if lines[i].dual_offset == lines[j].dual_offset:
                     raise DuplicateLine(i, j)
                 raise ParallelPair(i, j)
-    seen: Dict[Point, Tuple[int, int]] = {}
+    # keyed by the crossing's integer triple, one-to-one on points
+    seen: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            p = line_intersection(lines[i], lines[j])
+            p = line_intersection(lines[i], lines[j]).homogeneous
             if p in seen:
                 ids = sorted(set(seen[p]) | {i, j})
                 raise ConcurrentTriple(*ids[:3])
@@ -233,19 +234,35 @@ class PairChains:
         return seq
 
 
-def ranked_chains(vertices: Sequence[int], key: Callable[[int, int], Any],
+def _rank_key(k: Fraction) -> Tuple[float, Fraction]:
+    # float() of a Fraction is one correctly rounded int/int division, so
+    # a < b gives float(a) <= float(b): the float orders the keys it tells
+    # apart and the exact key breaks its ties; a key beyond float range
+    # sorts with +-inf
+    try:
+        return float(k), k
+    except OverflowError:
+        return (math.inf if k > 0 else -math.inf), k
+
+
+def ranked_chains(vertices: Sequence[int],
+                  key: Callable[[int, int], Fraction],
                   lower: Hashable, upper: Hashable) -> PairChains:
     """The chains of the labelling that gives a triple i < j < k the label
-    ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise.
+    ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise, for a
+    rational pair key.
 
-    The pair keys are ranked once, tied keys sharing a rank.  For each
+    The pair keys are ranked once, tied keys sharing a rank, by the pair
+    (float(key), key): the float decides the order wherever it differs,
+    and the exact key decides it where the floats tie.  For each
     middle vertex j, the incoming pairs (i, j) are sorted by rank and
     scanned for running maxima of (length, -i), so each outgoing pair
     (j, k) finds its best predecessor of either label by one bisection:
     the longest-increasing-subsequence sweep (Fredman 1975) once per
     middle vertex, O(n^2 log n) in all.
     """
-    pairs = sorted(((key(i, j), i, j) for b, j in enumerate(vertices)
+    pairs = sorted(((_rank_key(key(i, j)), i, j)
+                    for b, j in enumerate(vertices)
                     for i in vertices[:b]), key=itemgetter(0))
     rank: Dict[Tuple[int, int], int] = {}
     for r, (_, tied) in enumerate(groupby(pairs, key=itemgetter(0))):
@@ -285,10 +302,18 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     # so the turn d_i, d_j, d_k is the sign of slope(d_j, d_k) minus
     # slope(d_i, d_j), never 0 in general position; a concave dual chain
     # (turn -1) gives a line cap, a convex one a cup
-    duals = [dualize_line(l) for l in ls]
-    chains = ranked_chains(
-        range(n), lambda i, j: ((duals[j].y - duals[i].y)
-                                / (duals[j].x - duals[i].x)), -1, +1)
+    duals = [(l.slope.numerator, l.slope.denominator,
+              l.dual_offset.numerator, l.dual_offset.denominator) for l in ls]
+
+    def dual_slope(i: int, j: int) -> Fraction:
+        # (y_j - y_i)/(x_j - x_i) on the integer parts; x_i < x_j, so the
+        # denominator is positive
+        an, ad, bn, bd = duals[i]
+        cn, cd, dn, dd = duals[j]
+        return Fraction((dn * bd - bn * dd) * ad * cd,
+                        (cn * ad - an * cd) * bd * dd)
+
+    chains = ranked_chains(range(n), dual_slope, -1, +1)
 
     def longest(turn: int) -> List[int]:
         # the longest chain, ties to the smallest final pair (j, k)

@@ -71,6 +71,35 @@ def test_line_intersection_examples():
     assert p == Point(Fraction(6, 13), Fraction(2, 13))
 
 
+# numerators up to about 10**40, zero, and denominators other than 1
+wide_rationals = st.one_of(
+    st.just(Fraction(0)), rationals,
+    st.builds(Fraction, st.integers(-10**40, 10**40),
+              st.integers(1, 10**40)))
+
+
+@given(wide_rationals, wide_rationals, wide_rationals, wide_rationals,
+       st.booleans())
+def test_gap_and_crossing_match_the_fraction_formulas(s1, b1, s2, b2,
+                                                      parallel):
+    if parallel:
+        s2 = s1
+    l1, l2 = Line(s1, b1, 1), Line(s2, b2, 2)
+    if s1 == s2:
+        for f in (angle_gap, line_intersection):
+            for pair in ((l1, l2), (l2, l1)):
+                with pytest.raises(ParallelLines):
+                    f(*pair)
+        return
+    s_lo, s_hi = sorted((s1, s2))
+    gap = -(1 + s_lo * s_hi) / (s_hi - s_lo)
+    assert angle_gap(l1, l2) == gap
+    assert angle_gap(l2, l1) == gap
+    x = (b1 - b2) / (s1 - s2)
+    assert line_intersection(l1, l2) == Point(x, s1 * x - b1)
+    assert line_intersection(l2, l1) == Point(x, s1 * x - b1)
+
+
 def test_line_intersection_parallel():
     with pytest.raises(ParallelLines):
         line_intersection(Line(scalar(1), scalar(0)),

@@ -73,6 +73,20 @@ def test_general_position_errors_carry_input_positions():
     assert exc.value.pair == (1, 2)
 
 
+def test_concurrent_triple_off_the_integer_grid():
+    # three lines through (1/3, 2/5), whose coordinates have different
+    # denominators, among two lines off it, in two input orders
+    through = [L(1, "-1/15"), L(2, "4/15"), L("-1/2", "-17/30")]
+    with pytest.raises(ConcurrentTriple) as exc:
+        verify_general_position([L(0, 7), through[0], L(5, 1), through[1],
+                                 through[2]])
+    assert exc.value.triple == (1, 3, 4)
+    with pytest.raises(ConcurrentTriple) as exc:
+        verify_general_position([through[2], L(5, 1), through[1], L(0, 7),
+                                 through[0]])
+    assert exc.value.triple == (0, 2, 4)
+
+
 def test_construction_guard():
     with pytest.raises(TypeError):
         LineSet([L(0, 0)])

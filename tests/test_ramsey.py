@@ -270,6 +270,38 @@ def test_ranked_chains_match_labelled_chains_on_tied_gaps(rng):
     assert ties > 100
 
 
+def test_ranked_chains_break_float_ties_exactly(rng):
+    # keys within 2**-77 of 1 all round to the float 1.0, so only the
+    # exact comparison can rank them; small h make many keys tie exactly
+    n = 14
+    h = iter(int(v) for v in rng.integers(-4, 5, n * (n - 1) // 2))
+    keys = {(i, j): 1 + Fraction(next(h), 2**80)
+            for j in range(n) for i in range(j)}
+    assert {float(k) for k in keys.values()} == {1.0}
+    assert 1 < len(set(keys.values())) < len(keys)
+    _assert_same_chains(
+        range(n), lambda i, j: keys[i, j], "lower", "upper",
+        lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
+
+
+def test_extraction_with_gaps_beyond_float_range():
+    # gaps between slopes near 10**200 are near -10**400, which float()
+    # cannot hold: they must still rank, below every finite gap
+    ls = verify_general_position(
+        [Line(Fraction(10**200 + k * k), Fraction(7 * k + 1))
+         for k in range(6)]
+        + [Line(Fraction(-k), Fraction(k * k + 3)) for k in range(1, 4)])
+    with pytest.raises(OverflowError):
+        float(angle_gap(ls.line(4), ls.line(5)))
+    assert extract_monotone_gaps(ls) == MonotoneGapChain(
+        (4, 5, 6, 7, 8, 9), Direction.NON_DECREASING)
+    assert extract_doubling(ls) == DoublingChain((4, 5, 7), Variant.LOWER)
+    kind, sub = longest_cap_cup(ls)
+    assert kind == lineset.CapCup.CAP
+    assert sub.parent_ids == (4, 5, 6, 7, 8, 9)
+    _assert_gap_chains_match(ls)
+
+
 def test_ranked_chains_match_labelled_chains_on_cups_and_caps(rng):
     for n in range(3, 21):
         cup = random_cup(rng, n)
