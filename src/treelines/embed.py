@@ -287,13 +287,13 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
           budget: int, seed: int) -> SolveResult:
     """Search for a crossing-free embedding respecting the assignment.
 
-    Backtracking over vertices in root-first BFS order through the
-    discretized candidate positions, then up to ``budget`` randomized
-    continuous restarts.  ``budget`` bounds only the restarts: the
-    backtracking has no node limit, and on some 12-vertex instances it
-    runs for more than a minute whatever the budget.  Found embeddings are
-    re-verified exactly; NotFound only reports budget exhaustion, never
-    non-embeddability."""
+    Backtracking over vertices ordered by (depth, id), so every parent
+    comes before its children, through the discretized candidate
+    positions, then up to ``budget`` randomized continuous restarts.
+    ``budget`` bounds only the restarts: the backtracking has no node
+    limit, and on some 12-vertex instances it runs for more than a minute
+    whatever the budget.  Found embeddings are re-verified exactly;
+    NotFound only reports budget exhaustion, never non-embeddability."""
     if len(ls) != t.n:
         raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)

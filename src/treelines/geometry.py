@@ -155,17 +155,12 @@ def orientation(p: Point, q: Point, r: Point) -> int:
     return (d > 0) - (d < 0)
 
 
-def _in_box(s: Segment, p: Point) -> bool:
-    # p inside the bounding box of s: on s when p is collinear with it
-    return (min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
-            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
-
-
 def on_segment(s: Segment, p: Point) -> bool:
-    """Whether p lies on the closed segment s."""
-    if _det(s.p, s.q, p):
-        return False
-    return _in_box(s, p)
+    """Whether p lies on the closed segment s: collinear with it, then
+    inside its bounding box."""
+    return (not _det(s.p, s.q, p)
+            and min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
+            and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
 
 
 def clip_to_halfplanes(sides: Iterable[Tuple], p, q, t_lo, t_hi
@@ -232,41 +227,36 @@ class SegmentRelation(enum.Enum):
 
 
 def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
-    """Exact classification of the intersection of two closed segments."""
+    """Exact classification of the intersection of two closed segments.
+
+    Collinear segments meet not at all, in a piece of positive length
+    (OVERLAP), or in one point, which is then an endpoint of both: a
+    non-degenerate interval cannot meet another only at one of its interior
+    points.  So the endpoints of each segment that lie on the other decide
+    the collinear case, and it never yields TOUCH_ENDPOINT_INTERIOR."""
     o1 = orientation(s1.p, s1.q, s2.p)
     o2 = orientation(s1.p, s1.q, s2.q)
     o3 = orientation(s2.p, s2.q, s1.p)
     o4 = orientation(s2.p, s2.q, s1.q)
 
     if o1 == 0 and o2 == 0:
-        # all four points collinear: 1-d interval arithmetic
-        touching = [p for p in (s2.p, s2.q) if _in_box(s1, p)]
-        touching += [p for p in (s1.p, s1.q) if _in_box(s2, p)]
-        if not touching:
-            return SegmentRelation.DISJOINT
-        distinct = set(touching)
-        if len(distinct) == 1:
-            p = distinct.pop()
-            if p in (s1.p, s1.q) and p in (s2.p, s2.q):
-                return SegmentRelation.TOUCH_ENDPOINT_ENDPOINT
-            return SegmentRelation.TOUCH_ENDPOINT_INTERIOR
-        return SegmentRelation.OVERLAP
-
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        return SegmentRelation.PROPER_CROSS
-
-    contact: Optional[Point] = None
-    if o1 == 0 and _in_box(s1, s2.p):
-        contact = s2.p
-    elif o2 == 0 and _in_box(s1, s2.q):
-        contact = s2.q
-    elif o3 == 0 and _in_box(s2, s1.p):
-        contact = s1.p
-    elif o4 == 0 and _in_box(s2, s1.q):
-        contact = s1.q
-    if contact is None:
+        shared = {p for p in (s2.p, s2.q) if on_segment(s1, p)}
+        shared |= {p for p in (s1.p, s1.q) if on_segment(s2, p)}
+        if len(shared) > 1:
+            return SegmentRelation.OVERLAP
+        if shared:
+            return SegmentRelation.TOUCH_ENDPOINT_ENDPOINT
         return SegmentRelation.DISJOINT
-    if contact in (s1.p, s1.q) and contact in (s2.p, s2.q):
+
+    # the supporting lines meet in one point X (or are parallel, and then
+    # one segment lies strictly on one side of the other's line); an
+    # endpoint with a zero sign is X, and X lies on a closed segment exactly
+    # when its two ends are not strictly on one side of the other's line
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return SegmentRelation.DISJOINT
+    if 0 not in (o1, o2, o3, o4):
+        return SegmentRelation.PROPER_CROSS
+    if 0 in (o1, o2) and 0 in (o3, o4):
         return SegmentRelation.TOUCH_ENDPOINT_ENDPOINT
     return SegmentRelation.TOUCH_ENDPOINT_INTERIOR
 
@@ -328,11 +318,13 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
             continue
         if (sp > 0) == (sq > 0):
             continue
-        # transversal crossing of the supporting line; locate it on the ray
-        along = _along_ray(r, Segment(p, q).at(sp / (sp - sq)))
-        if along < 0:
+        # transversal crossing X of the supporting line: (q-p) x (origin-p)
+        # is along(X) * (sq - sp) up to a positive factor, so its sign times
+        # sq's places X on the ray
+        ahead = orientation(p, q, r.origin) * (1 if sq > 0 else -1)
+        if ahead < 0:
             continue
-        if along == 0:
+        if ahead == 0:
             raise DegenerateContact("polyline crosses exactly through the "
                                     "ray origin")
         total += 1 if sp > 0 else -1

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .geometry import Line
-from .lineset import LineSet, LineSetError, verify_general_position
+from .lineset import (ConcurrentTriple, DuplicateLine, LineSet,
+                      ParallelPair, verify_general_position)
 from .embed import Assignment, EmbedError, Embedding, Tree
 
 
@@ -100,14 +101,26 @@ def _parse(text, allow_tree: bool, require_assign: bool):
 
     if not lines:
         raise ValidationProblem(None, "no lines declared")
-    ids = [i for _, i, _, _ in lines]
-    if len(set(ids)) != len(ids):
-        raise ValidationProblem(lines[0][0], "duplicate line ids")
+    ids = set()
+    for lineno, i, _, _ in lines:
+        if i in ids:
+            raise ValidationProblem(lineno, f"duplicate line id {i}")
+        ids.add(i)
+    # general-position errors name the offending rows by their declared ids,
+    # at the source line of the last of them
     try:
         ls = verify_general_position(
             [Line(s, b, i) for _, i, s, b in lines])
-    except LineSetError as exc:
-        raise ValidationProblem(lines[0][0], str(exc))
+    except (DuplicateLine, ParallelPair) as exc:
+        first, last = (lines[k] for k in exc.pair)
+        what = ("coincide" if isinstance(exc, DuplicateLine)
+                else "are parallel")
+        raise ValidationProblem(last[0],
+                                f"lines {first[1]} and {last[1]} {what}")
+    except ConcurrentTriple as exc:
+        rows = [lines[k] for k in exc.triple]
+        raise ValidationProblem(rows[-1][0], "lines " + ", ".join(
+            str(row[1]) for row in rows) + " meet in a single point")
     # declared ids must match the slope-sorted numbering the library uses
     by_slope = sorted(lines, key=lambda row: row[2])
     for rank, (lineno, i, _, _) in enumerate(by_slope, 1):

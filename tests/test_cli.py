@@ -71,6 +71,23 @@ def test_parse_id_must_be_slope_rank():
         parse_lines("l 1 -1 0\nl 1 0 -1\n")
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("l 1 -1 0\nl 3 0 1\nl 3 1 0\n", 3, "duplicate line id 3"),
+    ("l 1 -1 0\nl 2 0 1\nl 3 1 0\nl 4 2 5\nl 5 0 1\n", 5,
+     "lines 2 and 5 coincide"),
+    ("l 3 0 0\n# a comment row\nl 1 1 0\nl 2 1 1\n", 4,
+     "lines 1 and 2 are parallel"),
+    ("# three lines through the origin\nl 2 0 0\nl 1 -1 0\nl 3 1 0\n", 4,
+     "lines 2, 1, 3 meet in a single point"),
+], ids=["duplicate-id", "coincide", "parallel", "concurrent"])
+def test_parse_errors_name_the_offending_row(text, lineno, message):
+    # the source line of the last offending row, and the declared ids
+    with pytest.raises(ValidationProblem) as exc:
+        parse_lines(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
 def test_parse_instance_and_assignment():
     ls, tree, asg = parse_instance(INSTANCE3)
     assert tree.n == 3 and tree.edges == ((0, 1), (1, 2))

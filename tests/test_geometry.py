@@ -189,6 +189,28 @@ def test_segments_against_brute_force(rng):
         want = _brute_segment_relation(s1, s2)
         assert got == want, (s1, s2)
         assert segments_intersect(s2, s1) == got
+    # the draw above almost never makes collinear pairs; endpoints on the
+    # 4 x 4 integer grid reach every collinear relation and both touches
+    # between segments whose lines cross
+    reached = set()
+    for _ in range(5_000):
+        c = [Fraction(int(v)) for v in rng.integers(0, 4, size=8)]
+        try:
+            s1 = Segment(Point(c[0], c[1]), Point(c[2], c[3]))
+            s2 = Segment(Point(c[4], c[5]), Point(c[6], c[7]))
+        except ValueError:
+            continue
+        want = _brute_segment_relation(s1, s2)
+        assert segments_intersect(s1, s2) == want, (s1, s2)
+        assert segments_intersect(s2, s1) == want, (s2, s1)
+        collinear = (_fraction_orientation(s1.p, s1.q, s2.p) == 0
+                     and _fraction_orientation(s1.p, s1.q, s2.q) == 0)
+        reached.add((collinear, want))
+    assert {(True, SegmentRelation.DISJOINT),
+            (True, SegmentRelation.TOUCH_ENDPOINT_ENDPOINT),
+            (True, SegmentRelation.OVERLAP),
+            (False, SegmentRelation.TOUCH_ENDPOINT_ENDPOINT),
+            (False, SegmentRelation.TOUCH_ENDPOINT_INTERIOR)} <= reached
 
 
 @given(points, points,
