@@ -147,11 +147,14 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
                 if lines[i].dual_offset == lines[j].dual_offset:
                     raise DuplicateLine(i, j)
                 raise ParallelPair(i, j)
-    # keyed by the crossing's integer triple, one-to-one on points
-    seen: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    # keyed by the crossing's reduced numerators and denominators, which
+    # are canonical, so the key is one-to-one on points
+    seen: Dict[Tuple[int, int, int, int], Tuple[int, int]] = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            p = line_intersection(lines[i], lines[j]).homogeneous
+            pt = line_intersection(lines[i], lines[j])
+            x, y = pt.x, pt.y
+            p = x.numerator, x.denominator, y.numerator, y.denominator
             if p in seen:
                 ids = sorted(set(seen[p]) | {i, j})
                 raise ConcurrentTriple(*ids[:3])
@@ -174,15 +177,18 @@ def candidate_positions(ls: LineSet, line_id: int,
                         refine: int) -> Tuple[Fraction, ...]:
     """Discretized x-positions on a line: ``refine`` equally spaced rational
     points strictly inside each finite interval between consecutive
-    intersection abscissas, plus one sentinel beyond each extreme.  Never
-    returns a breakpoint.  Computed once per line set, line and
-    ``refine``."""
+    intersection abscissas, plus one sentinel beyond each extreme; a line
+    that crosses no other has the single position 0.  Never returns a
+    breakpoint.  Computed once per line set, line and ``refine``."""
     if refine < 1:
         raise LineSetError("refine must be >= 1")
     key = (line_id, refine)
     out = ls._candidates.get(key)
     if out is None:
         xs = [pt.x for _, pt in intersection_order(ls, line_id)]
+        if not xs:
+            out = ls._candidates[key] = (Fraction(0),)
+            return out
         cand: List[Fraction] = [xs[0] - 1]
         for x0, x1 in zip(xs, xs[1:]):
             step = (x1 - x0) / (refine + 1)
@@ -193,22 +199,28 @@ def candidate_positions(ls: LineSet, line_id: int,
 
 
 def classify_cap_cup(ls: LineSet) -> CapCup:
-    """Cap iff along every line the intersections with the others, taken in
-    id order, run right to left; cup for left to right."""
+    """Cup iff the crossings of consecutive lines run left to right,
+    x_12 < x_23 < ... < x_{n-1,n}, where x_ij is the abscissa of
+    ``ls.intersection(i, j)``; cap iff they run right to left.
+
+    x_ij = (b_j - b_i)/(s_j - s_i) is the slope between the dual points
+    (s_i, b_i) and (s_j, b_j), and the dual chain is sorted by slope.  So
+    increasing consecutive x make it turn left at every inner point: it is
+    convex, and x_ij < x_ik < x_jk for every i < j < k, which orders the
+    crossings along every line by the partner's id, left to right (the
+    full definition of a cup).  Conversely that order on line i + 1 puts
+    x_{i,i+1} before x_{i+1,i+2}.  A cap is the mirror image.  In general
+    position consecutive abscissas differ, since equal ones would make
+    three lines concurrent."""
     n = len(ls)
     if n < 3:
         raise TooFew("cap/cup needs at least 3 lines")
-    is_cap = True
-    is_cup = True
-    for i in range(1, n + 1):
-        xs = [ls.intersection(i, j).x for j in range(1, n + 1) if j != i]
-        if any(a <= b for a, b in zip(xs, xs[1:])):
-            is_cap = False
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            is_cup = False
-        if not (is_cap or is_cup):
-            return CapCup.NEITHER
-    return CapCup.CAP if is_cap else CapCup.CUP
+    xs = [ls.intersection(i, i + 1).x for i in range(1, n)]
+    if all(a < b for a, b in zip(xs, xs[1:])):
+        return CapCup.CUP
+    if all(a > b for a, b in zip(xs, xs[1:])):
+        return CapCup.CAP
+    return CapCup.NEITHER
 
 
 class PairChains:
@@ -293,40 +305,21 @@ def ranked_chains(vertices: Sequence[int],
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
-    """Largest subset forming a cap or cup, found by the longest
-    concave/convex chain dynamic program over the dual point set."""
+    """Largest subset forming a cap or cup: the longest chain of ids whose
+    consecutive crossings x_ij, x_jk (the abscissas of
+    ``ls.intersection``) strictly decrease, for a cap, or increase, for a
+    cup (see :func:`classify_cap_cup`).  Ties go to the cap, then to the
+    smallest final pair of ids."""
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    # dual points are (slope, dual_offset), already x-sorted by slope order,
-    # so the turn d_i, d_j, d_k is the sign of slope(d_j, d_k) minus
-    # slope(d_i, d_j), never 0 in general position; a concave dual chain
-    # (turn -1) gives a line cap, a convex one a cup
-    duals = [(l.slope.numerator, l.slope.denominator,
-              l.dual_offset.numerator, l.dual_offset.denominator) for l in ls]
-
-    def dual_slope(i: int, j: int) -> Fraction:
-        # (y_j - y_i)/(x_j - x_i) on the integer parts; x_i < x_j, so the
-        # denominator is positive
-        an, ad, bn, bd = duals[i]
-        cn, cd, dn, dd = duals[j]
-        return Fraction((dn * bd - bn * dd) * ad * cd,
-                        (cn * ad - an * cd) * bd * dd)
-
-    chains = ranked_chains(range(n), dual_slope, -1, +1)
-
-    def longest(turn: int) -> List[int]:
-        # the longest chain, ties to the smallest final pair (j, k)
-        _, j, k = min(((-m, j, k) for (j, k, lab), m in chains.length.items()
-                       if lab == turn), default=(-2, 0, 1))
-        return chains.chain(j, k, turn)
-
-    cap_chain, cup_chain = longest(-1), longest(+1)
-    if len(cap_chain) >= len(cup_chain):
-        kind, chain = CapCup.CAP, cap_chain
-    else:
-        kind, chain = CapCup.CUP, cup_chain
-    sub = ls.subset([i + 1 for i in chain])
+    chains = ranked_chains(range(1, n + 1),
+                           lambda i, j: ls.intersection(i, j).x, -1, +1)
+    # the longest chain of either label, the cap label -1 first on ties
+    _, lab, j, k = min((-m, lab, j, k)
+                       for (j, k, lab), m in chains.length.items())
+    kind = CapCup.CAP if lab == -1 else CapCup.CUP
+    sub = ls.subset(chains.chain(j, k, lab))
     if classify_cap_cup(sub) != kind:
         raise PostconditionError(f"extracted {kind.value} fails the "
                                  f"cap/cup check")

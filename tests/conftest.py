@@ -49,6 +49,13 @@ def random_cup(rng: np.random.Generator, n: int,
             continue
 
 
+def mirrored(ls: LineSet) -> LineSet:
+    """Reflect the dual points in the slope axis, Line(s, -b): a cup
+    becomes a cap and a cap a cup."""
+    return verify_general_position(
+        [Line(l.slope, -l.dual_offset) for l in ls])
+
+
 def slope_of_degrees(deg: float) -> Fraction:
     """Rational slope close to tan(deg degrees), rounded at 1e-9."""
     return Fraction(round(math.tan(math.radians(deg)) * 10**9), 10**9)

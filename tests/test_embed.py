@@ -193,6 +193,18 @@ def test_solve_and_verify(four_lines):
     assert rep.crossing_free
 
 
+def test_solve_and_scan_on_a_one_vertex_tree():
+    # a lone line crosses nothing, so its one candidate position is 0
+    ls = verify_general_position([Line(scalar(0), scalar(0))])
+    tree, asg = Tree(1, ()), Assignment((1,))
+    assert candidate_positions(ls, 1, 4) == (Fraction(0),)
+    res = solve(ls, tree, asg, refine=4, budget=10, seed=0)
+    assert res.found and res.embedding == Embedding((Fraction(0),))
+    assert check_embedding(ls, tree, asg, res.embedding).crossing_free
+    rep = scan_universality(ls, tree, refine=4, budget=10)
+    assert (rep.total, rep.found, rep.all_found) == (1, ((1,),), True)
+
+
 def test_solve_raises_when_its_embedding_fails_the_check(four_lines,
                                                          monkeypatch):
     monkeypatch.setattr(embed, "check_embedding",

@@ -41,7 +41,7 @@ from treelines.lineset import (
 )
 from treelines.ramsey import mono_path_bound
 
-from conftest import angle_lineset, random_cup, random_lines
+from conftest import angle_lineset, mirrored, random_cup, random_lines
 
 
 def L(s, b):
@@ -122,6 +122,72 @@ def test_cap_iff_dual_cap_chain(rng):
     for _ in range(30):
         ls = random_lines(rng, int(rng.integers(3, 8)))
         assert classify_cap_cup(ls) == _dual_chain_kind(ls)
+
+
+def _row_walk_kind(ls):
+    """Cap/cup by the full definition: along every line the crossings with
+    the others, taken in id order, run right to left for a cap and left
+    to right for a cup."""
+    n = len(ls)
+    rows = [[ls.intersection(i, j).x for j in range(1, n + 1) if j != i]
+            for i in range(1, n + 1)]
+    if all(a > b for xs in rows for a, b in zip(xs, xs[1:])):
+        return CapCup.CAP
+    if all(a < b for xs in rows for a, b in zip(xs, xs[1:])):
+        return CapCup.CUP
+    return CapCup.NEITHER
+
+
+def _near_cup(rng, n):
+    """A random cup with one dual offset moved by k/1009, which may keep
+    it a cup or break it; retries until the validators pass."""
+    while True:
+        lines = list(random_cup(rng, n))
+        i = int(rng.integers(n))
+        k = int(rng.integers(-3000, 3001))
+        lines[i] = Line(lines[i].slope,
+                        lines[i].dual_offset + Fraction(k, 1009))
+        try:
+            return verify_general_position(lines)
+        except LineSetError:
+            continue
+
+
+def test_classify_matches_the_row_walk(rng):
+    seen = defaultdict(int)
+    near_kinds = set()
+    for n in range(3, 31):
+        cup, near = random_cup(rng, n), _near_cup(rng, n)
+        near_kinds.add(_row_walk_kind(near))
+        for ls in (random_lines(rng, n), cup, mirrored(cup), near,
+                   mirrored(near)):
+            kind = _row_walk_kind(ls)
+            assert classify_cap_cup(ls) == kind, n
+            seen[kind] += 1
+            extracted, sub = longest_cap_cup(ls)
+            assert _row_walk_kind(sub) == extracted
+            if kind != CapCup.NEITHER:
+                assert (extracted, len(sub)) == (kind, n)
+    # every kind is reached, and some near-cups stay cups while others break
+    assert min(seen[kind] for kind in CapCup) >= 28, seen
+    assert near_kinds == {CapCup.CUP, CapCup.NEITHER}
+
+
+def test_classify_reads_the_crossings_of_consecutive_lines(rng,
+                                                           monkeypatch):
+    read = []
+    intersection = LineSet.intersection
+
+    def counted(self, i, j):
+        read.append((i, j))
+        return intersection(self, i, j)
+
+    monkeypatch.setattr(LineSet, "intersection", counted)
+    for n in (3, 12, 30):
+        for ls in (random_lines(rng, n), random_cup(rng, n)):
+            read.clear()
+            classify_cap_cup(ls)
+            assert read == [(i, i + 1) for i in range(1, n)]
 
 
 def _brute_longest_cap_cup(ls):
@@ -424,18 +490,12 @@ def _assert_hulls_match_oracle(ls, cc):
         assert sorted(sides) == sorted(facets[r]), r
 
 
-def _mirrored(ls):
-    """Reflect the dual points in the slope axis: a cup becomes a cap."""
-    return verify_general_position(
-        [Line(l.slope, -l.dual_offset) for l in ls])
-
-
 def test_region_hull_matches_brute_force_oracle(rng):
     for n, c in ((12, 4), (8, 2), (9, 3)):
         cc = ColorClasses(c, n)
         for _ in range(3):
             cup = random_cup(rng, n)
-            cap = _mirrored(cup)
+            cap = mirrored(cup)
             assert classify_cap_cup(cup) == CapCup.CUP
             assert classify_cap_cup(cap) == CapCup.CAP
             for ls in (random_lines(rng, n), cap, cup):

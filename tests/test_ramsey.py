@@ -31,7 +31,7 @@ from treelines.ramsey import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      random_cup, random_lines)
+                      mirrored, random_cup, random_lines)
 
 
 def test_mono_path_bound_table():
@@ -305,8 +305,7 @@ def test_extraction_with_gaps_beyond_float_range():
 def test_ranked_chains_match_labelled_chains_on_cups_and_caps(rng):
     for n in range(3, 21):
         cup = random_cup(rng, n)
-        cap = verify_general_position(
-            [Line(l.slope, -l.dual_offset) for l in cup])
+        cap = mirrored(cup)
         for ls in (cup, cap):
             _assert_gap_chains_match(ls)
             _assert_cap_cup_chains_match(ls)
