@@ -107,14 +107,6 @@ class Tree:
         return order
 
 
-def path_tree(n: int) -> Tree:
-    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def star_tree(n: int) -> Tree:
-    return Tree(n, tuple((0, i) for i in range(1, n)))
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Bijection from tree vertices to line ids."""
@@ -417,6 +409,14 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     """The sequence of region hulls a segment traverses from p to q, with
     entry/exit side labels; traversals are ordered along the segment (by
     the midpoint of each clipped parameter interval)."""
+    return [ct for _, ct in _visits(ls, cc, seg, hulls)]
+
+
+def _visits(ls: LineSet, cc: ColorClasses, seg: Segment,
+            hulls: Optional[Dict[RegionIndex, RegionHull]]
+            ) -> List[Tuple[Fraction, CombTuple]]:
+    """comb_type's traversals in its order, each with the parameter at
+    which the segment enters the hull: one clip per hull."""
     if ls.crossings_on(seg):
         raise DegenerateContact("segment touches an arrangement "
                                 "intersection point")
@@ -425,13 +425,13 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     visits = []
     for r, h in hulls.items():
         iv = h.clip_parameter_interval(seg)
-        if iv is None:
-            continue
-        t_lo, t_hi, enter, leave = iv
-        visits.append(((t_lo + t_hi) / 2, t_lo,
-                       CombTuple(r.a, r.b, enter, leave)))
+        if iv is not None:
+            t_lo, t_hi, enter, leave = iv
+            # t_lo + t_hi orders the visits as their midpoints do
+            visits.append((t_lo + t_hi, t_lo,
+                           CombTuple(r.a, r.b, enter, leave)))
     visits.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
-    return [v[2] for v in visits]
+    return [(t_lo, ct) for _, t_lo, ct in visits]
 
 
 def color_type(t: Tree, asg: Assignment, cc: ColorClasses,
@@ -492,14 +492,12 @@ def _walk_path(ls: LineSet, cc: ColorClasses, asg: Assignment,
     entries = [start_pt]
     for u, v in zip(path, path[1:]):
         seg = Segment(emb.point_of(ls, asg, u), emb.point_of(ls, asg, v))
-        for ct in comb_type(ls, cc, seg, hulls):
+        for t_lo, ct in _visits(ls, cc, seg, hulls):
             r = RegionIndex(ct.a, ct.b)
             if ct.enter == 0 and r == regions[-1]:
                 continue       # still inside the region we were already in
             regions.append(r)
-            h = hulls[r]
-            iv = h.clip_parameter_interval(seg)
-            entries.append(seg.at(iv[0]))
+            entries.append(seg.at(t_lo))
     return regions, entries
 
 

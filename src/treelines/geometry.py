@@ -3,8 +3,9 @@ everything else is built on.
 
 All coordinates and slopes are ``fractions.Fraction`` values, so every
 predicate here is decided exactly; nothing rounds.  The orientation and
-collinearity signs are taken on each point's integer homogeneous
-coordinates, which skips the gcd normalisation of Fraction arithmetic.
+collinearity signs, and the side of a line a point is on, are taken on
+integer homogeneous coordinates and integer line triples (A, B, C), which
+skips the gcd normalisation of Fraction arithmetic.
 Angles are never stored numerically: an angle gap is represented by its
 negated cotangent, a rational function of the two slopes.
 """
@@ -12,6 +13,7 @@ negated cotangent, a rational function of the two slopes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -131,12 +133,24 @@ def cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
     return ox * ay - oy * ax
 
 
-def side_value(side: Tuple, p) -> Fraction:
-    """(dx, dy) x (p - (x0, y0)) for a side (x0, y0, dx, dy) and an (x, y)
-    pair p: >0 when p lies left of the directed line, <0 right, 0 on it."""
-    x0, y0, dx, dy = side
-    px, py = p
-    return cross(dx, dy, px - x0, py - y0)
+def line_through(p: Tuple[int, int, int], q: Tuple[int, int, int]
+                 ) -> Tuple[int, int, int]:
+    """The directed line from p to q, homogeneous integer points (X, Y, W)
+    with W >= 0 (W = 0 is a direction), as the cross product p x q divided
+    by its gcd, which is positive: a primitive triple (A, B, C) such that a
+    point (X, Y, W) with W > 0 lies left of the line iff A*X + B*Y + C*W,
+    the determinant of _det up to a positive factor, is > 0."""
+    x1, y1, w1 = p
+    x2, y2, w2 = q
+    a, b, c = y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def at_infinity(dx: Fraction, dy: Fraction) -> Tuple[int, int, int]:
+    """The point at infinity in the direction (dx, dy), as an integer
+    homogeneous triple (X, Y, 0) with (X, Y) a positive multiple of it."""
+    return (dx.numerator * dy.denominator, dy.numerator * dx.denominator, 0)
 
 
 def _det(p: Point, q: Point, r: Point) -> int:
@@ -163,31 +177,38 @@ def on_segment(s: Segment, p: Point) -> bool:
             and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
 
 
-def clip_to_halfplanes(sides: Iterable[Tuple], p, q, t_lo, t_hi
+def clip_to_halfplanes(sides: Iterable[Tuple], p: Tuple, q: Tuple
                        ) -> Optional[Tuple]:
-    """Clip the parameter interval [t_lo, t_hi] of the segment p + t*(q - p)
-    to the half-planes left of or on the sides (see side_value), as Cyrus
-    and Beck do.  Returns (t_lo, t_hi, k_lo, k_hi): the clipped interval,
-    (t, t) when it shrinks to one point, and the positions in sides of the
-    half-planes that set its bounds, None for a bound left as given; or
-    None when it is empty.  Exact on Fraction values; also used on floats."""
+    """Clip the segment p + t*(q - p), 0 <= t <= 1, of homogeneous points
+    (X, Y, W) with W > 0 to the half-planes A*x + B*y + C >= 0 of the
+    sides (A, B, C), as Cyrus and Beck do.  Returns (lo, hi, k_lo, k_hi):
+    the clipped interval as pairs (n, d), d > 0, for t = n/d (equal in
+    value when it is one point), and the positions in sides of the
+    half-planes that set its bounds, None for an end of the segment; or
+    None when it is empty.  Parameters are compared by cross-multiplying,
+    never divided, so the clip is exact on integers; it also runs on
+    floats with W = 1."""
+    xp, yp, wp = p
+    xq, yq, wq = q
+    n_lo, d_lo, n_hi, d_hi = 0, 1, 1, 1
     k_lo = k_hi = None
-    for k, side in enumerate(sides):
-        vp = side_value(side, p)
-        vq = side_value(side, q)
-        if vp < 0 and vq < 0:
+    for k, (A, B, C) in enumerate(sides):
+        # the side's values at p and q, both times W_p * W_q
+        a = (A * xp + B * yp + C * wp) * wq
+        b = (A * xq + B * yq + C * wq) * wp
+        if a < 0 and b < 0:
             return None
-        if vp == vq:
+        if a < b:         # entering the half-plane at t = -a/(b - a)
+            if -a * d_lo > n_lo * (b - a):
+                n_lo, d_lo, k_lo = -a, b - a, k
+        elif a > b:       # leaving it at t = a/(a - b)
+            if a * d_hi < n_hi * (a - b):
+                n_hi, d_hi, k_hi = a, a - b, k
+        else:
             continue
-        t = vp / (vp - vq)
-        if vp < vq:       # entering the half-plane at t
-            if t > t_lo:
-                t_lo, k_lo = t, k
-        elif t < t_hi:    # leaving it at t
-            t_hi, k_hi = t, k
-        if t_lo > t_hi:
+        if n_lo * d_hi > n_hi * d_lo:
             return None
-    return t_lo, t_hi, k_lo, k_hi
+    return (n_lo, d_lo), (n_hi, d_hi), k_lo, k_hi
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
@@ -211,11 +232,6 @@ def line_intersection(l1: Line, l2: Line) -> Point:
 def dualize_line(l: Line) -> Point:
     """y = a*x - b  ->  (a, b)."""
     return Point(l.slope, l.dual_offset)
-
-
-def dualize_point(p: Point, id: int = 0) -> Line:
-    """(a, b)  ->  y = a*x - b.  Inverse of dualize_line."""
-    return Line(p.x, p.y, id)
 
 
 class SegmentRelation(enum.Enum):
@@ -297,14 +313,15 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     the right count -1."""
     if len(polyline) < 2:
         raise ValueError("polyline needs at least 2 points")
-    side = (r.origin.x, r.origin.y, r.dx, r.dy)
-    for v in polyline:
-        if side_value(side, v) == 0 and _along_ray(r, v) >= 0:
+    A, B, C = line_through(r.origin.homogeneous, at_infinity(r.dx, r.dy))
+    # each vertex's side value against the ray's line, times W > 0
+    values = [A * X + B * Y + C * W for X, Y, W in
+              (v.homogeneous for v in polyline)]
+    for v, s in zip(polyline, values):
+        if s == 0 and _along_ray(r, v) >= 0:
             raise DegenerateContact(f"polyline vertex {v} lies on the ray")
     total = 0
-    for p, q in zip(polyline, polyline[1:]):
-        sp = side_value(side, p)
-        sq = side_value(side, q)
+    for p, q, sp, sq in zip(polyline, polyline[1:], values, values[1:]):
         if sp == 0 and sq == 0:
             # collinear with the supporting line but off the ray (vertices on
             # the ray were rejected above); the sub-segment could still reach
@@ -319,8 +336,8 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
         if (sp > 0) == (sq > 0):
             continue
         # transversal crossing X of the supporting line: (q-p) x (origin-p)
-        # is along(X) * (sq - sp) up to a positive factor, so its sign times
-        # sq's places X on the ray
+        # is along(X) times a rise of sq's sign up to a positive factor, so
+        # its sign times sq's places X on the ray
         ahead = orientation(p, q, r.origin) * (1 if sq > 0 else -1)
         if ahead < 0:
             continue

@@ -178,14 +178,5 @@ def serialize_lines(ls: LineSet) -> str:
     return "".join(f"l {l.id} {l.slope} {l.dual_offset}\n" for l in ls)
 
 
-def serialize_instance(ls: LineSet, t: Tree,
-                       asg: Optional[Assignment]) -> str:
-    out = [serialize_lines(ls)]
-    out += [f"e {u} {v}\n" for u, v in t.edges]
-    if asg is not None:
-        out += [f"a {v} {asg.line_of(v)}\n" for v in range(t.n)]
-    return "".join(out)
-
-
 def serialize_embedding(emb: Embedding) -> str:
     return "".join(f"p {v} {x}\n" for v, x in enumerate(emb.pos))

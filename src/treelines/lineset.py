@@ -21,12 +21,13 @@ from .geometry import (
     Point,
     PostconditionError,
     Segment,
+    at_infinity,
     clip_to_halfplanes,
     convex_hull,
     cross,
     line_intersection,
+    line_through,
     on_segment,
-    side_value,
 )
 
 
@@ -395,24 +396,23 @@ class HullSide:
     """One side of a region hull: a finite edge or an infinite ray.
 
     ``start``/``end`` are the finite endpoints when present; for a ray side
-    exactly one of them is None and ``direction`` points to infinity.
-    """
+    exactly one of them is None and ``direction`` points to infinity.  The
+    clip and ``RegionHull.contains`` read the side's ``halfplane``, an
+    integer line triple computed on first use, outside the fields."""
 
     start: Optional[Point]
     end: Optional[Point]
     direction: Optional[Tuple[Fraction, Fraction]] = None
 
-    @property
-    def halfplane(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        """The side as a directed line (x0, y0, dx, dy), hull on its left."""
-        if self.start is None:
-            # boundary runs from infinity toward ``end``: direction -d
-            dx, dy = self.direction
-            return (self.end.x, self.end.y, -dx, -dy)
-        if self.end is None:
-            return (self.start.x, self.start.y, *self.direction)
-        return (self.start.x, self.start.y, self.end.x - self.start.x,
-                self.end.y - self.start.y)
+    @cached_property
+    def halfplane(self) -> Tuple[int, int, int]:
+        """The side's directed line as a primitive integer triple
+        (A, B, C), the hull on A*x + B*y + C >= 0 (see
+        ``geometry.line_through``); a missing end is the point at infinity
+        along ``direction``, where a ray with no ``start`` comes from."""
+        ends = [at_infinity(*self.direction) if p is None else p.homogeneous
+                for p in (self.start, self.end)]
+        return line_through(*ends)
 
 
 class UnboundedHullError(LineSetError):
@@ -435,7 +435,9 @@ class RegionHull:
         return len(self.sides)
 
     def contains(self, p: Point) -> bool:
-        return all(side_value(s.halfplane, p) >= 0 for s in self.sides)
+        X, Y, W = p.homogeneous
+        return all(A * X + B * Y + C * W >= 0
+                   for A, B, C in (s.halfplane for s in self.sides))
 
     def clip_parameter_interval(
         self, seg: Segment
@@ -443,13 +445,15 @@ class RegionHull:
         """Parameter interval [t0, t1] of seg (p at t=0, q at t=1) inside the
         closed hull and the labels of the sides it enters and leaves by (0 at
         an end of seg), or None if that is empty or a single point."""
-        iv = clip_to_halfplanes((s.halfplane for s in self.sides), seg.p,
-                                seg.q, Fraction(0), Fraction(1))
-        if iv is None or iv[0] == iv[1]:
+        iv = clip_to_halfplanes((s.halfplane for s in self.sides),
+                                seg.p.homogeneous, seg.q.homogeneous)
+        if iv is None:
             return None
-        t0, t1, k0, k1 = iv
-        return (t0, t1, 0 if k0 is None else k0 + 1,
-                0 if k1 is None else k1 + 1)
+        (n0, d0), (n1, d1), k0, k1 = iv
+        if n0 * d1 == n1 * d0:
+            return None
+        return (Fraction(n0, d0), Fraction(n1, d1),
+                0 if k0 is None else k0 + 1, 0 if k1 is None else k1 + 1)
 
 
 def _region_members(ls: LineSet, cc: ColorClasses,

@@ -25,9 +25,8 @@ from .geometry import (
     angle_gap,
     clip_to_halfplanes,
     convex_hull,
+    line_through,
     orientation,
-    segments_intersect,
-    SegmentRelation,
 )
 from .lineset import CapCup, LineSet, classify_cap_cup
 from .ramsey import Variant, doubling_failure
@@ -81,11 +80,13 @@ class SixLineFrame:
         return self.sub.intersection_points()
 
     @cached_property
-    def hull_halfplanes(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The CCW hull of the 15 crossings as its sides (x0, y0, dx, dy),
-        built on first use and kept with the frame."""
+    def hull_halfplanes(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The CCW hull of the 15 crossings as the primitive integer
+        triples (A, B, C) of its sides, the hull on A*x + B*y + C >= 0
+        (see ``geometry.line_through``); built on first use and kept with
+        the frame."""
         hull = convex_hull(self.intersection_points())
-        return tuple((u.x, u.y, v.x - u.x, v.y - u.y)
+        return tuple(line_through(u.homogeneous, v.homogeneous)
                      for u, v in zip(hull, hull[1:] + hull[:1]))
 
 
@@ -184,8 +185,8 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
         for j in (1, 2, 3):
             e = cfg.edges[j - 1]
             # a single common point already counts as meeting the hull
-            if clip_to_halfplanes(frame.hull_halfplanes, e.p, e.q, 0, 1) \
-                    is not None:
+            if clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
+                                  e.q.homogeneous) is not None:
                 failures.append(("ii", j))
 
     if "iii" not in skip:
@@ -205,15 +206,6 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
                 failures.append(("iii", j))
 
     return ConfigVerdict(not failures, tuple(failures))
-
-
-def config_edges_disjoint(cfg: TripleEdgeConfig) -> bool:
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if segments_intersect(cfg.edges[a], cfg.edges[b]) is not \
-                    SegmentRelation.DISJOINT:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -293,11 +285,6 @@ def _sine_ordering(s: Sequence[mpmath.mpf]) -> bool:
     down = all(s[k] >= s[k + 1] for k in range(1, 5)) and s[0] >= s[1]
     up = all(s[k] <= s[k + 1] for k in range(1, 5)) and s[0] >= s[5]
     return down or up
-
-
-def sine_hypothesis_holds(cv: ChainValues) -> bool:
-    with mpmath.workdps(DPS):
-        return _sine_ordering([mpmath.sin(x) for x in cv.alpha])
 
 
 def lemma24_check(cv: ChainValues) -> Lemma24Result:
@@ -392,8 +379,8 @@ class _FrameFloats:
         self.center = pts.mean(axis=0)
         self.radius = max(1.0, np.max(np.linalg.norm(pts - self.center,
                                                      axis=1)))
-        # plain floats: the hull has a handful of edges, too few for numpy
-        # to pay off per call
+        # the exact line triples as plain floats, clipped with W = 1: the
+        # hull has a handful of edges, too few for numpy to pay off per call
         self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
 
     def clearly_meets_hull(self, u, t) -> bool:
@@ -405,10 +392,12 @@ class _FrameFloats:
             py = float(self.s[2 * j - 2] * u[j - 1] - self.b[2 * j - 2])
             qx = float(t[j - 1])
             qy = float(self.s[2 * j - 1] * t[j - 1] - self.b[2 * j - 1])
-            iv = clip_to_halfplanes(self.hull_edges, (px, py), (qx, qy),
-                                    0.0, 1.0)
-            if iv is not None and iv[1] - iv[0] > 1e-9:
-                return True
+            iv = clip_to_halfplanes(self.hull_edges, (px, py, 1.0),
+                                    (qx, qy, 1.0))
+            if iv is not None:
+                (n0, d0), (n1, d1), _, _ = iv
+                if n1 / d1 - n0 / d0 > 1e-9:
+                    return True
         return False
 
     # -- sampling ----------------------------------------------------------

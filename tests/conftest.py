@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treelines.geometry import Line
+from treelines.embed import Tree
+from treelines.geometry import Line, Point
+from treelines.io_formats import serialize_lines
 from treelines.lineset import LineSet, LineSetError, verify_general_position
 
 
@@ -54,6 +56,31 @@ def mirrored(ls: LineSet) -> LineSet:
     becomes a cap and a cap a cup."""
     return verify_general_position(
         [Line(l.slope, -l.dual_offset) for l in ls])
+
+
+def line_value(line, p: Point) -> int:
+    """A*X + B*Y + C*W of a line triple (A, B, C) at the homogeneous
+    coordinates of p: > 0 left of the line, 0 on it, < 0 right."""
+    (A, B, C), (X, Y, W) = line, p.homogeneous
+    return A * X + B * Y + C * W
+
+
+def path_tree(n: int) -> Tree:
+    return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def star_tree(n: int) -> Tree:
+    return Tree(n, tuple((0, i) for i in range(1, n)))
+
+
+def serialize_instance(ls: LineSet, t: Tree, asg) -> str:
+    """The instance format's ``l``, ``e`` and, with an assignment, ``a``
+    rows."""
+    out = [serialize_lines(ls)]
+    out += [f"e {u} {v}\n" for u, v in t.edges]
+    if asg is not None:
+        out += [f"a {v} {asg.line_of(v)}\n" for v in range(t.n)]
+    return "".join(out)
 
 
 def slope_of_degrees(deg: float) -> Fraction:

@@ -67,12 +67,11 @@ from treelines.embed import (
     ViolationKind,
     check_embedding,
     comb_type,
-    path_tree,
     scan_universality,
-    star_tree,
 )
 
-from conftest import angle_lineset, random_cup, random_lines, slope_of_degrees
+from conftest import (angle_lineset, path_tree, random_cup, random_lines,
+                      slope_of_degrees, star_tree)
 
 
 def _report(num: int, ok: bool, detail: str, limit: float, elapsed: float):

@@ -8,7 +8,7 @@ import pytest
 
 from treelines import io_formats
 from treelines.cli import main
-from treelines.embed import Assignment, Embedding, path_tree
+from treelines.embed import Assignment, Embedding
 from treelines.io_formats import (
     SyntaxProblem,
     ValidationProblem,
@@ -16,12 +16,12 @@ from treelines.io_formats import (
     parse_instance,
     parse_lines,
     serialize_embedding,
-    serialize_instance,
     serialize_lines,
 )
 from treelines.lineset import longest_cap_cup
 
-from conftest import DOUBLING_DEGREES, angle_lineset, random_lines
+from conftest import (DOUBLING_DEGREES, angle_lineset, path_tree,
+                      random_lines, serialize_instance)
 
 LINES3 = """\
 # three lines in general position

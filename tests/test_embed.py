@@ -13,7 +13,6 @@ from treelines.geometry import (
     PostconditionError,
     Segment,
     scalar,
-    side_value,
 )
 from treelines.lineset import (
     ColorClasses,
@@ -44,13 +43,12 @@ from treelines.embed import (
     color_type,
     comb_type,
     path_descriptor,
-    path_tree,
     scan_universality,
     solve,
-    star_tree,
 )
 
-from conftest import random_cup, random_lines
+from conftest import (line_value, path_tree, random_cup, random_lines,
+                      star_tree)
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +358,7 @@ def test_comb_type_labels_name_the_side_crossed(rng):
                         labels.append(0)
                         continue
                     on = [k + 1 for k, s in enumerate(h.sides)
-                          if side_value(s.halfplane, seg.at(t)) == 0]
+                          if line_value(s.halfplane, seg.at(t)) == 0]
                     assert len(on) == 1, (r, t, on)
                     labels.append(on[0])
                     checked += 1

@@ -22,7 +22,6 @@ from treelines.geometry import (
     compare_angle_gap,
     convex_hull,
     dualize_line,
-    dualize_point,
     line_intersection,
     on_segment,
     orientation,
@@ -35,6 +34,11 @@ from treelines.geometry import (
 rationals = st.fractions(min_value=-50, max_value=50,
                          max_denominator=97)
 points = st.builds(Point, rationals, rationals)
+
+
+def dualize_point(p: Point, id: int = 0) -> Line:
+    """(a, b)  ->  y = a*x - b.  Inverse of dualize_line."""
+    return Line(p.x, p.y, id)
 
 
 def test_scalar_rejects_floats():
@@ -309,10 +313,17 @@ def test_integer_kernel_on_every_relation():
 
 
 def _value_at(side, p, q, t):
-    # the side value of p + t*(q - p), written out apart from side_value
+    # the side value of p + t*(q - p), written out apart from the clip
     x0, y0, dx, dy = side
     return (dx * (p.y + t * (q.y - p.y) - y0)
             - dy * (p.x + t * (q.x - p.x) - x0))
+
+
+def _triple(side):
+    # the side (x0, y0, dx, dy) as A*x + B*y + C >= 0, left of the directed
+    # line; neither reduced nor normalised, and (0, 0, 0) for dx = dy = 0
+    x0, y0, dx, dy = side
+    return -dy, dx, dy * x0 - dx * y0
 
 
 # small integer sides and one reported failure keep a counterexample quick
@@ -321,10 +332,13 @@ def _value_at(side, p, q, t):
 @given(st.lists(st.tuples(*[st.integers(-12, 12)] * 4), max_size=6),
        points, points)
 def test_clip_to_halfplanes_keeps_the_common_parameters(sides, p, q):
-    iv = clip_to_halfplanes(sides, p, q, Fraction(0), Fraction(1))
+    iv = clip_to_halfplanes([_triple(s) for s in sides], p.homogeneous,
+                            q.homogeneous)
     probes = {Fraction(k, 64) for k in range(65)}
     if iv is not None:
-        t_lo, t_hi, k_lo, k_hi = iv
+        (n_lo, d_lo), (n_hi, d_hi), k_lo, k_hi = iv
+        assert d_lo > 0 and d_hi > 0
+        t_lo, t_hi = Fraction(n_lo, d_lo), Fraction(n_hi, d_hi)
         probes |= {t_lo, t_hi}
         # a bound moved off an end of the segment names the side that set
         # it, and that side's line passes through the bound's point
@@ -335,7 +349,38 @@ def test_clip_to_halfplanes_keeps_the_common_parameters(sides, p, q):
                 assert _value_at(sides[k], p, q, t) == 0
     for t in probes:
         inside = all(_value_at(s, p, q, t) >= 0 for s in sides)
-        assert inside == (iv is not None and iv[0] <= t <= iv[1]), t
+        assert inside == (iv is not None and t_lo <= t <= t_hi), t
+
+
+def test_clip_tells_apart_parameters_a_float_cannot():
+    # along the x axis from 0 to 1, the half-planes x >= 1/3, x >= 1/3 + e
+    # and x <= 1/3 + 2e (or 1/3 + e/2) with e = 10**-30, whose parameters
+    # round to one float
+    e = Fraction(1, 10**30)
+
+    def at_least(x):
+        return x.denominator, 0, -x.numerator
+
+    def at_most(x):
+        return -x.denominator, 0, x.numerator
+
+    p, q = Point(Fraction(0), Fraction(0)), Point(Fraction(1), Fraction(0))
+    third = Fraction(1, 3)
+    for sides, want in (
+            ([at_least(third), at_least(third + e), at_most(third + 2 * e)],
+             (third + e, third + 2 * e, 1, 2)),
+            ([at_least(third + e), at_least(third), at_most(third + 2 * e)],
+             (third + e, third + 2 * e, 0, 2)),
+            ([at_least(third), at_least(third + e), at_most(third + e / 2)],
+             None),
+            ([at_most(third + e / 2), at_least(third + e)], None)):
+        iv = clip_to_halfplanes(sides, p.homogeneous, q.homogeneous)
+        if want is None:
+            assert iv is None, sides
+            continue
+        (n_lo, d_lo), (n_hi, d_hi), k_lo, k_hi = iv
+        assert (Fraction(n_lo, d_lo), Fraction(n_hi, d_hi), k_lo,
+                k_hi) == want
 
 
 def test_convex_hull_examples():

@@ -14,10 +14,11 @@ from treelines.io_formats import (
     parse_instance,
     parse_lines,
     serialize_embedding,
-    serialize_instance,
     serialize_lines,
 )
 from treelines.lineset import LineSet, LineSetError, verify_general_position
+
+from conftest import serialize_instance
 
 FUZZ = settings(max_examples=200, database=None, deadline=None,
                 derandomize=True)

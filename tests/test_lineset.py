@@ -1,11 +1,14 @@
 """Line set validation, cap/cup structure, and the region partition."""
 
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from treelines import lineset
 from treelines.geometry import (
@@ -17,13 +20,13 @@ from treelines.geometry import (
     line_intersection,
     orientation,
     scalar,
-    side_value,
 )
 from treelines.lineset import (
     CapCup,
     ColorClasses,
     ConcurrentTriple,
     DuplicateLine,
+    HullSide,
     LineSet,
     LineSetError,
     OnIntersection,
@@ -41,7 +44,8 @@ from treelines.lineset import (
 )
 from treelines.ramsey import mono_path_bound
 
-from conftest import angle_lineset, mirrored, random_cup, random_lines
+from conftest import (angle_lineset, line_value, mirrored, random_cup,
+                      random_lines)
 
 
 def L(s, b):
@@ -366,6 +370,41 @@ def _past_ends(s):
     return [apex.translated(-dx / 64, -dy / 64)]
 
 
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=97)
+points = st.builds(Point, rationals, rationals)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@given(st.sampled_from(["edge", "ray out", "ray in"]), points, points,
+       st.tuples(rationals, rationals), points, rationals)
+def test_hull_side_triple_is_primitive_and_signed_as_the_cross_product(
+        kind, a, b, d, p, k):
+    # the directed line (x0, y0, dx, dy) of each kind of side, the hull on
+    # its left: a ray with no start comes in from infinity along -d
+    if kind == "edge":
+        assume(a != b)
+        side, (x0, y0, dx, dy) = HullSide(a, b), (a.x, a.y, b.x - a.x,
+                                                  b.y - a.y)
+    else:
+        assume(d != (0, 0))
+        if kind == "ray out":
+            side, (x0, y0, dx, dy) = HullSide(a, None, d), (a.x, a.y, *d)
+        else:
+            side, (x0, y0, dx, dy) = HullSide(None, a, d), (a.x, a.y,
+                                                            -d[0], -d[1])
+    A, B, C = side.halfplane
+    assert all(type(v) is int for v in (A, B, C))
+    assert math.gcd(A, B, C) == 1
+    # the sign of the cross product (dx, dy) x (p - (x0, y0))
+    assert _sign(line_value(side.halfplane, p)) == \
+        _sign(dx * (p.y - y0) - dy * (p.x - x0))
+    assert line_value(side.halfplane,
+                      Point(x0 + k * dx, y0 + k * dy)) == 0
+
+
 def test_region_hull_side_labels(rng):
     for ls, c in ((random_lines(rng, 8), 2), (random_cup(rng, 12), 4)):
         cc = ColorClasses(c, len(ls))
@@ -381,9 +420,9 @@ def test_region_hull_side_labels(rng):
             for k, s in enumerate(h.sides):
                 # on the side's supporting line but off the side
                 for p in _past_ends(s):
-                    assert side_value(s.halfplane, p) == 0, (r, k)
+                    assert line_value(s.halfplane, p) == 0, (r, k)
                 # the hull lies on the side's left
-                assert side_value(s.halfplane, (cx, cy)) > 0, (r, k)
+                assert line_value(s.halfplane, Point(cx, cy)) > 0, (r, k)
             if h.bounded:
                 # side 1 starts at the smallest vertex by (x, y)
                 assert h.vertices[0] == min(h.vertices,

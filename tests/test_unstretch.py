@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from treelines import unstretch
-from treelines.geometry import Line, line_intersection
+from treelines.geometry import (Line, SegmentRelation, clip_to_halfplanes,
+                                line_intersection, segments_intersect)
 from treelines.lineset import CapCup, verify_general_position
 from treelines.ramsey import Variant, doubling_failure
 from treelines.unstretch import (
@@ -20,12 +21,10 @@ from treelines.unstretch import (
     NotDoubling,
     SpanTooWide,
     chain_from_parameters,
-    config_edges_disjoint,
     config_from_params,
     derive_chain,
     feasibility_search,
     lemma24_check,
-    sine_hypothesis_holds,
     validate_config,
     validate_frame,
 )
@@ -34,6 +33,17 @@ from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
                       slope_of_degrees)
 
 IDS = [1, 2, 3, 4, 5, 6]
+
+
+def config_edges_disjoint(cfg) -> bool:
+    return all(segments_intersect(cfg.edges[a], cfg.edges[b]) is
+               SegmentRelation.DISJOINT
+               for a in range(3) for b in range(a + 1, 3))
+
+
+def sine_hypothesis_holds(cv) -> bool:
+    with mpmath.workdps(unstretch.DPS):
+        return unstretch._sine_ordering([mpmath.sin(x) for x in cv.alpha])
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +216,38 @@ def test_float_hull_screen_rejects_only_exact_rule_ii_failures(
             assert hull_met, xs
     # both outcomes occur, so a screen rejecting everything would fail
     assert 0 < rejected and meets < 300
+
+
+@pytest.mark.parametrize("kind", ["cup", "cap"])
+def test_float_clip_gives_the_exact_rule_ii_verdict_off_the_boundary(
+        kind, cup_frame, cap_frame, rng):
+    # the screen's clip on float triples with W = 1 against the exact clip,
+    # edge by edge, wherever the exact overlap is 0 or exceeds 1e-6 of the
+    # edge's parameter range
+    frame = cup_frame if kind == "cup" else cap_frame
+    screen = _FrameFloats(frame)
+    compared = {False: 0, True: 0}
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-2, 2)
+        xs = [float(frame.apex(j).x) + off * scale
+              for j in (1, 2, 3) for off in rng.uniform(-4, 4, size=2)]
+        cfg = config_from_params(frame, [Fraction(x) for x in xs])
+        for e in cfg.edges:
+            iv = clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
+                                    e.q.homogeneous)
+            overlap = 0 if iv is None else (Fraction(*iv[1])
+                                            - Fraction(*iv[0]))
+            if 0 < overlap <= Fraction(1, 10**6):
+                continue
+            fv = clip_to_halfplanes(
+                screen.hull_edges, (float(e.p.x), float(e.p.y), 1.0),
+                (float(e.q.x), float(e.q.y), 1.0))
+            float_overlap = 0.0 if fv is None else (fv[1][0] / fv[1][1]
+                                                    - fv[0][0] / fv[0][1])
+            assert (float_overlap > 1e-9) == (overlap > 0), (kind, xs)
+            compared[overlap > 0] += 1
+    # both verdicts are reached often
+    assert min(compared.values()) >= 100, compared
 
 
 def test_chain_equal_angles_contradiction():

@@ -1,0 +1,521 @@
+"""Record treelines' results on a fixed, seeded corpus, and compare records.
+
+    python tools/differential.py record --tree PATH --out DIR [--size N]
+    python tools/differential.py compare A B
+    python tools/differential.py compare --against REV [--size N]
+
+``record`` runs the corpus against the sources in ``PATH/src``, in a
+subprocess with ``PYTHONHASHSEED=0``.  It writes one JSON-lines file per
+family of records, ``DIR/<family>.jsonl``: each line names a case and holds
+its canonical result, or the error's type and text.  ``DIR/SHA256SUMS``
+holds a SHA-256 per family.  ``--size`` scales the number of random inputs
+(default 8).
+
+``compare`` prints the record count of every family and the first record
+that differs, and exits with 1 when any family differs.  ``--against REV``
+exports the commit REV of the repository this file sits in with
+``git archive`` into a temporary directory, records it and this checkout's
+working tree at the same size, and compares the two.
+
+The inputs come from the generators of ``tests/conftest.py`` and
+``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
+a comparison see the same corpus.  The families cover the region hulls and
+everything that clips against them:
+
+    region_hull      vertices, sides and boundedness of every region hull
+    clip             RegionHull.clip_parameter_interval of segments
+    contains         RegionHull.contains of points
+    comb_type        comb_type of segments in both directions, errors too
+    path_descriptor  path_descriptor of embedded root paths, errors too
+    validate_config  validate_config verdicts, rule (ii) among them
+    screen           _FrameFloats.clearly_meets_hull verdicts, also on every
+                     candidate of full-rule feasibility searches
+    winding          winding_number, errors too
+    cli              stdout, stderr, exit code and SVG bytes of ``regions``
+                     and ``render``
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import enum
+import hashlib
+import importlib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SUMS = "SHA256SUMS"
+DEFAULT_SIZE = 8
+
+
+# -- canonical records --------------------------------------------------------
+
+
+def canonical(obj):
+    """A JSON value for a result: Fractions as 'n/d' strings, enums by
+    value, bytes by their SHA-256 and length, dataclasses as dicts of their
+    compared fields, tuples as lists."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, enum.Enum):
+        return canonical(obj.value)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, bytes):
+        return {"sha256": hashlib.sha256(obj).hexdigest(), "len": len(obj)}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: canonical(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.compare}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def outcome(fn: Callable, *args, **kwargs):
+    """fn's canonical result, or the type and text of the ValueError or
+    ArithmeticError it raises."""
+    try:
+        return {"ok": canonical(fn(*args, **kwargs))}
+    except (ValueError, ArithmeticError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+# -- the corpus ---------------------------------------------------------------
+
+
+class Corpus:
+    """The families, each a generator of (case, record) pairs, run against
+    the treelines modules in ``tl`` on inputs from the generators of
+    ``conftest`` and ``inputs``."""
+
+    def __init__(self, tl, conftest, inputs, acceptance, size: int):
+        self.tl, self.conftest, self.inputs = tl, conftest, inputs
+        self.acceptance = acceptance
+        self.size = size
+        self._arrangements = None
+
+    def families(self) -> Dict[str, Callable[[], Iterator]]:
+        return {"region_hull": self.region_hull, "clip": self.clip,
+                "contains": self.contains, "comb_type": self.comb_type,
+                "path_descriptor": self.path_descriptor,
+                "validate_config": self.validate_config,
+                "screen": self.screen, "winding": self.winding,
+                "cli": self.cli}
+
+    # -- arrangements with their hulls and segments
+    def arrangements(self):
+        """(name, LineSet, ColorClasses, {region: hull or error}, segments)
+        for random sets, cups and caps of the tests' generators and the
+        benchmark's cups; built once."""
+        if self._arrangements is None:
+            self._arrangements = list(self._build_arrangements())
+        return self._arrangements
+
+    def _build_arrangements(self):
+        ct, tl = self.conftest, self.tl
+        rng = np.random.default_rng(1611)
+        shapes = [("lines", n, c) for n, c in ((6, 2), (6, 3), (8, 2),
+                                               (8, 4), (12, 3))]
+        shapes += [("cup", 12, 4), ("cap", 12, 3), ("cup", 6, 6),
+                   ("bench-cup", 24, 4), ("bench-cup", 24, 6)]
+        for k in range(self.size):
+            for kind, n, c in shapes:
+                if kind == "lines":
+                    ls = ct.random_lines(rng, n)
+                elif kind == "cup":
+                    ls = ct.random_cup(rng, n)
+                elif kind == "cap":
+                    ls = ct.mirrored(ct.random_cup(rng, n))
+                else:
+                    ls = tl.io_formats.parse_lines(self.inputs.lines_text(
+                        self.inputs.random_cup(rng, n)))
+                cc = tl.lineset.ColorClasses(c, n)
+                hulls = {}
+                for r in tl.lineset.all_region_indices(cc):
+                    try:
+                        hulls[r] = tl.lineset.region_hull(ls, cc, r)
+                    except ValueError as exc:
+                        hulls[r] = exc
+                yield (f"{kind}{n}c{c}#{k}", ls, cc, hulls,
+                       self._segments(rng, ls))
+
+    def _segments(self, rng, ls):
+        """Random segments that miss every crossing, then segments that
+        end at a crossing, join two crossings or run along a line."""
+        Point, Segment = self.tl.geometry.Point, self.tl.geometry.Segment
+        plain = [(l.slope, l.dual_offset) for l in ls]
+        segs = []
+        for _ in range(4):
+            a, b = self.inputs.random_segment(rng, plain)
+            segs.append(Segment(Point(*a), Point(*b)))
+        pts = ls.intersection_points()
+        pick = rng.choice(len(pts), size=4, replace=False)
+        u, v, w, z = (pts[int(i)] for i in pick)
+        segs += [Segment(u, segs[0].q), Segment(u, v), Segment(w, z)]
+        # along line 1 from its first crossing to beyond its last
+        row = [pt for _, pt in self.tl.lineset.intersection_order(ls, 1)]
+        segs.append(Segment(row[0], ls.line(1).point_at(row[-1].x + 1)))
+        return segs
+
+    def region_hull(self):
+        for name, _, _, hulls, _ in self.arrangements():
+            for r, h in hulls.items():
+                rec = ({"error": type(h).__name__, "message": str(h)}
+                       if isinstance(h, Exception) else {"ok": canonical(h)})
+                yield f"{name} R{r.a},{r.b}", rec
+
+    def _good_hulls(self):
+        for name, ls, cc, hulls, segs in self.arrangements():
+            for r, h in hulls.items():
+                if not isinstance(h, Exception):
+                    yield f"{name} R{r.a},{r.b}", h, segs
+
+    def clip(self):
+        Segment = self.tl.geometry.Segment
+        for case, h, segs in self._good_hulls():
+            for k, s in enumerate(segs):
+                for way, seg in (("fwd", s), ("bwd", Segment(s.q, s.p))):
+                    yield (f"{case} seg{k} {way}",
+                           outcome(h.clip_parameter_interval, seg))
+
+    def contains(self):
+        Point = self.tl.geometry.Point
+        for case, h, segs in self._good_hulls():
+            vs = h.vertices
+            probes = list(vs)
+            probes += [Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+                       for a, b in zip(vs, vs[1:] + vs[:1])]
+            probes += [Point((3 * a.x - b.x) / 2, (3 * a.y - b.y) / 2)
+                       for a, b in zip(vs, vs[1:] + vs[:1])]
+            probes += [p for s in segs for p in (s.p, s.q)]
+            yield case, [h.contains(p) for p in probes]
+
+    def comb_type(self):
+        Segment, embed = self.tl.geometry.Segment, self.tl.embed
+        for name, ls, cc, hulls, segs in self.arrangements():
+            ok = not any(isinstance(h, Exception) for h in hulls.values())
+            for k, s in enumerate(segs):
+                for way, seg in (("fwd", s), ("bwd", Segment(s.q, s.p))):
+                    args = (ls, cc, seg, hulls) if ok else (ls, cc, seg)
+                    yield (f"{name} seg{k} {way}",
+                           outcome(embed.comb_type, *args))
+
+    def path_descriptor(self):
+        ct, inputs, tl = self.conftest, self.inputs, self.tl
+        embed = tl.embed
+        rng = np.random.default_rng(1612)
+        for k in range(4 * self.size):
+            n = (6, 8)[k % 2]
+            ls = (ct.random_cup if k % 4 >= 2 else ct.random_lines)(rng, n)
+            cc = tl.lineset.ColorClasses(2, n)
+            edges = (inputs.star_edges(n) if k % 3 == 0
+                     else inputs.random_tree(rng, n))
+            tree = embed.Tree(n, tuple(edges))
+            asg = embed.Assignment(tuple(int(i) + 1
+                                         for i in rng.permutation(n)))
+            plain = [(l.slope, l.dual_offset) for l in ls]
+            emb = embed.Embedding(tuple(inputs.random_positions(rng, plain,
+                                                                n)))
+            children = tree.children_of()
+            paths, stack = [], [[0]]
+            while stack:
+                path = stack.pop()
+                if children[path[-1]]:
+                    stack += [path + [v] for v in children[path[-1]]]
+                else:
+                    paths.append(path)
+            paths.sort()
+            for p in paths:
+                yield (f"#{k} {p}", outcome(embed.path_descriptor, ls, cc,
+                                            asg, emb, tree, [p]))
+            yield (f"#{k} all", outcome(embed.path_descriptor, ls, cc, asg,
+                                        emb, tree, paths))
+
+    # -- six-line frames
+    def frames(self):
+        """The benchmark's frames and criterion 6's frames."""
+        tl, inputs = self.tl, self.inputs
+        rng = np.random.default_rng(1613)
+        out = []
+        for k in range(max(2, self.size // 2)):
+            lines = inputs.random_frame_lines(rng, cup=k % 2 == 0)
+            ls = tl.io_formats.parse_lines(inputs.lines_text(lines))
+            out.append((f"bench#{k}",
+                        tl.unstretch.validate_frame(ls, [1, 2, 3, 4, 5, 6])))
+        rng = np.random.default_rng(106)    # criterion 6's generator seed
+        for k in range(min(20, 2 * self.size)):
+            out.append((f"crit6#{k}", self.acceptance._random_frame(
+                rng, cup=k % 2 == 0)))
+        return out
+
+    def _candidates(self, frame, rng):
+        """(u, t) float triples as the search screens them (drawn by the
+        frame's sampler, with the u its solver finds on all three edges),
+        and wider random ones."""
+        geo = self.tl.unstretch._FrameFloats(frame)
+        m = 30 * self.size
+        t = geo.sample_triples(rng, 40 * m)
+        u, feasible = geo.solve_u(t, frozenset())
+        keep = np.flatnonzero(feasible == 3)[:m]
+        u, t = u[:, keep], t[:, keep]
+        apex = np.array([float(frame.apex(j).x) for j in (1, 2, 3)])
+        scale = 10.0 ** rng.uniform(-3, 2, size=(1, m))
+        t2 = apex[:, None] + rng.uniform(-4, 4, size=(3, m)) * scale
+        u2 = apex[:, None] + rng.uniform(-4, 4, size=(3, m)) * scale
+        return geo, np.concatenate([u, u2], axis=1), np.concatenate(
+            [t, t2], axis=1)
+
+    def validate_config(self):
+        us = self.tl.unstretch
+        rng = np.random.default_rng(1614)
+        for name, frame in self.frames():
+            _, u, t = self._candidates(frame, rng)
+            for i in range(u.shape[1]):
+                params = [float(v) for j in range(3)
+                          for v in (u[j, i], t[j, i])]
+                yield f"{name} #{i}", outcome(
+                    lambda: us.validate_config(frame, us.config_from_params(
+                        frame, [Fraction(v) for v in params])))
+
+    def screen(self):
+        """Verdicts on the candidates of _candidates, then on every
+        candidate that two full-rule searches screen (of the benchmark's
+        10**6 samples at size 8), with what the searches return."""
+        us = self.tl.unstretch
+        rng = np.random.default_rng(1614)
+        for name, frame in self.frames():
+            geo, u, t = self._candidates(frame, rng)
+            yield name, "".join(str(int(geo.clearly_meets_hull(u[:, i],
+                                                               t[:, i])))
+                                for i in range(u.shape[1]))
+        floats = us._FrameFloats
+        real = floats.clearly_meets_hull
+        for name, frame in self.frames():
+            for seed in (0, 1):
+                verdicts = []
+
+                def spy(geo, u, t):
+                    verdicts.append(str(int(real(geo, u, t))))
+                    return verdicts[-1] == "1"
+
+                floats.clearly_meets_hull = spy
+                try:
+                    found = outcome(us.feasibility_search, frame,
+                                    125_000 * self.size, seed)
+                finally:
+                    floats.clearly_meets_hull = real
+                yield f"{name} search seed {seed}", {
+                    "found": found, "verdicts": "".join(verdicts)}
+
+    # -- winding numbers
+    def winding(self):
+        g = self.tl.geometry
+        rng = np.random.default_rng(1615)
+
+        def pt(lim=6, den=(1, 2, 3)):
+            return g.Point(Fraction(int(rng.integers(-lim, lim + 1)),
+                                    int(rng.choice(den))),
+                           Fraction(int(rng.integers(-lim, lim + 1)),
+                                    int(rng.choice(den))))
+
+        for k in range(40 * self.size):
+            poly = [pt() for _ in range(int(rng.integers(2, 8)))]
+            if k % 2:
+                poly.append(poly[0])
+            while True:
+                dx, dy = (Fraction(int(v), 3)
+                          for v in rng.integers(-4, 5, size=2))
+                if dx or dy:
+                    break
+            # the origin sometimes on a vertex or an edge's line
+            origin = poly[0] if k % 5 == 0 else pt()
+            yield f"#{k}", outcome(g.winding_number, poly,
+                                   g.Ray(origin, dx, dy))
+
+    # -- command line
+    def cli(self):
+        """The commands run in a temporary working directory, so that the
+        file names they print are the same on every run."""
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                return list(self._cli_cases())
+            finally:
+                os.chdir(here)
+
+    def _cli_cases(self):
+        ct, tl, inputs = self.conftest, self.tl, self.inputs
+        rng = np.random.default_rng(1616)
+        for k in range(max(1, self.size // 2)):
+            cup = ct.random_cup(rng, 8)
+            for kind, ls in (("lines", ct.random_lines(rng, 8)),
+                             ("cup", cup), ("cap", ct.mirrored(cup))):
+                Path("l.txt").write_text(tl.io_formats.serialize_lines(ls))
+                for c in (2, 4, 8):
+                    yield (f"regions {kind}#{k} c{c}",
+                           self._run(["regions", "l.txt", "--c", str(c),
+                                      "--svg", "out.svg"]))
+                tree = ct.path_tree(8) if k % 2 else ct.star_tree(8)
+                asg = tl.embed.Assignment(
+                    tuple(int(i) + 1 for i in rng.permutation(8)))
+                Path("i.txt").write_text(ct.serialize_instance(ls, tree, asg))
+                plain = [(l.slope, l.dual_offset) for l in ls]
+                Path("e.txt").write_text(inputs.embedding_text(
+                    inputs.random_positions(rng, plain, 8)))
+                yield (f"render {kind}#{k}",
+                       self._run(["render", "i.txt", "e.txt", "--svg",
+                                  "out.svg"]))
+                yield (f"render {kind}#{k} bare",
+                       self._run(["render", "i.txt", "--svg", "out.svg"]))
+
+    def _run(self, argv: List[str]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = self.tl.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        svg = Path("out.svg")
+        data = None
+        if svg.exists():
+            data = svg.read_bytes()
+            svg.unlink()
+        return {"code": code, "stdout": out.getvalue(),
+                "stderr": err.getvalue(), "svg": canonical(data)}
+
+
+def run_corpus(tree: Path, out: Path, size: int) -> None:
+    """Import treelines from tree/src and the generators from this
+    checkout, then write every family's records and their SHA-256."""
+    src = (tree / "src").resolve()
+    sys.path[:0] = [str(src), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    tl = argparse.Namespace(**{
+        m: importlib.import_module(f"treelines.{m}")
+        for m in ("geometry", "lineset", "embed", "unstretch", "io_formats",
+                  "cli")})
+    origin = Path(tl.geometry.__file__).resolve()
+    if src not in origin.parents:
+        raise ImportError(f"treelines imported from {origin}, not {src}")
+    corpus = Corpus(tl, importlib.import_module("conftest"),
+                    importlib.import_module("inputs"),
+                    importlib.import_module("test_acceptance"), size)
+    out.mkdir(parents=True, exist_ok=True)
+    sums = []
+    for family, records in corpus.families().items():
+        lines = [json.dumps({"case": case, "record": rec}, sort_keys=True)
+                 + "\n" for case, rec in records()]
+        data = "".join(lines).encode()
+        (out / f"{family}.jsonl").write_bytes(data)
+        sums.append(f"{hashlib.sha256(data).hexdigest()}  {family}.jsonl\n")
+    (out / SUMS).write_text("".join(sums))
+
+
+def record(tree: Path, out: Path, size: int) -> None:
+    """run_corpus in a fresh interpreter with PYTHONHASHSEED=0."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONHASHSEED"] = "0"
+    subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                    "corpus", str(tree), str(out), str(size)],
+                   env=env, check=True)
+
+
+# -- comparing ----------------------------------------------------------------
+
+
+def _families(d: Path) -> Dict[str, str]:
+    sums = {}
+    for line in (d / SUMS).read_text().splitlines():
+        digest, name = line.split()
+        sums[name[:-len(".jsonl")]] = digest
+    return sums
+
+
+def compare(a: Path, b: Path, out=sys.stdout) -> bool:
+    """Print each family's record count and its first differing record;
+    True when every family is identical in both directories."""
+    fa, fb = _families(a), _families(b)
+    same = True
+    for family in sorted(fa.keys() | fb.keys()):
+        if family not in fa or family not in fb:
+            print(f"{family}: only in {a if family in fa else b}", file=out)
+            same = False
+            continue
+        ra = (a / f"{family}.jsonl").read_text().splitlines()
+        rb = (b / f"{family}.jsonl").read_text().splitlines()
+        if fa[family] == fb[family] and ra == rb:
+            print(f"{family}: {len(ra)} records, identical", file=out)
+            continue
+        same = False
+        print(f"{family}: {len(ra)} vs {len(rb)} records, DIFFERENT",
+              file=out)
+        for k, (x, y) in enumerate(itertools.zip_longest(ra, rb)):
+            if x != y:
+                print(f"  first difference at record {k + 1}:\n"
+                      f"  A: {x}\n  B: {y}", file=out)
+                break
+    return same
+
+
+def against(rev: str, size: int) -> bool:
+    """Record REV (exported with git archive) and this working tree, and
+    compare them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "tree"
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive,
+                       check=True)
+        record(base, Path(tmp) / "A", size)
+        record(ROOT, Path(tmp) / "B", size)
+        print(f"A = {rev}, B = working tree of {ROOT}")
+        return compare(Path(tmp) / "A", Path(tmp) / "B")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("record", help="record the corpus for one tree")
+    p.add_argument("--tree", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--size", type=int, default=DEFAULT_SIZE)
+    p = sub.add_parser("compare", help="compare two records")
+    p.add_argument("dirs", type=Path, nargs="*")
+    p.add_argument("--against", metavar="REV")
+    p.add_argument("--size", type=int, default=DEFAULT_SIZE)
+    p = sub.add_parser("corpus")    # the subprocess that record starts
+    p.add_argument("tree", type=Path)
+    p.add_argument("out", type=Path)
+    p.add_argument("size", type=int)
+    args = ap.parse_args(argv)
+    if args.cmd == "record":
+        record(args.tree, args.out, args.size)
+        return 0
+    if args.cmd == "corpus":
+        run_corpus(args.tree, args.out, args.size)
+        return 0
+    if args.against:
+        if args.dirs:
+            ap.error("compare takes two directories or --against REV")
+        return 0 if against(args.against, args.size) else 1
+    if len(args.dirs) != 2:
+        ap.error("compare takes two directories or --against REV")
+    return 0 if compare(*args.dirs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
