@@ -217,7 +217,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "render":
-        ls, tree, asg = io_formats.parse_instance(_read(args.instance))
+        # only the embedding's vertices read the assignment
+        ls, tree, asg = io_formats.parse_instance(
+            _read(args.instance), require_assign=args.embedding is not None)
         scene = svg.SvgScene(lines=list(ls), points=ls.intersection_points())
         if args.embedding:
             emb = io_formats.parse_embedding(_read(args.embedding), tree.n)

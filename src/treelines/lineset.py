@@ -7,12 +7,9 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
-from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Hashable, List,
                     Optional, Sequence, Tuple)
 
@@ -263,45 +260,33 @@ def ranked_chains(vertices: Sequence[int],
                   lower: Hashable, upper: Hashable) -> PairChains:
     """The chains of the labelling that gives a triple i < j < k the label
     ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise, for a
-    rational pair key.
+    rational pair key and increasing ``vertices``.
 
-    The pair keys are ranked once, tied keys sharing a rank, by the pair
-    (float(key), key): the float decides the order wherever it differs,
-    and the exact key decides it where the floats tie.  For each
-    middle vertex j, the incoming pairs (i, j) are sorted by rank and
-    scanned for running maxima of (length, -i), so each outgoing pair
-    (j, k) finds its best predecessor of either label by one bisection:
-    the longest-increasing-subsequence sweep (Fredman 1975) once per
-    middle vertex, O(n^2 log n) in all.
+    The pairs (i, j), i < j, are sorted once, stably, by :func:`_rank_key`,
+    so tied pairs keep the order of their larger vertex.  Each label is one
+    sweep over them in which pair (j, k) reads best[j], the maximal
+    (length, -i) over the pairs (i, j) swept so far, and offers its own to
+    best[k].  Ascending, those (i, j) are the ones with key(i, j) <=
+    key(j, k), ties included as they end at j < k: the ``upper``
+    predecessors; along the reversed list, the ``lower`` ones, key(i, j) >
+    key(j, k).  So one sort and O(n^2) steps give the tables of the O(n^3)
+    programme of Chvatal and Klincsek (1980): each pair's longest chain of
+    either label and, among those, its smallest predecessor.
     """
-    pairs = sorted(((_rank_key(key(i, j)), i, j)
-                    for b, j in enumerate(vertices)
-                    for i in vertices[:b]), key=itemgetter(0))
-    rank: Dict[Tuple[int, int], int] = {}
-    for r, (_, tied) in enumerate(groupby(pairs, key=itemgetter(0))):
-        for _, i, j in tied:
-            rank[i, j] = r
+    pairs = sorted(((i, j) for b, j in enumerate(vertices)
+                    for i in vertices[:b]),
+                   key=lambda p: _rank_key(key(*p)))
     length: Dict[Tuple[int, int, Hashable], int] = {}
     parent: Dict[Tuple[int, int, Hashable], int] = {}
-    for b, j in enumerate(vertices):
-        incoming = sorted((rank[i, j], i) for i in vertices[:b])
-        ranks = [r for r, _ in incoming]
-        # best[p]: the maximal (length, -i) over incoming[:p + 1] for the
-        # upper label, over incoming[p:] for the lower one
-        best_upper = list(accumulate(
-            ((length.get((i, j, upper), 2), -i) for _, i in incoming), max))
-        best_lower = list(accumulate(
-            ((length.get((i, j, lower), 2), -i)
-             for _, i in reversed(incoming)), max))[::-1]
-        for k in vertices[b + 1:]:
-            # incoming[:p] have key(i, j) <= key(j, k): label upper
-            p = bisect_right(ranks, rank[j, k])
-            if p:
-                m, i = best_upper[p - 1]
-                length[j, k, upper], parent[j, k, upper] = m + 1, -i
-            if p < b:
-                m, i = best_lower[p]
-                length[j, k, lower], parent[j, k, lower] = m + 1, -i
+    for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
+        best: Dict[int, Tuple[int, int]] = {}
+        for j, k in sweep:
+            # no pair (i, j) swept yet: j alone, a chain of length 1
+            m, i = best.get(j, (1, None))
+            if i is not None:
+                length[j, k, lab], parent[j, k, lab] = m + 1, -i
+            if (m + 1, -j) > best.get(k, (0, 0)):
+                best[k] = m + 1, -j
     return PairChains(length, parent)
 
 

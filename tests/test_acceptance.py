@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from treelines import lineset, ramsey
 from treelines.geometry import (
     DegenerateContact,
     Line,
@@ -43,6 +44,7 @@ from treelines.ramsey import (
     TripleColoring,
     check_doubling,
     check_monotone,
+    color_by_gaps,
     extract_doubling,
     extract_monotone_gaps,
     longest_mono_path,
@@ -120,25 +122,31 @@ def _brute_cap_cup_size(ls) -> int:
     return best
 
 
-def test_criterion_2_extractor():
+def _criterion_2(trials: int = 200, bound_sizes=(20, 50, 100)):
+    """(ok, detail): the extracted cap or cup is as large as exhaustive
+    search finds on ``trials`` random sets of 4 to 10 lines, and meets
+    the path bound on a random set of each of ``bound_sizes`` lines."""
     rng = np.random.default_rng(102)
-    t0 = time.time()
-    ok = True
-    for trial in range(200):
+    for trial in range(trials):
         n = int(rng.integers(4, 11))
         ls = random_lines(rng, n)
         kind, sub = longest_cap_cup(ls)
         if classify_cap_cup(sub) == CapCup.NEITHER or \
                 len(sub) != _brute_cap_cup_size(ls):
-            ok = False
-            break
-    if ok:
-        for n in (20, 50, 100):
-            _, sub = longest_cap_cup(random_lines(rng, n))
-            if len(sub) < mono_path_bound(n):
-                ok = False
-    _report(2, ok, "200 exhaustive trials n<=10 plus bound at n=20/50/100",
-            60.0, time.time() - t0)
+            return False, f"trial {trial}: {kind.value} of {len(sub)} " \
+                          f"lines is not a largest cap or cup"
+    for n in bound_sizes:
+        _, sub = longest_cap_cup(random_lines(rng, n))
+        if len(sub) < mono_path_bound(n):
+            return False, f"n={n}: {len(sub)} lines, below the bound"
+    return True, (f"{trials} exhaustive trials n<=10 plus bound at n="
+                  + "/".join(map(str, bound_sizes)))
+
+
+def test_criterion_2_extractor():
+    t0 = time.time()
+    ok, detail = _criterion_2()
+    _report(2, ok, detail, 60.0, time.time() - t0)
 
 
 # --------------------------------------------------------------------------
@@ -192,25 +200,63 @@ def test_criterion_3_hyperpath_dp():
 # 4. monotone and doubling chain extraction
 
 
-def test_criterion_4_chains():
+def _criterion_4(sets: int = 100, compared: int = 10):
+    """(ok, detail): on ``sets`` random n=64 sets the monotone and
+    doubling chains pass their exact checks, and on the first ``compared``
+    the monotone chain is as long as the longest monochromatic path of the
+    gap colouring."""
     rng = np.random.default_rng(104)
-    t0 = time.time()
-    ok = True
-    for _ in range(100):
+    for k in range(sets):
         ls = random_lines(rng, 64)
         mono = extract_monotone_gaps(ls)
         if not check_monotone(ls, mono):
-            ok = False
-            break
+            return False, f"set {k}: the monotone chain fails its check"
+        if k < compared:
+            longest = len(longest_mono_path(color_by_gaps(ls)))
+            if len(mono.ids) != longest:
+                return False, (f"set {k}: a monotone chain of "
+                               f"{len(mono.ids)} lines, the longest path "
+                               f"has {longest}")
         try:
             dbl = extract_doubling(ls)
         except ChainTooShort:
             continue
         if not check_doubling(ls, dbl):
-            ok = False
-            break
-    _report(4, ok, "100 random n=64 sets, exact comparator",
-            30.0, time.time() - t0)
+            return False, f"set {k}: the doubling chain fails its check"
+    return True, (f"{sets} random n=64 sets, exact comparator, the first "
+                  f"{compared} against the longest path")
+
+
+def test_criterion_4_chains():
+    t0 = time.time()
+    ok, detail = _criterion_4()
+    _report(4, ok, detail, 30.0, time.time() - t0)
+
+
+def _non_maximising_chains(vertices, key, lower, upper):
+    """lineset.ranked_chains with best[k] overwritten by the last pair
+    swept into k instead of maximised: its chains are valid, but not
+    always the longest."""
+    pairs = sorted(((i, j) for b, j in enumerate(vertices)
+                    for i in vertices[:b]),
+                   key=lambda p: lineset._rank_key(key(*p)))
+    length, parent = {}, {}
+    for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
+        best = {}
+        for j, k in sweep:
+            m, i = best.get(j, (1, None))
+            if i is not None:
+                length[j, k, lab], parent[j, k, lab] = m + 1, -i
+            best[k] = m + 1, -j
+    return lineset.PairChains(length, parent)
+
+
+def test_criteria_2_and_4_fail_on_a_non_maximising_extractor(monkeypatch):
+    # ramsey imports the name, so both modules are patched
+    monkeypatch.setattr(lineset, "ranked_chains", _non_maximising_chains)
+    monkeypatch.setattr(ramsey, "ranked_chains", _non_maximising_chains)
+    assert not _criterion_2(trials=40, bound_sizes=())[0]
+    assert not _criterion_4(sets=4, compared=4)[0]
 
 
 # --------------------------------------------------------------------------

@@ -279,6 +279,28 @@ def test_cli_render(files, tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_cli_render_reads_the_assignment_only_with_an_embedding(
+        files, tmp_path, capsys):
+    # a scan-style instance has no a rows: drawn bare it gives the same
+    # picture as the instance with them, drawn with an embedding it is an
+    # input error
+    bare = tmp_path / "bare.txt"
+    bare.write_text(LINES3 + "e 0 1\ne 1 2\n")
+    with_rows, without = tmp_path / "with.svg", tmp_path / "without.svg"
+    assert main(["render", str(files / "inst3.txt"),
+                 "--svg", str(with_rows)]) == 0
+    assert main(["render", str(bare), "--svg", str(without)]) == 0
+    assert capsys.readouterr().out == (f"wrote {with_rows}\n"
+                                       f"wrote {without}\n")
+    assert without.read_bytes() == with_rows.read_bytes()
+    out = tmp_path / "emb.svg"
+    assert main(["render", str(bare), str(files / "emb3.txt"),
+                 "--svg", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: assignment section missing\n"
+    assert not captured.out and not out.exists()
+
+
 def test_cli_input_errors(files, tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["analyze", str(missing)]) == 2

@@ -221,6 +221,22 @@ def test_longest_cap_cup_vs_brute_force(rng):
         assert len(sub) == max(_brute_longest_cap_cup(ls), 3)
 
 
+def test_longest_cap_cup_prefers_the_cap_on_ties(rng):
+    ties = 0
+    for _ in range(40):
+        ls = random_lines(rng, int(rng.integers(4, 8)))
+        n = len(ls)
+        largest = defaultdict(int)
+        for size in range(3, n + 1):
+            for ids in itertools.combinations(range(1, n + 1), size):
+                largest[classify_cap_cup(ls.subset(ids))] = size
+        kind, _ = longest_cap_cup(ls)
+        ties += largest[CapCup.CAP] == largest[CapCup.CUP]
+        assert kind == (CapCup.CAP if largest[CapCup.CAP]
+                        >= largest[CapCup.CUP] else CapCup.CUP)
+    assert ties >= 5
+
+
 def test_longest_cap_cup_raises_when_its_subset_fails_the_check(
         rng, monkeypatch):
     monkeypatch.setattr(lineset, "classify_cap_cup",

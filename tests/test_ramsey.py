@@ -284,6 +284,27 @@ def test_ranked_chains_break_float_ties_exactly(rng):
         lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
 
 
+def test_ranked_chains_on_vertices_with_gaps_between_them(rng):
+    # increasing vertex sequences that are not a range: the ids a subset
+    # keeps, and the Fibonacci numbers, on keys with many ties
+    fib = [1, 2]
+    while len(fib) < 16:
+        fib.append(fib[-1] + fib[-2])
+    keys = {(i, j): Fraction(int(rng.integers(-3, 4)), 2)
+            for j in fib for i in fib if i < j}
+    _assert_same_chains(
+        fib, lambda i, j: keys[i, j], "lower", "upper",
+        lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
+    for n in (9, 17, 25):
+        ls = _tied_gap_lines(rng, n)
+        kept = ls.subset([int(v) + 1 for v in rng.choice(
+            n, n // 2 + 1, replace=False)]).parent_ids
+        tc = color_by_gaps(ls)
+        _assert_same_chains(
+            kept, lambda i, j: angle_gap(ls.line(i), ls.line(j)),
+            Color.RED, Color.BLUE, tc.of)
+
+
 def test_extraction_with_gaps_beyond_float_range():
     # gaps between slopes near 10**200 are near -10**400, which float()
     # cannot hold: they must still rank, below every finite gap

@@ -20,7 +20,8 @@ working tree at the same size, and compares the two.
 The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
 a comparison see the same corpus.  The families cover the region hulls and
-everything that clips against them:
+everything that clips against them, and the extraction of caps, cups and
+angle-gap chains:
 
     region_hull      vertices, sides and boundedness of every region hull
     clip             RegionHull.clip_parameter_interval of segments
@@ -31,8 +32,14 @@ everything that clips against them:
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      candidate of full-rule feasibility searches
     winding          winding_number, errors too
-    cli              stdout, stderr, exit code and SVG bytes of ``regions``
-                     and ``render``
+    cap_cup          classify_cap_cup, and longest_cap_cup's kind and
+                     parent_ids, errors too
+    monotone         extract_monotone_gaps' ids and direction, errors too
+    doubling         extract_doubling's ids and variant, errors too
+    pair_chains      the length and parent tables of ranked_chains on gap
+                     keys, crossing keys and keys that tie in float
+    cli              stdout, stderr, exit code and SVG bytes of ``analyze``,
+                     the three extract commands, ``regions`` and ``render``
 """
 
 from __future__ import annotations
@@ -59,6 +66,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SUMS = "SHA256SUMS"
 DEFAULT_SIZE = 8
+# the commands whose one argument is a line file
+LINE_FILE_COMMANDS = ("analyze", "extract-cap", "extract-monotone",
+                      "extract-doubling")
 
 
 # -- canonical records --------------------------------------------------------
@@ -101,11 +111,13 @@ class Corpus:
     the treelines modules in ``tl`` on inputs from the generators of
     ``conftest`` and ``inputs``."""
 
-    def __init__(self, tl, conftest, inputs, acceptance, size: int):
+    def __init__(self, tl, conftest, inputs, acceptance, ramsey_tests,
+                 size: int):
         self.tl, self.conftest, self.inputs = tl, conftest, inputs
-        self.acceptance = acceptance
+        self.acceptance, self.ramsey_tests = acceptance, ramsey_tests
         self.size = size
         self._arrangements = None
+        self._line_sets = None
 
     def families(self) -> Dict[str, Callable[[], Iterator]]:
         return {"region_hull": self.region_hull, "clip": self.clip,
@@ -113,6 +125,8 @@ class Corpus:
                 "path_descriptor": self.path_descriptor,
                 "validate_config": self.validate_config,
                 "screen": self.screen, "winding": self.winding,
+                "cap_cup": self.cap_cup, "monotone": self.monotone,
+                "doubling": self.doubling, "pair_chains": self.pair_chains,
                 "cli": self.cli}
 
     # -- arrangements with their hulls and segments
@@ -345,6 +359,80 @@ class Corpus:
             yield f"#{k}", outcome(g.winding_number, poly,
                                    g.Ray(origin, dx, dy))
 
+    # -- extraction
+    def line_sets(self):
+        """(name, LineSet) for the extraction families: sets of 1 and 2
+        lines, random sets, random cups and their mirrored caps of 3 to 40
+        lines, sets of integer slopes with tied gaps, and the benchmark's
+        random sets of 40 and 80 lines; built once."""
+        if self._line_sets is None:
+            self._line_sets = list(self._build_line_sets())
+        return self._line_sets
+
+    def _build_line_sets(self):
+        ct, inputs = self.conftest, self.inputs
+        rng = np.random.default_rng(1617)
+        for n in (1, 2):
+            yield f"lines{n}", ct.random_lines(rng, n)
+        for k in range(self.size):
+            for n in range(3 + k % 4, 41, 4):
+                cup = ct.random_cup(rng, n)
+                yield f"lines{n}#{k}", ct.random_lines(rng, n)
+                yield f"cup{n}#{k}", cup
+                yield f"cap{n}#{k}", ct.mirrored(cup)
+                yield (f"tied{n}#{k}",
+                       self.ramsey_tests._tied_gap_lines(rng, n))
+        for k in range(max(1, self.size // 4)):
+            for n in (40, 80):
+                yield (f"bench{n}#{k}", self.tl.io_formats.parse_lines(
+                    inputs.lines_text(inputs.random_lines(rng, n))))
+
+    def cap_cup(self):
+        lineset = self.tl.lineset
+
+        def longest(ls):
+            kind, sub = lineset.longest_cap_cup(ls)
+            return kind, sub.parent_ids
+
+        for name, ls in self.line_sets():
+            yield name, {"classify": outcome(lineset.classify_cap_cup, ls),
+                         "longest": outcome(longest, ls)}
+
+    def monotone(self):
+        for name, ls in self.line_sets():
+            yield name, outcome(self.tl.ramsey.extract_monotone_gaps, ls)
+
+    def doubling(self):
+        for name, ls in self.line_sets():
+            yield name, outcome(self.tl.ramsey.extract_doubling, ls)
+
+    def pair_chains(self):
+        """The tables on every line set's angle gaps and crossing
+        abscissas, then on keys within 2**-77 of 1, which all round to the
+        float 1.0 and often tie exactly."""
+        gap = self.tl.geometry.angle_gap
+        for name, ls in self.line_sets():
+            ids = range(1, len(ls) + 1)
+            yield f"{name} gaps", self._tables(
+                ids, lambda i, j: gap(ls.line(i), ls.line(j)))
+            yield f"{name} crossings", self._tables(
+                ids, lambda i, j: ls.intersection(i, j).x)
+        rng = np.random.default_rng(1618)
+        n = 14
+        for k in range(self.size):
+            keys = {(i, j): 1 + Fraction(int(rng.integers(-4, 5)), 2**80)
+                    for j in range(n) for i in range(j)}
+            yield f"float ties#{k}", self._tables(range(n),
+                                                  lambda i, j: keys[i, j])
+
+    def _tables(self, vertices, key):
+        chains = self.tl.lineset.ranked_chains(vertices, key, "lower",
+                                               "upper")
+        return {name: sorted([j, k, lab, v] for (j, k, lab), v
+                             in table.items())
+                for name, table in (("length", chains.length),
+                                    ("parent", chains.parent))}
+
     # -- command line
     def cli(self):
         """The commands run in a temporary working directory, so that the
@@ -365,6 +453,8 @@ class Corpus:
             for kind, ls in (("lines", ct.random_lines(rng, 8)),
                              ("cup", cup), ("cap", ct.mirrored(cup))):
                 Path("l.txt").write_text(tl.io_formats.serialize_lines(ls))
+                for cmd in LINE_FILE_COMMANDS:
+                    yield f"{cmd} {kind}#{k}", self._run([cmd, "l.txt"])
                 for c in (2, 4, 8):
                     yield (f"regions {kind}#{k} c{c}",
                            self._run(["regions", "l.txt", "--c", str(c),
@@ -381,6 +471,25 @@ class Corpus:
                                   "out.svg"]))
                 yield (f"render {kind}#{k} bare",
                        self._run(["render", "i.txt", "--svg", "out.svg"]))
+                # a scan-style instance, without a rows
+                Path("i.txt").write_text(ct.serialize_instance(ls, tree,
+                                                               None))
+                for way, emb in (("bare", []), ("embedded", ["e.txt"])):
+                    yield (f"render {kind}#{k} unassigned {way}",
+                           self._run(["render", "i.txt", *emb, "--svg",
+                                      "out.svg"]))
+        # the same commands on sets drawn like the benchmark's, a set whose
+        # majority slope sign has 2 lines, and a set too small for any
+        for n in (40, 80):
+            lines = inputs.random_lines(rng, n)
+            Path("l.txt").write_text(inputs.lines_text(lines))
+            for cmd in LINE_FILE_COMMANDS:
+                yield f"{cmd} bench{n}", self._run([cmd, "l.txt"])
+        for name, text in (("short", "l 1 -2 1\nl 2 -1 0\nl 3 1 3\n"),
+                           ("two", "l 1 -1 0\nl 2 1 0\n")):
+            Path("l.txt").write_text(text)
+            for cmd in LINE_FILE_COMMANDS:
+                yield f"{cmd} {name}", self._run([cmd, "l.txt"])
 
     def _run(self, argv: List[str]):
         out, err = io.StringIO(), io.StringIO()
@@ -405,14 +514,15 @@ def run_corpus(tree: Path, out: Path, size: int) -> None:
     sys.path[:0] = [str(src), str(ROOT / "tests"), str(ROOT / "perfbench")]
     tl = argparse.Namespace(**{
         m: importlib.import_module(f"treelines.{m}")
-        for m in ("geometry", "lineset", "embed", "unstretch", "io_formats",
-                  "cli")})
+        for m in ("geometry", "lineset", "ramsey", "embed", "unstretch",
+                  "io_formats", "cli")})
     origin = Path(tl.geometry.__file__).resolve()
     if src not in origin.parents:
         raise ImportError(f"treelines imported from {origin}, not {src}")
     corpus = Corpus(tl, importlib.import_module("conftest"),
                     importlib.import_module("inputs"),
-                    importlib.import_module("test_acceptance"), size)
+                    importlib.import_module("test_acceptance"),
+                    importlib.import_module("test_ramsey"), size)
     out.mkdir(parents=True, exist_ok=True)
     sums = []
     for family, records in corpus.families().items():
@@ -465,9 +575,21 @@ def compare(a: Path, b: Path, out=sys.stdout) -> bool:
         for k, (x, y) in enumerate(itertools.zip_longest(ra, rb)):
             if x != y:
                 print(f"  first difference at record {k + 1}:\n"
-                      f"  A: {x}\n  B: {y}", file=out)
+                      f"  A: {_excerpt(x, y)}\n  B: {_excerpt(y, x)}",
+                      file=out)
                 break
     return same
+
+
+def _excerpt(line, other, width: int = 400):
+    """A record longer than ``width`` characters cut to its case and the
+    ``width`` characters around its first difference from ``other``."""
+    if line is None or len(line) <= width:
+        return line
+    at = next((i for i, (c, d) in enumerate(zip(line, other or ""))
+               if c != d), min(len(line), len(other or "")))
+    lo = max(0, at - width // 2)
+    return f"[{json.loads(line)['case']}] ...{line[lo:lo + width]}..."
 
 
 def against(rev: str, size: int) -> bool:
