@@ -98,12 +98,13 @@ class Tree:
         return out
 
     def bfs_order(self) -> List[int]:
+        """The vertices level by level from the root, each level by id, so
+        every parent comes before its children."""
         children = self.children_of()
-        order = [0]
-        k = 0
-        while k < len(order):
-            order.extend(sorted(children[order[k]]))
-            k += 1
+        order, level = [], [0]
+        while level:
+            order += level
+            level = sorted(w for v in level for w in children[v])
         return order
 
 
@@ -155,30 +156,42 @@ class CheckReport:
 
 def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
                     emb: Embedding) -> CheckReport:
-    """Exact crossing-free verdict.
-
-    The relative interior of every edge must avoid every other edge and
-    every vertex point; contact between tree-adjacent edges is permitted
-    only at their shared endpoint.  Vertices sitting on arrangement
-    intersection points, or edges passing through one, are flagged as
-    warnings (they break the standing perturbation assumptions without
-    making the drawing invalid)."""
+    """Exact crossing-free verdict: the ``_violations`` of the drawing.
+    Vertices sitting on arrangement intersection points, or edges passing
+    through one, are flagged as warnings (they break the standing
+    perturbation assumptions without making the drawing invalid)."""
     asg.check_bijection(t.n)
     if len(emb.pos) != t.n:
         raise SizeMismatch("embedding size differs from the tree")
     pts = [emb.point_of(ls, asg, v) for v in range(t.n)]
-    violations: List[Violation] = []
-    warnings: List[str] = []
+    violations = _violations(pts, t.edges)
+    warnings = [f"vertex {v} sits on an arrangement intersection point"
+                for v, p in enumerate(pts) if p in ls.point_set]
+    for e in t.edges:
+        if pts[e[0]] != pts[e[1]]:
+            s = Segment(pts[e[0]], pts[e[1]])
+            if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
+                warnings.append(f"edge {e} passes through an arrangement "
+                                f"intersection point")
+    return CheckReport(not violations, violations, tuple(warnings))
 
+
+def _violations(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
+                ) -> Tuple[Violation, ...]:
+    """Coincident vertices, contacts between edges, then vertices on edges
+    of the straight-line tree drawing with vertex v at ``pts[v]``.  The
+    relative interior of every edge must avoid every other edge and every
+    vertex point; tree-adjacent edges may meet only at their shared
+    endpoint.  Edge witnesses index the edges of positive length."""
+    violations: List[Violation] = []
     seen: Dict[Point, int] = {}
     for v, p in enumerate(pts):
-        if p in seen:
+        first = seen.setdefault(p, v)
+        if first != v:
             violations.append(Violation(ViolationKind.COINCIDENT_VERTICES,
-                                        (seen[p], v)))
-        else:
-            seen[p] = v
+                                        (first, v)))
 
-    edge_list = [e for e in t.edges if pts[e[0]] != pts[e[1]]]
+    edge_list = [e for e in edges if pts[e[0]] != pts[e[1]]]
     segs = [Segment(pts[u], pts[v]) for u, v in edge_list]
 
     for a in range(len(segs)):
@@ -190,23 +203,10 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
 
     for v, p in enumerate(pts):
         for k, (u, w) in enumerate(edge_list):
-            if v in (u, w):
-                continue
-            s = segs[k]
-            if on_segment(s, p):
+            if v not in (u, w) and on_segment(segs[k], p):
                 violations.append(Violation(ViolationKind.VERTEX_ON_EDGE,
                                             (v, k)))
-
-    for v, p in enumerate(pts):
-        if p in ls.point_set:
-            warnings.append(f"vertex {v} sits on an arrangement "
-                            f"intersection point")
-    for k, s in enumerate(segs):
-        if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
-            warnings.append(f"edge {edge_list[k]} passes through an "
-                            f"arrangement intersection point")
-
-    return CheckReport(not violations, tuple(violations), tuple(warnings))
+    return tuple(violations)
 
 
 def _contact(s1: Segment, s2: Segment,
@@ -233,8 +233,8 @@ class SolveResult:
 
 
 class _Placer:
-    """Incremental embedding state with exact conflict checks; ``x`` records
-    each placed vertex's x-parameter in placement order.
+    """Incremental embedding state with exact conflict checks; ``points``
+    holds each placed vertex's point in placement order.
 
     Callers place parents first, so every placed vertex other than a lone
     root ends a placed edge, and ``segs`` holds the placed edges in
@@ -244,7 +244,6 @@ class _Placer:
         self.ls = ls
         self.asg = asg
         self.parent = t.parent_of()
-        self.x: Dict[int, Fraction] = {}
         self.points: Dict[int, Point] = {}
         self.segs: List[Segment] = []
 
@@ -262,14 +261,12 @@ class _Placer:
                     return None
         return p
 
-    def place(self, v: int, x: Fraction, p: Point) -> None:
-        self.x[v] = x
+    def place(self, v: int, p: Point) -> None:
         self.points[v] = p
         if v in self.parent:
             self.segs.append(Segment(self.points[self.parent[v]], p))
 
     def unplace(self, v: int) -> None:
-        del self.x[v]
         del self.points[v]
         if v in self.parent:
             self.segs.pop()
@@ -279,24 +276,21 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
           budget: int, seed: int) -> SolveResult:
     """Search for a crossing-free embedding respecting the assignment.
 
-    Backtracking over vertices ordered by (depth, id), so every parent
+    Backtracking over the vertices in ``Tree.bfs_order``, so every parent
     comes before its children, through the discretized candidate
     positions, then up to ``budget`` randomized continuous restarts.
     ``budget`` bounds only the restarts: the backtracking has no node
     limit, and on some 12-vertex instances it runs for more than a minute
-    whatever the budget.  Found embeddings are re-verified exactly;
-    NotFound only reports budget exhaustion, never non-embeddability."""
+    whatever the budget.  The found points pass the checker's exact
+    ``_violations`` scan, or PostconditionError is raised; NotFound only
+    reports budget exhaustion, never non-embeddability."""
     if len(ls) != t.n:
         raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)
     cand = {v: candidate_positions(ls, asg.line_of(v), refine)
             for v in range(t.n)}
     placer = _Placer(ls, t, asg)
-    bfs = t.bfs_order()
-    depth = {0: 0}
-    for v in bfs[1:]:       # a parent precedes its children in BFS order
-        depth[v] = depth[placer.parent[v]] + 1
-    order = sorted(bfs, key=lambda v: (depth[v], v))
+    order = t.bfs_order()
     nodes = 0
 
     def backtrack(k: int) -> bool:
@@ -309,7 +303,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
             p = placer.can_place(v, x)
             if p is None:
                 continue
-            placer.place(v, x, p)
+            placer.place(v, p)
             if backtrack(k + 1):
                 return True
             placer.unplace(v)
@@ -329,10 +323,11 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
 
     if not found:
         return SolveResult(False, None, nodes, restarts)
-    emb = Embedding(tuple(placer.x[v] for v in range(t.n)))
-    if not check_embedding(ls, t, asg, emb).crossing_free:
+    pts = [placer.points[v] for v in range(t.n)]
+    if _violations(pts, t.edges):
         raise PostconditionError("solver produced an invalid embedding")
-    return SolveResult(True, emb, nodes, restarts)
+    return SolveResult(True, Embedding(tuple(p.x for p in pts)), nodes,
+                       restarts)
 
 
 _DENOM = 9973      # prime denominator keeps random rationals off breakpoints
@@ -353,7 +348,7 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
                 continue
             p = placer.can_place(v, x)
             if p is not None:
-                placer.place(v, x, p)
+                placer.place(v, p)
                 break
         else:
             return False

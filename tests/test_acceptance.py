@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from treelines import lineset, ramsey
+from treelines import embed, lineset, ramsey
 from treelines.geometry import (
     DegenerateContact,
     Line,
@@ -361,8 +361,10 @@ def test_criterion_6_unstretchability():
 # 7. embedding checker fixtures
 
 
-def test_criterion_7_checker_fixtures():
-    t0 = time.time()
+def _checker_fixtures():
+    """Criterion 7's drawings as (name, the violation kind the check must
+    report or None for a crossing-free drawing, line set, tree,
+    assignment, embedding)."""
     ls = verify_general_position(
         [Line(scalar(-1), scalar(0)), Line(scalar(0), scalar(-1)),
          Line(scalar(1), scalar(0)), Line(scalar(3), scalar(1))])
@@ -372,24 +374,43 @@ def test_criterion_7_checker_fixtures():
     def emb(*xs):
         return Embedding(tuple(Fraction(x) for x in xs))
 
-    def kinds(e):
-        return {v.kind for v in check_embedding(ls, t, asg, e).violations}
+    # consecutive edges share an endpoint, and that contact stays legal
+    return [("crossing-free", None, ls, t, asg, emb(-2, 2, 0, Fraction(1, 3))),
+            ("cross", ViolationKind.PROPER_CROSS, ls, t, asg,
+             emb(-2, 2, 0, 2)),
+            ("vertex-on-edge", ViolationKind.VERTEX_ON_EDGE, ls, t, asg,
+             emb(-2, 2, 0, 1)),
+            # v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3
+            ("overlap", ViolationKind.OVERLAP, ls, path_tree(3),
+             Assignment((1, 2, 3)), emb(-1, 5, 1))]
 
-    ok = True
-    ok &= check_embedding(ls, t, asg,
-                          emb(-2, 2, 0, Fraction(1, 3))).crossing_free
-    ok &= ViolationKind.PROPER_CROSS in kinds(emb(-2, 2, 0, 2))
-    ok &= ViolationKind.VERTEX_ON_EDGE in kinds(emb(-2, 2, 0, 1))
-    # collinear overlap: v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3
-    over = check_embedding(
-        ls, path_tree(3), Assignment((1, 2, 3)),
-        Embedding((Fraction(-1), Fraction(5), Fraction(1))))
-    ok &= any(v.kind == ViolationKind.OVERLAP for v in over.violations)
-    # shared-endpoint contact of consecutive edges stays legal
-    ok &= check_embedding(ls, t, asg,
-                          emb(-2, 2, 0, Fraction(1, 3))).violations == ()
-    _report(7, ok, "crossing-free / cross / overlap / vertex-on-edge / "
-            "shared endpoint", 1.0, time.time() - t0)
+
+def _criterion_7():
+    """(ok, detail): the checker reports each fixture's violation kind,
+    and no violation on the crossing-free drawing."""
+    for name, kind, *drawing in _checker_fixtures():
+        rep = check_embedding(*drawing)
+        ok = (rep.crossing_free and rep.violations == () if kind is None
+              else kind in {v.kind for v in rep.violations})
+        if not ok:
+            return False, f"{name}: violations {rep.violations}"
+    return True, ("crossing-free / cross / overlap / vertex-on-edge / "
+                  "shared endpoint")
+
+
+def test_criterion_7_checker_fixtures():
+    t0 = time.time()
+    ok, detail = _criterion_7()
+    _report(7, ok, detail, 1.0, time.time() - t0)
+
+
+def test_criterion_7_fails_on_a_checker_blind_to_vertices_on_edges(
+        monkeypatch):
+    real = embed._violations
+    monkeypatch.setattr(embed, "_violations", lambda pts, edges: tuple(
+        v for v in real(pts, edges)
+        if v.kind != ViolationKind.VERTEX_ON_EDGE))
+    assert not _criterion_7()[0]
 
 
 # --------------------------------------------------------------------------
@@ -405,23 +426,34 @@ def _all_trees(n: int):
             Tree(5, ((0, 1), (0, 2), (0, 3), (3, 4)))]
 
 
-def test_criterion_8_universality_sweep():
+def _criterion_8(sizes=(3, 4, 5), sets: int = 10):
+    """(ok, detail): every bijection of every tree on ``sets`` random sets
+    of each of ``sizes`` lines has an embedding that solve finds."""
     rng = np.random.default_rng(108)
-    t0 = time.time()
-    ok = True
-    for n in (3, 4, 5):
-        for _ in range(10):
+    for n in sizes:
+        for _ in range(sets):
             ls = random_lines(rng, n)
             for t in _all_trees(n):
                 rep = scan_universality(ls, t, refine=4, budget=1000)
                 if not rep.all_found:
-                    ok = False
-                    print(f"\n[ACCEPTANCE] criterion 8: NotFound for n={n} "
-                          f"tree={t.edges} iota={rep.candidates[0]}")
-        if not ok:
-            break
-    _report(8, ok, "10 sets per n in 3..5, every tree, every bijection",
-            900.0, time.time() - t0)
+                    return False, (f"NotFound for n={n} tree={t.edges} "
+                                   f"iota={rep.candidates[0]}")
+    return True, (f"{sets} sets per n in {sizes[0]}..{sizes[-1]}, every "
+                  f"tree, every bijection")
+
+
+def test_criterion_8_universality_sweep():
+    t0 = time.time()
+    ok, detail = _criterion_8()
+    _report(8, ok, detail, 900.0, time.time() - t0)
+
+
+def test_criterion_8_fails_when_edges_may_not_share_an_endpoint(
+        monkeypatch):
+    real = embed._contact
+    monkeypatch.setattr(embed, "_contact",
+                        lambda s1, s2, shared: real(s1, s2, False))
+    assert not _criterion_8(sizes=(3,), sets=1)[0]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from treelines.lineset import (
 )
 from treelines.embed import (
     Assignment,
-    CheckReport,
     CombTuple,
     DivisibilityError,
     EmbedError,
@@ -35,6 +34,7 @@ from treelines.embed import (
     SizeMismatch,
     TooLarge,
     Tree,
+    Violation,
     ViolationKind,
     build_iota,
     build_theorem_tree,
@@ -77,6 +77,12 @@ def test_tree_validation():
     t = path_tree(4)
     assert t.bfs_order() == [0, 1, 2, 3]
     assert star_tree(4).children_of()[0] == [1, 2, 3]
+
+
+def test_bfs_order_goes_level_by_level_each_level_by_id():
+    # a queue from the root would take 4, the child of 1, before 3
+    t = Tree(5, ((0, 1), (0, 2), (1, 4), (2, 3)))
+    assert t.bfs_order() == [0, 1, 2, 3, 4]
 
 
 def test_tree_validation_vs_networkx(rng):
@@ -205,10 +211,22 @@ def test_solve_and_scan_on_a_one_vertex_tree():
 
 def test_solve_raises_when_its_embedding_fails_the_check(four_lines,
                                                          monkeypatch):
-    monkeypatch.setattr(embed, "check_embedding",
-                        lambda *args: CheckReport(False, (), ()))
+    bad = Violation(ViolationKind.TOUCH, (0, 1))
+    monkeypatch.setattr(embed, "_violations", lambda *args: (bad,))
     with pytest.raises(PostconditionError):
         solve(four_lines, PATH4, ASG4, refine=3, budget=200, seed=1)
+
+
+def test_solve_restarts_when_the_grid_is_empty(four_lines, monkeypatch):
+    monkeypatch.setattr(embed, "candidate_positions", lambda *args: ())
+    res = solve(four_lines, PATH4, ASG4, refine=3, budget=1000, seed=5)
+    assert res.found and res.nodes == 0 and res.restarts >= 1
+    assert check_embedding(four_lines, PATH4, ASG4,
+                           res.embedding).crossing_free
+    assert solve(four_lines, PATH4, ASG4, refine=3, budget=1000,
+                 seed=5) == res
+    assert solve(four_lines, PATH4, ASG4, refine=3, budget=0,
+                 seed=5) == embed.SolveResult(False, None, 0, 0)
 
 
 def _placer(ls, tree, asg, *placed):
@@ -217,7 +235,7 @@ def _placer(ls, tree, asg, *placed):
     for v, x in placed:
         p = placer.can_place(v, Fraction(x))
         assert p is not None, (v, x)
-        placer.place(v, Fraction(x), p)
+        placer.place(v, p)
     return placer
 
 

@@ -26,6 +26,7 @@ from treelines.lineset import (
     ColorClasses,
     ConcurrentTriple,
     DuplicateLine,
+    EmptyRegion,
     HullSide,
     LineSet,
     LineSetError,
@@ -341,6 +342,10 @@ def test_region_hull_rejects_color_classes_of_another_size(rng):
                            match="sized for a different line set"):
             region_hull(ls, cc, r)
     region_hull(ls, ColorClasses(4, 24), RegionIndex(1, 1))
+    # on a set of the right size, a class beyond c names no region
+    with pytest.raises(EmptyRegion, match="out of range for c=4"):
+        region_hull(random_cup(rng, 8), ColorClasses(4, 8),
+                    RegionIndex(1, 5))
 
 
 def test_region_hull_contains_its_segments(rng):

@@ -20,8 +20,8 @@ working tree at the same size, and compares the two.
 The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
 a comparison see the same corpus.  The families cover the region hulls and
-everything that clips against them, and the extraction of caps, cups and
-angle-gap chains:
+everything that clips against them, the extraction of caps, cups and
+angle-gap chains, and the embedding checker, solver and scan:
 
     region_hull      vertices, sides and boundedness of every region hull
     clip             RegionHull.clip_parameter_interval of segments
@@ -38,8 +38,13 @@ angle-gap chains:
     doubling         extract_doubling's ids and variant, errors too
     pair_chains      the length and parent tables of ranked_chains on gap
                      keys, crossing keys and keys that tie in float
+    solve            solve's found flag, positions, nodes and restarts, also
+                     with one candidate per vertex, so that restarts run
+    check            check_embedding reports: violations and warnings
+    scan             scan_universality reports
     cli              stdout, stderr, exit code and SVG bytes of ``analyze``,
-                     the three extract commands, ``regions`` and ``render``
+                     the three extract commands, ``regions``, ``render``,
+                     ``check``, ``solve`` and ``scan``
 """
 
 from __future__ import annotations
@@ -127,6 +132,7 @@ class Corpus:
                 "screen": self.screen, "winding": self.winding,
                 "cap_cup": self.cap_cup, "monotone": self.monotone,
                 "doubling": self.doubling, "pair_chains": self.pair_chains,
+                "solve": self.solve, "check": self.check, "scan": self.scan,
                 "cli": self.cli}
 
     # -- arrangements with their hulls and segments
@@ -433,6 +439,134 @@ class Corpus:
                 for name, table in (("length", chains.length),
                                     ("parent", chains.parent))}
 
+    # -- embeddings
+    def _trees(self, rng, n: int):
+        """(shape, Tree) for a path, a star, a spider with three legs from
+        n=5 on, and a random recursive tree, whose ids are not always in
+        level order."""
+        inputs, Tree = self.inputs, self.tl.embed.Tree
+        shapes = [("path", inputs.path_edges(n)),
+                  ("star", inputs.star_edges(n))]
+        if n >= 5:
+            shapes.append(("spider", [(0, 1), (0, 2), (0, 3)]
+                           + [(v - 3, v) for v in range(4, n)]))
+        shapes.append(("random", inputs.random_tree(rng, n)))
+        return [(shape, Tree(n, tuple(edges))) for shape, edges in shapes]
+
+    def _assignment(self, rng, n: int):
+        return self.tl.embed.Assignment(tuple(int(i) + 1
+                                              for i in rng.permutation(n)))
+
+    def solve(self):
+        """solve on sets of 3 to 6 lines, every tree shape of _trees, at
+        refine 1 to 4; then with each vertex's grid cut to its first
+        candidate, so that the randomized restarts run."""
+        ct, embed = self.conftest, self.tl.embed
+        rng = np.random.default_rng(1619)
+        cases = []
+        for k in range(self.size):
+            for n in (3, 4, 5, 6):
+                ls = ct.random_lines(rng, n)
+                for shape, tree in self._trees(rng, n):
+                    cases.append((f"{shape}{n}#{k}", ls, tree,
+                                  self._assignment(rng, n), k))
+        for name, ls, tree, asg, seed in cases:
+            for refine in (1, 2, 3, 4):
+                yield (f"{name} refine {refine}",
+                       outcome(embed.solve, ls, tree, asg, refine, 20, seed))
+        with self._one_candidate():
+            for name, ls, tree, asg, seed in cases:
+                for budget in (0, 200):
+                    yield (f"{name} one candidate budget {budget}",
+                           outcome(embed.solve, ls, tree, asg, 2, budget,
+                                   seed))
+
+    @contextlib.contextmanager
+    def _one_candidate(self):
+        """Cut each vertex's candidate grid to its first position."""
+        embed = self.tl.embed
+        grid = embed.candidate_positions
+        embed.candidate_positions = lambda *args: grid(*args)[:1]
+        try:
+            yield
+        finally:
+            embed.candidate_positions = grid
+
+    def check(self):
+        """Whole check_embedding reports on criterion 7's fixtures, then on
+        random drawings of 3 to 8 lines whose vertices often sit on
+        crossings of their line, on the line through the ends of an edge,
+        or on the same crossing as another vertex; errors too."""
+        for name, _, *drawing in self.acceptance._checker_fixtures():
+            yield f"crit7 {name}", outcome(self.tl.embed.check_embedding,
+                                           *drawing)
+        ct, embed = self.conftest, self.tl.embed
+        rng = np.random.default_rng(1620)
+        for k in range(10 * self.size):
+            n = 3 + k % 6
+            ls = ct.random_lines(rng, n)
+            shape, tree = self._trees(rng, n)[k % 3]
+            asg = self._assignment(rng, n)
+            plain = [(l.slope, l.dual_offset) for l in ls]
+            xs = self.inputs.random_positions(rng, plain, n)
+            row = {v: [pt for _, pt in self.tl.lineset.intersection_order(
+                ls, asg.line_of(v))] for v in range(n)}
+            for v in range(n):
+                if rng.random() < 0.4:
+                    xs[v] = row[v][int(rng.integers(0, n - 1))].x
+            if k % 4 == 1:      # two vertices on the crossing of their lines
+                v, w = (int(i) for i in rng.choice(n, 2, replace=False))
+                xs[v] = xs[w] = ls.intersection(asg.line_of(v),
+                                                asg.line_of(w)).x
+            if k % 4 == 2:      # a vertex on the line through an edge's ends
+                u, w = tree.edges[int(rng.integers(0, n - 1))]
+                v = next((v for v in range(n) if v not in (u, w)), None)
+                x = self._on_line_through(ls, asg, xs, u, w, v)
+                if x is not None:
+                    xs[v] = x
+            emb = embed.Embedding(tuple(xs))
+            yield (f"{shape}{n}#{k}",
+                   outcome(embed.check_embedding, ls, tree, asg, emb))
+        yield "one position short", outcome(
+            embed.check_embedding, ls, tree, asg,
+            embed.Embedding(tuple(xs[1:])))
+
+    @staticmethod
+    def _on_line_through(ls, asg, xs, u, w, v):
+        """The abscissa where v's line meets the line through the points of
+        u and w, or None when there is no such one point."""
+        if v is None:
+            return None
+        lu, lw, lv = (ls.line(asg.line_of(i)) for i in (u, w, v))
+        pu, pw = lu.point_at(xs[u]), lw.point_at(xs[w])
+        if pu.x == pw.x:
+            return pu.x
+        m = (pw.y - pu.y) / (pw.x - pu.x)
+        if m == lv.slope:
+            return None
+        return (pu.y - m * pu.x + lv.dual_offset) / (lv.slope - m)
+
+    def scan(self):
+        """scan_universality on sets of 3 and 4 lines, every tree shape of
+        _trees, at refine 1, 2 and 4 with a budget of 20 restarts, then
+        with one candidate per vertex and no restarts."""
+        ct, embed = self.conftest, self.tl.embed
+        rng = np.random.default_rng(1621)
+        cases = []
+        for k in range(max(1, self.size // 2)):
+            for n in (3, 4):
+                ls = ct.random_lines(rng, n)
+                cases += [(f"{shape}{n}#{k}", ls, tree, k)
+                          for shape, tree in self._trees(rng, n)]
+        for name, ls, tree, seed in cases:
+            for refine in (1, 2, 4):
+                yield (f"{name} refine {refine}", outcome(
+                    embed.scan_universality, ls, tree, refine, 20, seed))
+        with self._one_candidate():
+            for name, ls, tree, seed in cases:
+                yield (f"{name} one candidate", outcome(
+                    embed.scan_universality, ls, tree, 2, 0, seed))
+
     # -- command line
     def cli(self):
         """The commands run in a temporary working directory, so that the
@@ -490,6 +624,51 @@ class Corpus:
             Path("l.txt").write_text(text)
             for cmd in LINE_FILE_COMMANDS:
                 yield f"{cmd} {name}", self._run([cmd, "l.txt"])
+        yield from self._cli_embedding_cases()
+
+    def _cli_embedding_cases(self):
+        """check on random and on solved embeddings, solve found and not,
+        and scan found, not found and refused for its size."""
+        ct, inputs = self.conftest, self.inputs
+        rng = np.random.default_rng(1622)
+        for k in range(max(1, self.size // 2)):
+            ls = ct.random_lines(rng, 5)
+            plain = [(l.slope, l.dual_offset) for l in ls]
+            for shape, tree in self._trees(rng, 5):
+                Path("i.txt").write_text(ct.serialize_instance(
+                    ls, tree, self._assignment(rng, 5)))
+                Path("e.txt").write_text(inputs.embedding_text(
+                    inputs.random_positions(rng, plain, 5)))
+                yield f"check {shape}#{k}", self._run(["check", "i.txt",
+                                                       "e.txt"])
+                for case, rec in self._searches("solve", k):
+                    yield f"solve {shape}#{k} {case}", rec
+                    if rec["code"] == 0:
+                        Path("e.txt").write_text(
+                            rec["stdout"].split("\n", 1)[1])
+                        yield f"check {shape}#{k} {case} solved", self._run(
+                            ["check", "i.txt", "e.txt"])
+            ls = ct.random_lines(rng, 4)
+            for shape, tree in self._trees(rng, 4):
+                Path("i.txt").write_text(ct.serialize_instance(ls, tree,
+                                                               None))
+                for case, rec in self._searches("scan", k):
+                    yield f"scan {shape}#{k} {case}", rec
+        Path("i.txt").write_text(ct.serialize_instance(
+            ct.random_lines(rng, 8), ct.star_tree(8), None))
+        yield "scan star8", self._run(["scan", "i.txt"])
+
+    def _searches(self, cmd: str, seed: int):
+        """(case, record) of the solve or scan command on i.txt: with
+        restarts to spare, then with one candidate per vertex and no
+        restarts, which often finds nothing."""
+        yield "refine 4 budget 20", self._run(
+            [cmd, "i.txt", "--refine", "4", "--budget", "20", "--seed",
+             str(seed)])
+        with self._one_candidate():
+            rec = self._run([cmd, "i.txt", "--refine", "2", "--budget", "0",
+                             "--seed", str(seed)])
+        yield "refine 2 one candidate", rec
 
     def _run(self, argv: List[str]):
         out, err = io.StringIO(), io.StringIO()
