@@ -64,10 +64,6 @@ class Point:
     def translated(self, dx: Fraction, dy: Fraction) -> "Point":
         return Point(self.x + dx, self.y + dy)
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
 
 def point(x: ScalarLike, y: ScalarLike) -> Point:
     return Point(scalar(x), scalar(y))
@@ -75,25 +71,30 @@ def point(x: ScalarLike, y: ScalarLike) -> Point:
 
 @dataclass(frozen=True)
 class Line:
-    """A non-vertical line stored as y = slope*x - dual_offset.
-
-    ``dual_offset`` is the *negated* y-intercept: with this convention the
-    point-line duality is literally coordinate copying,
-    (slope, dual_offset) <-> the dual point.
-    """
+    """A non-vertical line y = slope*x - dual_offset.  With the *negated*
+    y-intercept, point-line duality is coordinate copying: (slope,
+    dual_offset) <-> the dual point.  Its exact tests read the integer
+    triple ``homogeneous``, the form of every other line here."""
 
     slope: Fraction
     dual_offset: Fraction
     id: int = 0
 
-    def y_at(self, x: Fraction) -> Fraction:
-        return self.slope * x - self.dual_offset
+    @property
+    def homogeneous(self) -> Tuple[int, int, int]:
+        """The integers (A, B, C) = (p*s, -q*s, -r*q) of y = (p/q)*x - r/s
+        times q*s: A*X + B*Y + C*W at a point (X, Y, W), W > 0, is 0 on the
+        line and, as B < 0, positive below it."""
+        p, q = self.slope.numerator, self.slope.denominator
+        r, s = self.dual_offset.numerator, self.dual_offset.denominator
+        return p * s, -q * s, -r * q
 
     def contains(self, p: Point) -> bool:
-        return p.y == self.y_at(p.x)
+        (A, B, C), (X, Y, W) = self.homogeneous, p.homogeneous
+        return A * X + B * Y + C * W == 0
 
     def point_at(self, x: Fraction) -> Point:
-        return Point(x, self.y_at(x))
+        return Point(x, self.slope * x - self.dual_offset)
 
     def with_id(self, new_id: int) -> "Line":
         return Line(self.slope, self.dual_offset, new_id)
@@ -212,16 +213,11 @@ def clip_to_halfplanes(sides: Iterable[Tuple], p: Tuple, q: Tuple
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
-    """The unique common point of two non-parallel lines, exactly.  Times
-    sd*bd, the line y = (sn/sd)*x - bn/bd is a*x + b*y + c = 0 with the
-    integers (a, b, c) = (sn*bd, -sd*bd, -bn*sd); the cross product
-    (X, Y, W) of the two lines' triples is the point (X/W, Y/W)."""
-    s, o = l1.slope, l1.dual_offset
-    a1, b1, c1 = (s.numerator * o.denominator, -s.denominator * o.denominator,
-                  -o.numerator * s.denominator)
-    s, o = l2.slope, l2.dual_offset
-    a2, b2, c2 = (s.numerator * o.denominator, -s.denominator * o.denominator,
-                  -o.numerator * s.denominator)
+    """The one common point of two lines, exactly: the cross product
+    (X, Y, W) of their triples ``Line.homogeneous`` is (X/W, Y/W).  W is
+    s1*s2*(p2*q1 - p1*q2), 0 exactly for equal slopes p/q, identical lines
+    included, which raise ParallelLines."""
+    (a1, b1, c1), (a2, b2, c2) = l1.homogeneous, l2.homogeneous
     w = a1 * b2 - b1 * a2
     if w == 0:
         raise ParallelLines(f"lines {l1.id} and {l2.id} have equal slope")

@@ -191,14 +191,16 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
 
     if "iii" not in skip:
         for j in (1, 2, 3):
-            ln = frame.line(2 * j)
+            A, B, C = frame.line(2 * j).homogeneous
             nxt = cfg.edges[_NEXT_EDGE[j] - 1]
-            vp = nxt.p.y - ln.y_at(nxt.p.x)
-            vq = nxt.q.y - ln.y_at(nxt.q.x)
-            if vp == 0 or vq == 0 or (vp > 0) == (vq > 0):
+            (xp, yp, wp), (xq, yq, wq) = nxt.p.homogeneous, nxt.q.homogeneous
+            # l_{2j}'s side values at nxt's ends, times W_p*W_q as in the clip
+            a = (A * xp + B * yp + C * wp) * wq
+            b = (A * xq + B * yq + C * wq) * wp
+            if a == 0 or b == 0 or (a > 0) == (b > 0):
                 failures.append(("iii-missing", j))
                 continue
-            cross_x = nxt.at(vp / (vp - vq)).x
+            cross_x = nxt.at(Fraction(a, a - b)).x
             apex_x = frame.apex(j).x
             a_x = cfg.endpoint_on_even(j).x
             lo, hi = sorted((apex_x, cross_x))

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from treelines import embed, lineset, ramsey
+from treelines import embed, lineset, ramsey, unstretch
 from treelines.geometry import (
     DegenerateContact,
     Line,
@@ -323,38 +323,44 @@ def _random_frame(rng, cup: bool):
             continue
 
 
-def test_criterion_6_unstretchability():
+def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
+    """(ok, detail): no search of ``samples`` samples finds a configuration
+    on ``frames`` random frames with each of ``seeds`` seeds, and the
+    control with rule (ii) skipped finds one on a cup frame that passes
+    the other rules."""
     rng = np.random.default_rng(106)
-    t0 = time.time()
-    frames = [_random_frame(rng, cup=(k % 2 == 0)) for k in range(20)]
-    ok = True
-    for fi, frame in enumerate(frames):
-        for seed in range(10):
-            cfg = feasibility_search(frame, samples=10**6, seed=seed)
+    drawn = [_random_frame(rng, cup=(k % 2 == 0)) for k in range(frames)]
+    for fi, frame in enumerate(drawn):
+        for seed in range(seeds):
+            cfg = feasibility_search(frame, samples=samples, seed=seed)
             if cfg is not None:
-                ok = False
-                print(f"\n[ACCEPTANCE] criterion 6: frame {fi} seed {seed} "
-                      f"found a configuration: {cfg}")
-                break
-        if not ok:
-            break
-    mutated_found = False
-    if ok:
-        # control: with the hull-avoidance rule disabled the search space
-        # is genuinely explored and configurations exist (on cup frames)
-        for frame in frames:
-            if frame.cap_cup != CapCup.CUP:
-                continue
-            cfg = feasibility_search(frame, samples=10**6, seed=0,
-                                     skip_properties=frozenset({"ii"}))
-            if cfg is not None and validate_config(
-                    frame, cfg, skip=frozenset({"ii"})).ok:
-                mutated_found = True
-                break
-        ok = mutated_found
-    _report(6, ok, "20 frames x 10 seeds x 1e6 samples: none; "
-            f"mutation control found={mutated_found}",
-            600.0, time.time() - t0)
+                return False, (f"frame {fi} seed {seed} found a "
+                               f"configuration: {cfg}")
+    none = f"{frames} frames x {seeds} seeds x {samples:,} samples: none"
+    # control: with the hull-avoidance rule disabled the search space
+    # is genuinely explored and configurations exist (on cup frames)
+    for frame in drawn:
+        if frame.cap_cup != CapCup.CUP:
+            continue
+        cfg = feasibility_search(frame, samples=samples, seed=0,
+                                 skip_properties=frozenset({"ii"}))
+        if cfg is not None and validate_config(
+                frame, cfg, skip=frozenset({"ii"})).ok:
+            return True, f"{none}; mutation control found=True"
+    return False, f"{none}; mutation control found=False"
+
+
+def test_criterion_6_unstretchability():
+    t0 = time.time()
+    ok, detail = _criterion_6()
+    _report(6, ok, detail, 600.0, time.time() - t0)
+
+
+def test_criterion_6_fails_when_rule_ii_and_its_screen_see_no_hull(
+        monkeypatch):
+    # the float screen and the exact rule (ii) both clip through this name
+    monkeypatch.setattr(unstretch, "clip_to_halfplanes", lambda *a: None)
+    assert not _criterion_6(frames=1, seeds=1, samples=10**5)[0]
 
 
 # --------------------------------------------------------------------------

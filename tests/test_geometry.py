@@ -110,6 +110,34 @@ def test_line_intersection_parallel():
                           Line(scalar(1), scalar(5)))
 
 
+def test_line_intersection_of_identical_lines_raises_in_both_orders():
+    # the cross product of two equal triples is (0, 0, 0)
+    l1 = Line(Fraction(3, 7), Fraction(-5, 2), 1)
+    l2 = Line(Fraction(3, 7), Fraction(-5, 2), 2)
+    for a, b in ((l1, l2), (l2, l1)):
+        with pytest.raises(ParallelLines,
+                           match=f"lines {a.id} and {b.id} have equal slope"):
+            line_intersection(a, b)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+def test_line_triple_is_zero_on_the_line_and_positive_below(s, b, x, y):
+    ln = Line(s, b)
+    A, B, C = ln.homogeneous
+    assert B < 0
+
+    def value(p: Point) -> int:
+        X, Y, W = p.homogeneous
+        return A * X + B * Y + C * W
+
+    on = ln.point_at(x)
+    assert value(on) == 0 and ln.contains(on)
+    off = Point(x, y)
+    below = s * x - b - y
+    assert (value(off) > 0) - (value(off) < 0) == (below > 0) - (below < 0)
+    assert ln.contains(off) == (below == 0)
+
+
 def test_duality_examples():
     assert dualize_line(Line(scalar(2), scalar(3))) == point(2, 3)
     assert dualize_line(Line(scalar(0), scalar(0))) == point(0, 0)

@@ -19,15 +19,22 @@ working tree at the same size, and compares the two.
 
 The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
-a comparison see the same corpus.  The families cover the region hulls and
-everything that clips against them, the extraction of caps, cups and
+a comparison see the same corpus.  The families cover the general-position
+check and the crossings of lines, the region hulls and everything that
+clips against them, the six-line frames, the extraction of caps, cups and
 angle-gap chains, and the embedding checker, solver and scan:
 
+    general_position verify_general_position's slope-ordered rows, or its
+                     error with the input positions it names
+    crossings        line_intersection of every pair of lines, its error
+                     on equal slopes, and Line.contains on and off the
+                     crossings
     region_hull      vertices, sides and boundedness of every region hull
     clip             RegionHull.clip_parameter_interval of segments
     contains         RegionHull.contains of points
     comb_type        comb_type of segments in both directions, errors too
     path_descriptor  path_descriptor of embedded root paths, errors too
+    frame            validate_frame verdicts and errors
     validate_config  validate_config verdicts, rule (ii) among them
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      candidate of full-rule feasibility searches
@@ -44,7 +51,7 @@ angle-gap chains, and the embedding checker, solver and scan:
     scan             scan_universality reports
     cli              stdout, stderr, exit code and SVG bytes of ``analyze``,
                      the three extract commands, ``regions``, ``render``,
-                     ``check``, ``solve`` and ``scan``
+                     ``check``, ``solve``, ``scan`` and ``unstretch``
 """
 
 from __future__ import annotations
@@ -125,15 +132,101 @@ class Corpus:
         self._line_sets = None
 
     def families(self) -> Dict[str, Callable[[], Iterator]]:
-        return {"region_hull": self.region_hull, "clip": self.clip,
+        return {"general_position": self.general_position,
+                "crossings": self.crossings,
+                "region_hull": self.region_hull, "clip": self.clip,
                 "contains": self.contains, "comb_type": self.comb_type,
                 "path_descriptor": self.path_descriptor,
+                "frame": self.frame,
                 "validate_config": self.validate_config,
                 "screen": self.screen, "winding": self.winding,
                 "cap_cup": self.cap_cup, "monotone": self.monotone,
                 "doubling": self.doubling, "pair_chains": self.pair_chains,
                 "solve": self.solve, "check": self.check, "scan": self.scan,
                 "cli": self.cli}
+
+    # -- general position and crossings
+    def general_position(self):
+        """verify_general_position on raw lists: random lines from few
+        slopes and offsets, so that lines repeat, run parallel or meet
+        three in a point; three lines through an off-grid rational point,
+        in increasing and decreasing slope order, then shuffled among
+        others; and two pairs whose crossings share their abscissa or
+        their ordinate."""
+        Line = self.tl.geometry.Line
+        rng = np.random.default_rng(1623)
+
+        def frac(lim: int, den: int) -> Fraction:
+            return Fraction(int(rng.integers(-lim, lim + 1)), den)
+
+        def through(x, y, count: int):
+            slopes = np.sort(rng.choice(np.arange(-4000, 4000), count,
+                                        replace=False))
+            return [Line(s, s * x - y)
+                    for s in (Fraction(int(v), 997) for v in slopes)]
+
+        for k in range(10 * self.size):
+            lim, den = ((2, 1), (3, 1), (6, 2), (4000, 997))[k % 4]
+            n = 2 + k % 5 if lim < 4 else 2 + k % 9
+            yield f"random{n}#{k}", self._verified(
+                [Line(frac(lim, den), frac(lim, den)) for _ in range(n)])
+        for k in range(4 * self.size):
+            x = Fraction(int(rng.integers(-10**6, 10**6)),
+                         int(rng.integers(1, 10**6)))
+            y = Fraction(int(rng.integers(-10**6, 10**6)),
+                         int(rng.integers(1, 10**6)))
+            three = through(x, y, 3)
+            others = [Line(frac(4000, 997), frac(4000, 1009))
+                      for _ in range(k % 4)]
+            mixed = three + others
+            for way, lines in (("increasing", mixed),
+                               ("decreasing", three[::-1] + others),
+                               ("shuffled", [mixed[int(i)] for i in
+                                             rng.permutation(len(mixed))])):
+                yield f"through#{k} {way}", self._verified(lines)
+            step = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+            for axis, (x2, y2) in (("abscissa", (x, y + step)),
+                                   ("ordinate", (x + step, y))):
+                yield (f"shared {axis}#{k}", self._verified(
+                    through(x, y, 2) + through(x2, y2, 2)))
+
+    def _verified(self, lines):
+        """The slope-ordered lines verify_general_position returns, or its
+        error with the input positions it names."""
+        lineset = self.tl.lineset
+        try:
+            return {"ok": canonical(lineset.verify_general_position(lines)
+                                    .lines)}
+        except lineset.LineSetError as exc:
+            at = getattr(exc, "triple", None) or exc.pair
+            return {"error": type(exc).__name__, "message": str(exc),
+                    "at": list(at)}
+
+    def crossings(self):
+        """line_intersection of every pair of lines of the extraction sets
+        (line_sets), and Line.contains of both lines at each crossing and
+        1/1009 above it; then the first line against a parallel and an
+        identical line, both ways round."""
+        g = self.tl.geometry
+        up = Fraction(1, 1009)
+        for name, ls in self.line_sets():
+            points, contains = [], []
+            for a, b in itertools.combinations(ls.lines, 2):
+                pt = g.line_intersection(a, b)
+                points.append([pt.x, pt.y])
+                contains.append("".join(str(int(ln.contains(p)))
+                                        for p in (pt, pt.translated(0, up))
+                                        for ln in (a, b)))
+            yield name, {"points": canonical(points),
+                         "contains": " ".join(contains)}
+            first = ls.line(1)
+            for kind, other in (
+                    ("parallel", g.Line(first.slope, first.dual_offset + 1)),
+                    ("identical", first.with_id(0))):
+                for way, pair in (("fwd", (first, other)),
+                                  ("bwd", (other, first))):
+                    yield (f"{name} {kind} {way}",
+                           outcome(g.line_intersection, *pair))
 
     # -- arrangements with their hulls and segments
     def arrangements(self):
@@ -280,6 +373,40 @@ class Corpus:
             out.append((f"crit6#{k}", self.acceptance._random_frame(
                 rng, cup=k % 2 == 0)))
         return out
+
+    def frame(self):
+        """validate_frame on six lines tangent to a parabola whose angle
+        gaps are each 0.97 to 1.3 times the total of the earlier ones, so
+        that the doubling inequality often fails or holds by little: read
+        from the right every other time (the upper variant), some with a
+        span of 80 to 100 degrees, some with an offset moved off the
+        parabola, with ids out of order or one short; errors too."""
+        ct, tl = self.conftest, self.tl
+        Line = tl.geometry.Line
+        rng = np.random.default_rng(1624)
+        for k in range(40 * self.size):
+            gaps = [float(rng.uniform(0.5, 2.0))]
+            for _ in range(4):
+                gaps.append(sum(gaps) * float(rng.uniform(0.97, 1.3)))
+            if k % 2:
+                gaps.reverse()
+            if k % 4 >= 2:
+                span = float(rng.uniform(80.0, 100.0))
+                gaps = [g * span / sum(gaps) for g in gaps]
+            degs = [float(rng.uniform(-85.0, 85.0 - sum(gaps)))]
+            for g in gaps:
+                degs.append(degs[-1] + g)
+            slopes = [ct.slope_of_degrees(d) for d in degs]
+            sign = 1 if k % 3 == 0 else -1      # a cup, else a cap
+            lines = [Line(s, sign * s * s) for s in slopes]
+            if k % 5 == 4:
+                j = int(rng.integers(0, 6))
+                lines[j] = Line(slopes[j], lines[j].dual_offset * Fraction(
+                    int(rng.integers(50, 151)), 100))
+            ids = ([1, 2, 3, 4, 6, 5] if k % 13 == 12 else
+                   [1, 2, 3, 4, 5] if k % 17 == 16 else [1, 2, 3, 4, 5, 6])
+            yield f"#{k}", outcome(lambda: tl.unstretch.validate_frame(
+                tl.lineset.verify_general_position(lines), ids))
 
     def _candidates(self, frame, rng):
         """(u, t) float triples as the search screens them (drawn by the
@@ -625,6 +752,7 @@ class Corpus:
             for cmd in LINE_FILE_COMMANDS:
                 yield f"{cmd} {name}", self._run([cmd, "l.txt"])
         yield from self._cli_embedding_cases()
+        yield from self._cli_unstretch_cases()
 
     def _cli_embedding_cases(self):
         """check on random and on solved embeddings, solve found and not,
@@ -657,6 +785,23 @@ class Corpus:
         Path("i.txt").write_text(ct.serialize_instance(
             ct.random_lines(rng, 8), ct.star_tree(8), None))
         yield "scan star8", self._run(["scan", "i.txt"])
+
+    def _cli_unstretch_cases(self):
+        """unstretch at a fixed --samples on cup and cap frames drawn like
+        the benchmark's, on six random lines and on five."""
+        inputs = self.inputs
+        rng = np.random.default_rng(1625)
+        for k in range(max(1, self.size // 4)):
+            for name, lines in (
+                    ("cup", inputs.random_frame_lines(rng, cup=True)),
+                    ("cap", inputs.random_frame_lines(rng, cup=False)),
+                    ("random", inputs.random_lines(rng, 6)),
+                    ("five", inputs.random_lines(rng, 5))):
+                Path("l.txt").write_text(inputs.lines_text(lines))
+                for seed in (0, 1):
+                    yield (f"unstretch {name}#{k} seed {seed}", self._run(
+                        ["unstretch", "l.txt", "--samples", "100000",
+                         "--seed", str(seed)]))
 
     def _searches(self, cmd: str, seed: int):
         """(case, record) of the solve or scan command on i.txt: with
