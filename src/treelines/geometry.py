@@ -44,8 +44,8 @@ class ParallelLines(ValueError):
 
 class DegenerateContact(ValueError):
     """Raised by winding_number when the polyline touches the ray
-    non-transversally (vertex on the ray, collinear sub-segment, or a
-    crossing exactly through the ray origin)."""
+    non-transversally (a vertex on the ray, or a crossing exactly through
+    the ray origin)."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class Line:
         return p * s, -q * s, -r * q
 
     def contains(self, p: Point) -> bool:
-        (A, B, C), (X, Y, W) = self.homogeneous, p.homogeneous
-        return A * X + B * Y + C * W == 0
+        return side(self.homogeneous, p.homogeneous) == 0
 
     def point_at(self, x: Fraction) -> Point:
         return Point(x, self.slope * x - self.dual_offset)
@@ -148,6 +147,14 @@ def line_through(p: Tuple[int, int, int], q: Tuple[int, int, int]
     return a // g, b // g, c // g
 
 
+def side(l: Tuple, p: Tuple):
+    """The value A*X + B*Y + C*W of the line triple l = (A, B, C) at the
+    homogeneous point p = (X, Y, W): 0 on the line, and for W > 0 of the
+    sign of the side of it p lies on; exact on integers, also on floats."""
+    (A, B, C), (X, Y, W) = l, p
+    return A * X + B * Y + C * W
+
+
 def at_infinity(dx: Fraction, dy: Fraction) -> Tuple[int, int, int]:
     """The point at infinity in the direction (dx, dy), as an integer
     homogeneous triple (X, Y, 0) with (X, Y) a positive multiple of it."""
@@ -189,14 +196,13 @@ def clip_to_halfplanes(sides: Iterable[Tuple], p: Tuple, q: Tuple
     None when it is empty.  Parameters are compared by cross-multiplying,
     never divided, so the clip is exact on integers; it also runs on
     floats with W = 1."""
-    xp, yp, wp = p
-    xq, yq, wq = q
+    wp, wq = p[2], q[2]
     n_lo, d_lo, n_hi, d_hi = 0, 1, 1, 1
     k_lo = k_hi = None
-    for k, (A, B, C) in enumerate(sides):
+    for k, l in enumerate(sides):
         # the side's values at p and q, both times W_p * W_q
-        a = (A * xp + B * yp + C * wp) * wq
-        b = (A * xq + B * yq + C * wq) * wp
+        a = side(l, p) * wq
+        b = side(l, q) * wp
         if a < 0 and b < 0:
             return None
         if a < b:         # entering the half-plane at t = -a/(b - a)
@@ -299,41 +305,32 @@ def convex_hull(points: Sequence[Point]) -> List[Point]:
     return hull
 
 
-def _along_ray(r: Ray, p: Point) -> Fraction:
-    return r.dx * (p.x - r.origin.x) + r.dy * (p.y - r.origin.y)
-
-
 def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     """Signed transversal crossings of the oriented polyline with the ray:
     arrivals from the left (looking along the ray) count +1, arrivals from
     the right count -1."""
     if len(polyline) < 2:
         raise ValueError("polyline needs at least 2 points")
-    A, B, C = line_through(r.origin.homogeneous, at_infinity(r.dx, r.dy))
+    o = r.origin.homogeneous
+    ray = line_through(o, at_infinity(r.dx, r.dy))
+    # the line through the origin across the ray, positive exactly behind it
+    behind = line_through(o, at_infinity(-r.dy, r.dx))
     # each vertex's side value against the ray's line, times W > 0
-    values = [A * X + B * Y + C * W for X, Y, W in
-              (v.homogeneous for v in polyline)]
+    values = [side(ray, v.homogeneous) for v in polyline]
     for v, s in zip(polyline, values):
-        if s == 0 and _along_ray(r, v) >= 0:
+        if s == 0 and side(behind, v.homogeneous) <= 0:
             raise DegenerateContact(f"polyline vertex {v} lies on the ray")
     total = 0
     for p, q, sp, sq in zip(polyline, polyline[1:], values, values[1:]):
-        if sp == 0 and sq == 0:
-            # collinear with the supporting line but off the ray (vertices on
-            # the ray were rejected above); the sub-segment could still reach
-            # the ray only through the origin, which both along-values exclude
-            if max(_along_ray(r, p), _along_ray(r, q)) >= 0:
-                raise DegenerateContact("collinear sub-segment meets the ray")
-            continue
         if sp == 0 or sq == 0:
-            # one vertex on the supporting line behind the origin: the
-            # segment only touches the line off the ray
+            # a vertex on the ray's line, so behind the origin: the segment
+            # touches the line or runs along it off the ray
             continue
         if (sp > 0) == (sq > 0):
             continue
         # transversal crossing X of the supporting line: (q-p) x (origin-p)
-        # is along(X) times a rise of sq's sign up to a positive factor, so
-        # its sign times sq's places X on the ray
+        # is X's signed position along the ray times a rise of sq's sign, up
+        # to a positive factor, so its sign times sq's places X on the ray
         ahead = orientation(p, q, r.origin) * (1 if sq > 0 else -1)
         if ahead < 0:
             continue

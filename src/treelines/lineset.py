@@ -25,6 +25,7 @@ from .geometry import (
     line_intersection,
     line_through,
     on_segment,
+    side,
 )
 
 
@@ -420,9 +421,8 @@ class RegionHull:
         return len(self.sides)
 
     def contains(self, p: Point) -> bool:
-        X, Y, W = p.homogeneous
-        return all(A * X + B * Y + C * W >= 0
-                   for A, B, C in (s.halfplane for s in self.sides))
+        h = p.homogeneous
+        return all(side(s.halfplane, h) >= 0 for s in self.sides)
 
     def clip_parameter_interval(
         self, seg: Segment

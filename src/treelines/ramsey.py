@@ -7,7 +7,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Line, PostconditionError, angle_gap
@@ -36,18 +35,11 @@ class ChainTooShort(LineSetError):
 
 @dataclass
 class TripleColoring:
-    """A total 2-coloring of the vertex triples {i<j<k} of [n]."""
+    """A total 2-coloring of the vertex triples {i<j<k} of [n], held as
+    its rule: ``of(i, j, k)`` is the colour of the triple."""
 
     n: int
-    color: Dict[Tuple[int, int, int], Color]
-
-    def __post_init__(self):
-        expected = self.n * (self.n - 1) * (self.n - 2) // 6
-        if len(self.color) != expected:
-            raise ValueError(f"coloring must cover all {expected} triples")
-
-    def of(self, i: int, j: int, k: int) -> Color:
-        return self.color[(i, j, k)]
+    of: Callable[[int, int, int], Color]
 
 
 @dataclass(frozen=True)
@@ -133,19 +125,11 @@ def color_by_gaps(ls: LineSet) -> TripleColoring:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    # all O(n^3) triple comparisons reuse the O(n^2) pairwise gaps
-    gap: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gap[(i, j)] = angle_gap(ls.line(i), ls.line(j))
-    color: Dict[Tuple[int, int, int], Color] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            earlier = gap[(i, j)]
-            for k in range(j + 1, n + 1):
-                color[(i, j, k)] = (Color.RED if gap[(j, k)] < earlier
-                                    else Color.BLUE)
-    return TripleColoring(n, color)
+    # each triple compares two of the C(n, 2) pairwise gaps
+    gap = {(i, j): angle_gap(ls.line(i), ls.line(j))
+           for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return TripleColoring(n, lambda i, j, k: (
+        Color.RED if gap[j, k] < gap[i, j] else Color.BLUE))
 
 
 def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:

@@ -27,6 +27,7 @@ from .geometry import (
     convex_hull,
     line_through,
     orientation,
+    side,
 )
 from .lineset import CapCup, LineSet, classify_cap_cup
 from .ramsey import Variant, doubling_failure
@@ -191,12 +192,12 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
 
     if "iii" not in skip:
         for j in (1, 2, 3):
-            A, B, C = frame.line(2 * j).homogeneous
+            l = frame.line(2 * j).homogeneous
             nxt = cfg.edges[_NEXT_EDGE[j] - 1]
-            (xp, yp, wp), (xq, yq, wq) = nxt.p.homogeneous, nxt.q.homogeneous
+            p, q = nxt.p.homogeneous, nxt.q.homogeneous
             # l_{2j}'s side values at nxt's ends, times W_p*W_q as in the clip
-            a = (A * xp + B * yp + C * wp) * wq
-            b = (A * xq + B * yq + C * wq) * wp
+            a = side(l, p) * q[2]
+            b = side(l, q) * p[2]
             if a == 0 or b == 0 or (a > 0) == (b > 0):
                 failures.append(("iii-missing", j))
                 continue

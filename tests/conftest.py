@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from treelines.embed import Tree
-from treelines.geometry import Line, Point
+from treelines.geometry import Line
 from treelines.io_formats import serialize_lines
 from treelines.lineset import LineSet, LineSetError, verify_general_position
 
@@ -56,13 +56,6 @@ def mirrored(ls: LineSet) -> LineSet:
     becomes a cap and a cap a cup."""
     return verify_general_position(
         [Line(l.slope, -l.dual_offset) for l in ls])
-
-
-def line_value(line, p: Point) -> int:
-    """A*X + B*Y + C*W of a line triple (A, B, C) at the homogeneous
-    coordinates of p: > 0 left of the line, 0 on it, < 0 right."""
-    (A, B, C), (X, Y, W) = line, p.homogeneous
-    return A * X + B * Y + C * W
 
 
 def path_tree(n: int) -> Tree:

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from treelines import embed, lineset, ramsey, unstretch
+from treelines import embed, geometry, lineset, ramsey, unstretch
 from treelines.geometry import (
     DegenerateContact,
     Line,
@@ -156,8 +156,9 @@ def test_criterion_2_extractor():
 def _random_coloring(rng, n) -> TripleColoring:
     triples = list(itertools.combinations(range(1, n + 1), 3))
     bits = rng.integers(0, 2, size=len(triples))
-    return TripleColoring(n, {t: (Color.RED if b else Color.BLUE)
-                              for t, b in zip(triples, bits)})
+    colors = {t: (Color.RED if b else Color.BLUE)
+              for t, b in zip(triples, bits)}
+    return TripleColoring(n, lambda i, j, k: colors[i, j, k])
 
 
 def _brute_longest_path(tc) -> int:
@@ -174,26 +175,53 @@ def _brute_longest_path(tc) -> int:
     return best
 
 
-def test_criterion_3_hyperpath_dp():
+def _criterion_3(trials: int = 200, bound_sizes=(50, 120, 200)):
+    """(ok, detail): on ``trials`` random colourings of 4 to 12 vertices
+    the longest monochromatic path is valid, as long as brute force finds
+    and meets the path bound, and on one random colouring of each of
+    ``bound_sizes`` vertices it is valid and meets the bound."""
     rng = np.random.default_rng(103)
-    t0 = time.time()
-    ok = True
-    for _ in range(200):
+    for trial in range(trials):
         n = int(rng.integers(4, 13))
         tc = _random_coloring(rng, n)
         path = longest_mono_path(tc)
         if not path.check(tc) or len(path) != _brute_longest_path(tc) or \
                 len(path) < mono_path_bound(n):
-            ok = False
-            break
-    if ok:
-        for n in (50, 120, 200):
-            tc = _random_coloring(rng, n)
-            path = longest_mono_path(tc)
-            if not path.check(tc) or len(path) < mono_path_bound(n):
-                ok = False
-    _report(3, ok, "200 brute-force trials n<=12 plus bound up to n=200",
-            120.0, time.time() - t0)
+            return False, f"trial {trial}: {path} is not a longest path"
+    for n in bound_sizes:
+        tc = _random_coloring(rng, n)
+        path = longest_mono_path(tc)
+        if not path.check(tc) or len(path) < mono_path_bound(n):
+            return False, f"n={n}: {path} is invalid or below the bound"
+    return True, (f"{trials} brute-force trials n<=12 plus bound up to n="
+                  + "/".join(map(str, bound_sizes)))
+
+
+def test_criterion_3_hyperpath_dp():
+    t0 = time.time()
+    ok, detail = _criterion_3()
+    _report(3, ok, detail, 120.0, time.time() - t0)
+
+
+class _FirstFoundChains(lineset.PairChains):
+    """ramsey.LabelledChains keeping the first chain it finds for a key,
+    not the longest: its chains are valid, but not always the longest."""
+
+    def __init__(self, vertices, label):
+        length, parent = {}, {}
+        for b, j in enumerate(vertices):
+            for k in vertices[b + 1:]:
+                for i in vertices[:b]:
+                    lab = label(i, j, k)
+                    if (j, k, lab) not in length:
+                        length[j, k, lab] = length.get((i, j, lab), 2) + 1
+                        parent[j, k, lab] = i
+        super().__init__(length, parent)
+
+
+def test_criterion_3_fails_when_the_dp_keeps_the_first_chain(monkeypatch):
+    monkeypatch.setattr(ramsey, "LabelledChains", _FirstFoundChains)
+    assert not _criterion_3(trials=40, bound_sizes=())[0]
 
 
 # --------------------------------------------------------------------------
@@ -539,22 +567,39 @@ def _spiral(k: int, points_per_loop: int = 12):
     return out
 
 
-def test_criterion_10_winding():
-    t0 = time.time()
+def _criterion_10():
+    """(ok, detail): k-loop spirals wind -k about the origin as seen by a
+    downward ray, and +k reversed, for k = 1..5; a vertex on the ray is
+    rejected."""
     down = Ray(Point(Fraction(0), Fraction(0)), scalar(0), scalar(-1))
-    ok = True
     for k in range(1, 6):
         loop = _spiral(k)     # counter-clockwise: arrivals from the right
-        if winding_number(loop, down) != -k:
-            ok = False
-        if winding_number(list(reversed(loop)), down) != k:
-            ok = False
+        for poly, want in ((loop, -k), (list(reversed(loop)), k)):
+            got = winding_number(poly, down)
+            if got != want:
+                return False, f"a {k}-loop spiral winds {got}, not {want}"
     try:
         winding_number([Point(Fraction(-1), Fraction(-1)),
                         Point(Fraction(0), Fraction(-2)),
                         Point(Fraction(1), Fraction(-1))], down)
-        ok = False          # vertex on the ray must be rejected
+        return False, "a vertex on the ray was not rejected"
     except DegenerateContact:
         pass
-    _report(10, ok, "k-loop spirals give winding +-k, degeneracies rejected",
-            1.0, time.time() - t0)
+    return True, "k-loop spirals give winding +-k, degeneracies rejected"
+
+
+def test_criterion_10_winding():
+    t0 = time.time()
+    ok, detail = _criterion_10()
+    _report(10, ok, detail, 1.0, time.time() - t0)
+
+
+def test_criterion_10_fails_when_every_crossing_reads_ahead(monkeypatch):
+    # orientation taken against a point 10**9 behind the downward ray's
+    # origin puts every crossing of the ray's line ahead of it, so each
+    # loop of a spiral counts both of its crossings, which cancel
+    real = geometry.orientation
+    up = Fraction(10**9)
+    monkeypatch.setattr(geometry, "orientation",
+                        lambda p, q, r: real(p, q, r.translated(0, up)))
+    assert not _criterion_10()[0]

@@ -13,6 +13,7 @@ from treelines.geometry import (
     PostconditionError,
     Segment,
     scalar,
+    side,
 )
 from treelines.lineset import (
     ColorClasses,
@@ -47,8 +48,7 @@ from treelines.embed import (
     solve,
 )
 
-from conftest import (line_value, path_tree, random_cup, random_lines,
-                      star_tree)
+from conftest import path_tree, random_cup, random_lines, star_tree
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +376,7 @@ def test_comb_type_labels_name_the_side_crossed(rng):
                         labels.append(0)
                         continue
                     on = [k + 1 for k, s in enumerate(h.sides)
-                          if line_value(s.halfplane, seg.at(t)) == 0]
+                          if side(s.halfplane, seg.at(t).homogeneous) == 0]
                     assert len(on) == 1, (r, t, on)
                     labels.append(on[0])
                     checked += 1

@@ -490,6 +490,16 @@ def test_winding_degenerate_contacts():
         winding_number([point(-1, 0), point(1, 0)], down)
 
 
+def test_winding_after_a_run_along_the_rays_line_behind_the_origin():
+    # two vertices on the ray's line behind the origin, then a crossing of
+    # the ray from its left (x > 0 looking down): no contact, winding +1
+    down = Ray(point(0, 0), scalar(0), scalar(-1))
+    poly = [point(0, 3), point(0, 1), point(1, 0), point(1, -2),
+            point(-1, -2)]
+    assert winding_number(poly, down) == 1
+    assert winding_number(list(reversed(poly)), down) == -1
+
+
 def test_winding_ray_invariance_star_shaped(rng):
     """Any two valid rays from the same origin see the same winding number
     of a closed loop."""

@@ -20,6 +20,7 @@ from treelines.geometry import (
     line_intersection,
     orientation,
     scalar,
+    side,
 )
 from treelines.lineset import (
     CapCup,
@@ -45,8 +46,7 @@ from treelines.lineset import (
 )
 from treelines.ramsey import mono_path_bound
 
-from conftest import (angle_lineset, line_value, mirrored, random_cup,
-                      random_lines)
+from conftest import angle_lineset, mirrored, random_cup, random_lines
 
 
 def L(s, b):
@@ -407,23 +407,23 @@ def test_hull_side_triple_is_primitive_and_signed_as_the_cross_product(
     # its left: a ray with no start comes in from infinity along -d
     if kind == "edge":
         assume(a != b)
-        side, (x0, y0, dx, dy) = HullSide(a, b), (a.x, a.y, b.x - a.x,
-                                                  b.y - a.y)
+        hs, (x0, y0, dx, dy) = HullSide(a, b), (a.x, a.y, b.x - a.x,
+                                                b.y - a.y)
     else:
         assume(d != (0, 0))
         if kind == "ray out":
-            side, (x0, y0, dx, dy) = HullSide(a, None, d), (a.x, a.y, *d)
+            hs, (x0, y0, dx, dy) = HullSide(a, None, d), (a.x, a.y, *d)
         else:
-            side, (x0, y0, dx, dy) = HullSide(None, a, d), (a.x, a.y,
-                                                            -d[0], -d[1])
-    A, B, C = side.halfplane
+            hs, (x0, y0, dx, dy) = HullSide(None, a, d), (a.x, a.y,
+                                                          -d[0], -d[1])
+    A, B, C = hs.halfplane
     assert all(type(v) is int for v in (A, B, C))
     assert math.gcd(A, B, C) == 1
     # the sign of the cross product (dx, dy) x (p - (x0, y0))
-    assert _sign(line_value(side.halfplane, p)) == \
+    assert _sign(side(hs.halfplane, p.homogeneous)) == \
         _sign(dx * (p.y - y0) - dy * (p.x - x0))
-    assert line_value(side.halfplane,
-                      Point(x0 + k * dx, y0 + k * dy)) == 0
+    assert side(hs.halfplane,
+                Point(x0 + k * dx, y0 + k * dy).homogeneous) == 0
 
 
 def test_region_hull_side_labels(rng):
@@ -441,9 +441,10 @@ def test_region_hull_side_labels(rng):
             for k, s in enumerate(h.sides):
                 # on the side's supporting line but off the side
                 for p in _past_ends(s):
-                    assert line_value(s.halfplane, p) == 0, (r, k)
+                    assert side(s.halfplane, p.homogeneous) == 0, (r, k)
                 # the hull lies on the side's left
-                assert line_value(s.halfplane, Point(cx, cy)) > 0, (r, k)
+                assert side(s.halfplane,
+                            Point(cx, cy).homogeneous) > 0, (r, k)
             if h.bounded:
                 # side 1 starts at the smallest vertex by (x, y)
                 assert h.vertices[0] == min(h.vertices,

@@ -52,9 +52,9 @@ def _all_colorings(n, rng, trials):
     triples = list(itertools.combinations(range(1, n + 1), 3))
     for _ in range(trials):
         bits = rng.integers(0, 2, size=len(triples))
-        yield TripleColoring(
-            n, {t: (Color.RED if b else Color.BLUE)
-                for t, b in zip(triples, bits)})
+        colors = {t: (Color.RED if b else Color.BLUE)
+                  for t, b in zip(triples, bits)}
+        yield TripleColoring(n, lambda i, j, k, c=colors: c[i, j, k])
 
 
 def _brute_longest(tc):
@@ -101,6 +101,21 @@ def test_color_by_gaps_example():
         [Line(scalar(0), scalar(0)), Line(Fraction(1, 10), scalar(1)),
          Line(scalar(1), scalar(5))])
     assert color_by_gaps(ls2).of(1, 2, 3) == Color.BLUE
+
+
+def test_color_by_gaps_compares_the_two_gaps_of_each_triple(rng):
+    # tied gaps colour BLUE: only a strictly smaller later gap is RED
+    ties = 0
+    for n in (3, 7, 12, 16):
+        ls = _tied_gap_lines(rng, n)
+        tc = color_by_gaps(ls)
+        for i, j, k in itertools.combinations(range(1, n + 1), 3):
+            later = angle_gap(ls.line(j), ls.line(k))
+            earlier = angle_gap(ls.line(i), ls.line(j))
+            ties += later == earlier
+            assert tc.of(i, j, k) == (Color.RED if later < earlier
+                                      else Color.BLUE), (n, i, j, k)
+    assert ties > 10
 
 
 def test_extract_monotone_on_random_sets(rng):

@@ -125,6 +125,31 @@ def test_no_imports_inside_functions():
     assert not found, sorted(set(found))
 
 
+def _terms(node: ast.expr) -> list:
+    # the operands of a chain of additions, left to right
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _terms(node.left) + _terms(node.right)
+    return [node]
+
+
+def test_side_values_are_written_only_in_geometry_side():
+    # A*X + B*Y + C*W, a line triple at a homogeneous point, is one
+    # predicate: a sum of three products anywhere else writes it again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "side"
+                   and path.name == "geometry.py" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            terms = _terms(node)
+            if len(terms) == 3 and id(node) not in allowed and all(
+                    isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                    for t in terms):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer patches each name in LAYERS with getattr, so a
     # renamed or deleted function would crash a traced run

@@ -11,6 +11,10 @@ its canonical result, or the error's type and text.  ``DIR/SHA256SUMS``
 holds a SHA-256 per family.  ``--size`` scales the number of random inputs
 (default 8).
 
+A family whose corpus the recorded program rejects with an error that
+``outcome`` catches ends in one record of that error; the other families
+are still recorded.
+
 ``compare`` prints the record count of every family and the first record
 that differs, and exits with 1 when any family differs.  ``--against REV``
 exports the commit REV of the repository this file sits in with
@@ -21,8 +25,9 @@ The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
 a comparison see the same corpus.  The families cover the general-position
 check and the crossings of lines, the region hulls and everything that
-clips against them, the six-line frames, the extraction of caps, cups and
-angle-gap chains, and the embedding checker, solver and scan:
+clips against them, the six-line frames, segment relations, the extraction of caps,
+cups and angle-gap chains, the gap colouring, and the embedding checker,
+solver and scan:
 
     general_position verify_general_position's slope-ordered rows, or its
                      error with the input positions it names
@@ -39,12 +44,16 @@ angle-gap chains, and the embedding checker, solver and scan:
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      candidate of full-rule feasibility searches
     winding          winding_number, errors too
+    segments         segments_intersect both ways round, and on_segment of
+                     each endpoint against the other segment
     cap_cup          classify_cap_cup, and longest_cap_cup's kind and
                      parent_ids, errors too
     monotone         extract_monotone_gaps' ids and direction, errors too
     doubling         extract_doubling's ids and variant, errors too
     pair_chains      the length and parent tables of ranked_chains on gap
                      keys, crossing keys and keys that tie in float
+    coloring         color_by_gaps' colour of every triple and the longest
+                     monochromatic path of that colouring, errors too
     solve            solve's found flag, positions, nodes and restarts, also
                      with one candidate per vertex, so that restarts run
     check            check_embedding reports: violations and warnings
@@ -106,13 +115,21 @@ def canonical(obj):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
+# the errors recorded as results rather than raised
+RECORDED_ERRORS = (ValueError, ArithmeticError)
+
+
+def error_record(exc: Exception):
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def outcome(fn: Callable, *args, **kwargs):
     """fn's canonical result, or the type and text of the ValueError or
     ArithmeticError it raises."""
     try:
         return {"ok": canonical(fn(*args, **kwargs))}
-    except (ValueError, ArithmeticError) as exc:
-        return {"error": type(exc).__name__, "message": str(exc)}
+    except RECORDED_ERRORS as exc:
+        return error_record(exc)
 
 
 # -- the corpus ---------------------------------------------------------------
@@ -140,8 +157,10 @@ class Corpus:
                 "frame": self.frame,
                 "validate_config": self.validate_config,
                 "screen": self.screen, "winding": self.winding,
+                "segments": self.segments,
                 "cap_cup": self.cap_cup, "monotone": self.monotone,
                 "doubling": self.doubling, "pair_chains": self.pair_chains,
+                "coloring": self.coloring,
                 "solve": self.solve, "check": self.check, "scan": self.scan,
                 "cli": self.cli}
 
@@ -286,8 +305,8 @@ class Corpus:
     def region_hull(self):
         for name, _, _, hulls, _ in self.arrangements():
             for r, h in hulls.items():
-                rec = ({"error": type(h).__name__, "message": str(h)}
-                       if isinstance(h, Exception) else {"ok": canonical(h)})
+                rec = (error_record(h) if isinstance(h, Exception)
+                       else {"ok": canonical(h)})
                 yield f"{name} R{r.a},{r.b}", rec
 
     def _good_hulls(self):
@@ -492,6 +511,53 @@ class Corpus:
             yield f"#{k}", outcome(g.winding_number, poly,
                                    g.Ray(origin, dx, dy))
 
+    # -- segment relations
+    def segments(self):
+        """Pairs of segments with small rational ends: random pairs, pairs
+        that share an endpoint, T-junctions (an end inside the other) and
+        collinear pairs that overlap, nest, touch at an end or are
+        disjoint, each end order drawn at random."""
+        g = self.tl.geometry
+        rng = np.random.default_rng(1626)
+
+        def pt(lim=6, den=(1, 2, 3)):
+            return g.Point(Fraction(int(rng.integers(-lim, lim + 1)),
+                                    int(rng.choice(den))),
+                           Fraction(int(rng.integers(-lim, lim + 1)),
+                                    int(rng.choice(den))))
+
+        def seg(a, b):
+            return g.Segment(a, b) if rng.random() < 0.5 else g.Segment(b, a)
+
+        def other(*avoid):
+            while True:
+                c = pt()
+                if c not in avoid:
+                    return c
+
+        for k in range(20 * self.size):
+            a = pt()
+            b = other(a)
+            s1, c = seg(a, b), pt()
+            pairs = [("random", s1, seg(c, other(c))),
+                     ("shared", s1, seg(a, other(a)))]
+            t = Fraction(int(rng.integers(1, 6)), 6)
+            inside = s1.at(t)
+            pairs.append(("T", s1, seg(inside, other(inside))))
+            # collinear: ends at small multiples of b - a along the line
+            ts = [int(v) for v in rng.integers(-3, 4, size=4)]
+            if ts[0] != ts[1] and ts[2] != ts[3]:
+                on = g.Segment(a, b)
+                pairs.append(("collinear", seg(on.at(ts[0]), on.at(ts[1])),
+                              seg(on.at(ts[2]), on.at(ts[3]))))
+            for kind, u, v in pairs:
+                yield f"{kind}#{k}", {
+                    "relation": canonical([g.segments_intersect(u, v),
+                                           g.segments_intersect(v, u)]),
+                    "on": "".join(str(int(g.on_segment(x, p)))
+                                  for x, y in ((u, v), (v, u))
+                                  for p in (y.p, y.q))}
+
     # -- extraction
     def line_sets(self):
         """(name, LineSet) for the extraction families: sets of 1 and 2
@@ -557,6 +623,23 @@ class Corpus:
                     for j in range(n) for i in range(j)}
             yield f"float ties#{k}", self._tables(range(n),
                                                   lambda i, j: keys[i, j])
+
+    def coloring(self):
+        """color_by_gaps on the line sets of up to 12 lines: the colour of
+        every triple, in lexicographic order, and the longest
+        monochromatic path of the colouring."""
+        ramsey = self.tl.ramsey
+
+        def colours(ls):
+            tc = ramsey.color_by_gaps(ls)
+            return "".join(tc.of(*t).value[0] for t in
+                           itertools.combinations(range(1, tc.n + 1), 3))
+
+        for name, ls in self.line_sets():
+            if len(ls) <= 12:
+                yield name, {"colours": outcome(colours, ls),
+                             "path": outcome(lambda: ramsey.longest_mono_path(
+                                 ramsey.color_by_gaps(ls)))}
 
     def _tables(self, vertices, key):
         chains = self.tl.lineset.ranked_chains(vertices, key, "lower",
@@ -851,11 +934,20 @@ def run_corpus(tree: Path, out: Path, size: int) -> None:
     sums = []
     for family, records in corpus.families().items():
         lines = [json.dumps({"case": case, "record": rec}, sort_keys=True)
-                 + "\n" for case, rec in records()]
+                 + "\n" for case, rec in _caught(records)]
         data = "".join(lines).encode()
         (out / f"{family}.jsonl").write_bytes(data)
         sums.append(f"{hashlib.sha256(data).hexdigest()}  {family}.jsonl\n")
     (out / SUMS).write_text("".join(sums))
+
+
+def _caught(records: Callable[[], Iterator]):
+    """The family's records, ended by one record of the error when building
+    its corpus raises one that ``outcome`` records too."""
+    try:
+        yield from records()
+    except RECORDED_ERRORS as exc:
+        yield "corpus", error_record(exc)
 
 
 def record(tree: Path, out: Path, size: int) -> None:
