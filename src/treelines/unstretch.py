@@ -2,14 +2,16 @@
 configuration rules, the sine chain of forced lengths, and a randomized
 feasibility oracle that hunts for counterexample configurations.
 
-Configuration checks are exact (rational); only the sine chain uses
-high-precision floating arithmetic, with an explicit guard band on its one
-final comparison.
+Configuration checks are exact (rational).  The sine chain is decided by
+a float64 interval enclosure wherever the enclosure certifies the verdict
+of the high-precision path, and by that path, at DPS digits with an
+explicit guard band on its one final comparison, everywhere else.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -283,7 +285,14 @@ class Lemma24Result(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def _sine_ordering(s: Sequence[mpmath.mpf]) -> bool:
+_NO_ORDERING = "no monotone sine ordering with alpha_1 maximal"
+
+
+# the pairs of sines that _sine_ordering compares
+_COMPARED_SINES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
+
+
+def _sine_ordering(s: Sequence) -> bool:
     """The lemma's hypothesis on sin(alpha_1) .. sin(alpha_6)."""
     down = all(s[k] >= s[k + 1] for k in range(1, 5)) and s[0] >= s[1]
     up = all(s[k] <= s[k + 1] for k in range(1, 5)) and s[0] >= s[5]
@@ -293,12 +302,23 @@ def _sine_ordering(s: Sequence[mpmath.mpf]) -> bool:
 def lemma24_check(cv: ChainValues) -> Lemma24Result:
     """Propagate the forced length chain and test whether the strict gap
     condition b1 - r3 > a3 could hold.  CONTRADICTION means it cannot, which
-    the lemma guarantees whenever the sine ordering hypothesis holds."""
+    the lemma guarantees whenever the sine ordering hypothesis holds.
+
+    A float64 interval enclosure decides first (``_float_verdict``): it
+    answers only when its answer is certain to be the one of the DPS-digit
+    path, and hands every other chain, every INDETERMINATE one among them,
+    to that path (``_guarded_verdict``)."""
+    verdict = _float_verdict(cv)
+    return verdict if verdict is not None else _guarded_verdict(cv)
+
+
+def _guarded_verdict(cv: ChainValues) -> Lemma24Result:
+    """The sine ordering and the chain's margin at DPS digits, with the
+    relative guard band GUARD_BAND on the margin."""
     with mpmath.workdps(DPS):
         s = [mpmath.sin(x) for x in cv.alpha]
         if not _sine_ordering(s):
-            raise HypothesisFail(
-                "no monotone sine ordering with alpha_1 maximal")
+            raise HypothesisFail(_NO_ORDERING)
         a3 = cv.a[2]
         _, b = _forced_lengths(s, a3, cv.r)
         lhs = b[0] - cv.r[2]
@@ -309,6 +329,125 @@ def lemma24_check(cv: ChainValues) -> Lemma24Result:
             return Lemma24Result.INDETERMINATE
         return (Lemma24Result.CONSISTENT if margin > 0
                 else Lemma24Result.CONTRADICTION)
+
+
+# -- the float64 enclosure of the chain
+#
+# Every interval below is rounded outward: an operation's round-to-nearest
+# result is moved one float further out, which passes the exact result
+# (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 2-3).
+# The sine intervals hold both the exact sines and the DPS-digit ones, and
+# the interval of b1 - r3, widened by the DPS-digit path's own rounding
+# error, holds the value that path computes; so a comparison that the
+# intervals decide is decided the same way by that path.
+
+# math.sin is assumed accurate to _SIN_ULPS units in the last place of its
+# own result (glibc's sin is within 1); tests/test_unstretch.py checks the
+# assumption against mpmath.sin at DPS digits.  One further unit holds the
+# DPS-digit sine, whose error is below 2**-190 relative.
+_SIN_ULPS = 4
+
+# mpmath rounds each +, -, * and / to the 203 bits of DPS = 60 digits, so
+# the DPS-digit b1 - r3 lies within 10 * 2**-203 * P of the exact recurrence
+# on its sines, P = R1 R2 R3 |a3| + R1 R2 |r2| + R1 |r1| + |r3| with the
+# sine ratios R_j > 0 (a running error bound, Higham ch. 3); 2**-150 leaves
+# room for the float evaluation of P.
+_CHAIN_SLACK = 2.0 ** -150
+
+# the DPS-digit margin is within 2**-200 of the exact margin of its own b1
+# - r3 (two roundings of a value of modulus at most 2), and its guard
+# within 2**-230 of GUARD_BAND; a margin farther than _FLOAT_GUARD from 0
+# therefore clears the guard at DPS digits too
+_FLOAT_GUARD = float(GUARD_BAND) + 2.0 ** -60
+
+
+# _step(x, _NEG) and _step(x, _POS): the float next below and above x
+_step = math.nextafter
+_NEG, _POS = -math.inf, math.inf
+
+
+def _around(v: float) -> Tuple[float, float]:
+    """Bounds on a number whose float is v: a float conversion is one of
+    the two floats around its number, so within ulp(v) of it, and v -+
+    ulp(v) are floats."""
+    e = math.ulp(v)
+    return v - e, v + e
+
+
+def _sub(a: Tuple[float, float], b: Tuple[float, float]):
+    return _step(a[0] - b[1], _NEG), _step(a[1] - b[0], _POS)
+
+
+def _ratio(num: Tuple[float, float], den: Tuple[float, float]):
+    """num / den for intervals of positive numbers."""
+    return _step(num[0] / den[1], _NEG), _step(num[1] / den[0], _POS)
+
+
+def _times(r: Tuple[float, float], x: Tuple[float, float]):
+    """r * x for an interval r of positive numbers."""
+    return (_step(min(r[0] * x[0], r[1] * x[0]), _NEG),
+            _step(max(r[0] * x[1], r[1] * x[1]), _POS))
+
+
+def _magnitude(x: Tuple[float, float]) -> Tuple[float, float]:
+    """The interval of |v| for v in x."""
+    if x[0] >= 0:
+        return x
+    if x[1] <= 0:
+        return -x[1], -x[0]
+    return 0.0, max(-x[0], x[1])
+
+
+def _float_verdict(cv: ChainValues) -> Optional[Lemma24Result]:
+    """lemma24_check's verdict from float64 intervals around the chain, or
+    None where they cannot certify the DPS-digit verdict: a sine comparison
+    or a margin within the intervals' width of a decision, every
+    INDETERMINATE verdict, and inputs that are not finite floats or whose
+    sines are not positive.  Raises HypothesisFail, as the DPS-digit path
+    does, when the intervals certify that the sine ordering fails."""
+    x = [float(v) for v in (*cv.alpha, cv.a[2], *cv.r)]
+    if not all(map(math.isfinite, x)):
+        return None
+    a3, r1, r2, r3 = map(_around, x[6:])
+    lo, hi = [], []
+    for f in x[:6]:
+        m = math.sin(f)
+        # |sin'| <= 1 carries alpha's distance from f, at most ulp(f), over
+        # to the sine; the exact product is a float
+        err = (_SIN_ULPS + 2) * max(math.ulp(m), math.ulp(f))
+        lo.append(_step(m - err, _NEG))
+        hi.append(_step(m + err, _POS))
+    # where the intervals of every pair _sine_ordering compares are apart,
+    # it decides on the interval bounds as on the sines
+    if any(lo[a] <= hi[b] and lo[b] <= hi[a] for a, b in _COMPARED_SINES):
+        return None
+    if not _sine_ordering(lo):
+        raise HypothesisFail(_NO_ORDERING)
+    if min(lo) <= 0:
+        return None
+    s = list(zip(lo, hi))
+    rat1, rat2, rat3 = (_ratio(s[k], s[k - 1]) for k in (1, 3, 5))
+    b2 = _times(rat2, _sub(_times(rat3, a3), r2))
+    lhs = _sub(_times(rat1, _sub(b2, r1)), r3)
+    # widened by the DPS-digit path's own rounding, bounded by the
+    # magnitudes of the recurrence's terms
+    terms = max(-a3[0], a3[1]) * rat3[1] + max(-r2[0], r2[1])
+    terms = terms * rat2[1] + max(-r1[0], r1[1])
+    terms = terms * rat1[1] + max(-r3[0], r3[1])
+    slack = _step(_CHAIN_SLACK * terms, _POS)
+    lhs = _step(lhs[0] - slack, _NEG), _step(lhs[1] + slack, _POS)
+    if not (math.isfinite(lhs[0]) and math.isfinite(lhs[1])):
+        return None
+    diff = _sub(lhs, a3)
+    mag_lhs, mag_a3 = _magnitude(lhs), _magnitude(a3)
+    scale = max(mag_lhs[0], mag_a3[0], 1.0), max(mag_lhs[1], mag_a3[1], 1.0)
+    margin_lo = _step(diff[0] / (scale[0] if diff[0] < 0 else scale[1]), _NEG)
+    margin_hi = _step(diff[1] / (scale[1] if diff[1] < 0 else scale[0]), _POS)
+    if margin_lo > _FLOAT_GUARD:
+        return Lemma24Result.CONSISTENT
+    if margin_hi < -_FLOAT_GUARD:
+        return Lemma24Result.CONTRADICTION
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +607,9 @@ class _FrameFloats:
                           root(e1, e0),
                           root(d1 * np.ones_like(c0), d0 - v_a)])
         dist = (roots - ax) * side
-        dist = np.where(np.isfinite(dist) & (dist > 0), dist, 0.0)
-        dist.sort(axis=0)
-        mids = np.empty((7, dist.shape[1]))
-        prev = np.zeros(dist.shape[1])
+        dist = _sort4(np.where(np.isfinite(dist) & (dist > 0), dist, 0.0))
+        mids = np.empty((7, t.shape[1]))
+        prev = np.zeros(t.shape[1])
         for k in range(4):
             mids[k] = (prev + dist[k]) / 2
             prev = dist[k]
@@ -497,3 +635,17 @@ class _FrameFloats:
         any_ok = ok.any(axis=0)
         first = np.argmax(ok, axis=0)
         return u_test[first, np.arange(u_test.shape[1])], any_ok
+
+
+def _sort4(d: np.ndarray):
+    """The four rows of d sorted column by column, by the five comparators
+    of the optimal 4-input sorting network (Knuth, TAOCP vol. 3, 5.3.4).
+    On values with no NaN and no -0.0 this is d.sort(axis=0) bit for bit,
+    without numpy's separate sort of every column."""
+    a, b, c, e = d
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    c, e = np.minimum(c, e), np.maximum(c, e)
+    a, c = np.minimum(a, c), np.maximum(a, c)
+    b, e = np.minimum(b, e), np.maximum(b, e)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    return a, b, c, e

@@ -1,11 +1,14 @@
-"""Shared helpers: random rational line sets and angle-based frames."""
+"""Shared helpers: random rational line sets, angle-based frames and
+forced-length chains near the lemma's guard band."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from treelines import unstretch
 from treelines.embed import Tree
 from treelines.geometry import Line
 from treelines.io_formats import serialize_lines
@@ -89,6 +92,18 @@ def angle_lineset(degrees, cup: bool = False) -> LineSet:
         s = slope_of_degrees(a)
         lines.append(Line(s, s * s if cup else -s * s))
     return verify_general_position(lines)
+
+
+def chain_with_margin(tail, a3, r, margin):
+    """chain_from_parameters(tail, a3, r) with r3 moved so that the chain's
+    relative margin (b1 - r3 - a3) / max(|b1 - r3|, a3, 1) is ``margin``
+    to DPS digits (a3 >= 1 and |margin| < 1)."""
+    cv = unstretch.chain_from_parameters(tail, a3, r)
+    with mpmath.workdps(unstretch.DPS):
+        a3, margin = cv.a[2], mpmath.mpf(margin)
+        lhs = a3 / (1 - margin) if margin > 0 else a3 * (1 + margin)
+        return unstretch.ChainValues(cv.alpha, cv.a, cv.b,
+                                     (*cv.r[:2], cv.b[0] - lhs))
 
 
 DOUBLING_DEGREES = [0, 1, 2.1, 4.3, 8.8, 17.8]

@@ -291,39 +291,65 @@ def test_criteria_2_and_4_fail_on_a_non_maximising_extractor(monkeypatch):
 # 5. forced-length chain always contradicts the gap condition
 
 
-def test_criterion_5_chain_contradiction():
+def _criterion_5_chains():
+    """Criterion 5's random forced-length chains, without end: five tail
+    angles sorted descending in [0.02, 0.6], a3 in [0.1, 10] and r in
+    [1e-6, 5], drawn in batches of 5000 from seed 105."""
     rng = np.random.default_rng(105)
-    t0 = time.time()
-    ok = True
-    checked = 0
-    with mpmath.workdps(DPS):
-        while checked < 100_000:
-            batch = 5000
-            tails = np.sort(rng.uniform(0.02, 0.6, size=(batch, 5)),
-                            axis=1)[:, ::-1]
-            a3s = rng.uniform(0.1, 10.0, size=batch)
-            rs = rng.uniform(1e-6, 5.0, size=(batch, 3))
+    batch = 5000
+    while True:
+        tails = np.sort(rng.uniform(0.02, 0.6, size=(batch, 5)),
+                        axis=1)[:, ::-1]
+        a3s = rng.uniform(0.1, 10.0, size=batch)
+        rs = rng.uniform(1e-6, 5.0, size=(batch, 3))
+        with mpmath.workdps(DPS):
+            chains = []
             for row in range(batch):
                 tail = [mpmath.mpf(float(x)) for x in tails[row]]
                 alpha = (mpmath.pi - mpmath.fsum(tail), *tail)
                 a3 = mpmath.mpf(float(a3s[row]))
                 r = tuple(mpmath.mpf(float(x)) for x in rs[row])
-                cv = ChainValues(alpha, (a3, a3, a3), (a3, a3, a3), r)
-                try:
-                    verdict = lemma24_check(cv)
-                except HypothesisFail:
-                    continue
-                checked += 1
-                if verdict == Lemma24Result.CONSISTENT:
-                    ok = False
-                    break
-                if checked >= 100_000:
-                    break
-            if not ok:
-                break
-    _report(5, ok, f"{checked} hypothesis-satisfying chains, "
-            "none consistent (guard 1e-9 relative)",
-            30.0, time.time() - t0)
+                chains.append(ChainValues(alpha, (a3, a3, a3), (a3, a3, a3),
+                                          r))
+        yield from chains
+
+
+def _criterion_5(count: int = 100_000):
+    """(ok, detail): the first ``count`` chains of _criterion_5_chains that
+    satisfy the sine ordering, none of them consistent."""
+    checked = 0
+    for cv in _criterion_5_chains():
+        try:
+            verdict = lemma24_check(cv)
+        except HypothesisFail:
+            continue
+        checked += 1
+        if verdict == Lemma24Result.CONSISTENT:
+            return False, (f"chain {checked} is consistent: alpha "
+                           f"{[float(x) for x in cv.alpha]}, a3 "
+                           f"{float(cv.a[2])}, r {[float(x) for x in cv.r]}")
+        if checked == count:
+            return True, (f"{checked} hypothesis-satisfying chains, none "
+                          "consistent (guard 1e-9 relative)")
+
+
+def test_criterion_5_chain_contradiction():
+    t0 = time.time()
+    ok, detail = _criterion_5()
+    _report(5, ok, detail, 30.0, time.time() - t0)
+
+
+def test_criterion_5_fails_when_r3_is_added_to_b1(monkeypatch):
+    # the float enclosure decides nearly every chain, so the mutant acts
+    # there: it sees -r3, which turns b1 - r3 into b1 + r3
+    real = unstretch._float_verdict
+
+    def mutant(cv):
+        r1, r2, r3 = cv.r
+        return real(ChainValues(cv.alpha, cv.a, cv.b, (r1, r2, -r3)))
+
+    monkeypatch.setattr(unstretch, "_float_verdict", mutant)
+    assert not _criterion_5(count=2000)[0]
 
 
 # --------------------------------------------------------------------------

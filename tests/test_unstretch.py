@@ -1,11 +1,14 @@
 """Six-line frame validation, configuration rules, and the forced-length
 chain contradiction."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelines import unstretch
 from treelines.geometry import (Line, SegmentRelation, clip_to_halfplanes,
@@ -30,7 +33,7 @@ from treelines.unstretch import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      slope_of_degrees)
+                      chain_with_margin, slope_of_degrees)
 
 IDS = [1, 2, 3, 4, 5, 6]
 
@@ -290,6 +293,128 @@ def test_random_hypothesis_chains_never_consistent(rng):
         if not sine_hypothesis_holds(cv):
             continue
         assert lemma24_check(cv) != Lemma24Result.CONSISTENT
+
+
+@pytest.fixture
+def fallback_spy(monkeypatch):
+    """The chains that lemma24_check hands to its DPS-digit path."""
+    seen = []
+    real = unstretch._guarded_verdict
+
+    def spy(cv):
+        seen.append(cv)
+        return real(cv)
+
+    monkeypatch.setattr(unstretch, "_guarded_verdict", spy)
+    return seen
+
+
+GUARD = float(unstretch.GUARD_BAND)
+NEAR_GUARD_TAIL = ["0.3", "0.25", "0.2", "0.15", "0.1"]
+
+
+# the float enclosure of this chain's margin is a few 1e-15 wide: 1e-16
+# from the guard is inside it, 1e-12 is not
+@pytest.mark.parametrize("margin, verdict", [
+    (GUARD + 1e-16, Lemma24Result.CONSISTENT),
+    (GUARD - 1e-16, Lemma24Result.INDETERMINATE),
+    (-GUARD + 1e-16, Lemma24Result.INDETERMINATE),
+    (-GUARD - 1e-16, Lemma24Result.CONTRADICTION),
+])
+def test_margins_at_the_guard_go_to_the_fallback(fallback_spy, margin,
+                                                 verdict):
+    cv = chain_with_margin(NEAR_GUARD_TAIL, 2, [1, "0.5"], margin)
+    assert lemma24_check(cv) == verdict
+    assert fallback_spy == [cv]
+
+
+@pytest.mark.parametrize("r", [[1, 1, 1], [0, 0, 0]])
+def test_tied_sines_go_to_the_fallback(fallback_spy, r):
+    # equal tail angles tie four sine comparisons; r = 0 also puts the
+    # margin at 0, inside the guard
+    cv = chain_from_parameters(["0.5235987755982988"] * 5, 5, r)
+    want = (Lemma24Result.CONTRADICTION if r[0] else
+            Lemma24Result.INDETERMINATE)
+    assert lemma24_check(cv) == want
+    assert fallback_spy == [cv]
+
+
+def test_clear_chains_are_decided_in_float(fallback_spy):
+    far = [chain_with_margin(NEAR_GUARD_TAIL, 2, [1, "0.5"], m)
+           for m in (GUARD + 1e-12, -GUARD - 1e-12, 0.5, -0.5)]
+    assert [lemma24_check(cv) for cv in far] == [
+        Lemma24Result.CONSISTENT, Lemma24Result.CONTRADICTION] * 2
+    failing = chain_from_parameters(
+        [mpmath.radians(d) for d in (20, 5, 30, 10, 40)], 1, [1, 1, 1])
+    with pytest.raises(HypothesisFail, match="no monotone sine ordering"):
+        lemma24_check(failing)
+    assert fallback_spy == []
+
+
+@settings(max_examples=300, database=None, deadline=None, derandomize=True)
+@given(tail=st.lists(st.floats(0.01, 0.7), min_size=5, max_size=5,
+                     unique=True),
+       order=st.sampled_from(["down", "up", "tie", "any"]),
+       a3=st.floats(1.0, 10.0),
+       r=st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3),
+       near=st.none() | st.tuples(st.sampled_from([GUARD, -GUARD]),
+                                  st.floats(-1e-9, 1e-9)))
+def test_float_verdicts_agree_with_the_guarded_path(tail, order, a3, r,
+                                                    near):
+    # sorted tails satisfy the ordering unless alpha_1 is too small, a
+    # repeated angle ties two sines, and an unsorted tail mostly fails
+    if order != "any":
+        tail = sorted(tail, reverse=order != "up")
+    if order == "tie":
+        tail[2] = tail[1]
+    tail = [repr(x) for x in tail]
+    cv = (chain_from_parameters(tail, a3, r) if near is None else
+          chain_with_margin(tail, a3, r[:2], near[0] + near[1]))
+
+    def verdict(check):
+        try:
+            return check(cv)
+        except HypothesisFail as exc:
+            return str(exc)
+
+    fast = verdict(unstretch._float_verdict)
+    if fast is not None:
+        assert fast != Lemma24Result.INDETERMINATE
+        assert fast == verdict(unstretch._guarded_verdict)
+
+
+def test_math_sin_is_within_the_assumed_ulps():
+    # the float enclosure assumes math.sin within _SIN_ULPS units in the
+    # last place of its result, over [0, pi], and the DPS-digit sine within
+    # 2**-190 of the sine, relative
+    rng = np.random.default_rng(21)
+    near_pi = math.pi - 10.0 ** rng.uniform(-16, -1, 2000)
+    xs = np.concatenate([rng.uniform(0.0, math.pi, 6000),
+                         10.0 ** rng.uniform(-300, 0, 2000), near_pi,
+                         [0.0, math.pi, math.nextafter(math.pi, 0.0),
+                          math.ulp(0.0)]])
+    worst = 0.0
+    for x in map(float, xs):
+        assert 0.0 <= x <= math.pi
+        with mpmath.workdps(unstretch.DPS):
+            exact = mpmath.sin(x)
+        m = math.sin(x)
+        with mpmath.workdps(unstretch.DPS + 20):
+            worst = max(worst, float(abs(mpmath.mpf(m) - exact)
+                                     / math.ulp(m)))
+            if exact:
+                assert abs(mpmath.sin(x) - exact) <= \
+                    mpmath.mpf(2) ** -190 * abs(exact)
+    assert worst <= unstretch._SIN_ULPS
+
+
+def test_sort4_is_the_column_sort(rng):
+    # the search's breakpoint distances: non-negative, many zeros and ties
+    d = rng.uniform(0.0, 3.0, size=(4, 5000)).round(1)
+    d[rng.uniform(size=d.shape) < 0.3] = 0.0
+    want = np.sort(d, axis=0)
+    got = np.stack(unstretch._sort4(d))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_derive_chain_geometry(cup_frame):

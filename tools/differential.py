@@ -25,9 +25,9 @@ The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
 a comparison see the same corpus.  The families cover the general-position
 check and the crossings of lines, the region hulls and everything that
-clips against them, the six-line frames, segment relations, the extraction of caps,
-cups and angle-gap chains, the gap colouring, and the embedding checker,
-solver and scan:
+clips against them, the six-line frames and the forced-length chain,
+segment relations, the extraction of caps, cups and angle-gap chains, the
+gap colouring, and the embedding checker, solver and scan:
 
     general_position verify_general_position's slope-ordered rows, or its
                      error with the input positions it names
@@ -43,6 +43,9 @@ solver and scan:
     validate_config  validate_config verdicts, rule (ii) among them
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      candidate of full-rule feasibility searches
+    lemma            lemma24_check verdicts and HypothesisFail on criterion
+                     5's chains, the benchmark's, edge cases, margins near
+                     the guard band and derive_chain of control searches
     winding          winding_number, errors too
     segments         segments_intersect both ways round, and on_segment of
                      each endpoint against the other segment
@@ -82,6 +85,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List
 
+import mpmath
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,7 +160,8 @@ class Corpus:
                 "path_descriptor": self.path_descriptor,
                 "frame": self.frame,
                 "validate_config": self.validate_config,
-                "screen": self.screen, "winding": self.winding,
+                "screen": self.screen, "lemma": self.lemma,
+                "winding": self.winding,
                 "segments": self.segments,
                 "cap_cup": self.cap_cup, "monotone": self.monotone,
                 "doubling": self.doubling, "pair_chains": self.pair_chains,
@@ -485,6 +490,54 @@ class Corpus:
                     floats.clearly_meets_hull = real
                 yield f"{name} search seed {seed}", {
                     "found": found, "verdicts": "".join(verdicts)}
+
+    # -- the forced-length chain
+    def lemma(self):
+        """lemma24_check verdicts, HypothesisFail among them: on the first
+        chains of criterion 5's generator, on chains of the benchmark's
+        parameters, on chain_from_parameters' edge cases (equal angles,
+        r = 0, a failed ordering), on chains whose margin lies near the
+        guard band either side, and on derive_chain of rule-(ii)-skipped
+        searches on the cup frames."""
+        us, ct = self.tl.unstretch, self.conftest
+        chains = self.acceptance._criterion_5_chains()
+        for k in range(250 * self.size):
+            yield f"crit5#{k}", outcome(us.lemma24_check, next(chains))
+        rng = np.random.default_rng(1626)
+        for k, (tail, a3, r) in enumerate(
+                self.inputs.random_chain_parameters(rng, 50 * self.size)):
+            with mpmath.workdps(us.DPS):     # as the benchmark builds them
+                tail = [mpmath.mpf(x) for x in tail]
+                a3 = mpmath.mpf(a3)
+                cv = us.ChainValues((mpmath.pi - mpmath.fsum(tail), *tail),
+                                    (a3, a3, a3), (a3, a3, a3),
+                                    tuple(mpmath.mpf(x) for x in r))
+            yield f"bench#{k}", outcome(us.lemma24_check, cv)
+        equal = ["0.5235987755982988"] * 5
+        for name, tail, r in (
+                ("equal angles", equal, [1, 1, 1]),
+                ("r = 0", equal, [0, 0, 0]),
+                ("no ordering", ["0.35", "0.09", "0.52", "0.17", "0.7"],
+                 [1, 1, 1])):
+            yield name, outcome(lambda: us.lemma24_check(
+                us.chain_from_parameters(tail, 5, r)))
+        guard = float(us.GUARD_BAND)
+        for sign in (1, -1):
+            for offset in (0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-6, -1e-6):
+                margin = sign * guard + offset
+                yield f"margin {margin!r}", outcome(
+                    lambda: us.lemma24_check(ct.chain_with_margin(
+                        ["0.3", "0.25", "0.2", "0.15", "0.1"], 2,
+                        [1, "0.5"], margin)))
+        for name, frame in self.frames():
+            if frame.cap_cup is not self.tl.lineset.CapCup.CUP:
+                continue
+            cfg = us.feasibility_search(frame, 125_000 * self.size, 0,
+                                        skip_properties=frozenset({"ii"}))
+            yield f"{name} control", {
+                "config": canonical(cfg), "verdict": None if cfg is None
+                else outcome(lambda: us.lemma24_check(
+                    us.derive_chain(frame, cfg)))}
 
     # -- winding numbers
     def winding(self):
