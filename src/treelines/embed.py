@@ -159,14 +159,17 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     """Exact crossing-free verdict: the ``_violations`` of the drawing.
     Vertices sitting on arrangement intersection points, or edges passing
     through one, are flagged as warnings (they break the standing
-    perturbation assumptions without making the drawing invalid)."""
+    perturbation assumptions without making the drawing invalid).  A
+    vertex lies on its own line, so it sits on an arrangement point iff a
+    second line passes through it."""
     asg.check_bijection(t.n)
     if len(emb.pos) != t.n:
         raise SizeMismatch("embedding size differs from the tree")
     pts = [emb.point_of(ls, asg, v) for v in range(t.n)]
     violations = _violations(pts, t.edges)
     warnings = [f"vertex {v} sits on an arrangement intersection point"
-                for v, p in enumerate(pts) if p in ls.point_set]
+                for v, p in enumerate(pts)
+                if any(l.contains(p) for l in ls if l.id != asg.line_of(v))]
     for e in t.edges:
         if pts[e[0]] != pts[e[1]]:
             s = Segment(pts[e[0]], pts[e[1]])

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import (Iterable, List, Optional, Sequence, Tuple,
+from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
 ScalarLike = Union[Fraction, int, str]
@@ -341,19 +341,35 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
     return total
 
 
-def angle_gap(l1: Line, l2: Line) -> Fraction:
-    """-cot of the angle gap a(l_hi) - a(l_lo) in (0, pi) of two non-parallel
-    lines, -(1 + s_lo*s_hi)/(s_hi - s_lo): cot is finite and strictly
-    decreasing on (0, pi), so the values order and tie as the gaps do.  The
-    sign reads the gap against a right angle: < 0 acute, 0 right, > 0
-    obtuse.  With slopes p1/q1 and p2/q2 this is
-    -(q1*q2 + p1*p2)/|p2*q1 - p1*q2|, taken on the integers."""
+class Ratio(NamedTuple):
+    """The rational numerator/denominator, unreduced, with denominator > 0;
+    it reads like a Fraction's ``numerator`` and ``denominator``."""
+
+    numerator: int
+    denominator: int
+
+
+def gap_ratio(l1: Line, l2: Line) -> Ratio:
+    """The value of :func:`angle_gap` as the unreduced integer ratio
+    -(q1*q2 + p1*p2) / |p2*q1 - p1*q2| of the slopes p1/q1 and p2/q2, the
+    same in either argument order: no gcd is taken.  Raises ParallelLines
+    on equal slopes."""
     p1, q1 = l1.slope.numerator, l1.slope.denominator
     p2, q2 = l2.slope.numerator, l2.slope.denominator
     d = p2 * q1 - p1 * q2
     if d == 0:
         raise ParallelLines("angle gap of parallel lines")
-    return Fraction(-(q1 * q2 + p1 * p2), abs(d))
+    return Ratio(-(q1 * q2 + p1 * p2), abs(d))
+
+
+def angle_gap(l1: Line, l2: Line) -> Fraction:
+    """-cot of the angle gap a(l_hi) - a(l_lo) in (0, pi) of two non-parallel
+    lines, -(1 + s_lo*s_hi)/(s_hi - s_lo): cot is finite and strictly
+    decreasing on (0, pi), so the values order and tie as the gaps do.  The
+    sign reads the gap against a right angle: < 0 acute, 0 right, > 0
+    obtuse.  It is :func:`gap_ratio` reduced to a Fraction; ParallelLines
+    on equal slopes."""
+    return Fraction(*gap_ratio(l1, l2))
 
 
 def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int:

@@ -6,17 +6,19 @@ region partition of a slope-sorted arrangement.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Hashable, List,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .geometry import (
     Line,
     Point,
     PostconditionError,
+    Ratio,
     Segment,
     at_infinity,
     clip_to_halfplanes,
@@ -24,7 +26,6 @@ from .geometry import (
     cross,
     line_intersection,
     line_through,
-    on_segment,
     side,
 )
 
@@ -74,7 +75,7 @@ class LineSet:
 
     Construct through :func:`verify_general_position`; instances are
     immutable and cache, when first asked for, pairwise intersections and
-    the set of arrangement points.  A set cut out by
+    each line's crossing order and candidate positions.  A set cut out by
     :meth:`subset` keeps in ``parent_ids[k]`` the id that its line k+1 has
     in the set it was cut from; other sets have ``parent_ids`` None.
     """
@@ -85,6 +86,8 @@ class LineSet:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
         self._cache: Dict[Tuple[int, int], Point] = {}
+        # filled and read by intersection_order, keyed by line
+        self._orders: Dict[int, Tuple[Tuple[int, Point], ...]] = {}
         # filled and read by candidate_positions, keyed (line, refine)
         self._candidates: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
         self.parent_ids: Optional[Tuple[int, ...]] = (
@@ -118,14 +121,29 @@ class LineSet:
         return [self.intersection(i, j)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    @cached_property
-    def point_set(self) -> FrozenSet[Point]:
-        """The intersection points as a set, built on first use."""
-        return frozenset(self.intersection_points())
-
     def crossings_on(self, seg: Segment) -> List[Point]:
-        """The arrangement points on the closed segment ``seg``."""
-        return [q for q in self.point_set if on_segment(seg, q)]
+        """The arrangement points on the closed segment ``seg``, in order
+        from ``seg.p``, in O(n).  With a and b a line's side values at
+        seg.p and seg.q over one common denominator, a line that does not
+        have them of one strict sign meets the segment at t = a/(a - b),
+        or contains it when a = b = 0.  Along a line every other line's
+        crossing is an arrangement point; otherwise the points are the t
+        that two lines share, never three in general position."""
+        p, q = seg.p.homogeneous, seg.q.homogeneous
+        along = None
+        hits: List[Tuple[Fraction, int]] = []
+        for l in self._lines:
+            h = l.homogeneous
+            a, b = side(h, p) * q[2], side(h, q) * p[2]
+            if a == b == 0:
+                along = l.id
+            elif a * b <= 0:
+                hits.append((Fraction(a, a - b), l.id))
+        hits.sort()
+        if along is not None:
+            return [self.intersection(along, j) for _, j in hits]
+        return [self.intersection(i, j)
+                for (t, i), (u, j) in zip(hits, hits[1:]) if t == u]
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
         """A new LineSet of the selected lines, renumbered in slope order;
@@ -163,13 +181,17 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
                    _validated=True)
 
 
-def intersection_order(ls: LineSet, i: int) -> List[Tuple[int, Point]]:
+def intersection_order(ls: LineSet, i: int) -> Tuple[Tuple[int, Point], ...]:
     """The n-1 intersection points on line i sorted by x ascending, each
-    with the id of the partner line."""
-    entries = [(j, ls.intersection(i, j))
-               for j in range(1, len(ls) + 1) if j != i]
-    entries.sort(key=lambda e: e[1].x)
-    return entries
+    with the id of the partner line.  Sorted once per line set and line,
+    and kept on the line set."""
+    out = ls._orders.get(i)
+    if out is None:
+        entries = [(j, ls.intersection(i, j))
+                   for j in range(1, len(ls) + 1) if j != i]
+        entries.sort(key=lambda e: e[1].x)
+        out = ls._orders[i] = tuple(entries)
+    return out
 
 
 def candidate_positions(ls: LineSet, line_id: int,
@@ -245,38 +267,61 @@ class PairChains:
         return seq
 
 
-def _rank_key(k: Fraction) -> Tuple[float, Fraction]:
-    # float() of a Fraction is one correctly rounded int/int division, so
-    # a < b gives float(a) <= float(b): the float orders the keys it tells
-    # apart and the exact key breaks its ties; a key beyond float range
-    # sorts with +-inf
+def _rank_key(k: Union[Fraction, Ratio]) -> float:
+    # n / d of two ints is one correctly rounded division, the float that
+    # float(Fraction(n, d)) gives, so a < b gives _rank_key(a) <=
+    # _rank_key(b); a key beyond float range ranks as +-inf
     try:
-        return float(k), k
+        return k.numerator / k.denominator
     except OverflowError:
-        return (math.inf if k > 0 else -math.inf), k
+        return math.inf if k.numerator > 0 else -math.inf
 
 
 def ranked_chains(vertices: Sequence[int],
-                  key: Callable[[int, int], Fraction],
+                  key: Callable[[int, int], Union[Fraction, Ratio]],
                   lower: Hashable, upper: Hashable) -> PairChains:
     """The chains of the labelling that gives a triple i < j < k the label
     ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise, for a
     rational pair key and increasing ``vertices``.
 
-    The pairs (i, j), i < j, are sorted once, stably, by :func:`_rank_key`,
-    so tied pairs keep the order of their larger vertex.  Each label is one
-    sweep over them in which pair (j, k) reads best[j], the maximal
-    (length, -i) over the pairs (i, j) swept so far, and offers its own to
-    best[k].  Ascending, those (i, j) are the ones with key(i, j) <=
-    key(j, k), ties included as they end at j < k: the ``upper``
-    predecessors; along the reversed list, the ``lower`` ones, key(i, j) >
-    key(j, k).  So one sort and O(n^2) steps give the tables of the O(n^3)
-    programme of Chvatal and Klincsek (1980): each pair's longest chain of
-    either label and, among those, its smallest predecessor.
+    Key contract: key(i, j) is any object with integer ``numerator`` and
+    ``denominator`` attributes, denominator > 0, that stands for the
+    rational numerator/denominator: a ``Fraction``, or a
+    ``geometry.Ratio``, which need not be in lowest terms.  Keys are
+    compared by value, so Ratio(1, 2) and Ratio(2, 4) tie, and Fraction
+    keys give the same tables as the equal Ratio keys.
+
+    Tie rule: the pairs (i, j), i < j, are sorted stably by the float
+    numerator/denominator (:func:`_rank_key`, +-inf beyond float range),
+    and only pairs that share a float are sorted again, stably, by their
+    exact values.  That is the stable sort by (float, exact value): pairs
+    with equal keys keep the order of their larger vertex.
+
+    Each label is one sweep over the sorted pairs in which pair (j, k)
+    reads best[j], the maximal (length, -i) over the pairs (i, j) swept so
+    far, and offers its own to best[k].  Ascending, those (i, j) are the
+    ones with key(i, j) <= key(j, k), ties included as they end at j < k:
+    the ``upper`` predecessors; along the reversed list, the ``lower``
+    ones, key(i, j) > key(j, k).  So one sort and O(n^2) steps give the
+    tables of the O(n^3) programme of Chvatal and Klincsek (1980): each
+    pair's longest chain of either label and, among those, its smallest
+    predecessor.
     """
-    pairs = sorted(((i, j) for b, j in enumerate(vertices)
-                    for i in vertices[:b]),
-                   key=lambda p: _rank_key(key(*p)))
+    pairs = [(i, j) for b, j in enumerate(vertices) for i in vertices[:b]]
+    keys = [key(i, j) for i, j in pairs]
+    rank = [_rank_key(k) for k in keys]
+    order = sorted(range(len(pairs)), key=rank.__getitem__)
+    if len(set(rank)) < len(rank):
+        # some pairs share a float: order each such run exactly
+        exact = []
+        for _, run in itertools.groupby(order, key=rank.__getitem__):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=lambda x: Fraction(keys[x].numerator,
+                                                keys[x].denominator))
+            exact += run
+        order = exact
+    pairs = [pairs[x] for x in order]
     length: Dict[Tuple[int, int, Hashable], int] = {}
     parent: Dict[Tuple[int, int, Hashable], int] = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):

@@ -9,14 +9,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import Line, PostconditionError, angle_gap
+from .geometry import Line, PostconditionError, angle_gap, gap_ratio
 from .lineset import LineSet, LineSetError, PairChains, TooFew, \
     ranked_chains
 
 
 class Color(enum.Enum):
+    """The colour of a triple and the label of its chains.  Members are
+    singletons that compare by identity, so they hash by identity, in C;
+    ``Enum.__hash__`` would hash the name in Python for every (j, k,
+    label) key of the chain tables."""
+
     RED = "red"
     BLUE = "blue"
+
+    __hash__ = object.__hash__
 
 
 class Direction(enum.Enum):
@@ -140,8 +147,9 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
+    lines = ls.lines
     path = _longest_path(ranked_chains(
-        range(1, n + 1), lambda i, j: angle_gap(ls.line(i), ls.line(j)),
+        range(1, n + 1), lambda i, j: gap_ratio(lines[i - 1], lines[j - 1]),
         Color.RED, Color.BLUE))
     direction = (Direction.NON_INCREASING if path.color == Color.RED
                  else Direction.NON_DECREASING)

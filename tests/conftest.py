@@ -54,6 +54,21 @@ def random_cup(rng: np.random.Generator, n: int,
             continue
 
 
+def tied_gap_lines(rng: np.random.Generator, n: int) -> LineSet:
+    """Lines with distinct integer slopes in a range about n wide, so many
+    angle gaps are equal (slopes -1, 0, 1 give two gaps of tangent 1);
+    retries until the validators pass."""
+    k = n // 2 + 2
+    while True:
+        slopes = rng.choice(np.arange(-k, k + 1), n, replace=False)
+        try:
+            return verify_general_position(
+                [Line(Fraction(int(s)), Fraction(int(b), 7))
+                 for s, b in zip(slopes, rng.integers(-5000, 5000, n))])
+        except LineSetError:
+            continue
+
+
 def mirrored(ls: LineSet) -> LineSet:
     """Reflect the dual points in the slope axis, Line(s, -b): a cup
     becomes a cap and a cap a cup."""

@@ -184,10 +184,33 @@ def test_check_warnings_on_arrangement_crossings(four_lines):
             "vertex 2 sits on an arrangement intersection point",
             "edge (0, 1) passes through an arrangement intersection point")
     for ls in (four_lines, verify_general_position(list(four_lines.lines))):
-        for _ in range(2):      # once cold, once with the point set kept
+        for _ in range(2):      # once cold, once with the crossings cached
             rep = check_embedding(ls, PATH4, ASG4, emb)
             assert rep.crossing_free
             assert rep.warnings == want
+
+
+def test_check_warns_for_exactly_the_vertices_on_crossings(rng):
+    # each vertex at a random crossing of its line or between two, where
+    # candidate_positions puts it; only the former are warned about
+    for n in (2, 3, 5, 8):
+        for _ in range(4):
+            ls = random_lines(rng, n)
+            asg = Assignment(tuple(int(i) + 1 for i in rng.permutation(n)))
+            on, xs = set(), []
+            for v in range(n):
+                line = asg.line_of(v)
+                if rng.random() < 0.5:
+                    row = intersection_order(ls, line)
+                    xs.append(row[int(rng.integers(0, n - 1))][1].x)
+                    on.add(v)
+                else:
+                    free = candidate_positions(ls, line, 2)
+                    xs.append(free[int(rng.integers(0, len(free)))])
+            rep = check_embedding(ls, path_tree(n), asg, Embedding(tuple(xs)))
+            assert {w for w in rep.warnings if w.startswith("vertex")} == {
+                f"vertex {v} sits on an arrangement intersection point"
+                for v in on}
 
 
 def test_solve_and_verify(four_lines):

@@ -14,6 +14,7 @@ from treelines.geometry import (
     Line,
     ParallelLines,
     Point,
+    Ratio,
     Ray,
     Segment,
     SegmentRelation,
@@ -22,6 +23,7 @@ from treelines.geometry import (
     compare_angle_gap,
     convex_hull,
     dualize_line,
+    gap_ratio,
     line_intersection,
     on_segment,
     orientation,
@@ -90,15 +92,18 @@ def test_gap_and_crossing_match_the_fraction_formulas(s1, b1, s2, b2,
         s2 = s1
     l1, l2 = Line(s1, b1, 1), Line(s2, b2, 2)
     if s1 == s2:
-        for f in (angle_gap, line_intersection):
+        for f in (angle_gap, gap_ratio, line_intersection):
             for pair in ((l1, l2), (l2, l1)):
                 with pytest.raises(ParallelLines):
                     f(*pair)
         return
     s_lo, s_hi = sorted((s1, s2))
     gap = -(1 + s_lo * s_hi) / (s_hi - s_lo)
-    assert angle_gap(l1, l2) == gap
-    assert angle_gap(l2, l1) == gap
+    for pair in ((l1, l2), (l2, l1)):
+        assert angle_gap(*pair) == gap
+        r = gap_ratio(*pair)
+        assert isinstance(r, Ratio) and r.denominator > 0
+        assert Fraction(r.numerator, r.denominator) == gap
     x = (b1 - b2) / (s1 - s2)
     assert line_intersection(l1, l2) == Point(x, s1 * x - b1)
     assert line_intersection(l2, l1) == Point(x, s1 * x - b1)

@@ -15,9 +15,11 @@ from treelines.geometry import (
     Line,
     Point,
     PostconditionError,
+    Segment,
     cross,
     dualize_line,
     line_intersection,
+    on_segment,
     orientation,
     scalar,
     side,
@@ -280,6 +282,66 @@ def test_intersection_order_on_cap():
     assert classify_cap_cup(ls) == CapCup.CAP
     partners = [j for j, _ in intersection_order(ls, 1)]
     assert partners == [5, 4, 3, 2]     # right-to-left along l1 = ids 2..n
+
+
+def _assert_crossings_on(ls, seg):
+    """crossings_on, both ways along seg, against the oracle: every
+    arrangement point that on_segment puts on the closed segment."""
+    want = {p for p in ls.intersection_points() if on_segment(seg, p)}
+    for s in (seg, Segment(seg.q, seg.p)):
+        got = ls.crossings_on(s)
+        assert len(got) == len(set(got))
+        assert set(got) == want, (s, got, want)
+    return want
+
+
+def test_crossings_on_matches_the_points_on_the_segment(rng):
+    found = defaultdict(int)
+    for n in (2, 3, 5, 8, 12):
+        for _ in range(8):
+            ls = random_lines(rng, n)
+            pts = ls.intersection_points()
+
+            def crossing():
+                return pts[int(rng.integers(0, len(pts)))]
+
+            def near(u, v):
+                # u + t*(v - u) for a random t in [-1, 2]: near the
+                # crossings, and on them for t = 0, 1
+                t = Fraction(int(rng.integers(-12, 25)), 12)
+                return Point(u.x + t * (v.x - u.x), u.y + t * (v.y - u.y))
+
+            u, v = crossing(), crossing()
+            cases = {"random": (near(u, v), near(v, u)),
+                     "one end on": (u, near(u, v)),
+                     "both ends on": (u, v),
+                     "through": (u.translated(-1, -3), u.translated(1, 3))}
+            if u != v:
+                # through two crossings, both inside the segment
+                cases["through two"] = (Segment(u, v).at(Fraction(-1, 3)),
+                                        Segment(u, v).at(Fraction(4, 3)))
+            # along line i: ends on crossings, between them, beyond them
+            i = int(rng.integers(1, n + 1))
+            row = [pt for _, pt in intersection_order(ls, i)]
+            xs = ([row[0].x - 1] + [(a.x + b.x) / 2
+                                    for a, b in zip(row, row[1:])]
+                  + [row[-1].x + 1])
+            a, b = sorted(int(k) for k in rng.choice(len(xs), 2,
+                                                     replace=False))
+            on = ls.line(i).point_at
+            cases["along, ends off"] = (on(xs[a]), on(xs[b]))
+            cases["along, one end on"] = (row[min(a, len(row) - 1)],
+                                          on(xs[-1] + 1))
+            if len(row) > 1:
+                a, b = sorted(int(k) for k in rng.choice(len(row), 2,
+                                                         replace=False))
+                cases["along, ends on"] = (row[a], row[b])
+            for kind, (p, q) in cases.items():
+                if p != q:
+                    found[kind] += len(_assert_crossings_on(
+                        ls, Segment(p, q)))
+    # every kind but the random segments meets crossings
+    assert all(found[kind] > 0 for kind in found if kind != "random")
 
 
 def test_color_classes():

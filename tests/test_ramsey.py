@@ -3,13 +3,12 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from treelines import lineset, ramsey
-from treelines.geometry import (Line, PostconditionError, angle_gap,
-                                dualize_line, orientation, scalar)
-from treelines.lineset import (LineSetError, longest_cap_cup, ranked_chains,
+from treelines.geometry import (Line, PostconditionError, Ratio, angle_gap,
+                                dualize_line, gap_ratio, orientation, scalar)
+from treelines.lineset import (longest_cap_cup, ranked_chains,
                                verify_general_position)
 from treelines.ramsey import (
     ChainTooShort,
@@ -31,7 +30,7 @@ from treelines.ramsey import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      mirrored, random_cup, random_lines)
+                      mirrored, random_cup, random_lines, tied_gap_lines)
 
 
 def test_mono_path_bound_table():
@@ -107,7 +106,7 @@ def test_color_by_gaps_compares_the_two_gaps_of_each_triple(rng):
     # tied gaps colour BLUE: only a strictly smaller later gap is RED
     ties = 0
     for n in (3, 7, 12, 16):
-        ls = _tied_gap_lines(rng, n)
+        ls = tied_gap_lines(rng, n)
         tc = color_by_gaps(ls)
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             later = angle_gap(ls.line(j), ls.line(k))
@@ -226,21 +225,6 @@ def test_extract_doubling_too_short():
         extract_doubling(ls)
 
 
-def _tied_gap_lines(rng, n):
-    """Lines with distinct integer slopes in a range about n wide, so many
-    angle gaps are equal (slopes -1, 0, 1 give two gaps of tangent 1);
-    retries until the validators pass."""
-    k = n // 2 + 2
-    while True:
-        slopes = rng.choice(np.arange(-k, k + 1), n, replace=False)
-        try:
-            return verify_general_position(
-                [Line(Fraction(int(s)), Fraction(int(b), 7))
-                 for s, b in zip(slopes, rng.integers(-5000, 5000, n))])
-        except LineSetError:
-            continue
-
-
 def _assert_same_chains(vertices, key, lower, upper, label):
     ranked = ranked_chains(vertices, key, lower, upper)
     generic = LabelledChains(vertices, label)
@@ -274,7 +258,7 @@ def test_ranked_chains_match_labelled_chains_on_random_sets(rng):
 def test_ranked_chains_match_labelled_chains_on_tied_gaps(rng):
     ties = 0
     for n in range(3, 26):
-        ls = _tied_gap_lines(rng, n)
+        ls = tied_gap_lines(rng, n)
         # consecutive equal gaps gap(i, j) == gap(j, k), which the two
         # labels must split as the colouring does (BLUE for >=)
         ties += sum(angle_gap(ls.line(i), ls.line(j))
@@ -299,6 +283,51 @@ def test_ranked_chains_break_float_ties_exactly(rng):
         lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
 
 
+def _assert_ratio_and_fraction_keys_agree(vertices, ratio_key):
+    """The Ratio keys and the equal Fractions both give the tables of the
+    exact labelling."""
+    def frac(i, j):
+        return Fraction(*ratio_key(i, j))
+
+    def label(i, j, k):
+        return "lower" if frac(j, k) < frac(i, j) else "upper"
+
+    for key in (ratio_key, frac):
+        _assert_same_chains(vertices, key, "lower", "upper", label)
+
+
+def _gap_key(ls):
+    return lambda i, j: gap_ratio(ls.line(i), ls.line(j))
+
+
+def test_ranked_chains_take_ratio_keys_as_their_fractions(rng):
+    # random sets, integer slopes with exactly tied gaps, and slopes near
+    # 10**200 whose gaps are beyond float range
+    for n in (3, 7, 12, 18):
+        for ls in (random_lines(rng, n), tied_gap_lines(rng, n)):
+            _assert_ratio_and_fraction_keys_agree(range(1, n + 1),
+                                                  _gap_key(ls))
+    huge = verify_general_position(
+        [Line(Fraction(10**200 + k * k), Fraction(7 * k + 1))
+         for k in range(6)]
+        + [Line(Fraction(-k), Fraction(k * k + 3)) for k in range(1, 4)])
+    _assert_ratio_and_fraction_keys_agree(range(1, 10), _gap_key(huge))
+
+
+def test_ranked_chains_break_float_ties_of_unreduced_ratios(rng):
+    # 1 + h/2**80 all round to the float 1.0; written over 2**80 times a
+    # random factor, equal keys come in different terms
+    n = 14
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    keys = {p: Ratio(int(f) * (2**80 + int(h)), int(f) * 2**80)
+            for p, h, f in zip(pairs, rng.integers(-4, 5, len(pairs)),
+                               rng.integers(1, 6, len(pairs)))}
+    assert {r.numerator / r.denominator for r in keys.values()} == {1.0}
+    values = {Fraction(*r) for r in keys.values()}
+    assert 1 < len(values) < len(set(keys.values()))
+    _assert_ratio_and_fraction_keys_agree(range(n), lambda i, j: keys[i, j])
+
+
 def test_ranked_chains_on_vertices_with_gaps_between_them(rng):
     # increasing vertex sequences that are not a range: the ids a subset
     # keeps, and the Fibonacci numbers, on keys with many ties
@@ -311,7 +340,7 @@ def test_ranked_chains_on_vertices_with_gaps_between_them(rng):
         fib, lambda i, j: keys[i, j], "lower", "upper",
         lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
     for n in (9, 17, 25):
-        ls = _tied_gap_lines(rng, n)
+        ls = tied_gap_lines(rng, n)
         kept = ls.subset([int(v) + 1 for v in rng.choice(
             n, n // 2 + 1, replace=False)]).parent_ids
         tc = color_by_gaps(ls)

@@ -37,7 +37,8 @@ gap colouring, and the embedding checker, solver and scan:
     region_hull      vertices, sides and boundedness of every region hull
     clip             RegionHull.clip_parameter_interval of segments
     contains         RegionHull.contains of points
-    comb_type        comb_type of segments in both directions, errors too
+    comb_type        comb_type of segments in both directions, errors too,
+                     and LineSet.crossings_on of each, sorted by (x, y)
     path_descriptor  path_descriptor of embedded root paths, errors too
     frame            validate_frame verdicts and errors
     validate_config  validate_config verdicts, rule (ii) among them
@@ -53,6 +54,8 @@ gap colouring, and the embedding checker, solver and scan:
                      parent_ids, errors too
     monotone         extract_monotone_gaps' ids and direction, errors too
     doubling         extract_doubling's ids and variant, errors too
+    gaps             angle_gap of every pair of lines both ways round, and
+                     its error on equal slopes
     pair_chains      the length and parent tables of ranked_chains on gap
                      keys, crossing keys and keys that tie in float
     coloring         color_by_gaps' colour of every triple and the longest
@@ -144,10 +147,9 @@ class Corpus:
     the treelines modules in ``tl`` on inputs from the generators of
     ``conftest`` and ``inputs``."""
 
-    def __init__(self, tl, conftest, inputs, acceptance, ramsey_tests,
-                 size: int):
+    def __init__(self, tl, conftest, inputs, acceptance, size: int):
         self.tl, self.conftest, self.inputs = tl, conftest, inputs
-        self.acceptance, self.ramsey_tests = acceptance, ramsey_tests
+        self.acceptance = acceptance
         self.size = size
         self._arrangements = None
         self._line_sets = None
@@ -164,7 +166,8 @@ class Corpus:
                 "winding": self.winding,
                 "segments": self.segments,
                 "cap_cup": self.cap_cup, "monotone": self.monotone,
-                "doubling": self.doubling, "pair_chains": self.pair_chains,
+                "doubling": self.doubling, "gaps": self.gaps,
+                "pair_chains": self.pair_chains,
                 "coloring": self.coloring,
                 "solve": self.solve, "check": self.check, "scan": self.scan,
                 "cli": self.cli}
@@ -243,14 +246,20 @@ class Corpus:
                                         for ln in (a, b)))
             yield name, {"points": canonical(points),
                          "contains": " ".join(contains)}
-            first = ls.line(1)
-            for kind, other in (
-                    ("parallel", g.Line(first.slope, first.dual_offset + 1)),
-                    ("identical", first.with_id(0))):
-                for way, pair in (("fwd", (first, other)),
-                                  ("bwd", (other, first))):
-                    yield (f"{name} {kind} {way}",
-                           outcome(g.line_intersection, *pair))
+            for case, pair in self._equal_slopes(ls):
+                yield f"{name} {case}", outcome(g.line_intersection, *pair)
+
+    def _equal_slopes(self, ls):
+        """(case, pair): the first line of ls against a parallel and an
+        identical line, both ways round."""
+        first = ls.line(1)
+        for kind, other in (
+                ("parallel", self.tl.geometry.Line(first.slope,
+                                                   first.dual_offset + 1)),
+                ("identical", first.with_id(0))):
+            for way, pair in (("fwd", (first, other)),
+                              ("bwd", (other, first))):
+                yield f"{kind} {way}", pair
 
     # -- arrangements with their hulls and segments
     def arrangements(self):
@@ -341,6 +350,8 @@ class Corpus:
             yield case, [h.contains(p) for p in probes]
 
     def comb_type(self):
+        """comb_type of every arrangement's segments, both ways round, and
+        the arrangement points crossings_on finds on each."""
         Segment, embed = self.tl.geometry.Segment, self.tl.embed
         for name, ls, cc, hulls, segs in self.arrangements():
             ok = not any(isinstance(h, Exception) for h in hulls.values())
@@ -349,6 +360,9 @@ class Corpus:
                     args = (ls, cc, seg, hulls) if ok else (ls, cc, seg)
                     yield (f"{name} seg{k} {way}",
                            outcome(embed.comb_type, *args))
+                    yield (f"{name} seg{k} {way} crossings_on",
+                           outcome(lambda: sorted(ls.crossings_on(seg),
+                                                  key=lambda p: (p.x, p.y))))
 
     def path_descriptor(self):
         ct, inputs, tl = self.conftest, self.inputs, self.tl
@@ -632,8 +646,7 @@ class Corpus:
                 yield f"lines{n}#{k}", ct.random_lines(rng, n)
                 yield f"cup{n}#{k}", cup
                 yield f"cap{n}#{k}", ct.mirrored(cup)
-                yield (f"tied{n}#{k}",
-                       self.ramsey_tests._tied_gap_lines(rng, n))
+                yield f"tied{n}#{k}", ct.tied_gap_lines(rng, n)
         for k in range(max(1, self.size // 4)):
             for n in (40, 80):
                 yield (f"bench{n}#{k}", self.tl.io_formats.parse_lines(
@@ -657,6 +670,17 @@ class Corpus:
     def doubling(self):
         for name, ls in self.line_sets():
             yield name, outcome(self.tl.ramsey.extract_doubling, ls)
+
+    def gaps(self):
+        """angle_gap of every pair of lines of the extraction sets, both
+        ways round: the values whose order alone pair_chains records; then
+        its error on the pairs of _equal_slopes."""
+        gap = self.tl.geometry.angle_gap
+        for name, ls in self.line_sets():
+            yield name, [[outcome(gap, a, b), outcome(gap, b, a)]
+                         for a, b in itertools.combinations(ls.lines, 2)]
+            for case, pair in self._equal_slopes(ls):
+                yield f"{name} {case}", outcome(gap, *pair)
 
     def pair_chains(self):
         """The tables on every line set's angle gaps and crossing
@@ -981,8 +1005,7 @@ def run_corpus(tree: Path, out: Path, size: int) -> None:
         raise ImportError(f"treelines imported from {origin}, not {src}")
     corpus = Corpus(tl, importlib.import_module("conftest"),
                     importlib.import_module("inputs"),
-                    importlib.import_module("test_acceptance"),
-                    importlib.import_module("test_ramsey"), size)
+                    importlib.import_module("test_acceptance"), size)
     out.mkdir(parents=True, exist_ok=True)
     sums = []
     for family, records in corpus.families().items():
