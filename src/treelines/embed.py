@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import (
     DegenerateContact,
+    Line,
     Point,
     PostconditionError,
     Segment,
@@ -241,19 +242,19 @@ class _Placer:
 
     Callers place parents first, so every placed vertex other than a lone
     root ends a placed edge, and ``segs`` holds the placed edges in
-    placement order, one per placed non-root vertex."""
+    placement order, one per placed non-root vertex.  Each edge keeps its
+    ``Segment.line``, so a contact test reads integer side values of the
+    new edge's ends and the placed edge's ends."""
 
-    def __init__(self, ls: LineSet, t: Tree, asg: Assignment):
-        self.ls = ls
-        self.asg = asg
+    def __init__(self, t: Tree):
         self.parent = t.parent_of()
         self.points: Dict[int, Point] = {}
         self.segs: List[Segment] = []
 
-    def can_place(self, v: int, x: Fraction) -> Optional[Point]:
-        p = self.ls.line(self.asg.line_of(v)).point_at(x)
+    def can_place(self, v: int, p: Point) -> bool:
+        """Whether vertex v can go at the point p, on its line."""
         if p in self.points.values():
-            return None
+            return False
         if v in self.parent:
             # p differs from every placed point, each of which ends a placed
             # edge: p on a placed edge or a placed vertex on the new edge is
@@ -261,8 +262,8 @@ class _Placer:
             new_seg = Segment(self.points[self.parent[v]], p)
             for s in self.segs:
                 if _contact(new_seg, s, True) is not None:
-                    return None
-        return p
+                    return False
+        return True
 
     def place(self, v: int, p: Point) -> None:
         self.points[v] = p
@@ -280,11 +281,12 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     """Search for a crossing-free embedding respecting the assignment.
 
     Backtracking over the vertices in ``Tree.bfs_order``, so every parent
-    comes before its children, through the discretized candidate
-    positions, then up to ``budget`` randomized continuous restarts.
-    ``budget`` bounds only the restarts: the backtracking has no node
-    limit, and on some 12-vertex instances it runs for more than a minute
-    whatever the budget.  The found points pass the checker's exact
+    comes before its children, through the candidate points of
+    ``candidate_positions`` (kept on the line set, so every bijection of a
+    scan reuses them), then up to ``budget`` randomized continuous
+    restarts.  ``budget`` bounds only the restarts: the backtracking has no
+    node limit, and on some 12-vertex instances it runs for more than a
+    minute whatever the budget.  The found points pass the checker's exact
     ``_violations`` scan, or PostconditionError is raised; NotFound only
     reports budget exhaustion, never non-embeddability."""
     if len(ls) != t.n:
@@ -292,7 +294,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     asg.check_bijection(t.n)
     cand = {v: candidate_positions(ls, asg.line_of(v), refine)
             for v in range(t.n)}
-    placer = _Placer(ls, t, asg)
+    placer = _Placer(t)
     order = t.bfs_order()
     nodes = 0
 
@@ -301,10 +303,9 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
         if k == len(order):
             return True
         v = order[k]
-        for x in cand[v]:
+        for p in cand[v]:
             nodes += 1
-            p = placer.can_place(v, x)
-            if p is None:
+            if not placer.can_place(v, p):
                 continue
             placer.place(v, p)
             if backtrack(k + 1):
@@ -316,13 +317,14 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     restarts = 0
     if not found:
         rng = np.random.default_rng(seed)
+        lines = {v: ls.line(asg.line_of(v)) for v in range(t.n)}
         breakpoints = {v: [pt.x for _, pt in
                            intersection_order(ls, asg.line_of(v))]
                        for v in range(t.n)}
         while not found and restarts < budget:
             restarts += 1
-            placer = _Placer(ls, t, asg)
-            found = _random_attempt(placer, order, breakpoints, rng)
+            placer = _Placer(t)
+            found = _random_attempt(placer, order, lines, breakpoints, rng)
 
     if not found:
         return SolveResult(False, None, nodes, restarts)
@@ -337,10 +339,11 @@ _DENOM = 9973      # prime denominator keeps random rationals off breakpoints
 
 
 def _random_attempt(placer: _Placer, order: Sequence[int],
+                    lines: Dict[int, Line],
                     breakpoints: Dict[int, List[Fraction]], rng) -> bool:
     """One greedy randomized pass from an empty placer: sample each vertex
-    position in order, with a few retries per vertex before giving up on
-    the pass."""
+    position on its line in order, with a few retries per vertex before
+    giving up on the pass."""
     for v in order:
         bps = breakpoints[v]
         lo, hi = bps[0] - 2, bps[-1] + 2
@@ -349,8 +352,8 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
             x = lo + (hi - lo) * Fraction(num, _DENOM * 1000)
             if x in bps:
                 continue
-            p = placer.can_place(v, x)
-            if p is not None:
+            p = lines[v].point_at(x)
+            if placer.can_place(v, p):
                 placer.place(v, p)
                 break
         else:

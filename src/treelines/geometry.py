@@ -5,7 +5,8 @@ All coordinates and slopes are ``fractions.Fraction`` values, so every
 predicate here is decided exactly; nothing rounds.  The orientation and
 collinearity signs, and the side of a line a point is on, are taken on
 integer homogeneous coordinates and integer line triples (A, B, C), which
-skips the gcd normalisation of Fraction arithmetic.
+skips the gcd normalisation of Fraction arithmetic; a segment keeps the
+triple of its line, so its predicates read one side value per point.
 Angles are never stored numerically: an angle gap is represented by its
 negated cotangent, a rational function of the two slopes.
 """
@@ -112,6 +113,14 @@ class Segment:
         if self.p == self.q:
             raise ValueError("degenerate segment: endpoints coincide")
 
+    @cached_property
+    def line(self) -> Tuple[int, int, int]:
+        """The primitive integer triple ``line_through`` p and q, directed
+        from p to q: ``side(line, r.homogeneous)`` has the sign of
+        ``orientation(p, q, r)``.  Computed on first use, as
+        ``Point.homogeneous`` is."""
+        return line_through(self.p.homogeneous, self.q.homogeneous)
+
     def at(self, t: Fraction) -> Point:
         """The point p + t*(q - p): p at t=0, q at t=1."""
         return Point(self.p.x + t * (self.q.x - self.p.x),
@@ -162,7 +171,8 @@ def at_infinity(dx: Fraction, dy: Fraction) -> Tuple[int, int, int]:
 
 
 def _det(p: Point, q: Point, r: Point) -> int:
-    # the 3x3 determinant of the homogeneous rows is (q-p) x (r-p) times
+    # for three free points, with no segment line to read: the 3x3
+    # determinant of the homogeneous rows is (q-p) x (r-p) times
     # W_p*W_q*W_r > 0, so it carries the orientation sign
     x1, y1, w1 = p.homogeneous
     x2, y2, w2 = q.homogeneous
@@ -178,9 +188,9 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 
 
 def on_segment(s: Segment, p: Point) -> bool:
-    """Whether p lies on the closed segment s: collinear with it, then
+    """Whether p lies on the closed segment s: on its line ``s.line``, then
     inside its bounding box."""
-    return (not _det(s.p, s.q, p)
+    return (side(s.line, p.homogeneous) == 0
             and min(s.p.x, s.q.x) <= p.x <= max(s.p.x, s.q.x)
             and min(s.p.y, s.q.y) <= p.y <= max(s.p.y, s.q.y))
 
@@ -251,11 +261,15 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
     (OVERLAP), or in one point, which is then an endpoint of both: a
     non-degenerate interval cannot meet another only at one of its interior
     points.  So the endpoints of each segment that lie on the other decide
-    the collinear case, and it never yields TOUCH_ENDPOINT_INTERIOR."""
-    o1 = orientation(s1.p, s1.q, s2.p)
-    o2 = orientation(s1.p, s1.q, s2.q)
-    o3 = orientation(s2.p, s2.q, s1.p)
-    o4 = orientation(s2.p, s2.q, s1.q)
+    the collinear case, and it never yields TOUCH_ENDPOINT_INTERIOR.
+
+    The side values of each segment's ends on the other's ``Segment.line``
+    carry the orientation signs; only their signs are read."""
+    l1, l2 = s1.line, s2.line
+    o1 = side(l1, s2.p.homogeneous)
+    o2 = side(l1, s2.q.homogeneous)
+    o3 = side(l2, s1.p.homogeneous)
+    o4 = side(l2, s1.q.homogeneous)
 
     if o1 == 0 and o2 == 0:
         shared = {p for p in (s2.p, s2.q) if on_segment(s1, p)}

@@ -89,7 +89,7 @@ class LineSet:
         # filled and read by intersection_order, keyed by line
         self._orders: Dict[int, Tuple[Tuple[int, Point], ...]] = {}
         # filled and read by candidate_positions, keyed (line, refine)
-        self._candidates: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+        self._candidates: Dict[Tuple[int, int], Tuple[Point, ...]] = {}
         self.parent_ids: Optional[Tuple[int, ...]] = (
             None if parent_ids is None else tuple(parent_ids))
 
@@ -195,27 +195,28 @@ def intersection_order(ls: LineSet, i: int) -> Tuple[Tuple[int, Point], ...]:
 
 
 def candidate_positions(ls: LineSet, line_id: int,
-                        refine: int) -> Tuple[Fraction, ...]:
-    """Discretized x-positions on a line: ``refine`` equally spaced rational
-    points strictly inside each finite interval between consecutive
-    intersection abscissas, plus one sentinel beyond each extreme; a line
-    that crosses no other has the single position 0.  Never returns a
-    breakpoint.  Computed once per line set, line and ``refine``."""
+                        refine: int) -> Tuple[Point, ...]:
+    """Discretized positions on a line, as its points: ``refine`` equally
+    spaced rational abscissas strictly inside each finite interval between
+    consecutive intersection abscissas, plus one sentinel beyond each
+    extreme; a line that crosses no other has the single abscissa 0.
+    Never returns a breakpoint.  The points are built once per line set,
+    line and ``refine``, and kept on the line set."""
     if refine < 1:
         raise LineSetError("refine must be >= 1")
     key = (line_id, refine)
     out = ls._candidates.get(key)
     if out is None:
         xs = [pt.x for _, pt in intersection_order(ls, line_id)]
-        if not xs:
-            out = ls._candidates[key] = (Fraction(0),)
-            return out
-        cand: List[Fraction] = [xs[0] - 1]
-        for x0, x1 in zip(xs, xs[1:]):
-            step = (x1 - x0) / (refine + 1)
-            cand.extend(x0 + k * step for k in range(1, refine + 1))
-        cand.append(xs[-1] + 1)
-        out = ls._candidates[key] = tuple(cand)
+        cand: List[Fraction] = [Fraction(0)]
+        if xs:
+            cand = [xs[0] - 1]
+            for x0, x1 in zip(xs, xs[1:]):
+                step = (x1 - x0) / (refine + 1)
+                cand.extend(x0 + k * step for k in range(1, refine + 1))
+            cand.append(xs[-1] + 1)
+        l = ls.line(line_id)
+        out = ls._candidates[key] = tuple(l.point_at(x) for x in cand)
     return out
 
 

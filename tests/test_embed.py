@@ -157,7 +157,7 @@ def test_candidate_positions_counts(four_lines):
     # four lines: three breakpoints per line, two interior intervals
     assert len(candidate_positions(four_lines, 2, 2)) == 6
     xs = [p.x for _, p in intersection_order(four_lines, 1)]
-    assert not set(candidate_positions(four_lines, 1, 3)) & set(xs)
+    assert not {p.x for p in candidate_positions(four_lines, 1, 3)} & set(xs)
     with pytest.raises(LineSetError, match="refine must be >= 1"):
         candidate_positions(three, 1, 0)
 
@@ -174,6 +174,43 @@ def test_candidate_positions_are_kept_per_line_and_refine(four_lines):
         assert len(got) == 2 * refine + 2
         assert got == candidate_positions(cold, 2, refine)
     assert candidate_positions(four_lines, 2, 2) == first
+
+
+def test_candidate_points_lie_on_their_line_and_no_other(four_lines, rng):
+    for ls in (four_lines, *(random_lines(rng, n) for n in (1, 2, 5, 7))):
+        for i in range(1, len(ls) + 1):
+            for refine in (1, 3):
+                for p in candidate_positions(ls, i, refine):
+                    assert p == ls.line(i).point_at(p.x)
+                    assert not any(l.contains(p) for l in ls if l.id != i)
+
+
+def test_candidate_points_are_kept_per_line_and_refine(four_lines):
+    ls = verify_general_position(list(four_lines.lines))
+    kept = {(i, refine): candidate_positions(ls, i, refine)
+            for i in range(1, 5) for refine in (1, 2, 3)}
+    assert len({id(pts) for pts in kept.values()}) == len(kept)
+    for (i, refine), pts in kept.items():
+        assert candidate_positions(ls, i, refine) is pts
+
+
+def test_a_second_scan_builds_no_candidate_point(four_lines, monkeypatch):
+    # budget 0: no restarts, which draw their own points, so every point
+    # the scans read comes from the grid
+    ls = verify_general_position(list(four_lines.lines))
+    calls = []
+    point_at = Line.point_at
+
+    def counted(self, x):
+        calls.append(x)
+        return point_at(self, x)
+
+    monkeypatch.setattr(Line, "point_at", counted)
+    first = scan_universality(ls, star_tree(4), refine=2, budget=0)
+    assert first.total == 24 and len(calls) == 4 * 6
+    calls.clear()
+    assert scan_universality(ls, star_tree(4), refine=2, budget=0) == first
+    assert calls == []
 
 
 def test_check_warnings_on_arrangement_crossings(four_lines):
@@ -206,7 +243,7 @@ def test_check_warns_for_exactly_the_vertices_on_crossings(rng):
                     on.add(v)
                 else:
                     free = candidate_positions(ls, line, 2)
-                    xs.append(free[int(rng.integers(0, len(free)))])
+                    xs.append(free[int(rng.integers(0, len(free)))].x)
             rep = check_embedding(ls, path_tree(n), asg, Embedding(tuple(xs)))
             assert {w for w in rep.warnings if w.startswith("vertex")} == {
                 f"vertex {v} sits on an arrangement intersection point"
@@ -224,7 +261,7 @@ def test_solve_and_scan_on_a_one_vertex_tree():
     # a lone line crosses nothing, so its one candidate position is 0
     ls = verify_general_position([Line(scalar(0), scalar(0))])
     tree, asg = Tree(1, ()), Assignment((1,))
-    assert candidate_positions(ls, 1, 4) == (Fraction(0),)
+    assert [p.x for p in candidate_positions(ls, 1, 4)] == [Fraction(0)]
     res = solve(ls, tree, asg, refine=4, budget=10, seed=0)
     assert res.found and res.embedding == Embedding((Fraction(0),))
     assert check_embedding(ls, tree, asg, res.embedding).crossing_free
@@ -253,11 +290,13 @@ def test_solve_restarts_when_the_grid_is_empty(four_lines, monkeypatch):
 
 
 def _placer(ls, tree, asg, *placed):
-    """A solver placer holding the (vertex, x) placements, parents first."""
-    placer = embed._Placer(ls, tree, asg)
+    """A solver placer holding the (vertex, x) placements, parents first;
+    its ``at(v, x)`` is the point at abscissa x on v's line."""
+    placer = embed._Placer(tree)
+    placer.at = lambda v, x: ls.line(asg.line_of(v)).point_at(Fraction(x))
     for v, x in placed:
-        p = placer.can_place(v, Fraction(x))
-        assert p is not None, (v, x)
+        p = placer.at(v, x)
+        assert placer.can_place(v, p), (v, x)
         placer.place(v, p)
     return placer
 
@@ -265,19 +304,19 @@ def _placer(ls, tree, asg, *placed):
 def test_placer_rejects_a_new_point_on_a_placed_edge(four_lines):
     # vertices 0, 1, 2 at (-2, 2), (2, 2), (0, 1)
     placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, 0))
-    assert placer.can_place(3, Fraction(1, 3)) is not None
+    assert placer.can_place(3, placer.at(3, Fraction(1, 3)))
     # (1, 2) is inside edge 0-1; (4/5, 7/5) inside the parent's edge 1-2,
     # so the new edge would fold back onto it
-    assert placer.can_place(3, Fraction(1)) is None
-    assert placer.can_place(3, Fraction(4, 5)) is None
+    assert not placer.can_place(3, placer.at(3, Fraction(1)))
+    assert not placer.can_place(3, placer.at(3, Fraction(4, 5)))
 
 
 def test_placer_rejects_a_placed_vertex_inside_the_new_edge(four_lines):
     # vertices 0, 1, 2 at (-2, 2), (2, 2), (-4, 1)
     placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, -4))
-    assert placer.can_place(3, Fraction(1, 3)) is not None
+    assert placer.can_place(3, placer.at(3, Fraction(1, 3)))
     # the edge from (-4, 1) to (8/5, 19/5) passes through vertex 0
-    assert placer.can_place(3, Fraction(8, 5)) is None
+    assert not placer.can_place(3, placer.at(3, Fraction(8, 5)))
 
 
 def test_placer_rejects_a_sibling_collinear_with_its_parent_edge(
@@ -285,16 +324,16 @@ def test_placer_rejects_a_sibling_collinear_with_its_parent_edge(
     star, asg = star_tree(4), Assignment((1, 2, 3, 4))
     # root at (-2, 2), its child 1 at (0, 1)
     placer = _placer(four_lines, star, asg, (0, -2), (1, 0))
-    assert placer.can_place(2, Fraction(1, 2)) is not None
+    assert placer.can_place(2, placer.at(2, Fraction(1, 2)))
     # (2/3, 2/3) lies on the ray from the root through vertex 1
-    assert placer.can_place(2, Fraction(2, 3)) is None
+    assert not placer.can_place(2, placer.at(2, Fraction(2, 3)))
 
 
 def test_placer_rejects_a_new_point_on_its_parent(four_lines):
     # vertex 0 at (0, 0), where the lines of vertices 0 and 1 cross
     placer = _placer(four_lines, PATH4, ASG4, (0, 0))
-    assert placer.can_place(1, Fraction(2)) is not None
-    assert placer.can_place(1, Fraction(0)) is None
+    assert placer.can_place(1, placer.at(1, Fraction(2)))
+    assert not placer.can_place(1, placer.at(1, Fraction(0)))
 
 
 def test_scan_universality_small(four_lines, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from treelines.geometry import (
@@ -30,8 +30,12 @@ from treelines.geometry import (
     point,
     scalar,
     segments_intersect,
+    side,
     winding_number,
 )
+
+FUZZ = settings(max_examples=200, database=None, deadline=None,
+                derandomize=True)
 
 rationals = st.fractions(min_value=-50, max_value=50,
                          max_denominator=97)
@@ -343,6 +347,54 @@ def test_integer_kernel_on_every_relation():
     for rel, t in KERNEL_EXAMPLES.items():
         assert segments_intersect(Segment(_P, _Q), t) == rel
         _assert_kernel_matches(Segment(_P, _Q), t)
+
+
+# points whose coordinates share a denominator d, so that their homogeneous
+# triples (xn * d, yn * d, d * d) have the common factor d, with numerators
+# and denominators past 2**64
+big_ints = st.integers(-2**80, 2**80)
+shared_denominator_points = st.builds(
+    lambda xn, yn, d: Point(Fraction(xn, d), Fraction(yn, d)),
+    big_ints, big_ints, st.sampled_from((1, 2, 6, 2**32, 2**65, 3**45)))
+line_points = st.one_of(points, huge_points, shared_denominator_points,
+                        st.builds(Point, st.builds(Fraction, big_ints),
+                                  st.builds(Fraction, big_ints)))
+
+
+@st.composite
+def points_around_segments(draw):
+    """Ends p != q and a point r that is free, an end, or on the line
+    through p and q, so that every orientation sign comes up."""
+    p, q = draw(line_points), draw(line_points)
+    assume(p != q)
+    mode = draw(st.sampled_from(("free", "end", "on_line")))
+    if mode == "free":
+        r = draw(line_points)
+    elif mode == "end":
+        r = draw(st.sampled_from((p, q)))
+    else:
+        r = _along(p, q, draw(line_params))
+    return p, q, r
+
+
+@FUZZ
+@given(points_around_segments())
+@example((Point(Fraction(1, 2), Fraction(1, 2)),
+          Point(Fraction(3, 2), Fraction(5, 2)),
+          Point(Fraction(5, 2), Fraction(9, 2))))
+@example((Point(Fraction(2**65), Fraction(2**64 + 1)),
+          Point(Fraction(-2**66, 3), Fraction(2**70, 3)),
+          Point(Fraction(1, 2**65), Fraction(0))))
+def test_segment_line_is_a_primitive_triple_of_the_orientation(pts):
+    p, q, r = pts
+    s = Segment(p, q)
+    A, B, C = s.line
+    assert math.gcd(A, B, C) == 1
+    assert side(s.line, p.homogeneous) == side(s.line, q.homogeneous) == 0
+    v = side(s.line, r.homogeneous)
+    assert (v > 0) - (v < 0) == _fraction_orientation(p, q, r)
+    # reversed, the segment has the opposite triple
+    assert Segment(q, p).line == (-A, -B, -C)
 
 
 def _value_at(side, p, q, t):

@@ -49,7 +49,9 @@ gap colouring, and the embedding checker, solver and scan:
                      the guard band and derive_chain of control searches
     winding          winding_number, errors too
     segments         segments_intersect both ways round, and on_segment of
-                     each endpoint against the other segment
+                     each endpoint against the other segment, also on ends
+                     whose homogeneous triples share a factor and on
+                     coordinates past 2**64
     cap_cup          classify_cap_cup, and longest_cap_cup's kind and
                      parent_ids, errors too
     monotone         extract_monotone_gaps' ids and direction, errors too
@@ -122,8 +124,9 @@ def canonical(obj):
     raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
-# the errors recorded as results rather than raised
-RECORDED_ERRORS = (ValueError, ArithmeticError)
+# the errors recorded as results rather than raised; RuntimeError holds
+# treelines' PostconditionError, which a broken predicate can trip
+RECORDED_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 def error_record(exc: Exception):
@@ -131,8 +134,8 @@ def error_record(exc: Exception):
 
 
 def outcome(fn: Callable, *args, **kwargs):
-    """fn's canonical result, or the type and text of the ValueError or
-    ArithmeticError it raises."""
+    """fn's canonical result, or the type and text of the ValueError,
+    ArithmeticError or RuntimeError it raises."""
     try:
         return {"ok": canonical(fn(*args, **kwargs))}
     except RECORDED_ERRORS as exc:
@@ -583,7 +586,10 @@ class Corpus:
         """Pairs of segments with small rational ends: random pairs, pairs
         that share an endpoint, T-junctions (an end inside the other) and
         collinear pairs that overlap, nest, touch at an end or are
-        disjoint, each end order drawn at random."""
+        disjoint, each end order drawn at random.  Then collinear pairs,
+        crossings and T-junctions whose ends have both coordinates over one
+        denominator, so that their homogeneous triples share it as a
+        factor, with small numerators and with numerators past 2**64."""
         g = self.tl.geometry
         rng = np.random.default_rng(1626)
 
@@ -602,6 +608,13 @@ class Corpus:
                 if c not in avoid:
                     return c
 
+        def relation(u, v):
+            return {"relation": canonical([g.segments_intersect(u, v),
+                                           g.segments_intersect(v, u)]),
+                    "on": "".join(str(int(g.on_segment(x, p)))
+                                  for x, y in ((u, v), (v, u))
+                                  for p in (y.p, y.q))}
+
         for k in range(20 * self.size):
             a = pt()
             b = other(a)
@@ -618,12 +631,40 @@ class Corpus:
                 pairs.append(("collinear", seg(on.at(ts[0]), on.at(ts[1])),
                               seg(on.at(ts[2]), on.at(ts[3]))))
             for kind, u, v in pairs:
-                yield f"{kind}#{k}", {
-                    "relation": canonical([g.segments_intersect(u, v),
-                                           g.segments_intersect(v, u)]),
-                    "on": "".join(str(int(g.on_segment(x, p)))
-                                  for x, y in ((u, v), (v, u))
-                                  for p in (y.p, y.q))}
+                yield f"{kind}#{k}", relation(u, v)
+
+        def num(big):
+            n = int(rng.integers(-6, 7))
+            return n * 2**64 + int(rng.integers(-2**62, 2**62)) if big else n
+
+        def common(big):
+            d = int(rng.choice((2, 6)))
+            if big and rng.random() < 0.5:
+                d *= 2**65
+            return g.Point(Fraction(num(big), d), Fraction(num(big), d))
+
+        for k in range(10 * self.size):
+            for size in ("small", "big"):
+                big = size == "big"
+                a, b = common(big), common(big)
+                if a == b:
+                    continue
+                on = g.Segment(a, b)
+                ts = [int(v) for v in rng.integers(-3, 4, size=4)]
+                if ts[0] != ts[1] and ts[2] != ts[3]:
+                    yield f"factor collinear {size}#{k}", relation(
+                        seg(on.at(ts[0]), on.at(ts[1])),
+                        seg(on.at(ts[2]), on.at(ts[3])))
+                x = on.at(Fraction(int(rng.integers(1, 6)), 6))
+                c = common(big)
+                if c != x:
+                    # through x, inside ab: a crossing unless c is on the
+                    # line ab, and a T-junction that ends at x
+                    far = g.Point(2 * x.x - c.x, 2 * x.y - c.y)
+                    yield f"factor cross {size}#{k}", relation(
+                        seg(a, b), seg(c, far))
+                    yield f"factor T {size}#{k}", relation(seg(a, b),
+                                                           seg(x, c))
 
     # -- extraction
     def line_sets(self):
@@ -770,7 +811,8 @@ class Corpus:
 
     @contextlib.contextmanager
     def _one_candidate(self):
-        """Cut each vertex's candidate grid to its first position."""
+        """Cut each vertex's candidate grid, the points that
+        ``candidate_positions`` returns, to its first point."""
         embed = self.tl.embed
         grid = embed.candidate_positions
         embed.candidate_positions = lambda *args: grid(*args)[:1]
