@@ -166,13 +166,15 @@ def test_candidate_positions_are_kept_per_line_and_refine(four_lines):
     first = candidate_positions(four_lines, 2, 2)
     assert isinstance(first, tuple)
     assert candidate_positions(four_lines, 2, 2) == first
+    assert candidate_positions(four_lines, 2, 2) is first
     # a cold copy of the set computes the same positions from scratch, and
-    # another refine on the same line gets its own entry
+    # another refine on the same line gets its own entry, kept as well
     cold = verify_general_position(list(four_lines.lines))
     for refine in (2, 3, 1):
         got = candidate_positions(four_lines, 2, refine)
         assert len(got) == 2 * refine + 2
         assert got == candidate_positions(cold, 2, refine)
+        assert candidate_positions(four_lines, 2, refine) is got
     assert candidate_positions(four_lines, 2, 2) == first
 
 
@@ -183,15 +185,6 @@ def test_candidate_points_lie_on_their_line_and_no_other(four_lines, rng):
                 for p in candidate_positions(ls, i, refine):
                     assert p == ls.line(i).point_at(p.x)
                     assert not any(l.contains(p) for l in ls if l.id != i)
-
-
-def test_candidate_points_are_kept_per_line_and_refine(four_lines):
-    ls = verify_general_position(list(four_lines.lines))
-    kept = {(i, refine): candidate_positions(ls, i, refine)
-            for i in range(1, 5) for refine in (1, 2, 3)}
-    assert len({id(pts) for pts in kept.values()}) == len(kept)
-    for (i, refine), pts in kept.items():
-        assert candidate_positions(ls, i, refine) is pts
 
 
 def test_a_second_scan_builds_no_candidate_point(four_lines, monkeypatch):
