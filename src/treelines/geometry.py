@@ -2,13 +2,15 @@
 everything else is built on.
 
 All coordinates and slopes are ``fractions.Fraction`` values, so every
-predicate here is decided exactly; nothing rounds.  The orientation and
-collinearity signs, and the side of a line a point is on, are taken on
-integer homogeneous coordinates and integer line triples (A, B, C), which
-skips the gcd normalisation of Fraction arithmetic; a segment keeps the
-triple of its line, so its predicates read one side value per point.
-Angles are never stored numerically: an angle gap is represented by its
-negated cotangent, a rational function of the two slopes.
+predicate here is decided exactly; nothing rounds.  Points are integer
+homogeneous triples (X, Y, W) and lines integer triples (A, B, C), and two
+operations on triples decide everything: ``side``, the dot product, is a
+line's value at a point, and ``cross`` joins two points into their line
+and meets two lines in their point.  Orientation is the side of a point on
+the join of two others; a segment keeps the triple of its line, so its
+predicates read one side value per point.  Angles are never stored
+numerically: an angle gap is represented by its negated cotangent, a
+rational function of the two slopes.
 """
 
 from __future__ import annotations
@@ -138,20 +140,22 @@ class Ray:
             raise ValueError("ray needs a nonzero direction")
 
 
-def cross(ox: Fraction, oy: Fraction, ax: Fraction, ay: Fraction) -> Fraction:
-    return ox * ay - oy * ax
+def cross(u: Tuple, v: Tuple) -> Tuple:
+    """The cross product u x v of two triples.  Of two homogeneous points
+    it is the line through both, directed from u to v; of two line triples
+    it is their common point, W = 0 for parallel lines."""
+    (x1, y1, w1), (x2, y2, w2) = u, v
+    return y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2
 
 
 def line_through(p: Tuple[int, int, int], q: Tuple[int, int, int]
                  ) -> Tuple[int, int, int]:
     """The directed line from p to q, homogeneous integer points (X, Y, W)
-    with W >= 0 (W = 0 is a direction), as the cross product p x q divided
-    by its gcd, which is positive: a primitive triple (A, B, C) such that a
-    point (X, Y, W) with W > 0 lies left of the line iff A*X + B*Y + C*W,
-    the determinant of _det up to a positive factor, is > 0."""
-    x1, y1, w1 = p
-    x2, y2, w2 = q
-    a, b, c = y1 * w2 - w1 * y2, w1 * x2 - x1 * w2, x1 * y2 - y1 * x2
+    with W >= 0 (W = 0 is a direction), as ``cross(p, q)`` divided by its
+    gcd, which is positive: a primitive triple (A, B, C) such that a point
+    r = (X, Y, W) with W > 0 lies left of the line iff ``side(line, r)``,
+    the determinant of the rows p, q, r over that gcd, is > 0."""
+    a, b, c = cross(p, q)
     g = math.gcd(a, b, c)
     return a // g, b // g, c // g
 
@@ -170,20 +174,11 @@ def at_infinity(dx: Fraction, dy: Fraction) -> Tuple[int, int, int]:
     return (dx.numerator * dy.denominator, dy.numerator * dx.denominator, 0)
 
 
-def _det(p: Point, q: Point, r: Point) -> int:
-    # for three free points, with no segment line to read: the 3x3
-    # determinant of the homogeneous rows is (q-p) x (r-p) times
-    # W_p*W_q*W_r > 0, so it carries the orientation sign
-    x1, y1, w1 = p.homogeneous
-    x2, y2, w2 = q.homogeneous
-    x3, y3, w3 = r.homogeneous
-    return (x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2)
-            + w1 * (x2 * y3 - x3 * y2))
-
-
 def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of (q-p) x (r-p): +1 left turn, 0 collinear, -1 right turn."""
-    d = _det(p, q, r)
+    """Sign of (q-p) x (r-p): +1 left turn, 0 collinear, -1 right turn.
+    It is read as the side of r on the line p x q, the determinant of the
+    homogeneous rows p, q, r, which is (q-p) x (r-p) times W_p*W_q*W_r > 0."""
+    d = side(cross(p.homogeneous, q.homogeneous), r.homogeneous)
     return (d > 0) - (d < 0)
 
 
@@ -233,12 +228,10 @@ def line_intersection(l1: Line, l2: Line) -> Point:
     (X, Y, W) of their triples ``Line.homogeneous`` is (X/W, Y/W).  W is
     s1*s2*(p2*q1 - p1*q2), 0 exactly for equal slopes p/q, identical lines
     included, which raise ParallelLines."""
-    (a1, b1, c1), (a2, b2, c2) = l1.homogeneous, l2.homogeneous
-    w = a1 * b2 - b1 * a2
-    if w == 0:
+    X, Y, W = cross(l1.homogeneous, l2.homogeneous)
+    if W == 0:
         raise ParallelLines(f"lines {l1.id} and {l2.id} have equal slope")
-    return Point(Fraction(b1 * c2 - c1 * b2, w),
-                 Fraction(c1 * a2 - a1 * c2, w))
+    return Point(Fraction(X, W), Fraction(Y, W))
 
 
 def dualize_line(l: Line) -> Point:

@@ -521,17 +521,19 @@ def _segment_geometry(ls: LineSet, i: int, seg_idx: int, block: int):
 def _extreme_directions(dirs: List[Tuple[Fraction, Fraction]]):
     """The two extreme rays of the convex cone of the given directions.
     Requires the cone to fit in an open halfplane."""
-    uniq = list(dict.fromkeys(dirs))
+    # each direction as its point at infinity, an integer triple: the last
+    # coordinate of the cross product of two is the 2-D cross product of
+    # the directions times a positive factor
+    uniq = {d: at_infinity(*d) for d in dirs}
     d_right = d_left = None
-    for d in uniq:
-        if all(cross(d[0], d[1], e[0], e[1]) >= 0 for e in uniq):
+    for d, u in uniq.items():
+        if all(cross(u, v)[2] >= 0 for v in uniq.values()):
             d_right = d
-        if all(cross(d[0], d[1], e[0], e[1]) <= 0 for e in uniq):
+        if all(cross(u, v)[2] <= 0 for v in uniq.values()):
             d_left = d
     if d_right is None or d_left is None:
         raise UnboundedHullError("direction cone spans a halfplane or more")
-    if len(uniq) > 1 and cross(d_right[0], d_right[1],
-                               d_left[0], d_left[1]) < 0:
+    if len(uniq) > 1 and cross(uniq[d_right], uniq[d_left])[2] < 0:
         raise UnboundedHullError("direction cone spans more than pi")
     return d_right, d_left
 

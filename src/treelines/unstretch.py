@@ -27,6 +27,7 @@ from .geometry import (
     angle_gap,
     clip_to_halfplanes,
     convex_hull,
+    cross,
     line_through,
     orientation,
     side,
@@ -196,14 +197,13 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
         for j in (1, 2, 3):
             l = frame.line(2 * j).homogeneous
             nxt = cfg.edges[_NEXT_EDGE[j] - 1]
-            p, q = nxt.p.homogeneous, nxt.q.homogeneous
-            # l_{2j}'s side values at nxt's ends, times W_p*W_q as in the clip
-            a = side(l, p) * q[2]
-            b = side(l, q) * p[2]
-            if a == 0 or b == 0 or (a > 0) == (b > 0):
+            # the crossing lies inside nxt exactly when its ends are
+            # strictly on either side of l_{2j}
+            if side(l, nxt.p.homogeneous) * side(l, nxt.q.homogeneous) >= 0:
                 failures.append(("iii-missing", j))
                 continue
-            cross_x = nxt.at(Fraction(a, a - b)).x
+            X, _, W = cross(l, nxt.line)
+            cross_x = Fraction(X, W)
             apex_x = frame.apex(j).x
             a_x = cfg.endpoint_on_even(j).x
             lo, hi = sorted((apex_x, cross_x))

@@ -1,5 +1,6 @@
 """Shared helpers: random rational line sets, angle-based frames and
-forced-length chains near the lemma's guard band."""
+forced-length chains near the lemma's guard band, and the inputs of the
+acceptance criteria that tools/differential.py records too."""
 
 import math
 from fractions import Fraction
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from treelines import unstretch
-from treelines.embed import Tree
-from treelines.geometry import Line
+from treelines.embed import Assignment, Embedding, Tree, ViolationKind
+from treelines.geometry import Line, scalar
 from treelines.io_formats import serialize_lines
 from treelines.lineset import LineSet, LineSetError, verify_general_position
 
@@ -119,6 +120,77 @@ def chain_with_margin(tail, a3, r, margin):
         lhs = a3 / (1 - margin) if margin > 0 else a3 * (1 + margin)
         return unstretch.ChainValues(cv.alpha, cv.a, cv.b,
                                      (*cv.r[:2], cv.b[0] - lhs))
+
+
+def criterion_5_chains():
+    """Criterion 5's random forced-length chains, without end: five tail
+    angles sorted descending in [0.02, 0.6], a3 in [0.1, 10] and r in
+    [1e-6, 5], drawn in batches of 5000 from seed 105."""
+    rng = np.random.default_rng(105)
+    batch = 5000
+    while True:
+        tails = np.sort(rng.uniform(0.02, 0.6, size=(batch, 5)),
+                        axis=1)[:, ::-1]
+        a3s = rng.uniform(0.1, 10.0, size=batch)
+        rs = rng.uniform(1e-6, 5.0, size=(batch, 3))
+        with mpmath.workdps(unstretch.DPS):
+            chains = []
+            for row in range(batch):
+                tail = [mpmath.mpf(float(x)) for x in tails[row]]
+                alpha = (mpmath.pi - mpmath.fsum(tail), *tail)
+                a3 = mpmath.mpf(float(a3s[row]))
+                r = tuple(mpmath.mpf(float(x)) for x in rs[row])
+                chains.append(unstretch.ChainValues(
+                    alpha, (a3, a3, a3), (a3, a3, a3), r))
+        yield from chains
+
+
+def random_frame(rng: np.random.Generator, cup: bool):
+    """Criterion 6's random six-line frame: angle gaps that each exceed the
+    total of the earlier ones by 5 to 35 %, spanning less than 88 degrees,
+    tangent to a parabola; redrawn until validate_frame accepts it."""
+    while True:
+        gaps = [float(rng.uniform(0.5, 1.5))]
+        total = gaps[0]
+        for _ in range(4):
+            g = total * float(rng.uniform(1.05, 1.35))
+            gaps.append(g)
+            total += g
+        if total >= 88.0:
+            continue
+        start = float(rng.uniform(-25.0, 5.0))
+        degs = [start]
+        for g in gaps:
+            degs.append(degs[-1] + g)
+        try:
+            ls = angle_lineset(degs, cup=cup)
+            return unstretch.validate_frame(ls, [1, 2, 3, 4, 5, 6])
+        except (unstretch.FrameError, LineSetError):
+            continue
+
+
+def checker_fixtures():
+    """Criterion 7's drawings as (name, the violation kind the check must
+    report or None for a crossing-free drawing, line set, tree,
+    assignment, embedding)."""
+    ls = verify_general_position(
+        [Line(scalar(-1), scalar(0)), Line(scalar(0), scalar(-1)),
+         Line(scalar(1), scalar(0)), Line(scalar(3), scalar(1))])
+    t = path_tree(4)
+    asg = Assignment((1, 3, 2, 4))
+
+    def emb(*xs):
+        return Embedding(tuple(Fraction(x) for x in xs))
+
+    # consecutive edges share an endpoint, and that contact stays legal
+    return [("crossing-free", None, ls, t, asg, emb(-2, 2, 0, Fraction(1, 3))),
+            ("cross", ViolationKind.PROPER_CROSS, ls, t, asg,
+             emb(-2, 2, 0, 2)),
+            ("vertex-on-edge", ViolationKind.VERTEX_ON_EDGE, ls, t, asg,
+             emb(-2, 2, 0, 1)),
+            # v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3
+            ("overlap", ViolationKind.OVERLAP, ls, path_tree(3),
+             Assignment((1, 2, 3)), emb(-1, 5, 1))]
 
 
 DOUBLING_DEGREES = [0, 1, 2.1, 4.3, 8.8, 17.8]

@@ -9,14 +9,11 @@ import math
 import time
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-import pytest
 
 from treelines import embed, geometry, lineset, ramsey, unstretch
 from treelines.geometry import (
     DegenerateContact,
-    Line,
     Point,
     Ray,
     Segment,
@@ -28,14 +25,12 @@ from treelines.geometry import (
 from treelines.lineset import (
     CapCup,
     ColorClasses,
-    LineSetError,
     all_region_indices,
     classify_cap_cup,
     intersection_order,
     longest_cap_cup,
     region_hull,
     region_of,
-    verify_general_position,
 )
 from treelines.ramsey import (
     ChainTooShort,
@@ -52,19 +47,14 @@ from treelines.ramsey import (
 )
 from treelines.unstretch import (
     ChainValues,
-    DPS,
-    FrameError,
     HypothesisFail,
     Lemma24Result,
     feasibility_search,
     lemma24_check,
     validate_config,
-    validate_frame,
 )
 from treelines.embed import (
-    Assignment,
     CombTuple,
-    Embedding,
     Tree,
     ViolationKind,
     check_embedding,
@@ -72,8 +62,8 @@ from treelines.embed import (
     scan_universality,
 )
 
-from conftest import (angle_lineset, path_tree, random_cup, random_lines,
-                      slope_of_degrees, star_tree)
+from conftest import (checker_fixtures, criterion_5_chains, path_tree,
+                      random_cup, random_frame, random_lines, star_tree)
 
 
 def _report(num: int, ok: bool, detail: str, limit: float, elapsed: float):
@@ -291,34 +281,11 @@ def test_criteria_2_and_4_fail_on_a_non_maximising_extractor(monkeypatch):
 # 5. forced-length chain always contradicts the gap condition
 
 
-def _criterion_5_chains():
-    """Criterion 5's random forced-length chains, without end: five tail
-    angles sorted descending in [0.02, 0.6], a3 in [0.1, 10] and r in
-    [1e-6, 5], drawn in batches of 5000 from seed 105."""
-    rng = np.random.default_rng(105)
-    batch = 5000
-    while True:
-        tails = np.sort(rng.uniform(0.02, 0.6, size=(batch, 5)),
-                        axis=1)[:, ::-1]
-        a3s = rng.uniform(0.1, 10.0, size=batch)
-        rs = rng.uniform(1e-6, 5.0, size=(batch, 3))
-        with mpmath.workdps(DPS):
-            chains = []
-            for row in range(batch):
-                tail = [mpmath.mpf(float(x)) for x in tails[row]]
-                alpha = (mpmath.pi - mpmath.fsum(tail), *tail)
-                a3 = mpmath.mpf(float(a3s[row]))
-                r = tuple(mpmath.mpf(float(x)) for x in rs[row])
-                chains.append(ChainValues(alpha, (a3, a3, a3), (a3, a3, a3),
-                                          r))
-        yield from chains
-
-
 def _criterion_5(count: int = 100_000):
-    """(ok, detail): the first ``count`` chains of _criterion_5_chains that
+    """(ok, detail): the first ``count`` chains of criterion_5_chains that
     satisfy the sine ordering, none of them consistent."""
     checked = 0
-    for cv in _criterion_5_chains():
+    for cv in criterion_5_chains():
         try:
             verdict = lemma24_check(cv)
         except HypothesisFail:
@@ -356,34 +323,13 @@ def test_criterion_5_fails_when_r3_is_added_to_b1(monkeypatch):
 # 6. unstretchability search oracle
 
 
-def _random_frame(rng, cup: bool):
-    while True:
-        gaps = [float(rng.uniform(0.5, 1.5))]
-        total = gaps[0]
-        for _ in range(4):
-            g = total * float(rng.uniform(1.05, 1.35))
-            gaps.append(g)
-            total += g
-        if total >= 88.0:
-            continue
-        start = float(rng.uniform(-25.0, 5.0))
-        degs = [start]
-        for g in gaps:
-            degs.append(degs[-1] + g)
-        try:
-            ls = angle_lineset(degs, cup=cup)
-            return validate_frame(ls, [1, 2, 3, 4, 5, 6])
-        except (FrameError, LineSetError):
-            continue
-
-
 def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
     """(ok, detail): no search of ``samples`` samples finds a configuration
     on ``frames`` random frames with each of ``seeds`` seeds, and the
     control with rule (ii) skipped finds one on a cup frame that passes
     the other rules."""
     rng = np.random.default_rng(106)
-    drawn = [_random_frame(rng, cup=(k % 2 == 0)) for k in range(frames)]
+    drawn = [random_frame(rng, cup=(k % 2 == 0)) for k in range(frames)]
     for fi, frame in enumerate(drawn):
         for seed in range(seeds):
             cfg = feasibility_search(frame, samples=samples, seed=seed)
@@ -421,34 +367,10 @@ def test_criterion_6_fails_when_rule_ii_and_its_screen_see_no_hull(
 # 7. embedding checker fixtures
 
 
-def _checker_fixtures():
-    """Criterion 7's drawings as (name, the violation kind the check must
-    report or None for a crossing-free drawing, line set, tree,
-    assignment, embedding)."""
-    ls = verify_general_position(
-        [Line(scalar(-1), scalar(0)), Line(scalar(0), scalar(-1)),
-         Line(scalar(1), scalar(0)), Line(scalar(3), scalar(1))])
-    t = path_tree(4)
-    asg = Assignment((1, 3, 2, 4))
-
-    def emb(*xs):
-        return Embedding(tuple(Fraction(x) for x in xs))
-
-    # consecutive edges share an endpoint, and that contact stays legal
-    return [("crossing-free", None, ls, t, asg, emb(-2, 2, 0, Fraction(1, 3))),
-            ("cross", ViolationKind.PROPER_CROSS, ls, t, asg,
-             emb(-2, 2, 0, 2)),
-            ("vertex-on-edge", ViolationKind.VERTEX_ON_EDGE, ls, t, asg,
-             emb(-2, 2, 0, 1)),
-            # v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3
-            ("overlap", ViolationKind.OVERLAP, ls, path_tree(3),
-             Assignment((1, 2, 3)), emb(-1, 5, 1))]
-
-
 def _criterion_7():
     """(ok, detail): the checker reports each fixture's violation kind,
     and no violation on the crossing-free drawing."""
-    for name, kind, *drawing in _checker_fixtures():
+    for name, kind, *drawing in checker_fixtures():
         rep = check_embedding(*drawing)
         ok = (rep.crossing_free and rep.violations == () if kind is None
               else kind in {v.kind for v in rep.violations})
@@ -547,15 +469,14 @@ def _region_machinery_ok(ls, cc, hulls, rng) -> bool:
     return ok
 
 
-def test_criterion_9_regions():
-    """The five-side bound on region hulls is a statement about cups: the
-    proof cuts the arrangement into regions only after extracting a cap or
-    cup, and at n=12, c=4 random caps reach 6 sides and random non-cup
-    sets 7 (see test_lineset.SIX_SIDED_REGIONS).  The bound is asserted on
-    random cups; on random non-cup sets the same side check is a control
-    that must see more than five sides."""
+def _criterion_9():
+    """(ok, detail).  The five-side bound on region hulls is a statement
+    about cups: the proof cuts the arrangement into regions only after
+    extracting a cap or cup, and at n=12, c=4 random caps reach 6 sides and
+    random non-cup sets 7 (see test_lineset.SIX_SIDED_REGIONS).  The bound
+    is asserted on random cups; on random non-cup sets the same side check
+    is a control that must see more than five sides."""
     rng = np.random.default_rng(109)
-    t0 = time.time()
     cc = ColorClasses(4, 12)
     ok = True
     control_max = cup_max = 0
@@ -573,9 +494,29 @@ def test_criterion_9_regions():
         cup_max = max(cup_max, *(h.side_count for h in hulls.values()))
         ok &= _region_machinery_ok(ls, cc, hulls, rng)
     ok = ok and cup_max <= 5 and control_max > 5
-    _report(9, ok, f"20 cups n=12 c=4: max hull sides {cup_max} (bound "
-            f"asserted: 5); control on 20 random non-cup sets: max "
-            f"{control_max} (must exceed 5)", 30.0, time.time() - t0)
+    return ok, (f"20 cups n=12 c=4: max hull sides {cup_max} (bound "
+                f"asserted: 5); control on 20 random non-cup sets: max "
+                f"{control_max} (must exceed 5)")
+
+
+def test_criterion_9_regions():
+    t0 = time.time()
+    ok, detail = _criterion_9()
+    _report(9, ok, detail, 30.0, time.time() - t0)
+
+
+def test_criterion_9_fails_when_a_hull_cone_keeps_only_its_right_ray(
+        monkeypatch):
+    # both extreme rays of an unbounded hull read as its right-hand one,
+    # so the hull loses the left side of its recession cone
+    real = lineset._extreme_directions
+
+    def mutant(dirs):
+        right, _ = real(dirs)
+        return right, right
+
+    monkeypatch.setattr(lineset, "_extreme_directions", mutant)
+    assert not _criterion_9()[0]
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from treelines.geometry import (
     clip_to_halfplanes,
     compare_angle_gap,
     convex_hull,
+    cross,
     dualize_line,
     gap_ratio,
     line_intersection,
@@ -393,8 +394,14 @@ def test_segment_line_is_a_primitive_triple_of_the_orientation(pts):
     assert side(s.line, p.homogeneous) == side(s.line, q.homogeneous) == 0
     v = side(s.line, r.homogeneous)
     assert (v > 0) - (v < 0) == _fraction_orientation(p, q, r)
+    assert orientation(p, q, r) == _fraction_orientation(p, q, r)
     # reversed, the segment has the opposite triple
     assert Segment(q, p).line == (-A, -B, -C)
+    # the cross product of two triples is 0 at both and antisymmetric
+    for u, w in ((p.homogeneous, q.homogeneous),
+                 (p.homogeneous, r.homogeneous), (s.line, r.homogeneous)):
+        assert side(cross(u, w), u) == side(cross(u, w), w) == 0
+        assert cross(w, u) == tuple(-c for c in cross(u, w))
 
 
 def _value_at(side, p, q, t):

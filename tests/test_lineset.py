@@ -16,7 +16,6 @@ from treelines.geometry import (
     Point,
     PostconditionError,
     Segment,
-    cross,
     dualize_line,
     line_intersection,
     on_segment,
@@ -560,6 +559,11 @@ def _normal_form(p, dx, dy):
     return (a / k, b / k, (a * p.x + b * p.y) / k)
 
 
+def _cross2(ox, oy, ax, ay):
+    """The 2-D cross product of two directions, in Fraction arithmetic."""
+    return ox * ay - oy * ax
+
+
 def _facet_lines(pts, dirs):
     candidates = [(p, (q.x - p.x, q.y - p.y))
                   for p, q in itertools.combinations(pts, 2)]
@@ -567,8 +571,8 @@ def _facet_lines(pts, dirs):
     facets = set()
     for p, (dx, dy) in candidates:
         values = itertools.chain(
-            (cross(dx, dy, q.x - p.x, q.y - p.y) for q in pts),
-            (cross(dx, dy, ex, ey) for ex, ey in dirs))
+            (_cross2(dx, dy, q.x - p.x, q.y - p.y) for q in pts),
+            (_cross2(dx, dy, ex, ey) for ex, ey in dirs))
         left = right = False
         for v in values:
             left |= v > 0

@@ -125,6 +125,13 @@ def test_no_imports_inside_functions():
     assert not found, sorted(set(found))
 
 
+def _functions_named(tree: ast.AST, names: set) -> set:
+    # the ids of every node inside the named function definitions
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in names
+            for node in ast.walk(fn)}
+
+
 def _terms(node: ast.expr) -> list:
     # the operands of a chain of additions, left to right
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
@@ -138,14 +145,33 @@ def test_side_values_are_written_only_in_geometry_side():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "side"
-                   and path.name == "geometry.py" for node in ast.walk(fn)}
+        allowed = _functions_named(tree, {"side"}) \
+            if path.name == "geometry.py" else set()
         for node in ast.walk(tree):
             terms = _terms(node)
             if len(terms) == 3 and id(node) not in allowed and all(
                     isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
                     for t in terms):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_cross_products_are_written_only_in_geometry_cross():
+    # a*b - c*d, a 2x2 minor, is one component of a cross product of two
+    # triples: written anywhere else, it is that product written again.
+    # gap_ratio keeps its own minor of the two slopes, on the hot path of
+    # extraction, where a call per pair would cost
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = _functions_named(tree, {"cross", "gap_ratio"}) \
+            if path.name == "geometry.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and \
+                    isinstance(node.op, ast.Sub) and \
+                    id(node) not in allowed and all(
+                        isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult)
+                        for t in (node.left, node.right)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 

@@ -23,11 +23,13 @@ working tree at the same size, and compares the two.
 
 The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
-a comparison see the same corpus.  The families cover the general-position
-check and the crossings of lines, the region hulls and everything that
-clips against them, the six-line frames and the forced-length chain,
-segment relations, the extraction of caps, cups and angle-gap chains, the
-gap colouring, and the embedding checker, solver and scan:
+a comparison see the same corpus; they run against the tree recorded, so
+they may import from ``treelines`` only names that every tree compared
+defines.  The families cover the general-position check and the crossings
+of lines, the region hulls and everything that clips against them, the
+six-line frames and the forced-length chain, segment relations, the
+extraction of caps, cups and angle-gap chains, the gap colouring, and the
+embedding checker, solver and scan:
 
     general_position verify_general_position's slope-ordered rows, or its
                      error with the input positions it names
@@ -150,9 +152,8 @@ class Corpus:
     the treelines modules in ``tl`` on inputs from the generators of
     ``conftest`` and ``inputs``."""
 
-    def __init__(self, tl, conftest, inputs, acceptance, size: int):
+    def __init__(self, tl, conftest, inputs, size: int):
         self.tl, self.conftest, self.inputs = tl, conftest, inputs
-        self.acceptance = acceptance
         self.size = size
         self._arrangements = None
         self._line_sets = None
@@ -411,7 +412,7 @@ class Corpus:
                         tl.unstretch.validate_frame(ls, [1, 2, 3, 4, 5, 6])))
         rng = np.random.default_rng(106)    # criterion 6's generator seed
         for k in range(min(20, 2 * self.size)):
-            out.append((f"crit6#{k}", self.acceptance._random_frame(
+            out.append((f"crit6#{k}", self.conftest.random_frame(
                 rng, cup=k % 2 == 0)))
         return out
 
@@ -517,7 +518,7 @@ class Corpus:
         guard band either side, and on derive_chain of rule-(ii)-skipped
         searches on the cup frames."""
         us, ct = self.tl.unstretch, self.conftest
-        chains = self.acceptance._criterion_5_chains()
+        chains = ct.criterion_5_chains()
         for k in range(250 * self.size):
             yield f"crit5#{k}", outcome(us.lemma24_check, next(chains))
         rng = np.random.default_rng(1626)
@@ -826,7 +827,7 @@ class Corpus:
         random drawings of 3 to 8 lines whose vertices often sit on
         crossings of their line, on the line through the ends of an edge,
         or on the same crossing as another vertex; errors too."""
-        for name, _, *drawing in self.acceptance._checker_fixtures():
+        for name, _, *drawing in self.conftest.checker_fixtures():
             yield f"crit7 {name}", outcome(self.tl.embed.check_embedding,
                                            *drawing)
         ct, embed = self.conftest, self.tl.embed
@@ -1046,8 +1047,7 @@ def run_corpus(tree: Path, out: Path, size: int) -> None:
     if src not in origin.parents:
         raise ImportError(f"treelines imported from {origin}, not {src}")
     corpus = Corpus(tl, importlib.import_module("conftest"),
-                    importlib.import_module("inputs"),
-                    importlib.import_module("test_acceptance"), size)
+                    importlib.import_module("inputs"), size)
     out.mkdir(parents=True, exist_ok=True)
     sums = []
     for family, records in corpus.families().items():
