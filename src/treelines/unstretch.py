@@ -503,7 +503,10 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
             cfg = config_from_params(frame, params)
             if validate_config(frame, cfg, skip=skip_properties).ok:
                 return cfg
-        keep = np.argsort(-feas_edges, kind="stable")[:40]
+        # the first 40 triples by falling count of feasible edges, each
+        # count in index order
+        keep = np.concatenate([np.flatnonzero(feas_edges == c)
+                               for c in (3, 2, 1, 0)])[:40]
         promising = t[:, keep]
     return None
 
@@ -524,6 +527,8 @@ class _FrameFloats:
         # the exact line triples as plain floats, clipped with W = 1: the
         # hull has a handful of edges, too few for numpy to pay off per call
         self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
+        # _solve_edge's (7, n) buffers, for the last batch size n
+        self._scratch = np.empty((4, 7, 0))
 
     def clearly_meets_hull(self, u, t) -> bool:
         """Float pre-screen of rule (ii): True when some edge cuts well into
@@ -561,7 +566,8 @@ class _FrameFloats:
     def solve_u(self, t: np.ndarray, skip: FrozenSet[str]):
         """For each sampled triple, pick a u_j satisfying rules (i) and
         (iii) for each edge where one exists.  Returns the chosen u values
-        (3, n) and the per-triple count of satisfiable edges."""
+        (3, n), meaningful only where that edge is feasible, and the
+        per-triple count of satisfiable edges."""
         n = t.shape[1]
         u_out = np.zeros((3, n))
         feas_edges = np.zeros(n, dtype=np.int64)
@@ -572,80 +578,131 @@ class _FrameFloats:
         return u_out, feas_edges
 
     def _solve_edge(self, j: int, t: np.ndarray, skip: FrozenSet[str]):
+        """Edge j's first feasible candidate u per triple, and whether it
+        has one.
+
+        The seven candidates of every triple are built in one (7, n)
+        buffer, and rules (i) and (iii) work in three more, with in-place
+        ufuncs; the four are kept between calls, as a search solves many
+        batches of one size.  Every element goes through the same float64
+        operations, up to exact rewrites such as -x/y == -(x/y) and
+        products with factors of +-1 or 0, as in the plain array
+        expressions that tests/test_unstretch.py keeps as the reference:
+        the verdicts, and u where the edge is feasible, are bit-identical
+        to theirs."""
         i = _PREV[j]
         ta = t[j - 1]
         tprev = t[i - 1]
+        n = ta.shape[0]
         ax, ay = self.apex[j - 1]
         so, bo = self.s[2 * j - 2], self.b[2 * j - 2]
         se, be = self.s[2 * j - 1], self.b[2 * j - 1]
         si, bi = self.s[2 * i - 1], self.b[2 * i - 1]
         axi = self.apex[i - 1, 0]
         ya = se * ta - be
+        dx = ta - ax
 
         # rule (i): the edge's height at the apex abscissa, relative to the
         # apex, is sign(c1*u + c0) * sign(ta - u)
-        c1 = so * (ta - ax) - ya + ay
-        c0 = -bo * (ta - ax) + ya * ax - ay * ta
+        c1 = so * dx - ya + ay
+        c0 = -bo * dx + ya * ax - ay * ta
         # rule (iii): side value of the u endpoint w.r.t. line l_{2i} is
-        # d1*u + d0; the crossing abscissa is a ratio of linears in u
+        # d1*u + d0, with per-edge scalars d1 and d0; the crossing abscissa
+        # is a ratio of linears in u
         d1 = so - si
         d0 = bi - bo
         v_a = ya - si * ta + bi
-        e1 = -v_a + d1 * (ta - tprev)
-        e0 = v_a * tprev + d0 * (ta - tprev)
+        dt = ta - tprev
+        e1 = -v_a + d1 * dt
+        e0 = v_a * tprev + d0 * dt
 
         # u must sit on the far side of the apex from ta (rule (i) needs
         # the apex abscissa inside the edge's x-range)
         side = np.sign(ax - ta)
+        flip = -side
+        if self._scratch.shape[2] != n:
+            self._scratch = np.empty((4, 7, n))
+        u_test, work, v_p, cx = self._scratch
 
-        def root(a, b):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(a != 0, -b / np.where(a != 0, a, 1.0), np.nan)
-            return r
+        # the roots -c0/c1, -d0/d1, -e0/e1 and -(d0 - v_a)/d1 as distances
+        # (root - ax) * side = (x/y + ax) * -side beyond the apex; a zero
+        # denominator, the scalar d1 among them, gives an infinite or NaN
+        # distance
+        dist = work[:4]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(c0, c1, out=dist[0])
+            dist[1] = d0 / d1
+            np.divide(e0, e1, out=dist[2])
+            np.subtract(d0, v_a, out=dist[3])
+            dist[3] /= d1
+            dist += ax
+            dist *= flip
+            # every distance that is not finite and positive becomes +0.0:
+            # x - x is NaN for x infinite and +0.0 otherwise, and fmax
+            # takes 0.0 over NaN and over anything below it
+            np.subtract(dist, dist, out=u_test[:4])
+            dist += u_test[:4]
+        np.fmax(dist, 0.0, out=dist)
+        _sort4(dist, u_test[0])
 
-        roots = np.stack([root(c1, c0), root(d1 * np.ones_like(c0), d0),
-                          root(e1, e0),
-                          root(d1 * np.ones_like(c0), d0 - v_a)])
-        dist = (roots - ax) * side
-        dist = _sort4(np.where(np.isfinite(dist) & (dist > 0), dist, 0.0))
-        mids = np.empty((7, t.shape[1]))
-        prev = np.zeros(t.shape[1])
-        for k in range(4):
-            mids[k] = (prev + dist[k]) / 2
-            prev = dist[k]
-        mids[4] = 2 * dist[3] + self.radius
-        mids[5] = self.radius * 1e-3
-        mids[6] = self.radius * 1e2
-        u_test = ax + side * mids   # (7, n)
+        # the candidates: the midpoints of the gaps between 0 and the
+        # sorted distances, a point past the last, one near the apex and
+        # one far out, as u = ax + side * mid
+        u_test[0] = dist[0]
+        np.add(dist[:3], dist[1:], out=u_test[1:4])
+        u_test[:4] *= 0.5
+        np.multiply(dist[3], 2.0, out=u_test[4])
+        u_test[4] += self.radius
+        u_test[5] = self.radius * 1e-3
+        u_test[6] = self.radius * 1e2
+        u_test *= side
+        u_test += ax
 
-        ok = np.ones_like(u_test, dtype=bool)
+        ok = np.ones((7, n), dtype=bool)
         if "i" not in skip:
             want = -1.0 if j in (1, 3) else 1.0
-            ok &= (c1 * u_test + c0) * (-side) * want > 0
+            np.multiply(u_test, c1, out=work)
+            work += c0
+            work *= flip * want
+            np.greater(work, 0.0, out=ok)
         if "iii" not in skip:
-            v_p = d1 * u_test + d0
-            ok &= v_p * v_a < 0
-            denom = v_p - v_a
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cx = (-u_test * v_a + v_p * ta) / denom
-            lo = np.minimum(axi, cx)
-            hi = np.maximum(axi, cx)
-            ok &= np.isfinite(cx) & (lo <= tprev) & (tprev <= hi)
-        ok &= side != 0
+            flag = np.empty((7, n), dtype=bool)
+            np.multiply(u_test, d1, out=v_p)
+            v_p += d0
+            np.multiply(v_p, v_a, out=work)
+            ok &= np.less(work, 0.0, out=flag)
+            # the crossing abscissa (v_p*ta - u*v_a) / (v_p - v_a) must be
+            # finite and lie between axi and tprev: with g the sign of
+            # tprev - axi, cx*g in [tprev*g, inf)
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                np.multiply(u_test, v_a, out=work)
+                np.multiply(v_p, ta, out=cx)
+                cx -= work
+                v_p -= v_a
+                cx /= v_p
+                g = np.sign(tprev - axi)
+                cx *= g
+            ok &= np.greater_equal(cx, tprev * g, out=flag)
+            ok &= np.less(cx, np.inf, out=flag)
+        # the first feasible row, chosen from the last row up; row 0
+        # where there is none, as the plain expressions choose
+        u = u_test[0].copy()
+        for k in range(6, -1, -1):
+            np.copyto(u, u_test[k], where=ok[k])
         any_ok = ok.any(axis=0)
-        first = np.argmax(ok, axis=0)
-        return u_test[first, np.arange(u_test.shape[1])], any_ok
+        any_ok &= side != 0
+        return u, any_ok
 
 
-def _sort4(d: np.ndarray):
-    """The four rows of d sorted column by column, by the five comparators
-    of the optimal 4-input sorting network (Knuth, TAOCP vol. 3, 5.3.4).
-    On values with no NaN and no -0.0 this is d.sort(axis=0) bit for bit,
-    without numpy's separate sort of every column."""
-    a, b, c, e = d
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    c, e = np.minimum(c, e), np.maximum(c, e)
-    a, c = np.minimum(a, c), np.maximum(a, c)
-    b, e = np.minimum(b, e), np.maximum(b, e)
-    b, c = np.minimum(b, c), np.maximum(b, c)
-    return a, b, c, e
+def _sort4(d: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The four rows of d sorted in place, column by column, by the five
+    comparators of the optimal 4-input sorting network (Knuth, TAOCP vol.
+    3, 5.3.4), with low as a scratch row; returns d.  On values with no
+    NaN and no -0.0 this is d.sort(axis=0) bit for bit, without numpy's
+    separate sort of every column."""
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        np.minimum(d[a], d[b], out=low)
+        np.maximum(d[a], d[b], out=d[b])
+        d[a] = low
+    return d

@@ -442,9 +442,37 @@ def test_criterion_8_fails_when_edges_may_not_share_an_endpoint(
 # 9. region machinery
 
 
-def _region_machinery_ok(ls, cc, hulls, rng) -> bool:
+def _regions_met(ls, cc, seg):
+    """The regions of the points where seg crosses the lines, read through
+    region_of, in their order from seg.p to seg.q, repeats in a row
+    merged: an oracle of comb_type's order that does not use the hulls."""
+    met = []
+    for i in range(1, len(ls.lines) + 1):
+        line = ls.line(i)
+        gp, gq = (v.y - line.point_at(v.x).y for v in (seg.p, seg.q))
+        if gp * gq < 0:
+            t = gp / (gp - gq)
+            met.append((t, region_of(ls, cc, i, seg.p.x + t * (seg.q.x -
+                                                                seg.p.x))))
+    out = []
+    for _, r in sorted(met, key=lambda m: m[0]):
+        if not out or out[-1] != (r.a, r.b):
+            out.append((r.a, r.b))
+    return out
+
+
+def _is_subsequence(part, whole) -> bool:
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+def _region_machinery_ok(ls, cc, hulls, rng, cup: bool) -> bool:
     """Partition coverage on 50 sampled line points and reversal symmetry
-    of the traversal tuples on 5 random segments."""
+    of the traversal tuples on 5 random segments.  On a cup, where the
+    region hulls do not overlap, comb_type's regions also hold the regions
+    met along the segment (_regions_met) in their order; where hulls
+    overlap, ordering traversals by their midpoints may put a region
+    entered later before one entered earlier, so random sets skip it."""
     ok = True
     for _ in range(50):
         i = int(rng.integers(1, 13))
@@ -466,6 +494,9 @@ def _region_machinery_ok(ls, cc, hulls, rng) -> bool:
         if bwd != [CombTuple(v.a, v.b, v.exit, v.enter)
                    for v in reversed(fwd)]:
             ok = False
+        if cup and not _is_subsequence(_regions_met(ls, cc, seg),
+                                       [(v.a, v.b) for v in fwd]):
+            ok = False
     return ok
 
 
@@ -486,13 +517,13 @@ def _criterion_9():
         if classify_cap_cup(ls) != CapCup.CUP:
             control_max = max(control_max,
                               *(h.side_count for h in hulls.values()))
-        ok &= _region_machinery_ok(ls, cc, hulls, rng)
+        ok &= _region_machinery_ok(ls, cc, hulls, rng, cup=False)
     for _ in range(20):
         ls = random_cup(rng, 12)
         ok &= classify_cap_cup(ls) == CapCup.CUP
         hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
         cup_max = max(cup_max, *(h.side_count for h in hulls.values()))
-        ok &= _region_machinery_ok(ls, cc, hulls, rng)
+        ok &= _region_machinery_ok(ls, cc, hulls, rng, cup=True)
     ok = ok and cup_max <= 5 and control_max > 5
     return ok, (f"20 cups n=12 c=4: max hull sides {cup_max} (bound "
                 f"asserted: 5); control on 20 random non-cup sets: max "
@@ -516,6 +547,16 @@ def test_criterion_9_fails_when_a_hull_cone_keeps_only_its_right_ray(
         return right, right
 
     monkeypatch.setattr(lineset, "_extreme_directions", mutant)
+    assert not _criterion_9()[0]
+
+
+def test_criterion_9_fails_when_comb_type_lists_traversals_in_reverse(
+        monkeypatch):
+    # reversal symmetry alone cannot see this: the reversed segment's
+    # list is reversed too
+    real = comb_type
+    monkeypatch.setitem(globals(), "comb_type",
+                        lambda *args: list(reversed(real(*args))))
     assert not _criterion_9()[0]
 
 

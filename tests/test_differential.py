@@ -23,14 +23,14 @@ def test_differential_records_and_compares(tmp_path):
     same = _tool("compare", a, b)
     assert same.returncode == 0, same.stdout
     families = same.stdout.splitlines()
-    assert len(families) == 23
+    assert len(families) == 24
     assert all(line.endswith(" records, identical") for line in families)
     assert not any(line.startswith(f"{f}: 0 ") for line in families
                    for f in ("general_position", "crossings", "clip",
                              "comb_type", "frame", "screen", "cap_cup",
                              "monotone", "doubling", "gaps", "pair_chains",
                              "solve", "check", "scan", "cli", "segments",
-                             "coloring", "lemma"))
+                             "coloring", "lemma", "solve_u"))
 
     changed = tmp_path / "changed"
     shutil.copytree(a, changed)
