@@ -244,17 +244,18 @@ class _Placer:
     root ends a placed edge, and ``segs`` holds the placed edges in
     placement order, one per placed non-root vertex.  Each edge keeps its
     ``Segment.line``, so a contact test reads integer side values of the
-    new edge's ends and the placed edge's ends."""
+    new edge's ends and the placed edge's ends.  Callers offer only points
+    that no second line passes through, as ``solve``'s grid and restarts
+    do, so a new point is never a placed one: each vertex has its own line."""
 
     def __init__(self, t: Tree):
         self.parent = t.parent_of()
         self.points: Dict[int, Point] = {}
         self.segs: List[Segment] = []
 
-    def can_place(self, v: int, p: Point) -> bool:
-        """Whether vertex v can go at the point p, on its line."""
-        if p in self.points.values():
-            return False
+    def place(self, v: int, p: Point) -> bool:
+        """Put vertex v at the point p, on its line, unless its edge to the
+        parent would meet a placed edge; returns whether it did."""
         if v in self.parent:
             # p differs from every placed point, each of which ends a placed
             # edge: p on a placed edge or a placed vertex on the new edge is
@@ -263,12 +264,9 @@ class _Placer:
             for s in self.segs:
                 if _contact(new_seg, s, True) is not None:
                     return False
-        return True
-
-    def place(self, v: int, p: Point) -> None:
+            self.segs.append(new_seg)
         self.points[v] = p
-        if v in self.parent:
-            self.segs.append(Segment(self.points[self.parent[v]], p))
+        return True
 
     def unplace(self, v: int) -> None:
         del self.points[v]
@@ -305,9 +303,8 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
         v = order[k]
         for p in cand[v]:
             nodes += 1
-            if not placer.can_place(v, p):
+            if not placer.place(v, p):
                 continue
-            placer.place(v, p)
             if backtrack(k + 1):
                 return True
             placer.unplace(v)
@@ -352,9 +349,7 @@ def _random_attempt(placer: _Placer, order: Sequence[int],
             x = lo + (hi - lo) * Fraction(num, _DENOM * 1000)
             if x in bps:
                 continue
-            p = lines[v].point_at(x)
-            if placer.can_place(v, p):
-                placer.place(v, p)
+            if placer.place(v, lines[v].point_at(x)):
                 break
         else:
             return False

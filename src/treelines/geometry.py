@@ -234,11 +234,6 @@ def line_intersection(l1: Line, l2: Line) -> Point:
     return Point(Fraction(X, W), Fraction(Y, W))
 
 
-def dualize_line(l: Line) -> Point:
-    """y = a*x - b  ->  (a, b)."""
-    return Point(l.slope, l.dual_offset)
-
-
 class SegmentRelation(enum.Enum):
     DISJOINT = "disjoint"
     PROPER_CROSS = "proper_cross"

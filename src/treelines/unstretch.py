@@ -456,7 +456,8 @@ def _float_verdict(cv: ChainValues) -> Optional[Lemma24Result]:
 # edge j carries the betweenness rule of _PREV[j]
 _PREV = {k: j for j, k in _NEXT_EDGE.items()}
 
-# one sampled t-triple is screened at up to 7 candidate u values per edge
+# a search draws samples // 21 t-triples; every sample budget, the
+# benchmark's among them, was set for the triples that this draws
 _CONFIGS_PER_TRIPLE = 21
 
 
@@ -521,14 +522,13 @@ class _FrameFloats:
                                float(frame.apex(j).y)] for j in (1, 2, 3)])
         pts = np.array([[float(p.x), float(p.y)]
                         for p in frame.intersection_points()])
-        self.center = pts.mean(axis=0)
-        self.radius = max(1.0, np.max(np.linalg.norm(pts - self.center,
-                                                     axis=1)))
+        center = pts.mean(axis=0)
+        self.radius = max(1.0, np.max(np.linalg.norm(pts - center, axis=1)))
         # the exact line triples as plain floats, clipped with W = 1: the
         # hull has a handful of edges, too few for numpy to pay off per call
         self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
-        # _solve_edge's (7, n) buffers, for the last batch size n
-        self._scratch = np.empty((4, 7, 0))
+        # _solve_edge's (5, n) buffers, for the last batch size n
+        self._scratch = np.empty((4, 5, 0))
 
     def clearly_meets_hull(self, u, t) -> bool:
         """Float pre-screen of rule (ii): True when some edge cuts well into
@@ -581,15 +581,18 @@ class _FrameFloats:
         """Edge j's first feasible candidate u per triple, and whether it
         has one.
 
-        The seven candidates of every triple are built in one (7, n)
-        buffer, and rules (i) and (iii) work in three more, with in-place
-        ufuncs; the four are kept between calls, as a search solves many
-        batches of one size.  Every element goes through the same float64
-        operations, up to exact rewrites such as -x/y == -(x/y) and
-        products with factors of +-1 or 0, as in the plain array
-        expressions that tests/test_unstretch.py keeps as the reference:
-        the verdicts, and u where the edge is feasible, are bit-identical
-        to theirs."""
+        Beyond the apex, rules (i) and (iii) change verdict only at four
+        breakpoints, the roots of c1*u + c0 and d1*u + d0 and the u where
+        the crossing abscissa meets tprev or has its pole, so one candidate
+        per cell between them decides the edge.  The five candidates of
+        every triple are built in one (5, n) buffer, and rules (i) and
+        (iii) work in three more, with in-place ufuncs; the four are kept
+        between calls, as a search solves many batches of one size.  Every
+        element goes through the same float64 operations, up to exact
+        rewrites such as -x/y == -(x/y) and products with factors of +-1 or
+        0, as in the plain array expressions of the seven-candidate
+        reference in tests/test_unstretch.py: the verdicts, and u where the
+        edge is feasible, are bit-identical to its."""
         i = _PREV[j]
         ta = t[j - 1]
         tprev = t[i - 1]
@@ -621,7 +624,7 @@ class _FrameFloats:
         side = np.sign(ax - ta)
         flip = -side
         if self._scratch.shape[2] != n:
-            self._scratch = np.empty((4, 7, n))
+            self._scratch = np.empty((4, 5, n))
         u_test, work, v_p, cx = self._scratch
 
         # the roots -c0/c1, -d0/d1, -e0/e1 and -(d0 - v_a)/d1 as distances
@@ -645,20 +648,17 @@ class _FrameFloats:
         np.fmax(dist, 0.0, out=dist)
         _sort4(dist, u_test[0])
 
-        # the candidates: the midpoints of the gaps between 0 and the
-        # sorted distances, a point past the last, one near the apex and
-        # one far out, as u = ax + side * mid
+        # the candidates, as u = ax + side * mid: the midpoints of the
+        # cells between 0 and the sorted distances, and a point past them
         u_test[0] = dist[0]
         np.add(dist[:3], dist[1:], out=u_test[1:4])
         u_test[:4] *= 0.5
         np.multiply(dist[3], 2.0, out=u_test[4])
         u_test[4] += self.radius
-        u_test[5] = self.radius * 1e-3
-        u_test[6] = self.radius * 1e2
         u_test *= side
         u_test += ax
 
-        ok = np.ones((7, n), dtype=bool)
+        ok = np.ones((5, n), dtype=bool)
         if "i" not in skip:
             want = -1.0 if j in (1, 3) else 1.0
             np.multiply(u_test, c1, out=work)
@@ -666,7 +666,7 @@ class _FrameFloats:
             work *= flip * want
             np.greater(work, 0.0, out=ok)
         if "iii" not in skip:
-            flag = np.empty((7, n), dtype=bool)
+            flag = np.empty((5, n), dtype=bool)
             np.multiply(u_test, d1, out=v_p)
             v_p += d0
             np.multiply(v_p, v_a, out=work)
@@ -688,7 +688,7 @@ class _FrameFloats:
         # the first feasible row, chosen from the last row up; row 0
         # where there is none, as the plain expressions choose
         u = u_test[0].copy()
-        for k in range(6, -1, -1):
+        for k in range(4, -1, -1):
             np.copyto(u, u_test[k], where=ok[k])
         any_ok = ok.any(axis=0)
         any_ok &= side != 0

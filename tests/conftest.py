@@ -11,7 +11,7 @@ import pytest
 
 from treelines import unstretch
 from treelines.embed import Assignment, Embedding, Tree, ViolationKind
-from treelines.geometry import Line, scalar
+from treelines.geometry import Line, Point, scalar
 from treelines.io_formats import serialize_lines
 from treelines.lineset import LineSet, LineSetError, verify_general_position
 
@@ -68,6 +68,16 @@ def tied_gap_lines(rng: np.random.Generator, n: int) -> LineSet:
                  for s, b in zip(slopes, rng.integers(-5000, 5000, n))])
         except LineSetError:
             continue
+
+
+def dualize_line(l: Line) -> Point:
+    """y = a*x - b  ->  (a, b)."""
+    return Point(l.slope, l.dual_offset)
+
+
+def dualize_point(p: Point, id: int = 0) -> Line:
+    """(a, b)  ->  y = a*x - b.  Inverse of dualize_line."""
+    return Line(p.x, p.y, id)
 
 
 def mirrored(ls: LineSet) -> LineSet:

@@ -17,7 +17,6 @@ from treelines.geometry import (
     Point,
     Ray,
     Segment,
-    dualize_line,
     orientation,
     scalar,
     winding_number,
@@ -62,8 +61,9 @@ from treelines.embed import (
     scan_universality,
 )
 
-from conftest import (checker_fixtures, criterion_5_chains, path_tree,
-                      random_cup, random_frame, random_lines, star_tree)
+from conftest import (checker_fixtures, criterion_5_chains, dualize_line,
+                      path_tree, random_cup, random_frame, random_lines,
+                      star_tree)
 
 
 def _report(num: int, ok: bool, detail: str, limit: float, elapsed: float):

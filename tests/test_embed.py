@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from treelines import embed
@@ -288,28 +289,37 @@ def _placer(ls, tree, asg, *placed):
     placer = embed._Placer(tree)
     placer.at = lambda v, x: ls.line(asg.line_of(v)).point_at(Fraction(x))
     for v, x in placed:
-        p = placer.at(v, x)
-        assert placer.can_place(v, p), (v, x)
-        placer.place(v, p)
+        assert placer.place(v, placer.at(v, x)), (v, x)
     return placer
+
+
+def _accepts(placer, v, x):
+    """Whether the placer places vertex v at abscissa x: an accepted probe
+    is unplaced again, and a rejected one leaves the placer as it was."""
+    before = (dict(placer.points), list(placer.segs))
+    placed = placer.place(v, placer.at(v, x))
+    if placed:
+        placer.unplace(v)
+    assert (placer.points, placer.segs) == before
+    return placed
 
 
 def test_placer_rejects_a_new_point_on_a_placed_edge(four_lines):
     # vertices 0, 1, 2 at (-2, 2), (2, 2), (0, 1)
     placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, 0))
-    assert placer.can_place(3, placer.at(3, Fraction(1, 3)))
+    assert _accepts(placer, 3, Fraction(1, 3))
     # (1, 2) is inside edge 0-1; (4/5, 7/5) inside the parent's edge 1-2,
     # so the new edge would fold back onto it
-    assert not placer.can_place(3, placer.at(3, Fraction(1)))
-    assert not placer.can_place(3, placer.at(3, Fraction(4, 5)))
+    assert not _accepts(placer, 3, Fraction(1))
+    assert not _accepts(placer, 3, Fraction(4, 5))
 
 
 def test_placer_rejects_a_placed_vertex_inside_the_new_edge(four_lines):
     # vertices 0, 1, 2 at (-2, 2), (2, 2), (-4, 1)
     placer = _placer(four_lines, PATH4, ASG4, (0, -2), (1, 2), (2, -4))
-    assert placer.can_place(3, placer.at(3, Fraction(1, 3)))
+    assert _accepts(placer, 3, Fraction(1, 3))
     # the edge from (-4, 1) to (8/5, 19/5) passes through vertex 0
-    assert not placer.can_place(3, placer.at(3, Fraction(8, 5)))
+    assert not _accepts(placer, 3, Fraction(8, 5))
 
 
 def test_placer_rejects_a_sibling_collinear_with_its_parent_edge(
@@ -317,16 +327,43 @@ def test_placer_rejects_a_sibling_collinear_with_its_parent_edge(
     star, asg = star_tree(4), Assignment((1, 2, 3, 4))
     # root at (-2, 2), its child 1 at (0, 1)
     placer = _placer(four_lines, star, asg, (0, -2), (1, 0))
-    assert placer.can_place(2, placer.at(2, Fraction(1, 2)))
+    assert _accepts(placer, 2, Fraction(1, 2))
     # (2/3, 2/3) lies on the ray from the root through vertex 1
-    assert not placer.can_place(2, placer.at(2, Fraction(2, 3)))
+    assert not _accepts(placer, 2, Fraction(2, 3))
 
 
-def test_placer_rejects_a_new_point_on_its_parent(four_lines):
-    # vertex 0 at (0, 0), where the lines of vertices 0 and 1 cross
-    placer = _placer(four_lines, PATH4, ASG4, (0, 0))
-    assert placer.can_place(1, placer.at(1, Fraction(2)))
-    assert not placer.can_place(1, placer.at(1, Fraction(0)))
+class _FirstDraws:
+    """A stand-in rng: ``integers`` returns the given draws first, then a
+    seeded generator's."""
+
+    def __init__(self, first, seed):
+        self.first = list(first)
+        self.rest = np.random.default_rng(seed)
+
+    def integers(self, low, high):
+        return self.first.pop(0) if self.first else self.rest.integers(
+            low, high)
+
+
+def test_random_attempt_skips_an_abscissa_on_a_breakpoint(four_lines):
+    # the placer never sees two points on one crossing, since a restart
+    # skips every abscissa where a second line crosses the vertex's own
+    asg = Assignment((3, 1, 2, 4))
+    lines = {v: four_lines.line(asg.line_of(v)) for v in range(4)}
+    bps = {v: [p.x for _, p in intersection_order(four_lines, lines[v].id)]
+           for v in range(4)}
+    # vertex 0 is on y = x, with breakpoints 0, 1/2 and 1, so the restart
+    # draws x from [-2, 3]: the first draw, 2/5 of the way, is x = 0, the
+    # crossing with line 1, which is vertex 1's line
+    assert bps[0] == [0, Fraction(1, 2), 1]
+    draw = 2 * embed._DENOM * 1000 // 5
+    rng = _FirstDraws([draw], seed=3)
+    placer = embed._Placer(PATH4)
+    assert embed._random_attempt(placer, PATH4.bfs_order(), lines, bps, rng)
+    assert not rng.first
+    assert placer.points[0] != Point(0, 0)
+    for v, p in placer.points.items():
+        assert [l.id for l in four_lines if l.contains(p)] == [lines[v].id]
 
 
 def test_scan_universality_small(four_lines, rng):

@@ -23,7 +23,6 @@ from treelines.geometry import (
     compare_angle_gap,
     convex_hull,
     cross,
-    dualize_line,
     gap_ratio,
     line_intersection,
     on_segment,
@@ -35,17 +34,14 @@ from treelines.geometry import (
     winding_number,
 )
 
+from conftest import dualize_line, dualize_point
+
 FUZZ = settings(max_examples=200, database=None, deadline=None,
                 derandomize=True)
 
 rationals = st.fractions(min_value=-50, max_value=50,
                          max_denominator=97)
 points = st.builds(Point, rationals, rationals)
-
-
-def dualize_point(p: Point, id: int = 0) -> Line:
-    """(a, b)  ->  y = a*x - b.  Inverse of dualize_line."""
-    return Line(p.x, p.y, id)
 
 
 def test_scalar_rejects_floats():

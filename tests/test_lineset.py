@@ -16,7 +16,6 @@ from treelines.geometry import (
     Point,
     PostconditionError,
     Segment,
-    dualize_line,
     line_intersection,
     on_segment,
     orientation,
@@ -47,7 +46,8 @@ from treelines.lineset import (
 )
 from treelines.ramsey import mono_path_bound
 
-from conftest import angle_lineset, mirrored, random_cup, random_lines
+from conftest import (angle_lineset, dualize_line, mirrored, random_cup,
+                      random_lines)
 
 
 def L(s, b):

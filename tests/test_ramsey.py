@@ -7,7 +7,7 @@ import pytest
 
 from treelines import lineset, ramsey
 from treelines.geometry import (Line, PostconditionError, Ratio, angle_gap,
-                                dualize_line, gap_ratio, orientation, scalar)
+                                gap_ratio, orientation, scalar)
 from treelines.lineset import (longest_cap_cup, ranked_chains,
                                verify_general_position)
 from treelines.ramsey import (
@@ -30,7 +30,8 @@ from treelines.ramsey import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      mirrored, random_cup, random_lines, tied_gap_lines)
+                      dualize_line, mirrored, random_cup, random_lines,
+                      tied_gap_lines)
 
 
 def test_mono_path_bound_table():

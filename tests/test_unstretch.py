@@ -535,6 +535,82 @@ def test_solve_edge_matches_the_reference_on_degenerate_columns(cup_frame):
         assert_solver_matches_reference(geo, t)
 
 
+def exact_edge(geo, j, ta, tprev):
+    """Edge j's rules (i) and (iii) in Fraction arithmetic on the exact
+    values of the frame's floats and of the Fractions ta and tprev: the
+    sign of ax - ta, the verdicts as a function of u, and the distances
+    beyond the apex of the roots of c1*u + c0, of d1*u + d0, and of the
+    u where the crossing abscissa meets tprev or has its pole."""
+    i = unstretch._PREV[j]
+    ax, ay = map(Fraction, geo.apex[j - 1])
+    so, bo = Fraction(geo.s[2 * j - 2]), Fraction(geo.b[2 * j - 2])
+    se, be = Fraction(geo.s[2 * j - 1]), Fraction(geo.b[2 * j - 1])
+    si, bi = Fraction(geo.s[2 * i - 1]), Fraction(geo.b[2 * i - 1])
+    axi = Fraction(geo.apex[i - 1, 0])
+    ya = se * ta - be
+    c1 = so * (ta - ax) - ya + ay
+    c0 = -bo * (ta - ax) + ya * ax - ay * ta
+    d1, d0 = so - si, bi - bo
+    v_a = ya - si * ta + bi
+    e1 = -v_a + d1 * (ta - tprev)
+    e0 = v_a * tprev + d0 * (ta - tprev)
+    side = (ax > ta) - (ax < ta)
+    want = -1 if j in (1, 3) else 1
+
+    def verdicts(u):
+        v_p = d1 * u + d0
+        if v_p == v_a:
+            return (c1 * u + c0) * -side * want > 0, False
+        cx = (v_p * ta - u * v_a) / (v_p - v_a)
+        return ((c1 * u + c0) * -side * want > 0,
+                v_p * v_a < 0 and min(axi, cx) <= tprev <= max(axi, cx))
+
+    roots = [-b / a for a, b in ((c1, c0), (d1, d0), (e1, e0),
+                                 (d1, d0 - v_a)) if a != 0]
+    return side, verdicts, [(r - ax) * side for r in roots]
+
+
+@pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
+def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name):
+    # _solve_edge once also tried u at radius * 1e-3 and radius * 1e2
+    # beyond the apex; each of those lies inside a cell between the exact
+    # breakpoints that one of the five candidates holds, with the same
+    # exact verdicts on rules (i) and (iii)
+    geo = _FrameFloats(request.getfixturevalue(name))
+    rng = np.random.default_rng(27)
+    t = geo.sample_triples(rng, 200)
+    _, feasible = geo.solve_u(t, frozenset({"ii"}))
+    near = t[:, np.argsort(-feasible, kind="stable")[:20]]
+    t = np.concatenate([t, geo.perturb_triples(rng, near, 200)], axis=1)
+    seen = set()
+    for j in (1, 2, 3):
+        geo._solve_edge(j, t, frozenset())
+        kept = geo._scratch[0]       # the five candidates of every column
+        ax = geo.apex[j - 1, 0]
+        for col in range(t.shape[1]):
+            side, verdicts, dists = exact_edge(
+                geo, j, Fraction(t[j - 1, col]),
+                Fraction(t[unstretch._PREV[j] - 1, col]))
+            assert side != 0
+
+            def cell(u):
+                d = (u - Fraction(ax)) * side
+                if d <= 0 or d in dists:
+                    return None
+                return sum(b < d for b in dists if b > 0)
+
+            cells = [cell(Fraction(u)) for u in kept[:, col]]
+            for mid in (geo.radius * 1e-3, geo.radius * 1e2):
+                u = Fraction(ax + side * mid)
+                want, c = verdicts(u), cell(u)
+                reps = [Fraction(kept[k, col]) for k in range(5)
+                        if cells[k] == c]
+                assert c is not None and reps, (j, col, mid)
+                assert all(verdicts(r) == want for r in reps), (j, col, mid)
+                seen.add(want)
+    assert {v[0] for v in seen} == {v[1] for v in seen} == {False, True}
+
+
 def test_derive_chain_geometry(cup_frame):
     cfg = config_from_params(
         cup_frame, [Fraction(k, 7) for k in (-9, 5, 11, -4, 2, 8)])
