@@ -167,26 +167,33 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     if len(emb.pos) != t.n:
         raise SizeMismatch("embedding size differs from the tree")
     pts = [emb.point_of(ls, asg, v) for v in range(t.n)]
-    violations = _violations(pts, t.edges)
+    drawn = _drawn_edges(pts, t.edges)
+    violations = _violations(pts, drawn)
     warnings = [f"vertex {v} sits on an arrangement intersection point"
                 for v, p in enumerate(pts)
                 if any(l.contains(p) for l in ls if l.id != asg.line_of(v))]
-    for e in t.edges:
-        if pts[e[0]] != pts[e[1]]:
-            s = Segment(pts[e[0]], pts[e[1]])
-            if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
-                warnings.append(f"edge {e} passes through an arrangement "
-                                f"intersection point")
+    for e, s in drawn:
+        if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
+            warnings.append(f"edge {e} passes through an arrangement "
+                            f"intersection point")
     return CheckReport(not violations, violations, tuple(warnings))
 
 
-def _violations(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
+def _drawn_edges(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
+                 ) -> List[Tuple[Tuple[int, int], Segment]]:
+    """The edges of positive length, in order, each with its segment."""
+    return [(e, Segment(pts[e[0]], pts[e[1]])) for e in edges
+            if pts[e[0]] != pts[e[1]]]
+
+
+def _violations(pts: Sequence[Point],
+                drawn: Sequence[Tuple[Tuple[int, int], Segment]]
                 ) -> Tuple[Violation, ...]:
     """Coincident vertices, contacts between edges, then vertices on edges
-    of the straight-line tree drawing with vertex v at ``pts[v]``.  The
-    relative interior of every edge must avoid every other edge and every
-    vertex point; tree-adjacent edges may meet only at their shared
-    endpoint.  Edge witnesses index the edges of positive length."""
+    of the straight-line tree drawing with vertex v at ``pts[v]`` and the
+    ``_drawn_edges`` ``drawn``.  The relative interior of every edge must
+    avoid every other edge and every vertex point; tree-adjacent edges may
+    meet only at their shared endpoint.  Edge witnesses index ``drawn``."""
     violations: List[Violation] = []
     seen: Dict[Point, int] = {}
     for v, p in enumerate(pts):
@@ -195,8 +202,8 @@ def _violations(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
             violations.append(Violation(ViolationKind.COINCIDENT_VERTICES,
                                         (first, v)))
 
-    edge_list = [e for e in edges if pts[e[0]] != pts[e[1]]]
-    segs = [Segment(pts[u], pts[v]) for u, v in edge_list]
+    edge_list = [e for e, _ in drawn]
+    segs = [s for _, s in drawn]
 
     for a in range(len(segs)):
         for b in range(a + 1, len(segs)):
@@ -326,7 +333,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     if not found:
         return SolveResult(False, None, nodes, restarts)
     pts = [placer.points[v] for v in range(t.n)]
-    if _violations(pts, t.edges):
+    if _violations(pts, _drawn_edges(pts, t.edges)):
         raise PostconditionError("solver produced an invalid embedding")
     return SolveResult(True, Embedding(tuple(p.x for p in pts)), nodes,
                        restarts)

@@ -80,16 +80,13 @@ class SixLineFrame:
         """Intersection of the two lines edge j joins (l_{2j-1}, l_{2j})."""
         return self.sub.intersection(2 * j - 1, 2 * j)
 
-    def intersection_points(self) -> List[Point]:
-        return self.sub.intersection_points()
-
     @cached_property
     def hull_halfplanes(self) -> Tuple[Tuple[int, int, int], ...]:
         """The CCW hull of the 15 crossings as the primitive integer
         triples (A, B, C) of its sides, the hull on A*x + B*y + C >= 0
         (see ``geometry.line_through``); built on first use and kept with
         the frame."""
-        hull = convex_hull(self.intersection_points())
+        hull = convex_hull(self.sub.intersection_points())
         return tuple(line_through(u.homogeneous, v.homogeneous)
                      for u, v in zip(hull, hull[1:] + hull[:1]))
 
@@ -124,9 +121,6 @@ class TripleEdgeConfig:
 
     edges: Tuple[Segment, Segment, Segment]
 
-    def endpoint_on_even(self, j: int) -> Point:
-        return self.edges[j - 1].q
-
 
 def config_from_params(frame: SixLineFrame,
                        params: Sequence[Fraction]) -> TripleEdgeConfig:
@@ -151,9 +145,11 @@ class ConfigVerdict:
 _NEXT_EDGE = {1: 2, 2: 3, 3: 1}   # j -> j+1 with modulo class 0 written as 3
 
 
-def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
-                    skip: FrozenSet[str] = frozenset()) -> ConfigVerdict:
-    """Exact check of the three-edge configuration rules.
+def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig
+                    ) -> ConfigVerdict:
+    """Exact check of the three-edge configuration rules, every rule on
+    every edge; ``failures`` lists each failing (rule, edge), and the
+    control search of ``feasibility_search`` ignores the rule-(ii) ones.
 
     (i)   the vertical line through the apex of edge j's line pair meets the
           closed edge strictly below the apex for j in {1, 3} and strictly
@@ -162,8 +158,6 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
           points of the six lines;
     (iii) the endpoint of edge j on l_{2j} lies between the apex and the
           point where l_{2j} crosses the next edge.
-
-    ``skip`` names properties to leave unchecked (diagnostic use only).
     """
     failures: List[Tuple[str, int]] = []
     for j in (1, 2, 3):
@@ -174,41 +168,35 @@ def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig,
     if failures:
         return ConfigVerdict(False, tuple(failures))
 
-    if "i" not in skip:
-        for j in (1, 2, 3):
-            e = cfg.edges[j - 1]
-            apex = frame.apex(j)
-            lo, hi = (e.p, e.q) if e.p.x <= e.q.x else (e.q, e.p)
-            # the apex lies left of the edge run left to right, so above it,
-            # exactly when the orientation is +1
-            if not lo.x <= apex.x <= hi.x or lo.x == hi.x or \
-                    orientation(lo, hi, apex) != (1 if j in (1, 3) else -1):
-                failures.append(("i", j))
+    for j in (1, 2, 3):
+        e = cfg.edges[j - 1]
+        apex = frame.apex(j)
+        lo, hi = (e.p, e.q) if e.p.x <= e.q.x else (e.q, e.p)
+        # the apex lies left of the edge run left to right, so above it,
+        # exactly when the orientation is +1
+        if not lo.x <= apex.x <= hi.x or lo.x == hi.x or \
+                orientation(lo, hi, apex) != (1 if j in (1, 3) else -1):
+            failures.append(("i", j))
 
-    if "ii" not in skip:
-        for j in (1, 2, 3):
-            e = cfg.edges[j - 1]
-            # a single common point already counts as meeting the hull
-            if clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
-                                  e.q.homogeneous) is not None:
-                failures.append(("ii", j))
+    for j in (1, 2, 3):
+        e = cfg.edges[j - 1]
+        # a single common point already counts as meeting the hull
+        if clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
+                              e.q.homogeneous) is not None:
+            failures.append(("ii", j))
 
-    if "iii" not in skip:
-        for j in (1, 2, 3):
-            l = frame.line(2 * j).homogeneous
-            nxt = cfg.edges[_NEXT_EDGE[j] - 1]
-            # the crossing lies inside nxt exactly when its ends are
-            # strictly on either side of l_{2j}
-            if side(l, nxt.p.homogeneous) * side(l, nxt.q.homogeneous) >= 0:
-                failures.append(("iii-missing", j))
-                continue
-            X, _, W = cross(l, nxt.line)
-            cross_x = Fraction(X, W)
-            apex_x = frame.apex(j).x
-            a_x = cfg.endpoint_on_even(j).x
-            lo, hi = sorted((apex_x, cross_x))
-            if not (lo <= a_x <= hi):
-                failures.append(("iii", j))
+    for j in (1, 2, 3):
+        l = frame.line(2 * j).homogeneous
+        nxt = cfg.edges[_NEXT_EDGE[j] - 1]
+        # the crossing lies inside nxt exactly when its ends are strictly
+        # on either side of l_{2j}
+        if side(l, nxt.p.homogeneous) * side(l, nxt.q.homogeneous) >= 0:
+            failures.append(("iii-missing", j))
+            continue
+        X, _, W = cross(l, nxt.line)
+        lo, hi = sorted((frame.apex(j).x, Fraction(X, W)))
+        if not lo <= cfg.edges[j - 1].q.x <= hi:
+            failures.append(("iii", j))
 
     return ConfigVerdict(not failures, tuple(failures))
 
@@ -268,7 +256,7 @@ def derive_chain(frame: SixLineFrame, cfg: TripleEdgeConfig) -> ChainValues:
         # B_j: intersection of l_{2j} and l_{2(j+1 mod 3)}
         bpts = [frame.sub.intersection(2 * j, 2 * _NEXT_EDGE[j])
                 for j in (1, 2, 3)]
-        apts = [cfg.endpoint_on_even(j) for j in (1, 2, 3)]
+        apts = [e.q for e in cfg.edges]
 
         def dist(p: Point, q: Point):
             return mpmath.hypot(to_mp(p.x - q.x), to_mp(p.y - q.y))
@@ -464,7 +452,7 @@ _CONFIGS_PER_TRIPLE = 21
 def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
                        skip_properties: FrozenSet[str] = frozenset()
                        ) -> Optional[TripleEdgeConfig]:
-    """Hunt for a configuration satisfying the three-edge rules.
+    """Hunt for a configuration satisfying all three configuration rules.
 
     The three even-line endpoints (t_1, t_2, t_3) are sampled stratified
     around each apex; given them, the remaining freedom of each edge is its
@@ -475,9 +463,16 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
     triples; every screen survivor is re-checked exactly.  Returns the
     first exactly-valid configuration in deterministic (batch, index)
     order, or None once the sample budget is exhausted.
+
+    ``skip_properties`` is empty, or ``{"ii"}`` for the control search,
+    which drops the float screen of rule (ii) and ignores exact rule-(ii)
+    failures; any other set raises ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if skip_properties not in (frozenset(), frozenset({"ii"})):
+        raise ValueError("skip_properties must be empty or {'ii'}, got "
+                         f"{sorted(skip_properties)}")
     rng = np.random.default_rng(seed)
     geo = _FrameFloats(frame)
     budget = max(1, samples // _CONFIGS_PER_TRIPLE)
@@ -492,7 +487,7 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
         if n_refine:
             t = np.concatenate(
                 [t, geo.perturb_triples(rng, promising, n_refine)], axis=1)
-        u, feas_edges = geo.solve_u(t, skip_properties)
+        u, feas_edges = geo.solve_u(t)
         for idx in np.flatnonzero(feas_edges == 3):
             if "ii" not in skip_properties and \
                     geo.clearly_meets_hull(u[:, idx], t[:, idx]):
@@ -502,7 +497,8 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
                 params.append(Fraction(float(u[j - 1, idx])))
                 params.append(Fraction(float(t[j - 1, idx])))
             cfg = config_from_params(frame, params)
-            if validate_config(frame, cfg, skip=skip_properties).ok:
+            if all(rule in skip_properties
+                   for rule, _ in validate_config(frame, cfg).failures):
                 return cfg
         # the first 40 triples by falling count of feasible edges, each
         # count in index order
@@ -521,14 +517,12 @@ class _FrameFloats:
         self.apex = np.array([[float(frame.apex(j).x),
                                float(frame.apex(j).y)] for j in (1, 2, 3)])
         pts = np.array([[float(p.x), float(p.y)]
-                        for p in frame.intersection_points()])
+                        for p in frame.sub.intersection_points()])
         center = pts.mean(axis=0)
         self.radius = max(1.0, np.max(np.linalg.norm(pts - center, axis=1)))
         # the exact line triples as plain floats, clipped with W = 1: the
         # hull has a handful of edges, too few for numpy to pay off per call
         self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
-        # _solve_edge's (5, n) buffers, for the last batch size n
-        self._scratch = np.empty((4, 5, 0))
 
     def clearly_meets_hull(self, u, t) -> bool:
         """Float pre-screen of rule (ii): True when some edge cuts well into
@@ -563,7 +557,7 @@ class _FrameFloats:
                                                           size=(3, n)))
 
     # -- per-edge feasible-u solving ---------------------------------------
-    def solve_u(self, t: np.ndarray, skip: FrozenSet[str]):
+    def solve_u(self, t: np.ndarray):
         """For each sampled triple, pick a u_j satisfying rules (i) and
         (iii) for each edge where one exists.  Returns the chosen u values
         (3, n), meaningful only where that edge is feasible, and the
@@ -572,27 +566,27 @@ class _FrameFloats:
         u_out = np.zeros((3, n))
         feas_edges = np.zeros(n, dtype=np.int64)
         for j in (1, 2, 3):
-            u, ok = self._solve_edge(j, t, skip)
+            u, ok = self._solve_edge(j, t)
             u_out[j - 1] = u
             feas_edges += ok
         return u_out, feas_edges
 
-    def _solve_edge(self, j: int, t: np.ndarray, skip: FrozenSet[str]):
-        """Edge j's first feasible candidate u per triple, and whether it
-        has one.
+    def _solve_edge(self, j: int, t: np.ndarray):
+        """Edge j's first candidate u per triple that meets both rules (i)
+        and (iii), and whether it has one; rule (ii), which the control
+        search ignores, is left to the caller.
 
         Beyond the apex, rules (i) and (iii) change verdict only at four
         breakpoints, the roots of c1*u + c0 and d1*u + d0 and the u where
         the crossing abscissa meets tprev or has its pole, so one candidate
         per cell between them decides the edge.  The five candidates of
         every triple are built in one (5, n) buffer, and rules (i) and
-        (iii) work in three more, with in-place ufuncs; the four are kept
-        between calls, as a search solves many batches of one size.  Every
-        element goes through the same float64 operations, up to exact
-        rewrites such as -x/y == -(x/y) and products with factors of +-1 or
-        0, as in the plain array expressions of the seven-candidate
-        reference in tests/test_unstretch.py: the verdicts, and u where the
-        edge is feasible, are bit-identical to its."""
+        (iii) work in three more, with in-place ufuncs.  Every element goes
+        through the same float64 operations, up to exact rewrites such as
+        -x/y == -(x/y) and products with factors of +-1 or 0, as in the
+        plain array expressions of the seven-candidate reference in
+        tests/test_unstretch.py: the verdicts, and u where the edge is
+        feasible, are bit-identical to its."""
         i = _PREV[j]
         ta = t[j - 1]
         tprev = t[i - 1]
@@ -623,9 +617,7 @@ class _FrameFloats:
         # the apex abscissa inside the edge's x-range)
         side = np.sign(ax - ta)
         flip = -side
-        if self._scratch.shape[2] != n:
-            self._scratch = np.empty((4, 5, n))
-        u_test, work, v_p, cx = self._scratch
+        u_test, work, v_p, cx = np.empty((4, 5, n))
 
         # the roots -c0/c1, -d0/d1, -e0/e1 and -(d0 - v_a)/d1 as distances
         # (root - ax) * side = (x/y + ax) * -side beyond the apex; a zero
@@ -658,33 +650,29 @@ class _FrameFloats:
         u_test *= side
         u_test += ax
 
-        ok = np.ones((5, n), dtype=bool)
-        if "i" not in skip:
-            want = -1.0 if j in (1, 3) else 1.0
-            np.multiply(u_test, c1, out=work)
-            work += c0
-            work *= flip * want
-            np.greater(work, 0.0, out=ok)
-        if "iii" not in skip:
-            flag = np.empty((5, n), dtype=bool)
-            np.multiply(u_test, d1, out=v_p)
-            v_p += d0
-            np.multiply(v_p, v_a, out=work)
-            ok &= np.less(work, 0.0, out=flag)
-            # the crossing abscissa (v_p*ta - u*v_a) / (v_p - v_a) must be
-            # finite and lie between axi and tprev: with g the sign of
-            # tprev - axi, cx*g in [tprev*g, inf)
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                np.multiply(u_test, v_a, out=work)
-                np.multiply(v_p, ta, out=cx)
-                cx -= work
-                v_p -= v_a
-                cx /= v_p
-                g = np.sign(tprev - axi)
-                cx *= g
-            ok &= np.greater_equal(cx, tprev * g, out=flag)
-            ok &= np.less(cx, np.inf, out=flag)
+        want = -1.0 if j in (1, 3) else 1.0
+        np.multiply(u_test, c1, out=work)
+        work += c0
+        work *= flip * want
+        ok = work > 0.0
+        flag = np.empty((5, n), dtype=bool)
+        np.multiply(u_test, d1, out=v_p)
+        v_p += d0
+        np.multiply(v_p, v_a, out=work)
+        ok &= np.less(work, 0.0, out=flag)
+        # the crossing abscissa (v_p*ta - u*v_a) / (v_p - v_a) must be
+        # finite and lie between axi and tprev: with g the sign of
+        # tprev - axi, cx*g in [tprev*g, inf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(u_test, v_a, out=work)
+            np.multiply(v_p, ta, out=cx)
+            cx -= work
+            v_p -= v_a
+            cx /= v_p
+            g = np.sign(tprev - axi)
+            cx *= g
+        ok &= np.greater_equal(cx, tprev * g, out=flag)
+        ok &= np.less(cx, np.inf, out=flag)
         # the first feasible row, chosen from the last row up; row 0
         # where there is none, as the plain expressions choose
         u = u_test[0].copy()

@@ -344,8 +344,9 @@ def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
             continue
         cfg = feasibility_search(frame, samples=samples, seed=0,
                                  skip_properties=frozenset({"ii"}))
-        if cfg is not None and validate_config(
-                frame, cfg, skip=frozenset({"ii"})).ok:
+        if cfg is not None and all(
+                rule == "ii"
+                for rule, _ in validate_config(frame, cfg).failures):
             return True, f"{none}; mutation control found=True"
     return False, f"{none}; mutation control found=False"
 

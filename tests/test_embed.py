@@ -221,6 +221,23 @@ def test_check_warnings_on_arrangement_crossings(four_lines):
             assert rep.warnings == want
 
 
+def test_check_builds_each_edge_segment_once(monkeypatch):
+    # the violations and the crossing warnings share one Segment per edge
+    built = []
+    real = Segment.__post_init__
+
+    def counting(seg):
+        built.append(seg)
+        real(seg)
+
+    monkeypatch.setattr(Segment, "__post_init__", counting)
+    ls = random_lines(np.random.default_rng(7), 50)
+    xs = np.random.default_rng(8).integers(-500, 500, size=50)
+    emb = Embedding(tuple(Fraction(int(x), 7) for x in xs))
+    check_embedding(ls, path_tree(50), Assignment(tuple(range(1, 51))), emb)
+    assert len(built) == 49
+
+
 def test_check_warns_for_exactly_the_vertices_on_crossings(rng):
     # each vertex at a random crossing of its line or between two, where
     # candidate_positions puts it; only the former are warned about

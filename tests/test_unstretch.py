@@ -44,6 +44,11 @@ def config_edges_disjoint(cfg) -> bool:
                for a in range(3) for b in range(a + 1, 3))
 
 
+def rule_failures(verdict, *rules):
+    """The verdict's (rule, edge) failures of the named rules."""
+    return {f for f in verdict.failures if f[0] in rules}
+
+
 def sine_hypothesis_holds(cv) -> bool:
     with mpmath.workdps(unstretch.DPS):
         return unstretch._sine_ordering([mpmath.sin(x) for x in cv.alpha])
@@ -129,7 +134,7 @@ def test_apex_and_endpoints(cup_frame):
         cup_frame, [Fraction(k) for k in (0, 1, 2, 3, 4, 5)])
     for j in (1, 2, 3):
         assert cup_frame.line(2 * j - 1).contains(cfg.edges[j - 1].p)
-        assert cup_frame.line(2 * j).contains(cfg.endpoint_on_even(j))
+        assert cup_frame.line(2 * j).contains(cfg.edges[j - 1].q)
 
 
 def test_validate_config_rule_i_failure(cup_frame):
@@ -137,10 +142,8 @@ def test_validate_config_rule_i_failure(cup_frame):
     for j in (1, 2, 3):
         ax = cup_frame.apex(j).x
         params += [ax + 1, ax + 2]       # both endpoints right of the apex
-    verdict = validate_config(cup_frame, config_from_params(cup_frame, params),
-                              skip=frozenset({"ii", "iii"}))
-    assert not verdict.ok
-    assert set(verdict.failures) == {("i", 1), ("i", 2), ("i", 3)}
+    verdict = validate_config(cup_frame, config_from_params(cup_frame, params))
+    assert rule_failures(verdict, "i") == {("i", 1), ("i", 2), ("i", 3)}
     # an edge through its apex (the apex is its endpoint on l_{2j}) and a
     # vertical edge fail rule (i) whichever side the rule asks for
     for j in (1, 2):
@@ -149,8 +152,7 @@ def test_validate_config_rule_i_failure(cup_frame):
             params = [ax - 1, ax + 1] * 3
             params[2 * (j - 1):2 * j] = [u, t]
             verdict = validate_config(
-                cup_frame, config_from_params(cup_frame, params),
-                skip=frozenset({"ii", "iii"}))
+                cup_frame, config_from_params(cup_frame, params))
             assert ("i", j) in verdict.failures
 
 
@@ -159,23 +161,29 @@ def test_validate_config_missing_crossing(cup_frame):
     for j in (1, 2, 3):
         ax = cup_frame.apex(j).x
         params += [ax - Fraction(1, 1000), ax + Fraction(1, 1000)]
-    verdict = validate_config(cup_frame, config_from_params(cup_frame, params),
-                              skip=frozenset({"i", "ii"}))
-    assert not verdict.ok
-    assert all(kind == "iii-missing" for kind, _ in verdict.failures)
+    verdict = validate_config(cup_frame, config_from_params(cup_frame, params))
+    rule_iii = rule_failures(verdict, "iii", "iii-missing")
+    assert rule_iii
+    assert all(kind == "iii-missing" for kind, _ in rule_iii)
+
+
+def wide_config(frame):
+    """Every edge from left of all 15 crossings to right of them."""
+    xs = [p.x for p in frame.sub.intersection_points()]
+    return config_from_params(frame, [min(xs) - 1, max(xs) + 1] * 3)
 
 
 def test_validate_config_hull_rule(cup_frame):
     # an edge crossing the whole frame plainly meets the hull of crossings
-    xs = [p.x for p in cup_frame.intersection_points()]
-    wide = min(xs) - 1, max(xs) + 1
-    params = []
-    for _ in (1, 2, 3):
-        params += [wide[0], wide[1]]
-    verdict = validate_config(cup_frame, config_from_params(cup_frame, params),
-                              skip=frozenset({"i", "iii"}))
-    assert not verdict.ok
-    assert {("ii", 1), ("ii", 2)} <= set(verdict.failures)
+    verdict = validate_config(cup_frame, wide_config(cup_frame))
+    assert {("ii", 1), ("ii", 2)} <= rule_failures(verdict, "ii")
+
+
+def test_validate_config_lists_every_failing_rule(cup_frame):
+    # the wide configuration fails rules (i), (ii) and (iii) at once, and
+    # the verdict names each of them
+    verdict = validate_config(cup_frame, wide_config(cup_frame))
+    assert {rule for rule, _ in verdict.failures} == {"i", "ii", "iii"}
 
 
 def test_validate_config_builds_the_frame_hull_once(monkeypatch, rng):
@@ -210,8 +218,7 @@ def test_float_hull_screen_rejects_only_exact_rule_ii_failures(
         xs = [float(frame.apex(j).x) + off
               for j in (1, 2, 3) for off in rng.uniform(-4, 4, size=2)]
         cfg = config_from_params(frame, [Fraction(x) for x in xs])
-        hull_met = not validate_config(frame, cfg,
-                                       skip=frozenset({"i", "iii"})).ok
+        hull_met = bool(rule_failures(validate_config(frame, cfg), "ii"))
         meets += hull_met
         if screen.clearly_meets_hull(np.array(xs[0::2]),
                                      np.array(xs[1::2])):
@@ -417,7 +424,7 @@ def test_sort4_is_the_column_sort(rng):
     assert got.tobytes() == want.tobytes()
 
 
-def reference_solve_edge(geo, j, t, skip):
+def reference_solve_edge(geo, j, t):
     """_FrameFloats._solve_edge as plain array expressions, one temporary
     per operation: the reference the in-place solver must match bit for
     bit (the breakpoint sort is np.sort, which _sort4 equals here)."""
@@ -464,33 +471,27 @@ def reference_solve_edge(geo, j, t, skip):
 
     ok = np.ones_like(u_test, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if "i" not in skip:
-            want = -1.0 if j in (1, 3) else 1.0
-            ok &= (c1 * u_test + c0) * (-side) * want > 0
-        if "iii" not in skip:
-            v_p = d1 * u_test + d0
-            ok &= v_p * v_a < 0
-            denom = v_p - v_a
-            cx = (-u_test * v_a + v_p * ta) / denom
-            lo = np.minimum(axi, cx)
-            hi = np.maximum(axi, cx)
-            ok &= np.isfinite(cx) & (lo <= tprev) & (tprev <= hi)
+        want = -1.0 if j in (1, 3) else 1.0
+        ok &= (c1 * u_test + c0) * (-side) * want > 0
+        v_p = d1 * u_test + d0
+        ok &= v_p * v_a < 0
+        denom = v_p - v_a
+        cx = (-u_test * v_a + v_p * ta) / denom
+        lo = np.minimum(axi, cx)
+        hi = np.maximum(axi, cx)
+        ok &= np.isfinite(cx) & (lo <= tprev) & (tprev <= hi)
     ok &= side != 0
     any_ok = ok.any(axis=0)
     first = np.argmax(ok, axis=0)
     return u_test[first, np.arange(u_test.shape[1])], any_ok
 
 
-SKIPS = (frozenset(), frozenset({"i"}), frozenset({"iii"}))
-
-
 def assert_solver_matches_reference(geo, t):
-    for skip in SKIPS:
-        for j in (1, 2, 3):
-            u, ok = geo._solve_edge(j, t, skip)
-            want_u, want_ok = reference_solve_edge(geo, j, t, skip)
-            assert ok.tobytes() == want_ok.tobytes(), (skip, j)
-            assert u[ok].tobytes() == want_u[ok].tobytes(), (skip, j)
+    for j in (1, 2, 3):
+        u, ok = geo._solve_edge(j, t)
+        want_u, want_ok = reference_solve_edge(geo, j, t)
+        assert ok.tobytes() == want_ok.tobytes(), j
+        assert u[ok].tobytes() == want_u[ok].tobytes(), j
 
 
 @pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
@@ -498,7 +499,7 @@ def test_solve_edge_is_bit_identical_to_the_reference(request, name):
     geo = _FrameFloats(request.getfixturevalue(name))
     rng = np.random.default_rng(25)
     t = geo.sample_triples(rng, 20_000)
-    _, feasible = geo.solve_u(t, frozenset({"ii"}))
+    _, feasible = geo.solve_u(t)
     near = t[:, np.argsort(-feasible, kind="stable")[:40]]
     t = np.concatenate([t, geo.perturb_triples(rng, near, 20_000)], axis=1)
     assert_solver_matches_reference(geo, t)
@@ -571,7 +572,8 @@ def exact_edge(geo, j, ta, tprev):
 
 
 @pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
-def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name):
+def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name,
+                                                           monkeypatch):
     # _solve_edge once also tried u at radius * 1e-3 and radius * 1e2
     # beyond the apex; each of those lies inside a cell between the exact
     # breakpoints that one of the five candidates holds, with the same
@@ -579,13 +581,24 @@ def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name):
     geo = _FrameFloats(request.getfixturevalue(name))
     rng = np.random.default_rng(27)
     t = geo.sample_triples(rng, 200)
-    _, feasible = geo.solve_u(t, frozenset({"ii"}))
+    _, feasible = geo.solve_u(t)
     near = t[:, np.argsort(-feasible, kind="stable")[:20]]
     t = np.concatenate([t, geo.perturb_triples(rng, near, 200)], axis=1)
+    # the solver builds its candidates in the first of the four (5, n)
+    # buffers it takes from one np.empty
+    buffers = []
+    real_empty = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        buffers.append(real_empty(shape, *args, **kwargs))
+        return buffers[-1]
+
+    monkeypatch.setattr(np, "empty", recording_empty)
     seen = set()
     for j in (1, 2, 3):
-        geo._solve_edge(j, t, frozenset())
-        kept = geo._scratch[0]       # the five candidates of every column
+        buffers.clear()
+        geo._solve_edge(j, t)
+        kept, = [b[0] for b in buffers if b.shape == (4, 5, t.shape[1])]
         ax = geo.apex[j - 1, 0]
         for col in range(t.shape[1]):
             side, verdicts, dists = exact_edge(
@@ -648,8 +661,8 @@ def test_feasibility_search_finds_without_hull_rule(cup_frame):
     cfg = feasibility_search(cup_frame, samples=300_000, seed=5,
                              skip_properties=frozenset({"ii"}))
     assert cfg is not None
-    verdict = validate_config(cup_frame, cfg, skip=frozenset({"ii"}))
-    assert verdict.ok, verdict.failures
+    verdict = validate_config(cup_frame, cfg)
+    assert all(rule == "ii" for rule, _ in verdict.failures), verdict.failures
     assert config_edges_disjoint(cfg)
     cv = derive_chain(cup_frame, cfg)
     assert lemma24_check(cv) == Lemma24Result.CONTRADICTION
@@ -661,6 +674,13 @@ def test_feasibility_search_full_rules_empty(cup_frame, cap_frame):
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples"):
             feasibility_search(cup_frame, samples=samples, seed=0)
+
+
+def test_feasibility_search_drops_no_rule_but_rule_ii(cup_frame):
+    for rules in ({"i"}, {"iii"}, {"i", "ii"}, {"iv"}):
+        with pytest.raises(ValueError, match="skip_properties"):
+            feasibility_search(cup_frame, samples=1000, seed=0,
+                               skip_properties=frozenset(rules))
 
 
 def test_feasibility_search_deterministic(cup_frame):

@@ -46,10 +46,10 @@ embedding checker, solver and scan:
     validate_config  validate_config verdicts, rule (ii) among them
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      candidate of full-rule feasibility searches
-    solve_u          _FrameFloats.solve_u on sampled and on perturbed triples
-                     under three skip sets: each triple's count of feasible
-                     edges, which edges are feasible, and float.hex of the
-                     chosen u on each feasible edge
+    solve_u          _FrameFloats.solve_u on sampled and on perturbed
+                     triples: each triple's count of feasible edges, which
+                     edges are feasible, and float.hex of the chosen u on
+                     each feasible edge
     lemma            lemma24_check verdicts and HypothesisFail on criterion
                      5's chains, the benchmark's, edge cases, margins near
                      the guard band and derive_chain of control searches
@@ -462,7 +462,7 @@ class Corpus:
         geo = self.tl.unstretch._FrameFloats(frame)
         m = 30 * self.size
         t = geo.sample_triples(rng, 40 * m)
-        u, feasible = geo.solve_u(t, frozenset())
+        u, feasible = geo.solve_u(t)
         keep = np.flatnonzero(feasible == 3)[:m]
         u, t = u[:, keep], t[:, keep]
         apex = np.array([float(frame.apex(j).x) for j in (1, 2, 3)])
@@ -517,30 +517,27 @@ class Corpus:
     def solve_u(self):
         """solve_u on a batch of sample_triples and one of perturb_triples
         around its 40 triples with the most feasible edges, as the search
-        draws them, for every frame and the skip sets {}, {"i"} and
-        {"iii"}; _solve_edge says which edges are feasible, as u is
-        meaningful only there."""
+        draws them, for every frame; _solve_edge says which edges are
+        feasible, as u is meaningful only there."""
         us = self.tl.unstretch
         rng = np.random.default_rng(1627)
         for name, frame in self.frames():
             geo = us._FrameFloats(frame)
             m = 50 * self.size
             sampled = geo.sample_triples(rng, m)
-            _, count = geo.solve_u(sampled, frozenset())
+            _, count = geo.solve_u(sampled)
             near = sampled[:, np.argsort(-count, kind="stable")[:40]]
             batches = (("sampled", sampled),
                        ("perturbed", geo.perturb_triples(rng, near, m)))
             for batch, t in batches:
-                for skip in ((), ("i",), ("iii",)):
-                    u, count = geo.solve_u(t, frozenset(skip))
-                    ok = [geo._solve_edge(j, t, frozenset(skip))[1]
-                          for j in (1, 2, 3)]
-                    yield f"{name} {batch} skip {','.join(skip) or 'none'}", {
-                        "feas_edges": "".join(map(str, count)),
-                        "feasible": ["".join(map(str, row.astype(int)))
-                                     for row in ok],
-                        "u": [float.hex(float(u[j, k])) for j in range(3)
-                              for k in np.flatnonzero(ok[j])]}
+                u, count = geo.solve_u(t)
+                ok = [geo._solve_edge(j, t)[1] for j in (1, 2, 3)]
+                yield f"{name} {batch}", {
+                    "feas_edges": "".join(map(str, count)),
+                    "feasible": ["".join(map(str, row.astype(int)))
+                                 for row in ok],
+                    "u": [float.hex(float(u[j, k])) for j in range(3)
+                          for k in np.flatnonzero(ok[j])]}
 
     # -- the forced-length chain
     def lemma(self):
