@@ -51,20 +51,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                "subcommands.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="general position, slope order and "
-                                       "cap/cup structure of a line file")
-    p.add_argument("lines")
-
-    p = sub.add_parser("extract-cap", help="largest cap or cup subset")
-    p.add_argument("lines")
-
-    p = sub.add_parser("extract-monotone",
-                       help="monotone angle-gap chain")
-    p.add_argument("lines")
-
-    p = sub.add_parser("extract-doubling",
-                       help="doubling angle-gap chain")
-    p.add_argument("lines")
+    for name, text in (
+            ("analyze", "general position, slope order and cap/cup "
+                        "structure of a line file"),
+            ("extract-cap", "largest cap or cup subset"),
+            ("extract-monotone", "monotone angle-gap chain"),
+            ("extract-doubling", "doubling angle-gap chain")):
+        sub.add_parser(name, help=text).add_argument("lines")
 
     p = sub.add_parser("check", help="verify an embedding file")
     p.add_argument("instance")
@@ -87,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("unstretch",
                        help="frame validation plus configuration search")
-    p.add_argument("lines6")
+    p.add_argument("lines", metavar="lines6")
     p.add_argument("--samples", type=_positive_int, default=10**6)
     p.add_argument("--seed", type=_non_negative_int, default=seed)
 
@@ -112,8 +105,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if cmd == "analyze":
+    if "lines" in args:     # the six commands that take a line file
         ls = io_formats.parse_lines(_read(args.lines))
+    if cmd == "analyze":
         kind = classify_cap_cup(ls)     # an input error prints nothing
         print(f"lines: {len(ls)}")
         print("general position: yes")
@@ -123,21 +117,18 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "extract-cap":
-        ls = io_formats.parse_lines(_read(args.lines))
         kind, sub_ls = longest_cap_cup(ls)
         print(f"{kind.value}: size {len(sub_ls)}")
         print("ids: " + " ".join(map(str, sub_ls.parent_ids)))
         return 0
 
     if cmd == "extract-monotone":
-        ls = io_formats.parse_lines(_read(args.lines))
         chain = ramsey.extract_monotone_gaps(ls)
         print(f"direction: {chain.direction.value}")
         print("ids: " + " ".join(map(str, chain.ids)))
         return 0
 
     if cmd == "extract-doubling":
-        ls = io_formats.parse_lines(_read(args.lines))
         try:
             chain = ramsey.extract_doubling(ls)
         except ramsey.ChainTooShort as exc:
@@ -183,7 +174,6 @@ def _dispatch(args) -> int:
         return 0 if report.all_found else 1
 
     if cmd == "unstretch":
-        ls = io_formats.parse_lines(_read(args.lines6))
         frame = unstretch.validate_frame(ls, [l.id for l in ls])
         print(f"frame: {frame.cap_cup.value}, {frame.variant.value} variant")
         cfg = unstretch.feasibility_search(frame, args.samples, args.seed)
@@ -202,7 +192,6 @@ def _dispatch(args) -> int:
         return 1
 
     if cmd == "regions":
-        ls = io_formats.parse_lines(_read(args.lines))
         cc = ColorClasses(args.classes, len(ls))
         scene = svg.SvgScene(lines=list(ls), points=ls.intersection_points())
         for r in all_region_indices(cc):

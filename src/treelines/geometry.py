@@ -351,17 +351,16 @@ class Ratio(NamedTuple):
     denominator: int
 
 
-def gap_ratio(l1: Line, l2: Line) -> Ratio:
-    """The value of :func:`angle_gap` as the unreduced integer ratio
-    -(q1*q2 + p1*p2) / |p2*q1 - p1*q2| of the slopes p1/q1 and p2/q2, the
-    same in either argument order: no gcd is taken.  Raises ParallelLines
-    on equal slopes."""
-    p1, q1 = l1.slope.numerator, l1.slope.denominator
-    p2, q2 = l2.slope.numerator, l2.slope.denominator
-    d = p2 * q1 - p1 * q2
+def gap_ratio(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Ratio:
+    """The value of :func:`angle_gap` from the lines' directions, their
+    points at infinity u = ``at_infinity(1, p1/q1)`` = (q1, p1, 0) and v:
+    -side(u, v) / |W of cross(u, v)| = -(q1*q2 + p1*p2) / |q1*p2 - p1*q2|,
+    unreduced (no gcd is taken) and the same in either argument order.
+    Raises ParallelLines on equal slopes."""
+    d = cross(u, v)[2]
     if d == 0:
         raise ParallelLines("angle gap of parallel lines")
-    return Ratio(-(q1 * q2 + p1 * p2), abs(d))
+    return Ratio(-side(u, v), abs(d))
 
 
 def angle_gap(l1: Line, l2: Line) -> Fraction:
@@ -369,9 +368,10 @@ def angle_gap(l1: Line, l2: Line) -> Fraction:
     lines, -(1 + s_lo*s_hi)/(s_hi - s_lo): cot is finite and strictly
     decreasing on (0, pi), so the values order and tie as the gaps do.  The
     sign reads the gap against a right angle: < 0 acute, 0 right, > 0
-    obtuse.  It is :func:`gap_ratio` reduced to a Fraction; ParallelLines
-    on equal slopes."""
-    return Fraction(*gap_ratio(l1, l2))
+    obtuse.  It is :func:`gap_ratio` of the two lines' directions reduced
+    to a Fraction; ParallelLines on equal slopes."""
+    return Fraction(*gap_ratio(at_infinity(1, l1.slope),
+                               at_infinity(1, l2.slope)))
 
 
 def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int:

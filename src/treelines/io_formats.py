@@ -73,32 +73,27 @@ def parse_instance(text: Union[bytes, str], require_assign: bool = True
     return _parse(text, allow_tree=True, require_assign=require_assign)
 
 
+# each instance row kind: its usage text and the parser of each field
+_ROW_KINDS = {
+    "l": ("l <id> <slope> <offset>", (_int, _rational, _rational)),
+    "e": ("e <parent> <child>", (_int, _int)),
+    "a": ("a <vertex> <line-id>", (_int, _int)),
+}
+
+
 def _parse(text, allow_tree: bool, require_assign: bool):
-    lines: List[Tuple[int, int, Fraction, Fraction]] = []
-    edges: List[Tuple[int, int, int]] = []
-    assigns: List[Tuple[int, int, int]] = []
+    found = {kind: [] for kind in (_ROW_KINDS if allow_tree else "l")}
     for lineno, toks in _rows(text):
         tag = toks[0]
-        if tag == "l":
-            if len(toks) != 4:
-                raise SyntaxProblem(lineno, "expected: l <id> <slope> "
-                                            "<offset>")
-            lines.append((lineno, _int(toks[1], lineno),
-                          _rational(toks[2], lineno),
-                          _rational(toks[3], lineno)))
-        elif tag == "e" and allow_tree:
-            if len(toks) != 3:
-                raise SyntaxProblem(lineno, "expected: e <parent> <child>")
-            edges.append((lineno, _int(toks[1], lineno),
-                          _int(toks[2], lineno)))
-        elif tag == "a" and allow_tree:
-            if len(toks) != 3:
-                raise SyntaxProblem(lineno, "expected: a <vertex> <line-id>")
-            assigns.append((lineno, _int(toks[1], lineno),
-                            _int(toks[2], lineno)))
-        else:
+        if tag not in found:
             raise SyntaxProblem(lineno, f"unknown directive {tag!r}")
+        usage, fields = _ROW_KINDS[tag]
+        if len(toks) != 1 + len(fields):
+            raise SyntaxProblem(lineno, f"expected: {usage}")
+        found[tag].append((lineno, *(read(tok, lineno) for read, tok
+                                     in zip(fields, toks[1:]))))
 
+    lines = found["l"]
     if not lines:
         raise ValidationProblem(None, "no lines declared")
     ids = set()
@@ -132,6 +127,7 @@ def _parse(text, allow_tree: bool, require_assign: bool):
     if not allow_tree:
         return ls, None, None
 
+    edges, assigns = found["e"], found["a"]
     if not edges:
         raise ValidationProblem(None, "no tree edges declared")
     n = len(edges) + 1

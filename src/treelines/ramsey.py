@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .geometry import Line, PostconditionError, angle_gap, gap_ratio
+from .geometry import Line, PostconditionError, angle_gap, at_infinity, \
+    gap_ratio
 from .lineset import LineSet, LineSetError, PairChains, TooFew, \
     ranked_chains
 
@@ -147,9 +148,9 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    lines = ls.lines
+    dirs = [at_infinity(1, l.slope) for l in ls.lines]
     path = _longest_path(ranked_chains(
-        range(1, n + 1), lambda i, j: gap_ratio(lines[i - 1], lines[j - 1]),
+        range(1, n + 1), lambda i, j: gap_ratio(dirs[i - 1], dirs[j - 1]),
         Color.RED, Color.BLUE))
     direction = (Direction.NON_INCREASING if path.color == Color.RED
                  else Direction.NON_DECREASING)

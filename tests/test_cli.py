@@ -2,6 +2,7 @@
 
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ def test_parse_errors_name_the_offending_row(text, lineno, message):
     # the source line of the last offending row, and the declared ids
     with pytest.raises(ValidationProblem) as exc:
         parse_lines(text)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("parse, text, lineno, message", [
+    (parse_lines, "l 1 -1\n", 1, "expected: l <id> <slope> <offset>"),
+    (parse_instance, LINES3 + "e 0\n", 5, "expected: e <parent> <child>"),
+    (parse_instance, LINES3 + "a 0 1 2\n", 5,
+     "expected: a <vertex> <line-id>"),
+    (parse_lines, LINES3 + "e 0 1\n", 5, "unknown directive 'e'"),
+    (parse_lines, LINES3 + "a 0 1\n", 5, "unknown directive 'a'"),
+    (parse_instance, LINES3 + "q 1 2\n", 5, "unknown directive 'q'"),
+    (parse_lines, "l x 0.5 0\n", 1, "bad integer 'x'"),
+    (parse_lines, "l 1 0.5 0\n", 1, "rationals only, got '0.5'"),
+    (parse_lines, "l 1 1 7/0\n", 1, "bad rational '7/0'"),
+    (parse_instance, LINES3 + "e 0 y\n", 5, "bad integer 'y'"),
+], ids=["l-fields", "e-fields", "a-fields", "e-in-lines", "a-in-lines",
+        "unknown", "bad-id", "decimal", "zero-denominator", "bad-vertex"])
+def test_syntax_errors_name_the_row_and_the_first_bad_field(parse, text,
+                                                            lineno, message):
+    # a row's kind is checked first, then its field count, then its fields
+    # from left to right
+    with pytest.raises(SyntaxProblem) as exc:
+        parse(text)
     assert exc.value.lineno == lineno
     assert str(exc.value) == f"line {lineno}: {message}"
 
@@ -309,6 +334,26 @@ def test_cli_input_errors(files, tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["extract-cap"], ["extract-monotone"], ["extract-doubling"],
+    ["regions", "--c", "3", "--svg", "out.svg"], ["unstretch"],
+], ids=lambda argv: argv[0])
+def test_cli_line_file_errors(argv, tmp_path, capsys, monkeypatch):
+    # every command that reads a line file reports the parse error alone
+    monkeypatch.chdir(tmp_path)
+    for text, err in (
+            ("l 1 -1 0\nl 2 1 0\nl 3 1 1\n",
+             "error: line 3: lines 2 and 3 are parallel\n"),
+            ("l 1 -1 0\nl 2 0 -1\nl 3 1 0\ne 0 1\n",
+             "error: line 4: unknown directive 'e'\n")):
+        Path("l.txt").write_text(text)
+        assert main([argv[0], "l.txt", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+        assert not Path("out.svg").exists()
 
 
 def test_cli_seed_env(files, capsys, monkeypatch):

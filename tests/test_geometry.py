@@ -19,6 +19,7 @@ from treelines.geometry import (
     Segment,
     SegmentRelation,
     angle_gap,
+    at_infinity,
     clip_to_halfplanes,
     compare_angle_gap,
     convex_hull,
@@ -92,17 +93,20 @@ def test_gap_and_crossing_match_the_fraction_formulas(s1, b1, s2, b2,
     if parallel:
         s2 = s1
     l1, l2 = Line(s1, b1, 1), Line(s2, b2, 2)
+    # gap_ratio takes the lines' directions, their points at infinity
+    d1, d2 = at_infinity(1, s1), at_infinity(1, s2)
     if s1 == s2:
-        for f in (angle_gap, gap_ratio, line_intersection):
-            for pair in ((l1, l2), (l2, l1)):
+        for f, a, b in ((angle_gap, l1, l2), (gap_ratio, d1, d2),
+                        (line_intersection, l1, l2)):
+            for pair in ((a, b), (b, a)):
                 with pytest.raises(ParallelLines):
                     f(*pair)
         return
     s_lo, s_hi = sorted((s1, s2))
     gap = -(1 + s_lo * s_hi) / (s_hi - s_lo)
-    for pair in ((l1, l2), (l2, l1)):
+    for pair, dirs in (((l1, l2), (d1, d2)), ((l2, l1), (d2, d1))):
         assert angle_gap(*pair) == gap
-        r = gap_ratio(*pair)
+        r = gap_ratio(*dirs)
         assert isinstance(r, Ratio) and r.denominator > 0
         assert Fraction(r.numerator, r.denominator) == gap
     x = (b1 - b2) / (s1 - s2)

@@ -7,7 +7,7 @@ import pytest
 
 from treelines import lineset, ramsey
 from treelines.geometry import (Line, PostconditionError, Ratio, angle_gap,
-                                gap_ratio, orientation, scalar)
+                                at_infinity, gap_ratio, orientation, scalar)
 from treelines.lineset import (longest_cap_cup, ranked_chains,
                                verify_general_position)
 from treelines.ramsey import (
@@ -298,7 +298,8 @@ def _assert_ratio_and_fraction_keys_agree(vertices, ratio_key):
 
 
 def _gap_key(ls):
-    return lambda i, j: gap_ratio(ls.line(i), ls.line(j))
+    return lambda i, j: gap_ratio(at_infinity(1, ls.line(i).slope),
+                                  at_infinity(1, ls.line(j).slope))
 
 
 def test_ranked_chains_take_ratio_keys_as_their_fractions(rng):

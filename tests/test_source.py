@@ -158,13 +158,11 @@ def test_side_values_are_written_only_in_geometry_side():
 
 def test_cross_products_are_written_only_in_geometry_cross():
     # a*b - c*d, a 2x2 minor, is one component of a cross product of two
-    # triples: written anywhere else, it is that product written again.
-    # gap_ratio keeps its own minor of the two slopes, on the hot path of
-    # extraction, where a call per pair would cost
+    # triples: written anywhere else, it is that product written again
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        allowed = _functions_named(tree, {"cross", "gap_ratio"}) \
+        allowed = _functions_named(tree, {"cross"}) \
             if path.name == "geometry.py" else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and \

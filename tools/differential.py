@@ -74,7 +74,8 @@ embedding checker, solver and scan:
     scan             scan_universality reports
     cli              stdout, stderr, exit code and SVG bytes of ``analyze``,
                      the three extract commands, ``regions``, ``render``,
-                     ``check``, ``solve``, ``scan`` and ``unstretch``
+                     ``check``, ``solve``, ``scan`` and ``unstretch``, input
+                     errors too
 """
 
 from __future__ import annotations
@@ -986,6 +987,7 @@ class Corpus:
                 yield f"{cmd} {name}", self._run([cmd, "l.txt"])
         yield from self._cli_embedding_cases()
         yield from self._cli_unstretch_cases()
+        yield from self._cli_error_cases()
 
     def _cli_embedding_cases(self):
         """check on random and on solved embeddings, solve found and not,
@@ -1035,6 +1037,35 @@ class Corpus:
                     yield (f"unstretch {name}#{k} seed {seed}", self._run(
                         ["unstretch", "l.txt", "--samples", "100000",
                          "--seed", str(seed)]))
+
+    def _cli_error_cases(self):
+        """Input errors: a parallel pair and an e row in a line file, for
+        every command that reads one; an a row with three fields and an
+        instance without a rows, for the commands that read an instance;
+        and an embedding that places one vertex twice."""
+        lines = "l 1 -1 0\nl 2 0 -1\nl 3 1 0\n"
+        for name, text in (("parallel", "l 1 -1 0\nl 2 1 0\nl 3 1 1\n"),
+                           ("e row", lines + "e 0 1\n")):
+            Path("l.txt").write_text(text)
+            for cmd in LINE_FILE_COMMANDS:
+                yield f"{cmd} {name}", self._run([cmd, "l.txt"])
+            yield f"regions {name}", self._run(
+                ["regions", "l.txt", "--c", "3", "--svg", "out.svg"])
+            yield f"unstretch {name}", self._run(
+                ["unstretch", "l.txt", "--samples", "100"])
+        tree = "e 0 1\ne 1 2\n"
+        Path("e.txt").write_text("p 0 -2\np 1 2\np 2 0\n")
+        for name, text in (("a row of 3 fields", "a 0 1 2\n"),
+                           ("unassigned", "")):
+            Path("i.txt").write_text(lines + tree + text)
+            for argv in (["check", "i.txt", "e.txt"], ["solve", "i.txt"],
+                         ["scan", "i.txt"],
+                         ["render", "i.txt", "e.txt", "--svg", "out.svg"]):
+                yield f"{argv[0]} {name}", self._run(argv)
+        Path("i.txt").write_text(lines + tree + "a 0 1\na 1 3\na 2 2\n")
+        Path("e.txt").write_text("p 0 -2\np 0 2\np 2 0\n")
+        yield "check vertex placed twice", self._run(["check", "i.txt",
+                                                      "e.txt"])
 
     def _searches(self, cmd: str, seed: int):
         """(case, record) of the solve or scan command on i.txt: with
