@@ -163,6 +163,8 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     perturbation assumptions without making the drawing invalid).  A
     vertex lies on its own line, so it sits on an arrangement point iff a
     second line passes through it."""
+    if len(ls) != t.n:
+        raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)
     if len(emb.pos) != t.n:
         raise SizeMismatch("embedding size differs from the tree")
@@ -466,6 +468,8 @@ def path_descriptor(ls: LineSet, cc: ColorClasses, asg: Assignment,
     starts = {p[0] for p in paths}
     if len(starts) != 1:
         raise EmbedError("paths must share their start vertex")
+    if len(emb.pos) != t.n:
+        raise SizeMismatch("embedding size differs from the tree")
     hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
 
     region_seqs: List[List[RegionIndex]] = []

@@ -245,27 +245,20 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     return CapCup.NEITHER
 
 
-class PairChains:
-    """Longest chains i_1 < ... < i_m of increasing vertices whose
-    consecutive triples all carry the same label.
+# a label's chain table: pair (j, k) -> (m, i), the length m of the longest
+# chain ending with j, k and its smallest predecessor i among the longest,
+# for the pairs that some triple extends
+ChainTable = Dict[Tuple[int, int], Tuple[int, int]]
 
-    ``length[(j, k, lab)]`` is the length of the longest lab-chain ending
-    with j, k, for the keys some triple extends (any pair alone is a chain
-    of length 2).  ``parent`` keeps for each key the smallest predecessor
-    among the longest, which :meth:`chain` follows back.
-    """
 
-    def __init__(self, length: Dict[Tuple[int, int, Hashable], int],
-                 parent: Dict[Tuple[int, int, Hashable], int]):
-        self.length = length
-        self.parent = parent
-
-    def chain(self, j: int, k: int, lab: Hashable) -> List[int]:
-        seq = [k, j]
-        while (seq[-1], seq[-2], lab) in self.parent:
-            seq.append(self.parent[(seq[-1], seq[-2], lab)])
-        seq.reverse()
-        return seq
+def chain_ending(table: ChainTable, j: int, k: int) -> List[int]:
+    """The chain of ``table`` that ends with j, k, followed back through
+    the predecessors."""
+    seq = [k, j]
+    while (seq[-1], seq[-2]) in table:
+        seq.append(table[seq[-1], seq[-2]][1])
+    seq.reverse()
+    return seq
 
 
 def _rank_key(k: Union[Fraction, Ratio]) -> float:
@@ -280,10 +273,11 @@ def _rank_key(k: Union[Fraction, Ratio]) -> float:
 
 def ranked_chains(vertices: Sequence[int],
                   key: Callable[[int, int], Union[Fraction, Ratio]],
-                  lower: Hashable, upper: Hashable) -> PairChains:
-    """The chains of the labelling that gives a triple i < j < k the label
-    ``lower`` when key(j, k) < key(i, j) and ``upper`` otherwise, for a
-    rational pair key and increasing ``vertices``.
+                  lower: Hashable, upper: Hashable
+                  ) -> Dict[Hashable, ChainTable]:
+    """The chain tables of the labelling that gives a triple i < j < k
+    the label ``lower`` when key(j, k) < key(i, j) and ``upper``
+    otherwise, for a rational pair key and increasing ``vertices``.
 
     Key contract: key(i, j) is any object with integer ``numerator`` and
     ``denominator`` attributes, denominator > 0, that stands for the
@@ -306,7 +300,7 @@ def ranked_chains(vertices: Sequence[int],
     ones, key(i, j) > key(j, k).  So one sort and O(n^2) steps give the
     tables of the O(n^3) programme of Chvatal and Klincsek (1980): each
     pair's longest chain of either label and, among those, its smallest
-    predecessor.
+    predecessor.  A label with no chain of three gets no table.
     """
     pairs = [(i, j) for b, j in enumerate(vertices) for i in vertices[:b]]
     keys = [key(i, j) for i, j in pairs]
@@ -323,18 +317,20 @@ def ranked_chains(vertices: Sequence[int],
             exact += run
         order = exact
     pairs = [pairs[x] for x in order]
-    length: Dict[Tuple[int, int, Hashable], int] = {}
-    parent: Dict[Tuple[int, int, Hashable], int] = {}
+    tables: Dict[Hashable, ChainTable] = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
+        table: ChainTable = {}
         best: Dict[int, Tuple[int, int]] = {}
         for j, k in sweep:
             # no pair (i, j) swept yet: j alone, a chain of length 1
             m, i = best.get(j, (1, None))
             if i is not None:
-                length[j, k, lab], parent[j, k, lab] = m + 1, -i
+                table[j, k] = m + 1, -i
             if (m + 1, -j) > best.get(k, (0, 0)):
                 best[k] = m + 1, -j
-    return PairChains(length, parent)
+        if table:
+            tables[lab] = table
+    return tables
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
@@ -346,13 +342,13 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    chains = ranked_chains(range(1, n + 1),
+    tables = ranked_chains(range(1, n + 1),
                            lambda i, j: ls.intersection(i, j).x, -1, +1)
     # the longest chain of either label, the cap label -1 first on ties
-    _, lab, j, k = min((-m, lab, j, k)
-                       for (j, k, lab), m in chains.length.items())
+    top, lab = min((-max(t.values())[0], lab) for lab, t in tables.items())
+    j, k = min(jk for jk, (m, _) in tables[lab].items() if m == -top)
     kind = CapCup.CAP if lab == -1 else CapCup.CUP
-    sub = ls.subset(chains.chain(j, k, lab))
+    sub = ls.subset(chain_ending(tables[lab], j, k))
     if classify_cap_cup(sub) != kind:
         raise PostconditionError(f"extracted {kind.value} fails the "
                                  f"cap/cup check")

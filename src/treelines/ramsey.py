@@ -6,25 +6,21 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Line, PostconditionError, angle_gap, at_infinity, \
     gap_ratio
-from .lineset import LineSet, LineSetError, PairChains, TooFew, \
-    ranked_chains
+from .lineset import ChainTable, LineSet, LineSetError, TooFew, \
+    chain_ending, ranked_chains
 
 
 class Color(enum.Enum):
-    """The colour of a triple and the label of its chains.  Members are
-    singletons that compare by identity, so they hash by identity, in C;
-    ``Enum.__hash__`` would hash the name in Python for every (j, k,
-    label) key of the chain tables."""
+    """The colour of a triple and the label of its chains."""
 
     RED = "red"
     BLUE = "blue"
-
-    __hash__ = object.__hash__
 
 
 class Direction(enum.Enum):
@@ -89,33 +85,34 @@ def mono_path_bound(n: int) -> int:
     return k
 
 
-class LabelledChains(PairChains):
-    """The chains of an arbitrary labelling of the triples, by the O(n^3)
-    dynamic program of Chvatal and Klincsek (1980) over (j, k, label),
-    which labels each triple i < j < k once."""
-
-    def __init__(self, vertices: Sequence[int],
-                 label: Callable[[int, int, int], Hashable]):
-        length: Dict[Tuple[int, int, Hashable], int] = {}
-        parent: Dict[Tuple[int, int, Hashable], int] = {}
-        for b, j in enumerate(vertices):
-            for k in vertices[b + 1:]:
-                for i in vertices[:b]:
-                    lab = label(i, j, k)
-                    cand = length.get((i, j, lab), 2) + 1
-                    if cand > length.get((j, k, lab), 2):
-                        length[(j, k, lab)] = cand
-                        parent[(j, k, lab)] = i
-        super().__init__(length, parent)
+def labelled_chains(vertices: Sequence[int],
+                    label: Callable[[int, int, int], Hashable]
+                    ) -> Dict[Hashable, ChainTable]:
+    """The chain tables of an arbitrary labelling of the triples, as
+    ``lineset.ranked_chains`` returns them, by the O(n^3) dynamic program
+    of Chvatal and Klincsek (1980), which labels each triple i < j < k
+    once."""
+    tables: Dict[Hashable, ChainTable] = defaultdict(dict)
+    for b, j in enumerate(vertices):
+        for k in vertices[b + 1:]:
+            for i in vertices[:b]:
+                table = tables[label(i, j, k)]
+                m = table.get((i, j), (2,))[0] + 1
+                if m > table.get((j, k), (2,))[0]:
+                    table[j, k] = m, i
+    return dict(tables)
 
 
-def _longest_path(chains: PairChains) -> HyperPath:
-    # ties broken toward the lexicographically smallest sequence
-    top = max(chains.length.values())
-    ends = [key for key, m in chains.length.items() if m == top]
-    j, k, color = min(
-        ends, key=lambda key: (chains.chain(*key), key[2].value))
-    return HyperPath(tuple(chains.chain(j, k, color)), color)
+def _longest_path(tables: Dict[Color, ChainTable]) -> HyperPath:
+    # ties broken toward the lexicographically smallest sequence; a
+    # sequence of three or more vertices has one colour, so the sequences
+    # of the two colours never tie
+    top = max(max(t.values())[0] for t in tables.values())
+    ends = {tuple(chain_ending(t, j, k)): color
+            for color, t in tables.items()
+            for (j, k), (m, _) in t.items() if m == top}
+    seq = min(ends)
+    return HyperPath(seq, ends[seq])
 
 
 def longest_mono_path(tc: TripleColoring) -> HyperPath:
@@ -124,7 +121,7 @@ def longest_mono_path(tc: TripleColoring) -> HyperPath:
     if tc.n < 3:
         raise ValueError("need n >= 3")
     # every triple has a colour, so the first one is already a path of 3
-    return _longest_path(LabelledChains(range(1, tc.n + 1), tc.of))
+    return _longest_path(labelled_chains(range(1, tc.n + 1), tc.of))
 
 
 def color_by_gaps(ls: LineSet) -> TripleColoring:

@@ -198,9 +198,10 @@ def checker_fixtures():
              emb(-2, 2, 0, 2)),
             ("vertex-on-edge", ViolationKind.VERTEX_ON_EDGE, ls, t, asg,
              emb(-2, 2, 0, 1)),
-            # v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3
-            ("overlap", ViolationKind.OVERLAP, ls, path_tree(3),
-             Assignment((1, 2, 3)), emb(-1, 5, 1))]
+            # v0 (-1,1) on l1, v1 (5,1) on l2, v2 (1,1) on l3, three lines
+            # for three vertices
+            ("overlap", ViolationKind.OVERLAP, ls.subset([1, 2, 3]),
+             path_tree(3), Assignment((1, 2, 3)), emb(-1, 5, 1))]
 
 
 DOUBLING_DEGREES = [0, 1, 2.1, 4.3, 8.8, 17.8]

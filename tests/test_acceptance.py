@@ -193,24 +193,21 @@ def test_criterion_3_hyperpath_dp():
     _report(3, ok, detail, 120.0, time.time() - t0)
 
 
-class _FirstFoundChains(lineset.PairChains):
-    """ramsey.LabelledChains keeping the first chain it finds for a key,
+def _first_found_chains(vertices, label):
+    """ramsey.labelled_chains keeping the first chain it finds for a pair,
     not the longest: its chains are valid, but not always the longest."""
-
-    def __init__(self, vertices, label):
-        length, parent = {}, {}
-        for b, j in enumerate(vertices):
-            for k in vertices[b + 1:]:
-                for i in vertices[:b]:
-                    lab = label(i, j, k)
-                    if (j, k, lab) not in length:
-                        length[j, k, lab] = length.get((i, j, lab), 2) + 1
-                        parent[j, k, lab] = i
-        super().__init__(length, parent)
+    tables = {}
+    for b, j in enumerate(vertices):
+        for k in vertices[b + 1:]:
+            for i in vertices[:b]:
+                table = tables.setdefault(label(i, j, k), {})
+                if (j, k) not in table:
+                    table[j, k] = table.get((i, j), (2,))[0] + 1, i
+    return tables
 
 
 def test_criterion_3_fails_when_the_dp_keeps_the_first_chain(monkeypatch):
-    monkeypatch.setattr(ramsey, "LabelledChains", _FirstFoundChains)
+    monkeypatch.setattr(ramsey, "labelled_chains", _first_found_chains)
     assert not _criterion_3(trials=40, bound_sizes=())[0]
 
 
@@ -258,15 +255,17 @@ def _non_maximising_chains(vertices, key, lower, upper):
     pairs = sorted(((i, j) for b, j in enumerate(vertices)
                     for i in vertices[:b]),
                    key=lambda p: lineset._rank_key(key(*p)))
-    length, parent = {}, {}
+    tables = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
-        best = {}
+        table, best = {}, {}
         for j, k in sweep:
             m, i = best.get(j, (1, None))
             if i is not None:
-                length[j, k, lab], parent[j, k, lab] = m + 1, -i
+                table[j, k] = m + 1, -i
             best[k] = m + 1, -j
-    return lineset.PairChains(length, parent)
+        if table:
+            tables[lab] = table
+    return tables
 
 
 def test_criteria_2_and_4_fail_on_a_non_maximising_extractor(monkeypatch):

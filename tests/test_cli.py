@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treelines import io_formats
+from treelines import embed, unstretch
 from treelines.cli import main
 from treelines.embed import Assignment, Embedding
 from treelines.io_formats import (
@@ -72,21 +72,33 @@ def test_parse_id_must_be_slope_rank():
         parse_lines("l 1 -1 0\nl 1 0 -1\n")
 
 
-@pytest.mark.parametrize("text, lineno, message", [
-    ("l 1 -1 0\nl 3 0 1\nl 3 1 0\n", 3, "duplicate line id 3"),
-    ("l 1 -1 0\nl 2 0 1\nl 3 1 0\nl 4 2 5\nl 5 0 1\n", 5,
+@pytest.mark.parametrize("parse, text, lineno, message", [
+    (parse_lines, "l 1 -1 0\nl 3 0 1\nl 3 1 0\n", 3, "duplicate line id 3"),
+    (parse_lines, "l 1 -1 0\nl 2 0 1\nl 3 1 0\nl 4 2 5\nl 5 0 1\n", 5,
      "lines 2 and 5 coincide"),
-    ("l 3 0 0\n# a comment row\nl 1 1 0\nl 2 1 1\n", 4,
+    (parse_lines, "l 3 0 0\n# a comment row\nl 1 1 0\nl 2 1 1\n", 4,
      "lines 1 and 2 are parallel"),
-    ("# three lines through the origin\nl 2 0 0\nl 1 -1 0\nl 3 1 0\n", 4,
+    (parse_lines,
+     "# three lines through the origin\nl 2 0 0\nl 1 -1 0\nl 3 1 0\n", 4,
      "lines 2, 1, 3 meet in a single point"),
-], ids=["duplicate-id", "coincide", "parallel", "concurrent"])
-def test_parse_errors_name_the_offending_row(text, lineno, message):
-    # the source line of the last offending row, and the declared ids
+    (parse_instance, LINES3 + "a 0 1\n", None, "no tree edges declared"),
+    (parse_instance, LINES3 + "e 0 1\ne 1 2\na 0 1\na 1 3\na 0 2\n", 9,
+     "vertex 0 assigned twice"),
+    (parse_instance, LINES3 + "e 0 1\ne 1 2\na 0 1\na 1 3\na 5 2\n", 7,
+     "assignment is not total over vertices"),
+    (parse_instance, LINES3 + "e 0 1\ne 1 2\na 0 1\na 1 3\na 2 3\n", 7,
+     "assignment is not a bijection onto the line ids"),
+], ids=["duplicate-id", "coincide", "parallel", "concurrent", "no-edges",
+        "assigned-twice", "not-total", "not-bijection"])
+def test_parse_errors_name_the_offending_row(parse, text, lineno, message):
+    # the source line of the last offending row, and the declared ids; an
+    # assignment that is not total or not a bijection is reported at its
+    # first row, and a missing edge section at no row
     with pytest.raises(ValidationProblem) as exc:
-        parse_lines(text)
+        parse(text)
     assert exc.value.lineno == lineno
-    assert str(exc.value) == f"line {lineno}: {message}"
+    where = "" if lineno is None else f"line {lineno}: "
+    assert str(exc.value) == where + message
 
 
 @pytest.mark.parametrize("parse, text, lineno, message", [
@@ -176,6 +188,16 @@ def test_cli_extract_commands(files, capsys):
     assert "variant: lower" in capsys.readouterr().out
 
 
+def test_cli_extract_doubling_without_a_chain(tmp_path, capsys):
+    # two negative slopes and one positive: no sign class has three lines
+    path = tmp_path / "split.txt"
+    path.write_text("l 1 -2 1\nl 2 -1 0\nl 3 1 3\n")
+    assert main(["extract-doubling", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "no chain: majority sign class below 3 lines\n"
+    assert not captured.err
+
+
 def test_cli_extract_commands_need_three_lines(tmp_path, capsys):
     path = tmp_path / "two.txt"
     path.write_text("l 1 -1 0\nl 2 0 -1\n")
@@ -243,6 +265,31 @@ def test_cli_scan(files, capsys):
     assert "found 6/6" in capsys.readouterr().out
 
 
+def test_cli_searches_report_what_they_did_not_find(tmp_path, capsys,
+                                                    monkeypatch):
+    # with one candidate per vertex and no restarts, 8 of the 24
+    # bijections of a four-vertex path find no embedding
+    grid = embed.candidate_positions
+    monkeypatch.setattr(embed, "candidate_positions",
+                        lambda *args: grid(*args)[:1])
+    lines4 = "l 1 -1 0\nl 2 0 -1\nl 3 1 0\nl 4 3 1\ne 0 1\ne 1 2\ne 2 3\n"
+    inst = tmp_path / "path4.txt"
+    inst.write_text(lines4 + "a 0 1\na 1 4\na 2 2\na 3 3\n")
+    assert main(["solve", str(inst), "--budget", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("NotFound after ")
+    assert out.endswith(" nodes and 0 restarts (not a proof of "
+                        "non-embeddability)\n")
+    bare = tmp_path / "bare4.txt"
+    bare.write_text(lines4)
+    assert main(["scan", str(bare), "--budget", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["found 16/24", "candidate witness (unproven): 1 4 2 3"]
+    assert len(out) == 9
+    assert all(row.startswith("candidate witness (unproven): ")
+               for row in out[1:])
+
+
 def test_cli_negative_budget(files, capsys):
     # a negative restart budget is an input error, not an empty search
     for cmd in ("solve", "scan"):
@@ -267,6 +314,22 @@ def test_cli_unstretch(files, capsys):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--samples" in captured.err and not captured.out
+
+
+def test_cli_unstretch_prints_a_found_configuration(files, capsys,
+                                                    monkeypatch):
+    # the control search, which ignores rule (ii), finds a configuration on
+    # the cup frame, and its chain contradicts the gap condition
+    search = unstretch.feasibility_search
+    monkeypatch.setattr(unstretch, "feasibility_search",
+                        lambda frame, samples, seed: search(
+                            frame, samples, seed, frozenset({"ii"})))
+    assert main(["unstretch", str(files / "cup6.txt"), "--samples", "60000",
+                 "--seed", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["frame: cup, lower variant", "configuration found:"]
+    assert [row.split(":")[0] for row in out[2:5]] == ["  e1", "  e2", "  e3"]
+    assert out[5:] == ["chain check: contradiction"]
 
 
 def test_cli_regions_and_svg(files, tmp_path, capsys):

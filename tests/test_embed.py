@@ -149,6 +149,19 @@ def test_check_size_mismatch(four_lines):
         check_embedding(four_lines, PATH4, ASG4, _emb(0, 1))
 
 
+def test_check_rejects_a_line_set_of_another_size():
+    # five lines for a three-vertex tree: the error solve gives, before
+    # the assignment or the drawing is read
+    ls = random_lines(np.random.default_rng(7), 5)
+    tree = Tree(3, ((0, 1), (1, 2)))
+    with pytest.raises(SizeMismatch) as exc:
+        check_embedding(ls, tree, Assignment((1, 2, 3)), _emb(0, 1, 2))
+    assert str(exc.value) == "5 lines for a tree on 3 vertices"
+    with pytest.raises(SizeMismatch) as exc:
+        solve(ls, tree, Assignment((1, 2, 3)), 1, 0, 0)
+    assert str(exc.value) == "5 lines for a tree on 3 vertices"
+
+
 def test_candidate_positions_counts(four_lines):
     three = verify_general_position(
         [Line(scalar(-1), scalar(0)), Line(scalar(0), scalar(-1)),
@@ -535,6 +548,14 @@ def test_path_descriptor_non_uniform(four_lines):
     emb = _emb(-40, 30, Fraction(1, 2), 40)
     with pytest.raises((NonUniform, DegenerateContact)):
         path_descriptor(four_lines, cc, ASG4, emb, star, [[0, 1], [0, 2]])
+
+
+def test_path_descriptor_rejects_a_short_embedding(four_lines):
+    cc = ColorClasses(2, 4)
+    with pytest.raises(SizeMismatch) as exc:
+        path_descriptor(four_lines, cc, ASG4, _emb(-40, 30, 35), star_tree(4),
+                        [[0, 1], [0, 3]])
+    assert str(exc.value) == "embedding size differs from the tree"
 
 
 def test_build_theorem_tree():

@@ -16,7 +16,6 @@ from treelines.ramsey import (
     Direction,
     DoublingChain,
     HyperPath,
-    LabelledChains,
     MonotoneGapChain,
     TripleColoring,
     Variant,
@@ -25,6 +24,7 @@ from treelines.ramsey import (
     color_by_gaps,
     extract_doubling,
     extract_monotone_gaps,
+    labelled_chains,
     longest_mono_path,
     mono_path_bound,
 )
@@ -227,10 +227,8 @@ def test_extract_doubling_too_short():
 
 
 def _assert_same_chains(vertices, key, lower, upper, label):
-    ranked = ranked_chains(vertices, key, lower, upper)
-    generic = LabelledChains(vertices, label)
-    assert ranked.length == generic.length
-    assert ranked.parent == generic.parent
+    assert ranked_chains(vertices, key, lower, upper) == \
+        labelled_chains(vertices, label)
 
 
 def _assert_gap_chains_match(ls):
@@ -385,7 +383,7 @@ def test_extraction_builds_no_triple_colouring(rng, monkeypatch):
 
     monkeypatch.setattr(ramsey, "color_by_gaps", refuse)
     monkeypatch.setattr(ramsey, "TripleColoring", refuse)
-    monkeypatch.setattr(ramsey, "LabelledChains", refuse)
+    monkeypatch.setattr(ramsey, "labelled_chains", refuse)
     ls = random_lines(rng, 24)
     assert check_monotone(ls, extract_monotone_gaps(ls))
     spread = angle_lineset(DOUBLING_DEGREES)

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelines import unstretch
-from treelines.geometry import (Line, SegmentRelation, clip_to_halfplanes,
-                                line_intersection, segments_intersect)
+from treelines.geometry import (Line, Point, Segment, SegmentRelation,
+                                clip_to_halfplanes, line_intersection,
+                                segments_intersect)
 from treelines.lineset import CapCup, verify_general_position
 from treelines.ramsey import Variant, doubling_failure
 from treelines.unstretch import (
+    ConfigVerdict,
     FrameError,
     _FrameFloats,
     HypothesisFail,
@@ -23,6 +25,7 @@ from treelines.unstretch import (
     NotCapOrCup,
     NotDoubling,
     SpanTooWide,
+    TripleEdgeConfig,
     chain_from_parameters,
     config_from_params,
     derive_chain,
@@ -184,6 +187,16 @@ def test_validate_config_lists_every_failing_rule(cup_frame):
     # the verdict names each of them
     verdict = validate_config(cup_frame, wide_config(cup_frame))
     assert {rule for rule, _ in verdict.failures} == {"i", "ii", "iii"}
+
+
+def test_validate_config_reports_an_endpoint_off_its_line_alone(cup_frame):
+    # the wide configuration fails three rules, but with edge 2's end on
+    # l_3 moved off that line the verdict names the incidence failure only
+    edges = list(wide_config(cup_frame).edges)
+    p, q = edges[1].p, edges[1].q
+    edges[1] = Segment(Point(p.x, p.y + 1), q)
+    assert validate_config(cup_frame, TripleEdgeConfig(tuple(edges))) == \
+        ConfigVerdict(False, (("incidence", 2),))
 
 
 def test_validate_config_builds_the_frame_hull_once(monkeypatch, rng):

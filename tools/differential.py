@@ -792,12 +792,14 @@ class Corpus:
                                  ramsey.color_by_gaps(ls)))}
 
     def _tables(self, vertices, key):
-        chains = self.tl.lineset.ranked_chains(vertices, key, "lower",
+        # each label's (j, k) -> (length, parent) table, flattened to one
+        # sorted list of [j, k, label, value] rows per column
+        tables = self.tl.lineset.ranked_chains(vertices, key, "lower",
                                                "upper")
-        return {name: sorted([j, k, lab, v] for (j, k, lab), v
-                             in table.items())
-                for name, table in (("length", chains.length),
-                                    ("parent", chains.parent))}
+        return {name: sorted([j, k, lab, entry[col]]
+                             for lab, table in tables.items()
+                             for (j, k), entry in table.items())
+                for col, name in enumerate(("length", "parent"))}
 
     # -- embeddings
     def _trees(self, rng, n: int):
