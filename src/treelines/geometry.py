@@ -199,8 +199,8 @@ def clip_to_halfplanes(sides: Iterable[Tuple], p: Tuple, q: Tuple
     value when it is one point), and the positions in sides of the
     half-planes that set its bounds, None for an end of the segment; or
     None when it is empty.  Parameters are compared by cross-multiplying,
-    never divided, so the clip is exact on integers; it also runs on
-    floats with W = 1."""
+    never divided, so the clip is exact on the integer triples it is given;
+    the unstretch screen runs the same steps on float arrays."""
     wp, wq = p[2], q[2]
     n_lo, d_lo, n_hi, d_hi = 0, 1, 1, 1
     k_lo = k_hi = None

@@ -358,8 +358,11 @@ def test_criterion_6_unstretchability():
 
 def test_criterion_6_fails_when_rule_ii_and_its_screen_see_no_hull(
         monkeypatch):
-    # the float screen and the exact rule (ii) both clip through this name
+    # the exact rule (ii) clips through this name, and the float screen
+    # through its batch clip, which here finds no overlap
     monkeypatch.setattr(unstretch, "clip_to_halfplanes", lambda *a: None)
+    monkeypatch.setattr(unstretch._FrameFloats, "_hull_overlap",
+                        lambda self, u, t: np.zeros(u.shape))
     assert not _criterion_6(frames=1, seeds=1, samples=10**5)[0]
 
 

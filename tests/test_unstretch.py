@@ -36,7 +36,7 @@ from treelines.unstretch import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      chain_with_margin, slope_of_degrees)
+                      chain_with_margin, random_frame, slope_of_degrees)
 
 IDS = [1, 2, 3, 4, 5, 6]
 
@@ -224,53 +224,125 @@ def test_float_hull_screen_rejects_only_exact_rule_ii_failures(
         kind, cup_frame, cap_frame, rng):
     frame = cup_frame if kind == "cup" else cap_frame
     screen = _FrameFloats(frame)
-    rejected = meets = 0
+    columns, hull_met = [], []
     for _ in range(300):
         # endpoints a few units either side of each apex; the exact check
         # sees the same float values the screen sees, as in the search
         xs = [float(frame.apex(j).x) + off
               for j in (1, 2, 3) for off in rng.uniform(-4, 4, size=2)]
         cfg = config_from_params(frame, [Fraction(x) for x in xs])
-        hull_met = bool(rule_failures(validate_config(frame, cfg), "ii"))
-        meets += hull_met
-        if screen.clearly_meets_hull(np.array(xs[0::2]),
-                                     np.array(xs[1::2])):
-            rejected += 1
-            assert hull_met, xs
+        hull_met.append(bool(rule_failures(validate_config(frame, cfg),
+                                           "ii")))
+        columns.append(xs)
+    xs = np.array(columns).T
+    rejected = screen.clearly_meets_hull(xs[0::2], xs[1::2])
+    for k in np.flatnonzero(rejected):
+        assert hull_met[k], columns[k]
     # both outcomes occur, so a screen rejecting everything would fail
-    assert 0 < rejected and meets < 300
+    assert 0 < rejected.sum() and sum(hull_met) < 300
 
 
 @pytest.mark.parametrize("kind", ["cup", "cap"])
 def test_float_clip_gives_the_exact_rule_ii_verdict_off_the_boundary(
         kind, cup_frame, cap_frame, rng):
-    # the screen's clip on float triples with W = 1 against the exact clip,
-    # edge by edge, wherever the exact overlap is 0 or exceeds 1e-6 of the
-    # edge's parameter range
+    # the screen's batch clip against the exact clip, edge by edge,
+    # wherever the exact overlap is 0 or exceeds 1e-6 of the edge's
+    # parameter range
     frame = cup_frame if kind == "cup" else cap_frame
     screen = _FrameFloats(frame)
-    compared = {False: 0, True: 0}
+    columns = []
     for _ in range(200):
         scale = 10.0 ** rng.uniform(-2, 2)
-        xs = [float(frame.apex(j).x) + off * scale
-              for j in (1, 2, 3) for off in rng.uniform(-4, 4, size=2)]
-        cfg = config_from_params(frame, [Fraction(x) for x in xs])
-        for e in cfg.edges:
+        columns.append([float(frame.apex(j).x) + off * scale
+                        for j in (1, 2, 3)
+                        for off in rng.uniform(-4, 4, size=2)])
+    xs = np.array(columns).T
+    float_overlap = screen._hull_overlap(xs[0::2], xs[1::2])
+    compared = {False: 0, True: 0}
+    for k, col in enumerate(columns):
+        cfg = config_from_params(frame, [Fraction(x) for x in col])
+        for j, e in enumerate(cfg.edges):
             iv = clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
                                     e.q.homogeneous)
             overlap = 0 if iv is None else (Fraction(*iv[1])
                                             - Fraction(*iv[0]))
             if 0 < overlap <= Fraction(1, 10**6):
                 continue
-            fv = clip_to_halfplanes(
-                screen.hull_edges, (float(e.p.x), float(e.p.y), 1.0),
-                (float(e.q.x), float(e.q.y), 1.0))
-            float_overlap = 0.0 if fv is None else (fv[1][0] / fv[1][1]
-                                                    - fv[0][0] / fv[0][1])
-            assert (float_overlap > 1e-9) == (overlap > 0), (kind, xs)
+            assert (float_overlap[j, k] > 1e-9) == (overlap > 0), (kind,
+                                                                   col)
             compared[overlap > 0] += 1
     # both verdicts are reached often
     assert min(compared.values()) >= 100, compared
+
+
+def reference_clearly_meets_hull(geo, u, t):
+    """_FrameFloats.clearly_meets_hull as it was, one candidate at a time
+    with the float clip_to_halfplanes: the reference the batch screen must
+    match verdict for verdict."""
+    for j in (1, 2, 3):
+        px = float(u[j - 1])
+        py = float(geo.s[2 * j - 2] * u[j - 1] - geo.b[2 * j - 2])
+        qx = float(t[j - 1])
+        qy = float(geo.s[2 * j - 1] * t[j - 1] - geo.b[2 * j - 1])
+        iv = clip_to_halfplanes(geo.hull_edges, (px, py, 1.0),
+                                (qx, qy, 1.0))
+        if iv is not None:
+            (n0, d0), (n1, d1), _, _ = iv
+            if n1 / d1 - n0 / d0 > 1e-9:
+                return True
+    return False
+
+
+def assert_screen_matches_reference(geo, u, t):
+    got = geo.clearly_meets_hull(u, t)
+    want = [reference_clearly_meets_hull(geo, u[:, k], t[:, k])
+            for k in range(u.shape[1])]
+    assert got.dtype == bool and got.tolist() == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
+def test_hull_screen_is_bit_identical_to_the_reference(request, name):
+    # every column of a sampled and a perturbed batch, those with fewer
+    # than three feasible edges included: solve_u leaves u at the apex
+    # abscissa on an edge with no feasible u, an edge that starts at a
+    # vertex of the hull, where the float verdicts are arbitrary and the
+    # batch must repeat them
+    geo = _FrameFloats(request.getfixturevalue(name))
+    rng = np.random.default_rng(30)
+    t = geo.sample_triples(rng, 3000)
+    _, feasible = geo.solve_u(t)
+    near = t[:, np.argsort(-feasible, kind="stable")[:40]]
+    t = np.concatenate([t, geo.perturb_triples(rng, near, 3000)], axis=1)
+    u, feasible = geo.solve_u(t)
+    at_apex = (u == geo.apex[:, :1]).any(axis=0)
+    got = assert_screen_matches_reference(geo, u, t)
+    for verdicts in (got[:3000], got[3000:], got[at_apex]):
+        assert set(verdicts.tolist()) == {False, True}
+    empty = np.empty((3, 0))
+    assert geo.clearly_meets_hull(empty, empty).shape == (0,)
+
+
+def test_hull_screen_matches_the_reference_at_its_edge_cases(cup_frame):
+    # small coefficients, so that every value below is exact: all three
+    # edges run from (u, 0) on y = 0 to (t, t) on y = x, and the hull is
+    # the box 0 <= y <= c, -10 <= x <= 10
+    geo = _FrameFloats(cup_frame)
+    geo.s = np.array([0.0, 1.0] * 3)
+    geo.b = np.zeros(6)
+    box = [(0.0, 1.0, 0.0), (1.0, 0.0, 10.0), (-1.0, 0.0, 10.0)]
+    # with c = 1e-9 the edge from (0, 0) to (t, t) leaves y <= c at
+    # parameter c / t exactly, the overlap: 1e-9 itself is not enough
+    geo.hull_edges = box + [(0.0, -1.0, 1e-9)]
+    t = np.array([[1.0, 0.5, 2.0]] * 3)
+    got = assert_screen_matches_reference(geo, np.zeros_like(t), t)
+    assert got.tolist() == [False, True, False]
+    # the edge on x = 20 has both ends outside x <= 10, parallel to it,
+    # and would overlap y <= 1 by 1/20 of its range without that side
+    geo.hull_edges = box + [(0.0, -1.0, 1.0)]
+    u = t = np.array([[20.0, 0.5]] * 3)
+    got = assert_screen_matches_reference(geo, u, t)
+    assert got.tolist() == [False, True]
 
 
 def test_chain_equal_angles_contradiction():
@@ -679,6 +751,53 @@ def test_feasibility_search_finds_without_hull_rule(cup_frame):
     assert config_edges_disjoint(cfg)
     cv = derive_chain(cup_frame, cfg)
     assert lemma24_check(cv) == Lemma24Result.CONTRADICTION
+
+
+def exact_sine_ordering(frame):
+    """The frame's sine ordering decided on rationals: for slopes s_i =
+    tan(theta_i), sin^2(theta_j - theta_i) = (s_j - s_i)^2 / ((1 + s_i^2)
+    (1 + s_j^2)), alpha_k = theta_k - theta_(k-1) for k >= 2 and alpha_1 =
+    pi - (theta_6 - theta_1) has the sine of theta_6 - theta_1.  Every
+    alpha lies in (0, pi), so the squares order as the sines.  Returns
+    "down", "up" or None."""
+    s = [l.slope for l in frame.lines]
+
+    def sin2(i, j):
+        return (s[j] - s[i]) ** 2 / ((1 + s[i] ** 2) * (1 + s[j] ** 2))
+
+    q = [sin2(0, 5)] + [sin2(k - 1, k) for k in range(1, 6)]
+    if q[0] >= q[1] >= q[2] >= q[3] >= q[4] >= q[5]:
+        return "down"
+    if q[1] <= q[2] <= q[3] <= q[4] <= q[5] <= q[0]:
+        return "up"
+    return None
+
+
+def test_sine_ordering_of_control_chains_is_the_exact_one(cup_frame):
+    # derive_chain's 60-digit sines against the exact squared sines, on the
+    # chains of rule-(ii)-skipped searches on cup frames with growing gaps,
+    # and on their mirror images x -> -x, cup frames whose gaps shrink.
+    # The control search finds nothing there, and alpha comes from the
+    # frame's slopes alone, so a configuration around the apexes stands in
+    rng = np.random.default_rng(31)
+    orderings = []
+    for frame in [cup_frame] + [random_frame(rng, cup=True)
+                                for _ in range(2)]:
+        cfg = feasibility_search(frame, samples=300_000, seed=0,
+                                 skip_properties=frozenset({"ii"}))
+        assert cfg is not None
+        mirror = validate_frame(verify_general_position(
+            [Line(-l.slope, l.dual_offset) for l in frame.lines]), IDS)
+        around = [mirror.apex(j).x + d for j in (1, 2, 3) for d in (-1, 1)]
+        for f, c in ((frame, cfg),
+                     (mirror, config_from_params(mirror, around))):
+            exact = exact_sine_ordering(f)
+            assert sine_hypothesis_holds(derive_chain(f, c)) == \
+                (exact is not None), f
+            orderings.append(exact)
+    # both orderings occur, so that every comparison of _sine_ordering
+    # decides some verdict
+    assert set(orderings) == {"down", "up"}
 
 
 def test_feasibility_search_full_rules_empty(cup_frame, cap_frame):

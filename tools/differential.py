@@ -45,7 +45,7 @@ embedding checker, solver and scan:
     frame            validate_frame verdicts and errors
     validate_config  validate_config verdicts, rule (ii) among them
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
-                     candidate of full-rule feasibility searches
+                     batch of full-rule feasibility searches, in order
     solve_u          _FrameFloats.solve_u on sampled and on perturbed
                      triples: each triple's count of feasible edges, which
                      edges are feasible, and float.hex of the chosen u on
@@ -486,16 +486,16 @@ class Corpus:
                         frame, [Fraction(v) for v in params])))
 
     def screen(self):
-        """Verdicts on the candidates of _candidates, then on every
-        candidate that two full-rule searches screen (of the benchmark's
-        10**6 samples at size 8), with what the searches return."""
+        """Verdicts on the candidates of _candidates, in one batch, then
+        the verdicts on every batch that two full-rule searches screen (of
+        the benchmark's 10**6 samples at size 8), concatenated in order,
+        with what the searches return."""
         us = self.tl.unstretch
         rng = np.random.default_rng(1614)
         for name, frame in self.frames():
             geo, u, t = self._candidates(frame, rng)
-            yield name, "".join(str(int(geo.clearly_meets_hull(u[:, i],
-                                                               t[:, i])))
-                                for i in range(u.shape[1]))
+            yield name, "".join(map(str, geo.clearly_meets_hull(u, t)
+                                    .astype(int)))
         floats = us._FrameFloats
         real = floats.clearly_meets_hull
         for name, frame in self.frames():
@@ -503,8 +503,9 @@ class Corpus:
                 verdicts = []
 
                 def spy(geo, u, t):
-                    verdicts.append(str(int(real(geo, u, t))))
-                    return verdicts[-1] == "1"
+                    got = real(geo, u, t)
+                    verdicts.extend(map(str, got.astype(int)))
+                    return got
 
                 floats.clearly_meets_hull = spy
                 try:
