@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -137,67 +137,66 @@ def config_from_params(frame: SixLineFrame,
 @dataclass(frozen=True)
 class ConfigVerdict:
     ok: bool
-    # (property, edge index); property is "incidence", "i", "ii", "iii"
-    # or "iii-missing" when the reference crossing does not exist
+    # (rule, edge index) pairs: ("incidence", j) for an endpoint off its
+    # line, else the label that rule_i, rule_ii or rule_iii gives edge j
     failures: Tuple[Tuple[str, int], ...] = ()
 
 
 _NEXT_EDGE = {1: 2, 2: 3, 3: 1}   # j -> j+1 with modulo class 0 written as 3
 
 
+def rule_i(frame: SixLineFrame, cfg: TripleEdgeConfig, j: int):
+    """None where edge j meets rule (i), else "i".  Rule (i): the vertical
+    line through the apex of edge j's line pair meets the closed edge
+    strictly below the apex for j in {1, 3} and strictly above for j = 2."""
+    e = cfg.edges[j - 1]
+    apex = frame.apex(j)
+    lo, hi = (e.p, e.q) if e.p.x <= e.q.x else (e.q, e.p)
+    # the apex lies left of the edge run left to right, so above it,
+    # exactly when the orientation is +1
+    meets = lo.x <= apex.x <= hi.x and lo.x != hi.x and \
+        orientation(lo, hi, apex) == (1 if j in (1, 3) else -1)
+    return None if meets else "i"
+
+
+def rule_ii(frame: SixLineFrame, cfg: TripleEdgeConfig, j: int):
+    """None where edge j meets rule (ii), else "ii".  Rule (ii): the edge
+    avoids the convex hull of the 15 pairwise intersection points of the
+    six lines; a single common point already counts as meeting the hull."""
+    e = cfg.edges[j - 1]
+    clip = clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
+                              e.q.homogeneous)
+    return None if clip is None else "ii"
+
+
+def rule_iii(frame: SixLineFrame, cfg: TripleEdgeConfig, j: int):
+    """None where edge j meets rule (iii), else "iii", or "iii-missing"
+    where the next edge does not cross l_{2j}.  Rule (iii): the endpoint of
+    edge j on l_{2j} lies between the apex and the point where l_{2j}
+    crosses the next edge."""
+    l = frame.line(2 * j).homogeneous
+    nxt = cfg.edges[_NEXT_EDGE[j] - 1]
+    # the crossing lies inside nxt exactly when its ends are strictly on
+    # either side of l_{2j}
+    if side(l, nxt.p.homogeneous) * side(l, nxt.q.homogeneous) >= 0:
+        return "iii-missing"
+    X, _, W = cross(l, nxt.line)
+    lo, hi = sorted((frame.apex(j).x, Fraction(X, W)))
+    return None if lo <= cfg.edges[j - 1].q.x <= hi else "iii"
+
+
 def validate_config(frame: SixLineFrame, cfg: TripleEdgeConfig
                     ) -> ConfigVerdict:
-    """Exact check of the three-edge configuration rules, every rule on
-    every edge; ``failures`` lists each failing (rule, edge), and the
-    control search of ``feasibility_search`` ignores the rule-(ii) ones.
-
-    (i)   the vertical line through the apex of edge j's line pair meets the
-          closed edge strictly below the apex for j in {1, 3} and strictly
-          above for j = 2;
-    (ii)  each edge avoids the convex hull of the 15 pairwise intersection
-          points of the six lines;
-    (iii) the endpoint of edge j on l_{2j} lies between the apex and the
-          point where l_{2j} crosses the next edge.
-    """
-    failures: List[Tuple[str, int]] = []
-    for j in (1, 2, 3):
-        e = cfg.edges[j - 1]
-        if not frame.line(2 * j - 1).contains(e.p) or \
-                not frame.line(2 * j).contains(e.q):
-            failures.append(("incidence", j))
-    if failures:
-        return ConfigVerdict(False, tuple(failures))
-
-    for j in (1, 2, 3):
-        e = cfg.edges[j - 1]
-        apex = frame.apex(j)
-        lo, hi = (e.p, e.q) if e.p.x <= e.q.x else (e.q, e.p)
-        # the apex lies left of the edge run left to right, so above it,
-        # exactly when the orientation is +1
-        if not lo.x <= apex.x <= hi.x or lo.x == hi.x or \
-                orientation(lo, hi, apex) != (1 if j in (1, 3) else -1):
-            failures.append(("i", j))
-
-    for j in (1, 2, 3):
-        e = cfg.edges[j - 1]
-        # a single common point already counts as meeting the hull
-        if clip_to_halfplanes(frame.hull_halfplanes, e.p.homogeneous,
-                              e.q.homogeneous) is not None:
-            failures.append(("ii", j))
-
-    for j in (1, 2, 3):
-        l = frame.line(2 * j).homogeneous
-        nxt = cfg.edges[_NEXT_EDGE[j] - 1]
-        # the crossing lies inside nxt exactly when its ends are strictly
-        # on either side of l_{2j}
-        if side(l, nxt.p.homogeneous) * side(l, nxt.q.homogeneous) >= 0:
-            failures.append(("iii-missing", j))
-            continue
-        X, _, W = cross(l, nxt.line)
-        lo, hi = sorted((frame.apex(j).x, Fraction(X, W)))
-        if not lo <= cfg.edges[j - 1].q.x <= hi:
-            failures.append(("iii", j))
-
+    """Exact check of every edge against ``rule_i``, ``rule_ii`` and
+    ``rule_iii``: ``failures`` lists each failing (rule, edge), rule by
+    rule and then edge by edge, or only the edges with an endpoint off its
+    line.  The control search of ``feasibility_search`` ignores "ii"."""
+    failures = [("incidence", j) for j, e in enumerate(cfg.edges, 1)
+                if not frame.line(2 * j - 1).contains(e.p)
+                or not frame.line(2 * j).contains(e.q)]
+    if not failures:
+        failures = [(fail, j) for rule in (rule_i, rule_ii, rule_iii)
+                    for j in (1, 2, 3) if (fail := rule(frame, cfg, j))]
     return ConfigVerdict(not failures, tuple(failures))
 
 
@@ -452,12 +451,12 @@ _CONFIGS_PER_TRIPLE = 21
 def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
                        skip_properties: FrozenSet[str] = frozenset()
                        ) -> Optional[TripleEdgeConfig]:
-    """Hunt for a configuration satisfying all three configuration rules.
+    """Hunt for a configuration that ``validate_config`` accepts.
 
     The three even-line endpoints (t_1, t_2, t_3) are sampled stratified
     around each apex; given them, the remaining freedom of each edge is its
-    odd-line abscissa u_j, and rules (i) and (iii) cut the feasible u_j out
-    by sign conditions that change only at a handful of rational
+    odd-line abscissa u_j, and ``rule_i`` and ``rule_iii`` cut the feasible
+    u_j out by sign conditions that change only at a handful of rational
     breakpoints.  The screen therefore tests one u per breakpoint cell
     instead of sampling u blindly, with local refinement of near-feasible
     triples; every screen survivor is re-checked exactly.  Returns the
@@ -465,7 +464,7 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
     order, or None once the sample budget is exhausted.
 
     ``skip_properties`` is empty, or ``{"ii"}`` for the control search,
-    which drops the float screen of rule (ii) and ignores exact rule-(ii)
+    which drops the float screen of ``rule_ii`` and ignores its exact
     failures; any other set raises ValueError.
     """
     if samples < 1:
@@ -524,7 +523,7 @@ class _FrameFloats:
         self.hull_edges = [tuple(map(float, s)) for s in frame.hull_halfplanes]
 
     def clearly_meets_hull(self, u, t) -> np.ndarray:
-        """Float pre-screen of rule (ii) on the (3, m) columns u, t of a
+        """Float pre-screen of ``rule_ii`` on the (3, m) columns u, t of a
         batch: True where some edge cuts well into the hull of the 15
         crossings, so the exact check cannot pass.  Borderline columns are
         False and go to the exact check."""
@@ -569,8 +568,8 @@ class _FrameFloats:
 
     # -- per-edge feasible-u solving ---------------------------------------
     def solve_u(self, t: np.ndarray):
-        """For each sampled triple, pick a u_j satisfying rules (i) and
-        (iii) for each edge where one exists.  Returns the chosen u values
+        """For each sampled triple, pick a u_j that ``_solve_edge`` finds
+        for each edge where one exists.  Returns the chosen u values
         (3, n), meaningful only where that edge is feasible, and the
         per-triple count of satisfiable edges."""
         n = t.shape[1]
@@ -583,16 +582,17 @@ class _FrameFloats:
         return u_out, feas_edges
 
     def _solve_edge(self, j: int, t: np.ndarray):
-        """Edge j's first candidate u per triple that meets both rules (i)
-        and (iii), and whether it has one; rule (ii), which the control
-        search ignores, is left to the caller.
+        """Edge j's first candidate u per triple at which ``rule_i`` holds
+        on edge j and ``rule_iii`` on edge _PREV[j], and whether it has
+        one; ``rule_ii``, which the control search ignores, is left to the
+        caller.
 
-        Beyond the apex, rules (i) and (iii) change verdict only at four
+        Beyond the apex, the two rules change verdict only at four
         breakpoints, the roots of c1*u + c0 and d1*u + d0 and the u where
         the crossing abscissa meets tprev or has its pole, so one candidate
         per cell between them decides the edge.  The five candidates of
-        every triple are built in one (5, n) buffer, and rules (i) and
-        (iii) work in three more, with in-place ufuncs.  Every element goes
+        every triple are built in one (5, n) buffer, and the two rules
+        work in three more, with in-place ufuncs.  Every element goes
         through the same float64 operations, up to exact rewrites such as
         -x/y == -(x/y) and products with factors of +-1 or 0, as in the
         plain array expressions of the seven-candidate reference in

@@ -158,7 +158,11 @@ def criterion_5_chains():
 def random_frame(rng: np.random.Generator, cup: bool):
     """Criterion 6's random six-line frame: angle gaps that each exceed the
     total of the earlier ones by 5 to 35 %, spanning less than 88 degrees,
-    tangent to a parabola; redrawn until validate_frame accepts it."""
+    tangent to a parabola; redrawn until validate_frame accepts it.
+
+    Every frame drawn has growing gaps, which is the doubling inequality
+    of Variant.LOWER, so validate_frame returns Variant.LOWER for all of
+    them: no frame whose gaps shrink (Variant.UPPER) is ever drawn."""
     while True:
         gaps = [float(rng.uniform(0.5, 1.5))]
         total = gaps[0]

@@ -326,7 +326,12 @@ def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
     """(ok, detail): no search of ``samples`` samples finds a configuration
     on ``frames`` random frames with each of ``seeds`` seeds, and the
     control with rule (ii) skipped finds one on a cup frame that passes
-    the other rules."""
+    the other rules.
+
+    Every frame that ``random_frame`` draws has growing gaps, so
+    validate_frame returns Variant.LOWER for all of them: the criterion
+    searches caps and cups of that variant only, never a frame whose gaps
+    shrink (Variant.UPPER)."""
     rng = np.random.default_rng(106)
     drawn = [random_frame(rng, cup=(k % 2 == 0)) for k in range(frames)]
     for fi, frame in enumerate(drawn):

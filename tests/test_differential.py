@@ -25,12 +25,8 @@ def test_differential_records_and_compares(tmp_path):
     families = same.stdout.splitlines()
     assert len(families) == 24
     assert all(line.endswith(" records, identical") for line in families)
-    assert not any(line.startswith(f"{f}: 0 ") for line in families
-                   for f in ("general_position", "crossings", "clip",
-                             "comb_type", "frame", "screen", "cap_cup",
-                             "monotone", "doubling", "gaps", "pair_chains",
-                             "solve", "check", "scan", "cli", "segments",
-                             "coloring", "lemma", "solve_u"))
+    # every family records something even at the smallest size
+    assert not [line for line in families if ": 0 records" in line]
 
     changed = tmp_path / "changed"
     shutil.copytree(a, changed)

@@ -174,6 +174,23 @@ def test_cross_products_are_written_only_in_geometry_cross():
     assert not found, found
 
 
+def test_each_configuration_rule_has_one_home():
+    # each exact predicate of a configuration rule is read only by the
+    # function that decides that rule on one edge, so the rule is written
+    # once and validate_config only loops over the rule functions
+    homes = {"orientation": "rule_i", "clip_to_halfplanes": "rule_ii",
+             "cross": "rule_iii"}
+    tree = ast.parse((SRC / "unstretch.py").read_text())
+    found = []
+    for name, home in homes.items():
+        allowed = _functions_named(tree, {home})
+        found += [f"unstretch.py:{node.lineno} {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == name
+                  and id(node) not in allowed]
+    assert not found, found
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer patches each name in LAYERS with getattr, so a
     # renamed or deleted function would crash a traced run

@@ -183,10 +183,12 @@ def test_validate_config_hull_rule(cup_frame):
 
 
 def test_validate_config_lists_every_failing_rule(cup_frame):
-    # the wide configuration fails rules (i), (ii) and (iii) at once, and
-    # the verdict names each of them
+    # the wide configuration fails rules (i), (ii) and (iii) at once; the
+    # verdict names each failing (rule, edge), rule by rule and then edge
+    # by edge
     verdict = validate_config(cup_frame, wide_config(cup_frame))
-    assert {rule for rule, _ in verdict.failures} == {"i", "ii", "iii"}
+    assert verdict.failures == (("i", 1), ("i", 3), ("ii", 1), ("ii", 2),
+                                ("iii", 1), ("iii", 2), ("iii", 3))
 
 
 def test_validate_config_reports_an_endpoint_off_its_line_alone(cup_frame):
