@@ -25,18 +25,16 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """The argparse type of an int >= lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    # argparse names the type in "invalid int value: 'x'" by its __name__
+    parse.__name__ = "int"
+    return parse
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -66,8 +64,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("instance")
     search.add_argument("--refine", type=int, default=4)
-    search.add_argument("--budget", type=_non_negative_int, default=1000)
-    search.add_argument("--seed", type=_non_negative_int, default=seed)
+    search.add_argument("--budget", type=_int_at_least(0), default=1000)
+    search.add_argument("--seed", type=_int_at_least(0), default=seed)
 
     sub.add_parser("solve", parents=[search],
                    help="search for a crossing-free embedding")
@@ -81,8 +79,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("unstretch",
                        help="frame validation plus configuration search")
     p.add_argument("lines", metavar="lines6")
-    p.add_argument("--samples", type=_positive_int, default=10**6)
-    p.add_argument("--seed", type=_non_negative_int, default=seed)
+    p.add_argument("--samples", type=_int_at_least(1), default=10**6)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
 
     p = sub.add_parser("regions", help="region partition hulls")
     p.add_argument("lines")
@@ -199,13 +197,7 @@ def _dispatch(args) -> int:
             scene.hulls.append(h)
             kind = "bounded" if h.bounded else "unbounded"
             print(f"R_{{{r.a},{r.b}}}: {h.side_count} sides, {kind}")
-        if args.svg_out:
-            with open(args.svg_out, "wb") as fh:
-                fh.write(svg.render_svg(scene))
-            print(f"wrote {args.svg_out}")
-        return 0
-
-    if cmd == "render":
+    elif cmd == "render":
         # only the embedding's vertices read the assignment
         ls, tree, asg = io_formats.parse_instance(
             _read(args.instance), require_assign=args.embedding is not None)
@@ -216,12 +208,14 @@ def _dispatch(args) -> int:
             scene.vertices = [(pts[v], str(v)) for v in range(tree.n)]
             scene.segments = [Segment(pts[u], pts[v])
                               for u, v in tree.edges if pts[u] != pts[v]]
+    else:
+        raise AssertionError(f"unhandled command {cmd}")
+    # regions and render draw their scene; render requires --svg
+    if args.svg_out:
         with open(args.svg_out, "wb") as fh:
             fh.write(svg.render_svg(scene))
         print(f"wrote {args.svg_out}")
-        return 0
-
-    raise AssertionError(f"unhandled command {cmd}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 configuration rules, the sine chain of forced lengths, and a randomized
 feasibility oracle that hunts for counterexample configurations.
 
-Configuration checks are exact (rational).  The sine chain is decided by
-a float64 interval enclosure wherever the enclosure certifies the verdict
-of the high-precision path, and by that path, at DPS digits with an
-explicit guard band on its one final comparison, everywhere else.
+Configuration checks are exact (rational).  The sine chain is decided in
+float64 wherever an a-priori error bound certifies the verdict of the
+high-precision path, and by that path, at DPS digits with an explicit
+guard band on its one final comparison, everywhere else.
 """
 
 from __future__ import annotations
@@ -228,11 +228,10 @@ def chain_from_parameters(alpha_tail: Sequence, a3, r) -> ChainValues:
         return ChainValues(alpha, a, b, r)
 
 
-def _forced_lengths(s: Sequence[mpmath.mpf], a3: mpmath.mpf,
-                    r: Sequence[mpmath.mpf]):
+def _forced_lengths(s: Sequence, a3, r: Sequence):
     """The lengths (a1, a2, a3) and (b1, b2, b3) the sines s of alpha_1 ..
     alpha_6 force from the free length a3 and r_1, r_2, at the caller's
-    precision."""
+    precision: DPS digits for mpf values, float64 for floats."""
     b3 = s[5] / s[4] * a3
     a2 = b3 - r[1]
     b2 = s[3] / s[2] * a2
@@ -291,10 +290,10 @@ def lemma24_check(cv: ChainValues) -> Lemma24Result:
     condition b1 - r3 > a3 could hold.  CONTRADICTION means it cannot, which
     the lemma guarantees whenever the sine ordering hypothesis holds.
 
-    A float64 interval enclosure decides first (``_float_verdict``): it
-    answers only when its answer is certain to be the one of the DPS-digit
-    path, and hands every other chain, every INDETERMINATE one among them,
-    to that path (``_guarded_verdict``)."""
+    The chain in float64 decides first (``_float_verdict``): it answers
+    only when its error bound makes its answer certain to be the one of
+    the DPS-digit path, and hands every other chain, every INDETERMINATE
+    one among them, to that path (``_guarded_verdict``)."""
     verdict = _float_verdict(cv)
     return verdict if verdict is not None else _guarded_verdict(cv)
 
@@ -318,28 +317,42 @@ def _guarded_verdict(cv: ChainValues) -> Lemma24Result:
                 else Lemma24Result.CONTRADICTION)
 
 
-# -- the float64 enclosure of the chain
+# -- the float64 decision of the chain
 #
-# Every interval below is rounded outward: an operation's round-to-nearest
-# result is moved one float further out, which passes the exact result
-# (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 2-3).
-# The sine intervals hold both the exact sines and the DPS-digit ones, and
-# the interval of b1 - r3, widened by the DPS-digit path's own rounding
-# error, holds the value that path computes; so a comparison that the
-# intervals decide is decided the same way by that path.
-
-# math.sin is assumed accurate to _SIN_ULPS units in the last place of its
-# own result (glibc's sin is within 1); tests/test_unstretch.py checks the
-# assumption against mpmath.sin at DPS digits.  One further unit holds the
-# DPS-digit sine, whose error is below 2**-190 relative.
+# _float_verdict runs _forced_lengths on float64 sines and inputs and
+# answers only where its margin clears _FLOAT_GUARD by more than an
+# a-priori bound on its distance from the DPS-digit margin (a running
+# error bound, Higham, "Accuracy and Stability of Numerical Algorithms",
+# ch. 3).  Below, u = 2**-53 is the rounding unit, s_k the DPS-digit sines
+# and R_j = s[2j - 1] / s[2j - 2].
+# - math.sin is assumed within _SIN_ULPS units in the last place of its
+#   result (glibc's is within 1), which tests/test_unstretch.py checks
+#   against mpmath.sin.  So the float sine m_k of float(alpha_k) is within
+#   e_k = (_SIN_ULPS + 2) max(ulp(m_k), ulp(float(alpha_k))) of s_k: one
+#   ulp carries float(alpha_k)'s distance from alpha_k (|sin'| <= 1), one
+#   holds the DPS-digit sine, within 2**-190 of the sine, relative.
+# - Pairs of m_k that differ by more than 2 (e_a + e_b), the 2 covering
+#   the test's own rounding, order as their s_k do.  Under the ordering,
+#   R1, R1 R2 and R1 R2 R3 are at most 1.
+# - With every m_k normal and rho = max e_k / m_k <= 2**-20, each float
+#   ratio is normal and within 2.03 rho + 1.01 u of its R_j, relative.
+# - b1 = R1 R2 R3 a3 - R1 R2 r2 - R1 r1.  Each term carries at most three
+#   ratios, its input's conversion and three products; the roundings of a2, a1
+#   and b1 - r3 and r3's conversion each move b1 - r3 by less than u P, where
+#   P = R1 R2 R3 |a3| + R1 R2 |r2| + R1 |r1| + |r3|.  So the float b1 - r3 is
+#   within (6.1 rho + 11 u) P of the exact recurrence on the s_k, and the
+#   DPS-digit one, rounded to 203 bits per operation, within 10 * 2**-203 P.
+# - diff = b1 - r3 - a3 adds a3's conversion and one rounding, so it is
+#   within E = (8 rho + 2**-48) P + 2**-50 (|a3| + |diff| + 1) of the
+#   DPS-digit diff.  Dividing by scale = max(|b1 - r3|, |a3|, 1) >= 1,
+#   itself within E, with |diff| <= 2 scale, puts the margin within E +
+#   2 E + 2 u of the DPS-digit one; the bound 4 E also covers the float
+#   evaluation of P and of the bound, each within a factor 1 + 2**-17.
+# - No ratio underflows, and a subtraction whose result does is exact; any
+#   other underflow is off by at most 2**-1074, which the products of
+#   ratios above do not enlarge, and the 2**-50 in E covers it.  An overflow
+#   makes an inf or a nan, so bound + margin is not finite: refused.
 _SIN_ULPS = 4
-
-# mpmath rounds each +, -, * and / to the 203 bits of DPS = 60 digits, so
-# the DPS-digit b1 - r3 lies within 10 * 2**-203 * P of the exact recurrence
-# on its sines, P = R1 R2 R3 |a3| + R1 R2 |r2| + R1 |r1| + |r3| with the
-# sine ratios R_j > 0 (a running error bound, Higham ch. 3); 2**-150 leaves
-# room for the float evaluation of P.
-_CHAIN_SLACK = 2.0 ** -150
 
 # the DPS-digit margin is within 2**-200 of the exact margin of its own b1
 # - r3 (two roundings of a value of modulus at most 2), and its guard
@@ -348,91 +361,41 @@ _CHAIN_SLACK = 2.0 ** -150
 _FLOAT_GUARD = float(GUARD_BAND) + 2.0 ** -60
 
 
-# _step(x, _NEG) and _step(x, _POS): the float next below and above x
-_step = math.nextafter
-_NEG, _POS = -math.inf, math.inf
-
-
-def _around(v: float) -> Tuple[float, float]:
-    """Bounds on a number whose float is v: a float conversion is one of
-    the two floats around its number, so within ulp(v) of it, and v -+
-    ulp(v) are floats."""
-    e = math.ulp(v)
-    return v - e, v + e
-
-
-def _sub(a: Tuple[float, float], b: Tuple[float, float]):
-    return _step(a[0] - b[1], _NEG), _step(a[1] - b[0], _POS)
-
-
-def _ratio(num: Tuple[float, float], den: Tuple[float, float]):
-    """num / den for intervals of positive numbers."""
-    return _step(num[0] / den[1], _NEG), _step(num[1] / den[0], _POS)
-
-
-def _times(r: Tuple[float, float], x: Tuple[float, float]):
-    """r * x for an interval r of positive numbers."""
-    return (_step(min(r[0] * x[0], r[1] * x[0]), _NEG),
-            _step(max(r[0] * x[1], r[1] * x[1]), _POS))
-
-
-def _magnitude(x: Tuple[float, float]) -> Tuple[float, float]:
-    """The interval of |v| for v in x."""
-    if x[0] >= 0:
-        return x
-    if x[1] <= 0:
-        return -x[1], -x[0]
-    return 0.0, max(-x[0], x[1])
-
-
 def _float_verdict(cv: ChainValues) -> Optional[Lemma24Result]:
-    """lemma24_check's verdict from float64 intervals around the chain, or
-    None where they cannot certify the DPS-digit verdict: a sine comparison
-    or a margin within the intervals' width of a decision, every
-    INDETERMINATE verdict, and inputs that are not finite floats or whose
-    sines are not positive.  Raises HypothesisFail, as the DPS-digit path
-    does, when the intervals certify that the sine ordering fails."""
+    """lemma24_check's verdict from the chain in float64, or None where the
+    bound above cannot certify the DPS-digit verdict: a sine comparison or
+    a margin within it of a decision, every INDETERMINATE verdict, inputs
+    that are not finite, sines too small for their error, and overflow.
+    Raises HypothesisFail, as the DPS-digit path does, when the sine
+    ordering certainly fails."""
     x = [float(v) for v in (*cv.alpha, cv.a[2], *cv.r)]
     if not all(map(math.isfinite, x)):
         return None
-    a3, r1, r2, r3 = map(_around, x[6:])
-    lo, hi = [], []
-    for f in x[:6]:
-        m = math.sin(f)
-        # |sin'| <= 1 carries alpha's distance from f, at most ulp(f), over
-        # to the sine; the exact product is a float
-        err = (_SIN_ULPS + 2) * max(math.ulp(m), math.ulp(f))
-        lo.append(_step(m - err, _NEG))
-        hi.append(_step(m + err, _POS))
-    # where the intervals of every pair _sine_ordering compares are apart,
-    # it decides on the interval bounds as on the sines
-    if any(lo[a] <= hi[b] and lo[b] <= hi[a] for a, b in _COMPARED_SINES):
+    m = [math.sin(f) for f in x[:6]]
+    e = [(_SIN_ULPS + 2) * max(math.ulp(v), math.ulp(f))
+         for v, f in zip(m, x)]
+    if any(abs(m[a] - m[b]) <= 2 * (e[a] + e[b]) for a, b in _COMPARED_SINES):
         return None
-    if not _sine_ordering(lo):
+    if not _sine_ordering(m):
         raise HypothesisFail(_NO_ORDERING)
-    if min(lo) <= 0:
+    # 2**-1022 is the smallest normal float
+    if min(m) < 2.0 ** -1022:
         return None
-    s = list(zip(lo, hi))
-    rat1, rat2, rat3 = (_ratio(s[k], s[k - 1]) for k in (1, 3, 5))
-    b2 = _times(rat2, _sub(_times(rat3, a3), r2))
-    lhs = _sub(_times(rat1, _sub(b2, r1)), r3)
-    # widened by the DPS-digit path's own rounding, bounded by the
-    # magnitudes of the recurrence's terms
-    terms = max(-a3[0], a3[1]) * rat3[1] + max(-r2[0], r2[1])
-    terms = terms * rat2[1] + max(-r1[0], r1[1])
-    terms = terms * rat1[1] + max(-r3[0], r3[1])
-    slack = _step(_CHAIN_SLACK * terms, _POS)
-    lhs = _step(lhs[0] - slack, _NEG), _step(lhs[1] + slack, _POS)
-    if not (math.isfinite(lhs[0]) and math.isfinite(lhs[1])):
+    rho = max(ek / mk for ek, mk in zip(e, m))
+    if rho > 2.0 ** -20:
         return None
-    diff = _sub(lhs, a3)
-    mag_lhs, mag_a3 = _magnitude(lhs), _magnitude(a3)
-    scale = max(mag_lhs[0], mag_a3[0], 1.0), max(mag_lhs[1], mag_a3[1], 1.0)
-    margin_lo = _step(diff[0] / (scale[0] if diff[0] < 0 else scale[1]), _NEG)
-    margin_hi = _step(diff[1] / (scale[1] if diff[1] < 0 else scale[0]), _POS)
-    if margin_lo > _FLOAT_GUARD:
+    a3, r = x[6], x[7:]
+    lhs = _forced_lengths(m, a3, r)[1][0] - r[2]
+    diff = lhs - a3
+    margin = diff / max(abs(lhs), abs(a3), 1.0)
+    p = _forced_lengths(m, abs(a3), [-abs(v) for v in r])[1][0] + abs(r[2])
+    bound = 4 * ((8 * rho + 2.0 ** -48) * p
+                 + 2.0 ** -50 * (abs(a3) + abs(diff) + 1))
+    if not math.isfinite(bound + margin):
+        return None
+    if margin > _FLOAT_GUARD + bound:
         return Lemma24Result.CONSISTENT
-    if margin_hi < -_FLOAT_GUARD:
+    if margin < -_FLOAT_GUARD - bound:
         return Lemma24Result.CONTRADICTION
     return None
 

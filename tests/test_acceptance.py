@@ -306,8 +306,8 @@ def test_criterion_5_chain_contradiction():
 
 
 def test_criterion_5_fails_when_r3_is_added_to_b1(monkeypatch):
-    # the float enclosure decides nearly every chain, so the mutant acts
-    # there: it sees -r3, which turns b1 - r3 into b1 + r3
+    # the float path decides nearly every chain, so the mutant acts there:
+    # it sees -r3, which turns b1 - r3 into b1 + r3
     real = unstretch._float_verdict
 
     def mutant(cv):

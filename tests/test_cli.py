@@ -301,6 +301,24 @@ def test_cli_negative_budget(files, capsys):
         assert not captured.out
 
 
+@pytest.mark.parametrize("argv, env, option, text", [
+    (["unstretch", "cup6.txt", "--samples", "abc"], "0", "--samples", "abc"),
+    (["solve", "inst3.txt", "--budget", "x"], "0", "--budget", "x"),
+    (["scan", "inst3.txt", "--seed", "x"], "0", "--seed", "x"),
+    (["unstretch", "cup6.txt"], "junk", "--seed", "junk"),
+])
+def test_cli_malformed_ints(files, capsys, monkeypatch, argv, env, option,
+                            text):
+    # the message names the int type, as for --refine and --c
+    monkeypatch.setenv("TREELINES_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(files / argv[1]), *argv[2:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}: invalid int value: '{text}'" in captured.err
+    assert not captured.out
+
+
 def test_cli_unstretch(files, capsys):
     assert main(["unstretch", str(files / "cup6.txt"),
                  "--samples", "50000", "--seed", "0"]) == 0

@@ -191,6 +191,20 @@ def test_each_configuration_rule_has_one_home():
     assert not found, found
 
 
+def test_the_chain_recurrence_has_one_home():
+    # in unstretch.py a quotient of two subscripted values is a sine ratio
+    # of the forced-length chain: written outside _forced_lengths, it is
+    # the chain's recurrence written again
+    tree = ast.parse((SRC / "unstretch.py").read_text())
+    allowed = _functions_named(tree, {"_forced_lengths"})
+    found = [f"unstretch.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+             and isinstance(node.left, ast.Subscript)
+             and isinstance(node.right, ast.Subscript)
+             and id(node) not in allowed]
+    assert not found, found
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer patches each name in LAYERS with getattr, so a
     # renamed or deleted function would crash a traced run

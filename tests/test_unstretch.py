@@ -403,12 +403,20 @@ def fallback_spy(monkeypatch):
     return seen
 
 
+def outcome(check, cv):
+    """check(cv), or the text of the HypothesisFail it raises."""
+    try:
+        return check(cv)
+    except HypothesisFail as exc:
+        return str(exc)
+
+
 GUARD = float(unstretch.GUARD_BAND)
 NEAR_GUARD_TAIL = ["0.3", "0.25", "0.2", "0.15", "0.1"]
 
 
-# the float enclosure of this chain's margin is a few 1e-15 wide: 1e-16
-# from the guard is inside it, 1e-12 is not
+# _float_verdict's error bound on this chain's margin is about 3.6e-13:
+# 1e-16 from the guard is within it, 1e-12 is not
 @pytest.mark.parametrize("margin, verdict", [
     (GUARD + 1e-16, Lemma24Result.CONSISTENT),
     (GUARD - 1e-16, Lemma24Result.INDETERMINATE),
@@ -445,6 +453,24 @@ def test_clear_chains_are_decided_in_float(fallback_spy):
     assert fallback_spy == []
 
 
+@pytest.mark.parametrize("cv", [
+    # a3 is finite at DPS digits but not as a float
+    chain_from_parameters(NEAR_GUARD_TAIL, "1e400", [1, 1, 1]),
+    # alpha_1 lies within 1e-10 of pi, where its sine is about 1e-10 and
+    # the float sine's error, a few ulps of pi, is too large a share of it
+    chain_from_parameters(["3e-11", "2.5e-11", "1.5e-11", "1e-11", "5e-12"],
+                          1, [1, 1, 1]),
+    # b3 = sin(alpha_6) / sin(alpha_5) * a3 overflows in float64
+    chain_from_parameters(["0.1", "0.2", "0.3", "0.4", "0.5"], "1.7e308",
+                          [1, 1, 1]),
+])
+def test_chains_the_float_path_refuses_go_to_the_fallback(fallback_spy, cv):
+    assert unstretch._float_verdict(cv) is None
+    got = outcome(lemma24_check, cv)
+    assert fallback_spy == [cv]
+    assert got == outcome(unstretch._guarded_verdict, cv)
+
+
 @settings(max_examples=300, database=None, deadline=None, derandomize=True)
 @given(tail=st.lists(st.floats(0.01, 0.7), min_size=5, max_size=5,
                      unique=True),
@@ -464,23 +490,16 @@ def test_float_verdicts_agree_with_the_guarded_path(tail, order, a3, r,
     tail = [repr(x) for x in tail]
     cv = (chain_from_parameters(tail, a3, r) if near is None else
           chain_with_margin(tail, a3, r[:2], near[0] + near[1]))
-
-    def verdict(check):
-        try:
-            return check(cv)
-        except HypothesisFail as exc:
-            return str(exc)
-
-    fast = verdict(unstretch._float_verdict)
+    fast = outcome(unstretch._float_verdict, cv)
     if fast is not None:
         assert fast != Lemma24Result.INDETERMINATE
-        assert fast == verdict(unstretch._guarded_verdict)
+        assert fast == outcome(unstretch._guarded_verdict, cv)
 
 
 def test_math_sin_is_within_the_assumed_ulps():
-    # the float enclosure assumes math.sin within _SIN_ULPS units in the
-    # last place of its result, over [0, pi], and the DPS-digit sine within
-    # 2**-190 of the sine, relative
+    # _float_verdict's error bound assumes math.sin within _SIN_ULPS units
+    # in the last place of its result, over [0, pi], and the DPS-digit sine
+    # within 2**-190 of the sine, relative
     rng = np.random.default_rng(21)
     near_pi = math.pi - 10.0 ** rng.uniform(-16, -1, 2000)
     xs = np.concatenate([rng.uniform(0.0, math.pi, 6000),
