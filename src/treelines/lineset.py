@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .geometry import (
     Line,
@@ -222,8 +222,9 @@ def candidate_positions(ls: LineSet, line_id: int,
 
 def classify_cap_cup(ls: LineSet) -> CapCup:
     """Cup iff the crossings of consecutive lines run left to right,
-    x_12 < x_23 < ... < x_{n-1,n}, where x_ij is the abscissa of
-    ``ls.intersection(i, j)``; cap iff they run right to left.
+    x_12 < x_23 < ... < x_{n-1,n}, where x_ij is the abscissa of the
+    crossing of lines i and j (:func:`_abscissa`); cap iff they run right
+    to left.
 
     x_ij = (b_j - b_i)/(s_j - s_i) is the slope between the dual points
     (s_i, b_i) and (s_j, b_j), and the dual chain is sorted by slope.  So
@@ -237,7 +238,8 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     n = len(ls)
     if n < 3:
         raise TooFew("cap/cup needs at least 3 lines")
-    xs = [ls.intersection(i, i + 1).x for i in range(1, n)]
+    hs = [l.homogeneous for l in ls.lines]
+    xs = [Fraction(*_abscissa(g, h)) for g, h in zip(hs, hs[1:])]
     if all(a < b for a, b in zip(xs, xs[1:])):
         return CapCup.CUP
     if all(a > b for a, b in zip(xs, xs[1:])):
@@ -245,18 +247,38 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     return CapCup.NEITHER
 
 
-# a label's chain table: pair (j, k) -> (m, i), the length m of the longest
-# chain ending with j, k and its smallest predecessor i among the longest,
-# for the pairs that some triple extends
-ChainTable = Dict[Tuple[int, int], Tuple[int, int]]
+def _abscissa(g: Tuple[int, int, int], h: Tuple[int, int, int]) -> Ratio:
+    """The abscissa X/W of the crossing of two non-parallel lines, given
+    as their triples ``Line.homogeneous``: the meet ``cross(g, h)`` with
+    its sign normalised so that W > 0, unreduced."""
+    X, _, W = cross(g, h)
+    return Ratio(X, W) if W > 0 else Ratio(-X, -W)
+
+
+class ChainTable(NamedTuple):
+    """A label's chain table, flat over the pair codes c = j*base + k,
+    where ``base`` is the largest vertex + 1: ``length[c]`` is the length
+    of the longest chain ending with j, k, or 0 when no triple extends the
+    pair, and ``pred[c]`` its smallest predecessor among the longest.
+    Whether a pair has an entry reads from ``length`` alone, since vertex
+    0 is a predecessor like any other.  Each list has base**2 entries,
+    however few the vertices."""
+
+    base: int
+    length: List[int]
+    pred: List[int]
 
 
 def chain_ending(table: ChainTable, j: int, k: int) -> List[int]:
     """The chain of ``table`` that ends with j, k, followed back through
     the predecessors."""
+    base, length, pred = table
     seq = [k, j]
-    while (seq[-1], seq[-2]) in table:
-        seq.append(table[seq[-1], seq[-2]][1])
+    c = j * base + k
+    while length[c]:
+        i = pred[c]
+        c = i * base + seq[-1]
+        seq.append(i)
     seq.reverse()
     return seq
 
@@ -293,19 +315,22 @@ def ranked_chains(vertices: Sequence[int],
     with equal keys keep the order of their larger vertex.
 
     Each label is one sweep over the sorted pairs in which pair (j, k)
-    reads best[j], the maximal (length, -i) over the pairs (i, j) swept so
-    far, and offers its own to best[k].  Ascending, those (i, j) are the
+    reads the best chain ending at j, the longest over the pairs (i, j)
+    swept so far with the smallest i among the longest, and offers its
+    own chain as k's.  Ascending, those (i, j) are the
     ones with key(i, j) <= key(j, k), ties included as they end at j < k:
     the ``upper`` predecessors; along the reversed list, the ``lower``
     ones, key(i, j) > key(j, k).  So one sort and O(n^2) steps give the
     tables of the O(n^3) programme of Chvatal and Klincsek (1980): each
     pair's longest chain of either label and, among those, its smallest
-    predecessor.  A label with no chain of three gets no table.
+    predecessor, as a :class:`ChainTable` over the pair codes.  A label
+    with no chain of three gets no table.
     """
-    pairs = [(i, j) for b, j in enumerate(vertices) for i in vertices[:b]]
-    keys = [key(i, j) for i, j in pairs]
+    lo = [i for b, j in enumerate(vertices) for i in vertices[:b]]
+    hi = [j for b, j in enumerate(vertices) for _ in range(b)]
+    keys = [key(i, j) for i, j in zip(lo, hi)]
     rank = [_rank_key(k) for k in keys]
-    order = sorted(range(len(pairs)), key=rank.__getitem__)
+    order = sorted(range(len(keys)), key=rank.__getitem__)
     if len(set(rank)) < len(rank):
         # some pairs share a float: order each such run exactly
         exact = []
@@ -316,39 +341,48 @@ def ranked_chains(vertices: Sequence[int],
                                                 keys[x].denominator))
             exact += run
         order = exact
-    pairs = [pairs[x] for x in order]
+    lo = [lo[x] for x in order]
+    hi = [hi[x] for x in order]
+    base = max(vertices, default=-1) + 1
     tables: Dict[Hashable, ChainTable] = {}
-    for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
-        table: ChainTable = {}
-        best: Dict[int, Tuple[int, int]] = {}
+    for lab, sweep in ((upper, zip(lo, hi)),
+                       (lower, zip(reversed(lo), reversed(hi)))):
+        length, pred = [0] * base ** 2, [0] * base ** 2
+        # the longest chain ending at each vertex so far and its smallest
+        # predecessor; a vertex alone is a chain of length 1
+        best_length, best_pred = [1] * base, [0] * base
         for j, k in sweep:
-            # no pair (i, j) swept yet: j alone, a chain of length 1
-            m, i = best.get(j, (1, None))
-            if i is not None:
-                table[j, k] = m + 1, -i
-            if (m + 1, -j) > best.get(k, (0, 0)):
-                best[k] = m + 1, -j
-        if table:
-            tables[lab] = table
+            m = best_length[j] + 1
+            if m > 2:
+                c = j * base + k
+                length[c], pred[c] = m, best_pred[j]
+            if m > best_length[k] or m == best_length[k] and j < best_pred[k]:
+                best_length[k], best_pred[k] = m, j
+        if any(length):
+            tables[lab] = ChainTable(base, length, pred)
     return tables
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     """Largest subset forming a cap or cup: the longest chain of ids whose
-    consecutive crossings x_ij, x_jk (the abscissas of
-    ``ls.intersection``) strictly decrease, for a cap, or increase, for a
+    consecutive crossings x_ij, x_jk (the exact abscissas of
+    :func:`_abscissa`) strictly decrease, for a cap, or increase, for a
     cup (see :func:`classify_cap_cup`).  Ties go to the cap, then to the
     smallest final pair of ids."""
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
+    hs = [l.homogeneous for l in ls.lines]
     tables = ranked_chains(range(1, n + 1),
-                           lambda i, j: ls.intersection(i, j).x, -1, +1)
-    # the longest chain of either label, the cap label -1 first on ties
-    top, lab = min((-max(t.values())[0], lab) for lab, t in tables.items())
-    j, k = min(jk for jk, (m, _) in tables[lab].items() if m == -top)
+                           lambda i, j: _abscissa(hs[i - 1], hs[j - 1]),
+                           -1, +1)
+    # the longest chain of either label, the cap label -1 first on ties,
+    # ending with its smallest pair: pair codes run in (j, k) order
+    top, lab = min((-max(t.length), lab) for lab, t in tables.items())
+    table = tables[lab]
+    j, k = divmod(table.length.index(-top), table.base)
     kind = CapCup.CAP if lab == -1 else CapCup.CUP
-    sub = ls.subset(chain_ending(tables[lab], j, k))
+    sub = ls.subset(chain_ending(table, j, k))
     if classify_cap_cup(sub) != kind:
         raise PostconditionError(f"extracted {kind.value} fails the "
                                  f"cap/cup check")

@@ -88,18 +88,22 @@ def mono_path_bound(n: int) -> int:
 def labelled_chains(vertices: Sequence[int],
                     label: Callable[[int, int, int], Hashable]
                     ) -> Dict[Hashable, ChainTable]:
-    """The chain tables of an arbitrary labelling of the triples, as
-    ``lineset.ranked_chains`` returns them, by the O(n^3) dynamic program
-    of Chvatal and Klincsek (1980), which labels each triple i < j < k
-    once."""
-    tables: Dict[Hashable, ChainTable] = defaultdict(dict)
+    """The chain tables of an arbitrary labelling of the triples, in the
+    flat layout of ``lineset.ranked_chains`` and equal to its tables, by
+    the O(n^3) dynamic program of Chvatal and Klincsek (1980), which
+    labels each triple i < j < k once."""
+    base = max(vertices, default=-1) + 1
+    tables: Dict[Hashable, ChainTable] = defaultdict(
+        lambda: ChainTable(base, [0] * base ** 2, [0] * base ** 2))
     for b, j in enumerate(vertices):
         for k in vertices[b + 1:]:
+            c = j * base + k
             for i in vertices[:b]:
                 table = tables[label(i, j, k)]
-                m = table.get((i, j), (2,))[0] + 1
-                if m > table.get((j, k), (2,))[0]:
-                    table[j, k] = m, i
+                # a pair (i, j) with no entry is a chain of two
+                m = max(table.length[i * base + j], 2) + 1
+                if m > table.length[c]:
+                    table.length[c], table.pred[c] = m, i
     return dict(tables)
 
 
@@ -107,10 +111,10 @@ def _longest_path(tables: Dict[Color, ChainTable]) -> HyperPath:
     # ties broken toward the lexicographically smallest sequence; a
     # sequence of three or more vertices has one colour, so the sequences
     # of the two colours never tie
-    top = max(max(t.values())[0] for t in tables.values())
-    ends = {tuple(chain_ending(t, j, k)): color
+    top = max(max(t.length) for t in tables.values())
+    ends = {tuple(chain_ending(t, *divmod(c, t.base))): color
             for color, t in tables.items()
-            for (j, k), (m, _) in t.items() if m == top}
+            for c, m in enumerate(t.length) if m == top}
     seq = min(ends)
     return HyperPath(seq, ends[seq])
 

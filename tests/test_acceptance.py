@@ -7,6 +7,7 @@ whole suite is also part of the plain pytest run.
 import itertools
 import math
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from treelines.geometry import (
 )
 from treelines.lineset import (
     CapCup,
+    ChainTable,
     ColorClasses,
     all_region_indices,
     classify_cap_cup,
@@ -196,14 +198,18 @@ def test_criterion_3_hyperpath_dp():
 def _first_found_chains(vertices, label):
     """ramsey.labelled_chains keeping the first chain it finds for a pair,
     not the longest: its chains are valid, but not always the longest."""
-    tables = {}
+    base = max(vertices) + 1
+    tables = defaultdict(
+        lambda: ChainTable(base, [0] * base ** 2, [0] * base ** 2))
     for b, j in enumerate(vertices):
         for k in vertices[b + 1:]:
+            c = j * base + k
             for i in vertices[:b]:
-                table = tables.setdefault(label(i, j, k), {})
-                if (j, k) not in table:
-                    table[j, k] = table.get((i, j), (2,))[0] + 1, i
-    return tables
+                table = tables[label(i, j, k)]
+                if not table.length[c]:
+                    table.length[c] = max(table.length[i * base + j], 2) + 1
+                    table.pred[c] = i
+    return dict(tables)
 
 
 def test_criterion_3_fails_when_the_dp_keeps_the_first_chain(monkeypatch):
@@ -249,22 +255,24 @@ def test_criterion_4_chains():
 
 
 def _non_maximising_chains(vertices, key, lower, upper):
-    """lineset.ranked_chains with best[k] overwritten by the last pair
-    swept into k instead of maximised: its chains are valid, but not
-    always the longest."""
+    """lineset.ranked_chains with the best chain ending at k overwritten by
+    the last pair swept into k instead of maximised: its chains are valid,
+    but not always the longest."""
     pairs = sorted(((i, j) for b, j in enumerate(vertices)
                     for i in vertices[:b]),
                    key=lambda p: lineset._rank_key(key(*p)))
+    base = max(vertices) + 1
     tables = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
-        table, best = {}, {}
+        length, pred = [0] * base ** 2, [0] * base ** 2
+        best_length, best_pred = [1] * base, [0] * base
         for j, k in sweep:
-            m, i = best.get(j, (1, None))
-            if i is not None:
-                table[j, k] = m + 1, -i
-            best[k] = m + 1, -j
-        if table:
-            tables[lab] = table
+            m = best_length[j] + 1
+            if m > 2:
+                length[j * base + k], pred[j * base + k] = m, best_pred[j]
+            best_length[k], best_pred[k] = m, j
+        if any(length):
+            tables[lab] = ChainTable(base, length, pred)
     return tables
 
 

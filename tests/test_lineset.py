@@ -181,19 +181,38 @@ def test_classify_matches_the_row_walk(rng):
 
 def test_classify_reads_the_crossings_of_consecutive_lines(rng,
                                                            monkeypatch):
+    # each crossing is the meet of two line triples, read through cross
     read = []
-    intersection = LineSet.intersection
+    cross = lineset.cross
 
-    def counted(self, i, j):
-        read.append((i, j))
-        return intersection(self, i, j)
+    def counted(g, h):
+        read.append((g, h))
+        return cross(g, h)
 
-    monkeypatch.setattr(LineSet, "intersection", counted)
+    monkeypatch.setattr(lineset, "cross", counted)
     for n in (3, 12, 30):
         for ls in (random_lines(rng, n), random_cup(rng, n)):
             read.clear()
             classify_cap_cup(ls)
-            assert read == [(i, i + 1) for i in range(1, n)]
+            hs = [l.homogeneous for l in ls]
+            assert read == list(zip(hs, hs[1:]))
+
+
+def test_longest_cap_cup_caches_no_crossing_points(rng, monkeypatch):
+    # the DP keys each pair by its exact abscissa; it builds no Point, so
+    # the line set's crossing cache stays as it was
+    asked = []
+    intersection = LineSet.intersection
+
+    def spy(self, i, j):
+        asked.append(self)
+        return intersection(self, i, j)
+
+    monkeypatch.setattr(LineSet, "intersection", spy)
+    for n in (3, 12, 30):
+        for ls in (random_lines(rng, n), random_cup(rng, n)):
+            longest_cap_cup(ls)
+            assert ls not in asked
 
 
 def _brute_longest_cap_cup(ls):

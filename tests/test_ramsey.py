@@ -239,12 +239,54 @@ def _assert_gap_chains_match(ls):
                         Color.RED, Color.BLUE, tc.of)
 
 
-def _assert_cap_cup_chains_match(ls):
+def _cap_cup_labelling(ls):
+    """The cap/cup key of ls on vertices range(n), the slope between two
+    dual points, and the triple label it induces, their orientation."""
     duals = [dualize_line(l) for l in ls]
-    _assert_same_chains(
-        range(len(ls)),
-        lambda i, j: (duals[j].y - duals[i].y) / (duals[j].x - duals[i].x),
-        -1, +1, lambda i, j, k: orientation(duals[i], duals[j], duals[k]))
+    return (lambda i, j: (duals[j].y - duals[i].y) / (duals[j].x - duals[i].x),
+            lambda i, j, k: orientation(duals[i], duals[j], duals[k]))
+
+
+def _assert_cap_cup_chains_match(ls):
+    key, label = _cap_cup_labelling(ls)
+    _assert_same_chains(range(len(ls)), key, -1, +1, label)
+
+
+def _chain_ending_reading_pred(table, j, k):
+    """lineset.chain_ending taking pred[c] == 0 for "no entry", so a walk
+    back stops short of vertex 0."""
+    base, _, pred = table
+    seq = [k, j]
+    while pred[seq[-1] * base + seq[-2]]:
+        seq.append(pred[seq[-1] * base + seq[-2]])
+    seq.reverse()
+    return seq
+
+
+def _walks_back_to_vertex_0(rng, walk):
+    """Whether ``walk`` reads, from each cap/cup table on vertices
+    range(n) of random cups and caps, a longest chain that starts at
+    vertex 0 and whose triples all carry the table's label."""
+    for n in range(3, 16):
+        cup = random_cup(rng, n)
+        for ls in (cup, mirrored(cup)):
+            key, label = _cap_cup_labelling(ls)
+            tables = ranked_chains(range(n), key, -1, +1)
+            lab, table = max(tables.items(), key=lambda t: max(t[1].length))
+            top = max(table.length)
+            chain = walk(table, *divmod(table.length.index(top), table.base))
+            if chain[0] != 0 or len(chain) != top or any(
+                    label(*chain[a:a + 3]) != lab for a in range(top - 2)):
+                return False
+    return True
+
+
+def test_chain_ending_walks_back_to_vertex_0(rng):
+    assert _walks_back_to_vertex_0(rng, lineset.chain_ending)
+
+
+def test_a_walk_that_reads_pred_for_entries_misses_vertex_0(rng):
+    assert not _walks_back_to_vertex_0(rng, _chain_ending_reading_pred)
 
 
 def test_ranked_chains_match_labelled_chains_on_random_sets(rng):

@@ -793,14 +793,17 @@ class Corpus:
                                  ramsey.color_by_gaps(ls)))}
 
     def _tables(self, vertices, key):
-        # each label's (j, k) -> (length, parent) table, flattened to one
-        # sorted list of [j, k, label, value] rows per column
+        # each label's length and predecessor lists over the pair codes
+        # j*base + k, as one sorted list of [j, k, label, value] rows per
+        # list for the pairs with an entry (length > 0); (j, k, label) is
+        # unique, so one sort orders both
         tables = self.tl.lineset.ranked_chains(vertices, key, "lower",
                                                "upper")
-        return {name: sorted([j, k, lab, entry[col]]
-                             for lab, table in tables.items()
-                             for (j, k), entry in table.items())
-                for col, name in enumerate(("length", "parent"))}
+        rows = sorted([*divmod(c, t.base), lab, m, t.pred[c]]
+                      for lab, t in tables.items()
+                      for c, m in enumerate(t.length) if m)
+        return {"length": [r[:4] for r in rows],
+                "parent": [r[:3] + r[4:] for r in rows]}
 
     # -- embeddings
     def _trees(self, rng, n: int):
