@@ -192,8 +192,9 @@ def _violations(pts: Sequence[Point],
                 drawn: Sequence[Tuple[Tuple[int, int], Segment]]
                 ) -> Tuple[Violation, ...]:
     """Coincident vertices, contacts between edges, then vertices on edges
-    of the straight-line tree drawing with vertex v at ``pts[v]`` and the
-    ``_drawn_edges`` ``drawn``.  The relative interior of every edge must
+    of the straight-line tree drawing with vertex v at ``pts[v]`` and its
+    edges of positive length, each with its segment, in ``drawn`` (the
+    checker's ``_drawn_edges``, or the solver's placed segments).  The relative interior of every edge must
     avoid every other edge and every vertex point; tree-adjacent edges may
     meet only at their shared endpoint.  Edge witnesses index ``drawn``."""
     violations: List[Violation] = []
@@ -250,8 +251,11 @@ class _Placer:
     holds each placed vertex's point in placement order.
 
     Callers place parents first, so every placed vertex other than a lone
-    root ends a placed edge, and ``segs`` holds the placed edges in
-    placement order, one per placed non-root vertex.  Each edge keeps its
+    root ends a placed edge.  ``segs`` holds the placed edges' segments in
+    placement order, one per placed non-root vertex, each from the parent's
+    placed point to the child's, and ``edges`` the tree edge
+    ``(parent, child)`` of each, at the same index; ``solve`` hands the
+    pairs to ``_violations`` as the drawing.  Each segment keeps its
     ``Segment.line``, so a contact test reads integer side values of the
     new edge's ends and the placed edge's ends.  Callers offer only points
     that no second line passes through, as ``solve``'s grid and restarts
@@ -261,6 +265,7 @@ class _Placer:
         self.parent = t.parent_of()
         self.points: Dict[int, Point] = {}
         self.segs: List[Segment] = []
+        self.edges: List[Tuple[int, int]] = []
 
     def place(self, v: int, p: Point) -> bool:
         """Put vertex v at the point p, on its line, unless its edge to the
@@ -274,6 +279,7 @@ class _Placer:
                 if _contact(new_seg, s, True) is not None:
                     return False
             self.segs.append(new_seg)
+            self.edges.append((self.parent[v], v))
         self.points[v] = p
         return True
 
@@ -281,6 +287,7 @@ class _Placer:
         del self.points[v]
         if v in self.parent:
             self.segs.pop()
+            self.edges.pop()
 
 
 def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
@@ -294,8 +301,11 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     restarts.  ``budget`` bounds only the restarts: the backtracking has no
     node limit, and on some 12-vertex instances it runs for more than a
     minute whatever the budget.  The found points pass the checker's exact
-    ``_violations`` scan, or PostconditionError is raised; NotFound only
-    reports budget exhaustion, never non-embeddability."""
+    ``_violations`` scan, run on the segments the placer built for them,
+    not on new ones: one per tree edge, ending, by identity, at the placed
+    points of its parent and child.  Otherwise PostconditionError is
+    raised; NotFound only reports budget exhaustion, never
+    non-embeddability."""
     if len(ls) != t.n:
         raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)
@@ -335,7 +345,17 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     if not found:
         return SolveResult(False, None, nodes, restarts)
     pts = [placer.points[v] for v in range(t.n)]
-    if _violations(pts, _drawn_edges(pts, t.edges)):
+    # the scan reads the placer's own segments, so no segment is built
+    # twice: they must be one per tree edge, each drawn from its parent's
+    # point to its child's
+    drawn = list(zip(placer.edges, placer.segs))
+    if (sorted(placer.edges) != sorted(t.edges)
+            or len(placer.segs) != t.n - 1
+            or any(s.p is not pts[u] or s.q is not pts[v]
+                   for (u, v), s in drawn)):
+        raise PostconditionError("solver's segments are not the drawing of "
+                                 "its points")
+    if _violations(pts, drawn):
         raise PostconditionError("solver produced an invalid embedding")
     return SolveResult(True, Embedding(tuple(p.x for p in pts)), nodes,
                        restarts)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -91,20 +90,28 @@ def labelled_chains(vertices: Sequence[int],
     """The chain tables of an arbitrary labelling of the triples, in the
     flat layout of ``lineset.ranked_chains`` and equal to its tables, by
     the O(n^3) dynamic program of Chvatal and Klincsek (1980), which
-    labels each triple i < j < k once."""
+    labels each triple i < j < k once.  A triple finds its label's table
+    by a scan of the few labels seen so far, which hashes no label: the
+    hash of an ``enum.Enum`` member such as ``Color`` runs in Python."""
     base = max(vertices, default=-1) + 1
-    tables: Dict[Hashable, ChainTable] = defaultdict(
-        lambda: ChainTable(base, [0] * base ** 2, [0] * base ** 2))
+    labels: List[Hashable] = []
+    tables: List[ChainTable] = []
     for b, j in enumerate(vertices):
         for k in vertices[b + 1:]:
             c = j * base + k
             for i in vertices[:b]:
-                table = tables[label(i, j, k)]
+                lab = label(i, j, k)
+                try:
+                    table = tables[labels.index(lab)]
+                except ValueError:
+                    table = ChainTable(base, [0] * base ** 2, [0] * base ** 2)
+                    labels.append(lab)
+                    tables.append(table)
                 # a pair (i, j) with no entry is a chain of two
-                m = max(table.length[i * base + j], 2) + 1
+                m = (table.length[i * base + j] or 2) + 1
                 if m > table.length[c]:
                     table.length[c], table.pred[c] = m, i
-    return dict(tables)
+    return dict(zip(labels, tables))
 
 
 def _longest_path(tables: Dict[Color, ChainTable]) -> HyperPath:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see every line; the
 whole suite is also part of the plain pytest run.
 """
 
+import contextlib
 import itertools
 import math
 import time
@@ -330,11 +331,32 @@ def test_criterion_5_fails_when_r3_is_added_to_b1(monkeypatch):
 # 6. unstretchability search oracle
 
 
+@contextlib.contextmanager
+def _screened_triples():
+    """A list that collects, for each call of the rule-(ii) screen
+    ``_FrameFloats.clearly_meets_hull`` in the block, the number of
+    triples (columns) it is given."""
+    real = unstretch._FrameFloats.clearly_meets_hull
+    counts = []
+
+    def counting(self, u, t):
+        counts.append(u.shape[1])
+        return real(self, u, t)
+
+    unstretch._FrameFloats.clearly_meets_hull = counting
+    try:
+        yield counts
+    finally:
+        unstretch._FrameFloats.clearly_meets_hull = real
+
+
 def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
     """(ok, detail): no search of ``samples`` samples finds a configuration
     on ``frames`` random frames with each of ``seeds`` seeds, and the
     control with rule (ii) skipped finds one on a cup frame that passes
-    the other rules.
+    the other rules.  The detail gives, for each frame kind, how many
+    triples the searches sent to the rule-(ii) screen, and names a kind
+    with none as not exercising rule (ii).
 
     Every frame that ``random_frame`` draws has growing gaps, so
     validate_frame returns Variant.LOWER for all of them: the criterion
@@ -342,13 +364,21 @@ def _criterion_6(frames: int = 20, seeds: int = 10, samples: int = 10**6):
     shrink (Variant.UPPER)."""
     rng = np.random.default_rng(106)
     drawn = [random_frame(rng, cup=(k % 2 == 0)) for k in range(frames)]
+    screened = {}
     for fi, frame in enumerate(drawn):
-        for seed in range(seeds):
-            cfg = feasibility_search(frame, samples=samples, seed=seed)
-            if cfg is not None:
-                return False, (f"frame {fi} seed {seed} found a "
-                               f"configuration: {cfg}")
-    none = f"{frames} frames x {seeds} seeds x {samples:,} samples: none"
+        kind = f"{frame.cap_cup.value} {frame.variant.name}"
+        with _screened_triples() as counts:
+            for seed in range(seeds):
+                cfg = feasibility_search(frame, samples=samples, seed=seed)
+                if cfg is not None:
+                    return False, (f"frame {fi} seed {seed} found a "
+                                   f"configuration: {cfg}")
+        screened[kind] = screened.get(kind, 0) + sum(counts)
+    none = (f"{frames} frames x {seeds} seeds x {samples:,} samples: none; "
+            "rule-(ii) screen: " + ", ".join(
+                f"{kind} {m:,} triples" + (
+                    " (does not exercise rule (ii))" if m == 0 else "")
+                for kind, m in screened.items()))
     # control: with the hull-avoidance rule disabled the search space
     # is genuinely explored and configurations exist (on cup frames)
     for frame in drawn:
@@ -367,6 +397,16 @@ def test_criterion_6_unstretchability():
     t0 = time.time()
     ok, detail = _criterion_6()
     _report(6, ok, detail, 600.0, time.time() - t0)
+
+
+def test_criterion_6_names_the_frame_kind_its_screen_never_sees():
+    # frame 0 is a cup, frame 1 a cap; only the cup's searches reach the
+    # rule-(ii) screen
+    _, detail = _criterion_6(frames=2, seeds=1, samples=10**5)
+    assert "cap LOWER 0 triples (does not exercise rule (ii))" in detail
+    cup = detail.split("cup LOWER ")[1].split(" triples")[0]
+    assert int(cup.replace(",", "")) > 0
+    assert detail.count("does not exercise") == 1
 
 
 def test_criterion_6_fails_when_rule_ii_and_its_screen_see_no_hull(

@@ -313,6 +313,90 @@ def test_solve_restarts_when_the_grid_is_empty(four_lines, monkeypatch):
                  seed=5) == embed.SolveResult(False, None, 0, 0)
 
 
+# on the four lines, the path 0-1-2-3 on lines 1, 4, 2, 3 takes 13 grid
+# nodes and one unplace before the search finds its embedding
+ASG_BACKTRACKS = Assignment((1, 4, 2, 3))
+
+
+def test_solve_backtracks_to_its_embedding(four_lines, monkeypatch):
+    unplaced = []
+    real = embed._Placer.unplace
+    monkeypatch.setattr(embed._Placer, "unplace",
+                        lambda self, v: (unplaced.append(v), real(self, v)))
+    res = solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=0,
+                seed=0)
+    assert res.found and res.nodes > PATH4.n and res.restarts == 0
+    assert unplaced
+    assert check_embedding(four_lines, PATH4, ASG_BACKTRACKS,
+                           res.embedding).crossing_free
+
+
+class _StalePlacer(embed._Placer):
+    """unplace forgets the point but leaves its segment and edge behind."""
+
+    def unplace(self, v):
+        del self.points[v]
+
+
+class _ShiftedPlacer(embed._Placer):
+    """Draws each edge to the offered point, but keeps for the vertex the
+    point one unit to its right, so the returned positions move by 1."""
+
+    def place(self, v, p):
+        if not super().place(v, p):
+            return False
+        self.points[v] = Point(p.x + 1, p.y)
+        return True
+
+
+class _StarPlacer(embed._Placer):
+    """Draws and records every edge from the root, whatever the tree."""
+
+    def __init__(self, t):
+        super().__init__(t)
+        self.parent = {v: 0 for v in self.parent}
+
+
+@pytest.mark.parametrize("placer", [_StalePlacer, _ShiftedPlacer,
+                                    _StarPlacer])
+def test_solve_raises_when_the_segments_are_not_the_returned_drawing(
+        four_lines, monkeypatch, placer):
+    # each placer's segments pass _violations: the stale segment meets the
+    # live one only at their parent's point, and the shifted drawing and
+    # the star cross nothing; for the star, only the comparison with the
+    # tree's edges sees that the path is not drawn
+    monkeypatch.setattr(embed, "_Placer", placer)
+    with pytest.raises(PostconditionError):
+        solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=0, seed=0)
+
+
+@pytest.mark.parametrize("grid", [True, False])
+def test_solve_builds_one_segment_per_offered_edge(four_lines, monkeypatch,
+                                                   grid):
+    # every segment is built by _Placer.place, for the edge of a non-root
+    # vertex it is offered: none is built again after the search
+    if not grid:
+        monkeypatch.setattr(embed, "candidate_positions", lambda *args: ())
+    built, offered = [], []
+    real_segment, real_place = embed.Segment, embed._Placer.place
+
+    def segment(p, q):
+        built.append((p, q))
+        return real_segment(p, q)
+
+    def place(self, v, p):
+        if v in self.parent:
+            offered.append(v)
+        return real_place(self, v, p)
+
+    monkeypatch.setattr(embed, "Segment", segment)
+    monkeypatch.setattr(embed._Placer, "place", place)
+    res = solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=1000,
+                seed=5)
+    assert res.found and (res.restarts > 0) != grid
+    assert len(built) == len(offered) > 0
+
+
 def _placer(ls, tree, asg, *placed):
     """A solver placer holding the (vertex, x) placements, parents first;
     its ``at(v, x)`` is the point at abscissa x on v's line."""
@@ -326,11 +410,11 @@ def _placer(ls, tree, asg, *placed):
 def _accepts(placer, v, x):
     """Whether the placer places vertex v at abscissa x: an accepted probe
     is unplaced again, and a rejected one leaves the placer as it was."""
-    before = (dict(placer.points), list(placer.segs))
+    before = (dict(placer.points), list(placer.segs), list(placer.edges))
     placed = placer.place(v, placer.at(v, x))
     if placed:
         placer.unplace(v)
-    assert (placer.points, placer.segs) == before
+    assert (placer.points, placer.segs, placer.edges) == before
     return placed
 
 
