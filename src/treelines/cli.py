@@ -15,7 +15,6 @@ import sys
 from typing import List, Optional
 
 from . import embed, io_formats, ramsey, svg, unstretch
-from .geometry import Segment
 from .lineset import ColorClasses, LineSetError, all_region_indices, \
     classify_cap_cup, longest_cap_cup, region_hull
 
@@ -206,8 +205,8 @@ def _dispatch(args) -> int:
             emb = io_formats.parse_embedding(_read(args.embedding), tree.n)
             pts = [emb.point_of(ls, asg, v) for v in range(tree.n)]
             scene.vertices = [(pts[v], str(v)) for v in range(tree.n)]
-            scene.segments = [Segment(pts[u], pts[v])
-                              for u, v in tree.edges if pts[u] != pts[v]]
+            scene.segments = [s for _, s in
+                              embed.drawn_edges(pts, tree.edges)]
     else:
         raise AssertionError(f"unhandled command {cmd}")
     # regions and render draw their scene; render requires --svg

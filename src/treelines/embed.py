@@ -169,7 +169,7 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     if len(emb.pos) != t.n:
         raise SizeMismatch("embedding size differs from the tree")
     pts = [emb.point_of(ls, asg, v) for v in range(t.n)]
-    drawn = _drawn_edges(pts, t.edges)
+    drawn = drawn_edges(pts, t.edges)
     violations = _violations(pts, drawn)
     warnings = [f"vertex {v} sits on an arrangement intersection point"
                 for v, p in enumerate(pts)
@@ -181,8 +181,8 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     return CheckReport(not violations, violations, tuple(warnings))
 
 
-def _drawn_edges(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
-                 ) -> List[Tuple[Tuple[int, int], Segment]]:
+def drawn_edges(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
+                ) -> List[Tuple[Tuple[int, int], Segment]]:
     """The edges of positive length, in order, each with its segment."""
     return [(e, Segment(pts[e[0]], pts[e[1]])) for e in edges
             if pts[e[0]] != pts[e[1]]]
@@ -194,9 +194,10 @@ def _violations(pts: Sequence[Point],
     """Coincident vertices, contacts between edges, then vertices on edges
     of the straight-line tree drawing with vertex v at ``pts[v]`` and its
     edges of positive length, each with its segment, in ``drawn`` (the
-    checker's ``_drawn_edges``, or the solver's placed segments).  The relative interior of every edge must
-    avoid every other edge and every vertex point; tree-adjacent edges may
-    meet only at their shared endpoint.  Edge witnesses index ``drawn``."""
+    checker's ``drawn_edges``, or the solver's placed segments).  The
+    relative interior of every edge must avoid every other edge and every
+    vertex point; tree-adjacent edges may meet only at their shared
+    endpoint.  Edge witnesses index ``drawn``."""
     violations: List[Violation] = []
     seen: Dict[Point, int] = {}
     for v, p in enumerate(pts):
@@ -251,21 +252,18 @@ class _Placer:
     holds each placed vertex's point in placement order.
 
     Callers place parents first, so every placed vertex other than a lone
-    root ends a placed edge.  ``segs`` holds the placed edges' segments in
-    placement order, one per placed non-root vertex, each from the parent's
-    placed point to the child's, and ``edges`` the tree edge
-    ``(parent, child)`` of each, at the same index; ``solve`` hands the
-    pairs to ``_violations`` as the drawing.  Each segment keeps its
-    ``Segment.line``, so a contact test reads integer side values of the
-    new edge's ends and the placed edge's ends.  Callers offer only points
-    that no second line passes through, as ``solve``'s grid and restarts
-    do, so a new point is never a placed one: each vertex has its own line."""
+    root ends a placed edge.  ``segs`` maps each placed non-root vertex, in
+    placement order, to its edge's segment from the parent's placed point
+    to its own: the drawing ``solve`` hands to ``_violations``.  Each
+    segment keeps its ``Segment.line``, so a contact test reads integer
+    side values of the new edge's ends and the placed edge's ends.  Callers
+    offer only points that no second line passes through, as ``solve``'s
+    grid and restarts do, so a new point is never a placed one."""
 
     def __init__(self, t: Tree):
         self.parent = t.parent_of()
         self.points: Dict[int, Point] = {}
-        self.segs: List[Segment] = []
-        self.edges: List[Tuple[int, int]] = []
+        self.segs: Dict[int, Segment] = {}
 
     def place(self, v: int, p: Point) -> bool:
         """Put vertex v at the point p, on its line, unless its edge to the
@@ -275,19 +273,17 @@ class _Placer:
             # edge: p on a placed edge or a placed vertex on the new edge is
             # a contact, and an endpoint touch is at the shared parent point
             new_seg = Segment(self.points[self.parent[v]], p)
-            for s in self.segs:
+            for s in self.segs.values():
                 if _contact(new_seg, s, True) is not None:
                     return False
-            self.segs.append(new_seg)
-            self.edges.append((self.parent[v], v))
+            self.segs[v] = new_seg
         self.points[v] = p
         return True
 
     def unplace(self, v: int) -> None:
         del self.points[v]
         if v in self.parent:
-            self.segs.pop()
-            self.edges.pop()
+            del self.segs[v]
 
 
 def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
@@ -302,10 +298,10 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     node limit, and on some 12-vertex instances it runs for more than a
     minute whatever the budget.  The found points pass the checker's exact
     ``_violations`` scan, run on the segments the placer built for them,
-    not on new ones: one per tree edge, ending, by identity, at the placed
-    points of its parent and child.  Otherwise PostconditionError is
-    raised; NotFound only reports budget exhaustion, never
-    non-embeddability."""
+    not on new ones: one per non-root vertex, ending, by identity, at the
+    returned points of the vertex's parent in the tree and of the vertex.
+    Otherwise PostconditionError is raised; NotFound only reports budget
+    exhaustion, never non-embeddability."""
     if len(ls) != t.n:
         raise SizeMismatch(f"{len(ls)} lines for a tree on {t.n} vertices")
     asg.check_bijection(t.n)
@@ -345,16 +341,15 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     if not found:
         return SolveResult(False, None, nodes, restarts)
     pts = [placer.points[v] for v in range(t.n)]
-    # the scan reads the placer's own segments, so no segment is built
-    # twice: they must be one per tree edge, each drawn from its parent's
-    # point to its child's
-    drawn = list(zip(placer.edges, placer.segs))
-    if (sorted(placer.edges) != sorted(t.edges)
-            or len(placer.segs) != t.n - 1
-            or any(s.p is not pts[u] or s.q is not pts[v]
-                   for (u, v), s in drawn)):
+    # the scan reads the placer's own segments, so none is built twice:
+    # one per non-root vertex, from its tree parent's point to its own
+    parent = t.parent_of()
+    if placer.segs.keys() != parent.keys() or any(
+            s.p is not pts[parent[v]] or s.q is not pts[v]
+            for v, s in placer.segs.items()):
         raise PostconditionError("solver's segments are not the drawing of "
                                  "its points")
+    drawn = [((parent[v], v), s) for v, s in placer.segs.items()]
     if _violations(pts, drawn):
         raise PostconditionError("solver produced an invalid embedding")
     return SolveResult(True, Embedding(tuple(p.x for p in pts)), nodes,

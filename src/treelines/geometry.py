@@ -374,7 +374,8 @@ def angle_gap(l1: Line, l2: Line) -> Fraction:
                                at_infinity(1, l2.slope)))
 
 
-def compare_angle_gap(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> int:
+def compare_angle_gap(pair1: Tuple[Line, Line],
+                      pair2: Tuple[Line, Line]) -> int:
     """-1 / 0 / +1 as the first angle gap is smaller / equal / larger."""
     g1 = angle_gap(*pair1)
     g2 = angle_gap(*pair2)

@@ -74,10 +74,10 @@ class LineSet:
     """A general-position set of lines, slope-sorted with ids 1..n.
 
     Construct through :func:`verify_general_position`; instances are
-    immutable and cache, when first asked for, pairwise intersections and
-    each line's crossing order and candidate positions.  A set cut out by
-    :meth:`subset` keeps in ``parent_ids[k]`` the id that its line k+1 has
-    in the set it was cut from; other sets have ``parent_ids`` None.
+    immutable and keep, when first asked for, each line's crossing order
+    and candidate positions.  A set cut out by :meth:`subset` keeps in
+    ``parent_ids[k]`` the id that its line k+1 has in the set it was cut
+    from; other sets have ``parent_ids`` None.
     """
 
     def __init__(self, lines: Sequence[Line], _validated: bool = False,
@@ -85,7 +85,6 @@ class LineSet:
         if not _validated:
             raise TypeError("build LineSets via verify_general_position()")
         self._lines: Tuple[Line, ...] = tuple(lines)
-        self._cache: Dict[Tuple[int, int], Point] = {}
         # filled and read by intersection_order, keyed by line
         self._orders: Dict[int, Tuple[Tuple[int, Point], ...]] = {}
         # filled and read by candidate_positions, keyed (line, refine)
@@ -109,12 +108,7 @@ class LineSet:
         return self._lines[line_id - 1]
 
     def intersection(self, i: int, j: int) -> Point:
-        key = (min(i, j), max(i, j))
-        pt = self._cache.get(key)
-        if pt is None:
-            pt = line_intersection(self.line(key[0]), self.line(key[1]))
-            self._cache[key] = pt
-        return pt
+        return line_intersection(self.line(i), self.line(j))
 
     def intersection_points(self) -> List[Point]:
         n = len(self)
@@ -435,7 +429,8 @@ def _require_sized(ls: LineSet, cc: ColorClasses) -> None:
         raise LineSetError("color classes sized for a different line set")
 
 
-def segment_index_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> int:
+def segment_index_of(ls: LineSet, cc: ColorClasses, i: int,
+                     x: Fraction) -> int:
     """Which of the c slope-block segments of line i contains the point at
     parameter x.  Errors out if x hits an intersection point."""
     _require_sized(ls, cc)
@@ -446,7 +441,8 @@ def segment_index_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> int:
     return below // cc.block + 1
 
 
-def region_of(ls: LineSet, cc: ColorClasses, i: int, x: Fraction) -> RegionIndex:
+def region_of(ls: LineSet, cc: ColorClasses, i: int,
+              x: Fraction) -> RegionIndex:
     """The unique region R_{a,b} whose open segment contains (x, l_i(x))."""
     seg = segment_index_of(ls, cc, i, x)
     ci = cc.class_of(i)

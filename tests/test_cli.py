@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treelines import embed, unstretch
+from treelines import embed, svg, unstretch
 from treelines.cli import main
 from treelines.embed import Assignment, Embedding
 from treelines.io_formats import (
@@ -461,3 +461,13 @@ def test_cli_seed_env(files, capsys, monkeypatch):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--seed" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: svg.render_svg(svg.SvgScene()), svg.EmptyScene,
+     "nothing to size the viewport by"),
+])
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -332,10 +332,19 @@ def test_solve_backtracks_to_its_embedding(four_lines, monkeypatch):
 
 
 class _StalePlacer(embed._Placer):
-    """unplace forgets the point but leaves its segment and edge behind."""
+    """unplace forgets the point but keeps its segment, and a vertex placed
+    again keeps the segment drawn to its earlier point."""
 
     def unplace(self, v):
         del self.points[v]
+
+    def place(self, v, p):
+        stale = self.segs.get(v)
+        if not super().place(v, p):
+            return False
+        if stale is not None:
+            self.segs[v] = stale
+        return True
 
 
 class _ShiftedPlacer(embed._Placer):
@@ -361,10 +370,10 @@ class _StarPlacer(embed._Placer):
                                     _StarPlacer])
 def test_solve_raises_when_the_segments_are_not_the_returned_drawing(
         four_lines, monkeypatch, placer):
-    # each placer's segments pass _violations: the stale segment meets the
-    # live one only at their parent's point, and the shifted drawing and
-    # the star cross nothing; for the star, only the comparison with the
-    # tree's edges sees that the path is not drawn
+    # the stale and the shifted placers' segments pass _violations: the
+    # stale segment ends at an earlier point of its vertex and crosses
+    # nothing, and the shifted drawing crosses nothing; the star, labelled
+    # with the tree's edges, passes through vertex 0 and fails it too
     monkeypatch.setattr(embed, "_Placer", placer)
     with pytest.raises(PostconditionError):
         solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=0, seed=0)
@@ -410,12 +419,49 @@ def _placer(ls, tree, asg, *placed):
 def _accepts(placer, v, x):
     """Whether the placer places vertex v at abscissa x: an accepted probe
     is unplaced again, and a rejected one leaves the placer as it was."""
-    before = (dict(placer.points), list(placer.segs), list(placer.edges))
+    before = (dict(placer.points), dict(placer.segs))
     placed = placer.place(v, placer.at(v, x))
     if placed:
         placer.unplace(v)
-    assert (placer.points, placer.segs, placer.edges) == before
+    assert (placer.points, placer.segs) == before
     return placed
+
+
+def test_placer_keys_each_segment_by_its_child(four_lines, rng):
+    # a seeded walk of places and unplaces, parents first and leaves last;
+    # after each step segs maps exactly the placed non-root vertices, each
+    # to the segment from its tree parent's placed point to its own
+    tree, asg = Tree(4, ((0, 1), (0, 2), (1, 3))), Assignment((2, 1, 4, 3))
+    parent = tree.parent_of()
+    xs = {v: [p.x for p in candidate_positions(four_lines, asg.line_of(v), 2)]
+          for v in range(tree.n)}
+    placer = _placer(four_lines, tree, asg)
+    # "out of order" counts unplaces of a vertex placed before another one
+    # that is still placed
+    steps = {"placed": 0, "rejected": 0, "unplaced": 0, "out of order": 0}
+    for _ in range(300):
+        pts = placer.points
+        free = [v for v in range(tree.n) if v not in pts
+                and (v == 0 or parent[v] in pts)]
+        leaves = [v for v in pts
+                  if not any(parent.get(w) == v for w in pts)]
+        if not free or (leaves and rng.random() < 0.4):
+            v = int(rng.choice(leaves))
+            steps["out of order"] += v != list(pts)[-1]
+            placer.unplace(v)
+            steps["unplaced"] += 1
+        else:
+            v = int(rng.choice(free))
+            x = xs[v][int(rng.integers(len(xs[v])))]
+            if _accepts(placer, v, x):
+                assert placer.place(v, placer.at(v, x))
+                steps["placed"] += 1
+            else:
+                steps["rejected"] += 1
+        assert placer.segs.keys() == pts.keys() - {0}
+        for v, seg in placer.segs.items():
+            assert seg == Segment(pts[parent[v]], pts[v])
+    assert min(steps.values()) > 0, steps
 
 
 def test_placer_rejects_a_new_point_on_a_placed_edge(four_lines):
@@ -667,3 +713,31 @@ def test_build_iota_quotas(rng):
     with pytest.raises(DivisibilityError):
         build_iota(build_theorem_tree(2, 3), random_lines(rng, 12),
                    ColorClasses(2, 12), seed=0)
+
+
+def _descriptor(ls, *paths):
+    return path_descriptor(ls, ColorClasses(2, 4), ASG4, _emb(-2, 2, 0, 1),
+                           PATH4, list(paths))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ls: Tree(0, ()), EmbedError, "root outside vertex range"),
+    (lambda ls: Tree(2, ((0, 2),)), EmbedError,
+     "edge (0,2) outside vertex range"),
+    (_descriptor, EmbedError, "need at least one path"),
+    (lambda ls: _descriptor(ls, [0, 1], [1, 2]), EmbedError,
+     "paths must share their start vertex"),
+    (lambda ls: build_theorem_tree(0, 2), EmbedError,
+     "need depth >= 1 and arity >= 1"),
+    (lambda ls: build_iota(path_tree(3), ls, ColorClasses(2, 4), seed=0),
+     SizeMismatch, "tree, line set and color classes disagree"),
+    # delta = 3 from the root, but vertex 1 has one child
+    (lambda ls: build_iota(Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4))),
+                           random_lines(np.random.default_rng(0), 5),
+                           ColorClasses(1, 5), seed=0),
+     SizeMismatch, "tree is not a complete delta-ary tree missing one leaf"),
+])
+def test_input_checks_raise_their_error(four_lines, call, error, message):
+    with pytest.raises(error) as exc:
+        call(four_lines)
+    assert str(exc.value) == message

@@ -670,3 +670,17 @@ def test_compare_angle_gap_against_arctan(rng):
             assert want == 0
             ties.add((g > 0) - (g < 0))
     assert ties == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Ray(Point(0, 0), Fraction(0), Fraction(0)),
+     "ray needs a nonzero direction"),
+    (lambda: convex_hull([]), "convex_hull of empty set"),
+    (lambda: winding_number([Point(0, 0)],
+                            Ray(Point(0, 0), Fraction(1), Fraction(0))),
+     "polyline needs at least 2 points"),
+])
+def test_input_checks_raise_their_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

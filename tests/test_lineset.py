@@ -670,3 +670,22 @@ def test_six_sided_region_hull_off_cups(rows, c, kind, region):
     assert region_hull(ls, cc, region).side_count == 6
     assert len(_brute_region_facets(ls, cc)[region]) == 6
     _assert_hulls_match_oracle(ls, cc)
+
+
+# region_hull's checks on the direction cone of an unbounded hull (a cone
+# of a half-plane or more, a cone wider than pi, a probe outside the hull)
+# stay untested: slope-block classes keep every region's ray directions
+# inside a half-plane, so no valid input reaches them
+@pytest.mark.parametrize("call, message", [
+    (lambda ls: ls.line(len(ls) + 1), "no line with id 5"),
+    (lambda ls: ColorClasses(2, 4).class_of(5), "no line with id 5"),
+    (lambda ls: ColorClasses(2, 4).ids_of_class(3), "no class 3"),
+    (lambda ls: RegionIndex(2, 1), "bad region index (2,1)"),
+    (lambda ls: region_hull(ls, ColorClasses(1, 4), RegionIndex(1, 1)),
+     "region hulls need at least 2 color classes"),
+])
+def test_input_checks_raise_their_error(call, message):
+    ls = verify_general_position([L(-1, 0), L(0, -1), L(1, 0), L(3, 1)])
+    with pytest.raises(LineSetError) as exc:
+        call(ls)
+    assert type(exc.value) is LineSetError and str(exc.value) == message

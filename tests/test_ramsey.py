@@ -432,3 +432,25 @@ def test_extraction_builds_no_triple_colouring(rng, monkeypatch):
     assert check_doubling(spread, extract_doubling(spread))
     kind, sub = longest_cap_cup(ls)
     assert lineset.classify_cap_cup(sub) == kind
+
+
+def _lines(*rows):
+    return verify_general_position([Line(scalar(s), scalar(b))
+                                    for s, b in rows])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: longest_mono_path(TripleColoring(2, lambda i, j, k: Color.RED)),
+     ValueError, "need n >= 3"),
+    (lambda: color_by_gaps(_lines((0, 0), (1, 0))), lineset.TooFew,
+     "need at least 3 lines"),
+    # the three negative slopes are the majority class; their monotone
+    # chain has 3 lines, of which the doubling subsequence keeps 2
+    (lambda: extract_doubling(_lines((-3, 1), (-2, 5), (-1, 2), (1, 0),
+                                     (2, 7))),
+     ChainTooShort, "doubling subsequence has 2 lines"),
+])
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

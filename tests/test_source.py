@@ -23,6 +23,14 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_no_line_in_the_package_is_longer_than_79_characters():
+    found = [f"{path.name}:{k} ({len(line)})"
+             for path in sorted(SRC.glob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if len(line) > 79]
+    assert not found, found
+
+
 def _dotted(node: ast.expr) -> str:
     if isinstance(node, ast.Call):
         return _dotted(node.func)

@@ -463,6 +463,13 @@ def test_clear_chains_are_decided_in_float(fallback_spy):
     # b3 = sin(alpha_6) / sin(alpha_5) * a3 overflows in float64
     chain_from_parameters(["0.1", "0.2", "0.3", "0.4", "0.5"], "1.7e308",
                           [1, 1, 1]),
+    # sin(alpha_6) is subnormal, below the smallest normal float, so the
+    # float path refuses it; the DPS-digit path finds a contradiction.  At
+    # 1e-310 the sines' relative error bound alone would let it decide
+    chain_from_parameters(["0.5", "0.4", "0.3", "0.2", "1e-320"], 1,
+                          [1, 1, 1]),
+    chain_from_parameters(["0.5", "0.4", "0.3", "0.2", "1e-310"], 1,
+                          [1, 1, 1]),
 ])
 def test_chains_the_float_path_refuses_go_to_the_fallback(fallback_spy, cv):
     assert unstretch._float_verdict(cv) is None
@@ -843,3 +850,14 @@ def test_feasibility_search_deterministic(cup_frame):
                            skip_properties=frozenset({"ii"}))
     assert a is not None and b is not None
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chain_from_parameters(["0.5", "0.4", "0.3", "0.2"], 1,
+                                   [1, 1, 1]),
+     "need alpha_2..alpha_6"),
+])
+def test_input_checks_raise_their_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
