@@ -23,6 +23,8 @@ from fractions import Fraction
 from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
+import numpy as np
+
 ScalarLike = Union[Fraction, int, str]
 
 
@@ -345,10 +347,20 @@ def winding_number(polyline: Sequence[Point], r: Ray) -> int:
 
 class Ratio(NamedTuple):
     """The rational numerator/denominator, unreduced, with denominator > 0;
-    it reads like a Fraction's ``numerator`` and ``denominator``."""
+    it reads like a Fraction's ``numerator`` and ``denominator``.  Built
+    from columns, it holds one column of each, pair by pair."""
 
     numerator: int
     denominator: int
+
+
+def columns(triples: Iterable[Tuple[int, int, int]]) -> np.ndarray:
+    """The triples as the three rows of a numpy object array, so that
+    ``cols[:, ids]`` unpacks into the three coordinate columns of the
+    triples at ``ids``.  ``cross`` and ``side`` take such columns as they
+    take single triples, element by element, and their entries stay
+    Python ints, exact at any size."""
+    return np.array(list(triples), dtype=object).T
 
 
 def gap_ratio(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Ratio:
@@ -356,9 +368,10 @@ def gap_ratio(u: Tuple[int, int, int], v: Tuple[int, int, int]) -> Ratio:
     points at infinity u = ``at_infinity(1, p1/q1)`` = (q1, p1, 0) and v:
     -side(u, v) / |W of cross(u, v)| = -(q1*q2 + p1*p2) / |q1*p2 - p1*q2|,
     unreduced (no gcd is taken) and the same in either argument order.
-    Raises ParallelLines on equal slopes."""
+    On the columns of :func:`columns` it gives a column of each, pair by
+    pair.  Raises ParallelLines on equal slopes."""
     d = cross(u, v)[2]
-    if d == 0:
+    if not (d.all() if isinstance(d, np.ndarray) else d):
         raise ParallelLines("angle gap of parallel lines")
     return Ratio(-side(u, v), abs(d))
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
+
+import numpy as np
 
 from .geometry import (
     Line,
@@ -22,6 +24,7 @@ from .geometry import (
     Segment,
     at_infinity,
     clip_to_halfplanes,
+    columns,
     convex_hull,
     cross,
     line_intersection,
@@ -232,21 +235,25 @@ def classify_cap_cup(ls: LineSet) -> CapCup:
     n = len(ls)
     if n < 3:
         raise TooFew("cap/cup needs at least 3 lines")
-    hs = [l.homogeneous for l in ls.lines]
-    xs = [Fraction(*_abscissa(g, h)) for g, h in zip(hs, hs[1:])]
-    if all(a < b for a, b in zip(xs, xs[1:])):
+    hs = columns(l.homogeneous for l in ls.lines)
+    X, W = _abscissa(hs[:, :-1], hs[:, 1:])
+    # X[i]/W[i] < X[i+1]/W[i+1] by cross-multiplying, as every W > 0
+    left, right = X[:-1] * W[1:], X[1:] * W[:-1]
+    if (left < right).all():
         return CapCup.CUP
-    if all(a > b for a, b in zip(xs, xs[1:])):
+    if (left > right).all():
         return CapCup.CAP
     return CapCup.NEITHER
 
 
-def _abscissa(g: Tuple[int, int, int], h: Tuple[int, int, int]) -> Ratio:
+def _abscissa(g, h) -> Ratio:
     """The abscissa X/W of the crossing of two non-parallel lines, given
     as their triples ``Line.homogeneous``: the meet ``cross(g, h)`` with
-    its sign normalised so that W > 0, unreduced."""
+    its sign normalised so that W > 0, unreduced.  On the columns of
+    :func:`geometry.columns` it gives a column of each, pair by pair."""
     X, _, W = cross(g, h)
-    return Ratio(X, W) if W > 0 else Ratio(-X, -W)
+    s = (W > 0) * 2 - 1     # the sign of W, +1 or -1
+    return Ratio(s * X, s * W)
 
 
 class ChainTable(NamedTuple):
@@ -277,30 +284,34 @@ def chain_ending(table: ChainTable, j: int, k: int) -> List[int]:
     return seq
 
 
-def _rank_key(k: Union[Fraction, Ratio]) -> float:
+def _rank_key(numerator: int, denominator: int) -> float:
     # n / d of two ints is one correctly rounded division, the float that
-    # float(Fraction(n, d)) gives, so a < b gives _rank_key(a) <=
-    # _rank_key(b); a key beyond float range ranks as +-inf
+    # float(Fraction(n, d)) gives, so a < b gives _rank_key of a <= that
+    # of b; a key beyond float range ranks as +-inf
     try:
-        return k.numerator / k.denominator
+        return numerator / denominator
     except OverflowError:
-        return math.inf if k.numerator > 0 else -math.inf
+        return math.inf if numerator > 0 else -math.inf
 
 
 def ranked_chains(vertices: Sequence[int],
-                  key: Callable[[int, int], Union[Fraction, Ratio]],
+                  key: Callable[[np.ndarray, np.ndarray],
+                                Tuple[Sequence[int], Sequence[int]]],
                   lower: Hashable, upper: Hashable
                   ) -> Dict[Hashable, ChainTable]:
     """The chain tables of the labelling that gives a triple i < j < k
     the label ``lower`` when key(j, k) < key(i, j) and ``upper``
     otherwise, for a rational pair key and increasing ``vertices``.
 
-    Key contract: key(i, j) is any object with integer ``numerator`` and
-    ``denominator`` attributes, denominator > 0, that stands for the
-    rational numerator/denominator: a ``Fraction``, or a
-    ``geometry.Ratio``, which need not be in lowest terms.  Keys are
-    compared by value, so Ratio(1, 2) and Ratio(2, 4) tie, and Fraction
-    keys give the same tables as the equal Ratio keys.
+    Key contract: ``key`` is called once, as key(lo, hi), on the vertex
+    columns of all C(n, 2) pairs (lo[p], hi[p]), lo[p] < hi[p], two numpy
+    integer arrays, and returns one column of integer numerators and one
+    of denominators > 0, the key of pair p being their quotient at p,
+    which need not be in lowest terms: a ``geometry.Ratio`` of two numpy
+    object columns, as ``gap_ratio`` and ``_abscissa`` give on the
+    columns of ``geometry.columns``, or any two sequences of ints.  Object
+    columns hold Python ints, so the keys are exact at any size.  Keys are
+    compared by value, so 1/2 and 2/4 tie.
 
     Tie rule: the pairs (i, j), i < j, are sorted stably by the float
     numerator/denominator (:func:`_rank_key`, +-inf beyond float range),
@@ -320,23 +331,27 @@ def ranked_chains(vertices: Sequence[int],
     predecessor, as a :class:`ChainTable` over the pair codes.  A label
     with no chain of three gets no table.
     """
-    lo = [i for b, j in enumerate(vertices) for i in vertices[:b]]
-    hi = [j for b, j in enumerate(vertices) for _ in range(b)]
-    keys = [key(i, j) for i, j in zip(lo, hi)]
-    rank = [_rank_key(k) for k in keys]
-    order = sorted(range(len(keys)), key=rank.__getitem__)
+    v = np.asarray(vertices)
+    # the pairs by larger vertex, then smaller
+    hi, lo = (v[c] for c in np.tril_indices(len(v), -1))
+    num, den = (np.asarray(c, dtype=object) for c in key(lo, hi))
+    try:
+        # numpy divides the object columns entry by entry, each the
+        # division of _rank_key, which also ranks a key beyond float range
+        rank = (num / den).tolist()
+    except OverflowError:
+        rank = list(map(_rank_key, num, den))
+    order = np.argsort(rank, kind="stable").tolist()
     if len(set(rank)) < len(rank):
         # some pairs share a float: order each such run exactly
         exact = []
         for _, run in itertools.groupby(order, key=rank.__getitem__):
             run = list(run)
             if len(run) > 1:
-                run.sort(key=lambda x: Fraction(keys[x].numerator,
-                                                keys[x].denominator))
+                run.sort(key=lambda x: Fraction(num[x], den[x]))
             exact += run
         order = exact
-    lo = [lo[x] for x in order]
-    hi = [hi[x] for x in order]
+    lo, hi = lo[order].tolist(), hi[order].tolist()
     base = max(vertices, default=-1) + 1
     tables: Dict[Hashable, ChainTable] = {}
     for lab, sweep in ((upper, zip(lo, hi)),
@@ -366,10 +381,10 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    hs = [l.homogeneous for l in ls.lines]
-    tables = ranked_chains(range(1, n + 1),
-                           lambda i, j: _abscissa(hs[i - 1], hs[j - 1]),
-                           -1, +1)
+    hs = columns(l.homogeneous for l in ls.lines)
+    tables = ranked_chains(
+        range(1, n + 1),
+        lambda lo, hi: _abscissa(hs[:, lo - 1], hs[:, hi - 1]), -1, +1)
     # the longest chain of either label, the cap label -1 first on ties,
     # ending with its smallest pair: pair codes run in (j, k) order
     top, lab = min((-max(t.length), lab) for lab, t in tables.items())

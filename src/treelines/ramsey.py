@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Line, PostconditionError, angle_gap, at_infinity, \
-    gap_ratio
+    columns, gap_ratio
 from .lineset import ChainTable, LineSet, LineSetError, TooFew, \
     chain_ending, ranked_chains
 
@@ -156,9 +156,10 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    dirs = [at_infinity(1, l.slope) for l in ls.lines]
+    dirs = columns(at_infinity(1, l.slope) for l in ls.lines)
     path = _longest_path(ranked_chains(
-        range(1, n + 1), lambda i, j: gap_ratio(dirs[i - 1], dirs[j - 1]),
+        range(1, n + 1),
+        lambda lo, hi: gap_ratio(dirs[:, lo - 1], dirs[:, hi - 1]),
         Color.RED, Color.BLUE))
     direction = (Direction.NON_INCREASING if path.color == Color.RED
                  else Direction.NON_DECREASING)

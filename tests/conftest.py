@@ -70,6 +70,17 @@ def tied_gap_lines(rng: np.random.Generator, n: int) -> LineSet:
             continue
 
 
+def column_key(key):
+    """The column form that lineset.ranked_chains calls of a scalar pair
+    key (i, j) -> Fraction | Ratio: on the vertex columns lo, hi it
+    returns the numerators and the denominators of the keys of the pairs
+    (lo[p], hi[p])."""
+    def columns(lo, hi):
+        keys = [key(i, j) for i, j in zip(lo.tolist(), hi.tolist())]
+        return ([k.numerator for k in keys], [k.denominator for k in keys])
+    return columns
+
+
 def dualize_line(l: Line) -> Point:
     """y = a*x - b  ->  (a, b)."""
     return Point(l.slope, l.dual_offset)

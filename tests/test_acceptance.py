@@ -259,9 +259,11 @@ def _non_maximising_chains(vertices, key, lower, upper):
     """lineset.ranked_chains with the best chain ending at k overwritten by
     the last pair swept into k instead of maximised: its chains are valid,
     but not always the longest."""
-    pairs = sorted(((i, j) for b, j in enumerate(vertices)
-                    for i in vertices[:b]),
-                   key=lambda p: lineset._rank_key(key(*p)))
+    pairs = [(i, j) for b, j in enumerate(vertices) for i in vertices[:b]]
+    num, den = key(*(np.array(c) for c in zip(*pairs)))
+    rank = list(map(lineset._rank_key, num, den))
+    pairs = [pairs[x] for x in sorted(range(len(pairs)),
+                                      key=rank.__getitem__)]
     base = max(vertices) + 1
     tables = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):

@@ -21,6 +21,7 @@ from treelines.geometry import (
     angle_gap,
     at_infinity,
     clip_to_halfplanes,
+    columns,
     compare_angle_gap,
     convex_hull,
     cross,
@@ -112,6 +113,23 @@ def test_gap_and_crossing_match_the_fraction_formulas(s1, b1, s2, b2,
     x = (b1 - b2) / (s1 - s2)
     assert line_intersection(l1, l2) == Point(x, s1 * x - b1)
     assert line_intersection(l2, l1) == Point(x, s1 * x - b1)
+
+
+def test_gap_ratio_on_columns_is_the_gap_of_each_pair(rng):
+    # columns of huge and of small directions give, pair by pair, the
+    # Ratio of the single pair, and one parallel pair raises
+    for scale in (1, 2**60):
+        slopes = {Fraction(int(p) * scale + int(e), int(q) * scale + int(f))
+                  for p, q, e, f in zip(rng.integers(-50, 50, 12),
+                                        rng.integers(1, 50, 12),
+                                        *rng.integers(0, scale, (2, 12)))}
+        dirs = [at_infinity(1, s) for s in slopes]
+        lo, hi = np.triu_indices(len(dirs), 1)
+        num, den = gap_ratio(columns(dirs)[:, lo], columns(dirs)[:, hi])
+        assert list(zip(num, den)) == [gap_ratio(dirs[i], dirs[j])
+                                       for i, j in zip(lo, hi)]
+        with pytest.raises(ParallelLines):
+            gap_ratio(columns(dirs), columns(dirs[:1] + dirs[:-1]))
 
 
 def test_line_intersection_parallel():

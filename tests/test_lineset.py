@@ -181,12 +181,13 @@ def test_classify_matches_the_row_walk(rng):
 
 def test_classify_reads_the_crossings_of_consecutive_lines(rng,
                                                            monkeypatch):
-    # each crossing is the meet of two line triples, read through cross
+    # the crossings are the meets of consecutive line triples, read
+    # through one cross on their columns
     read = []
     cross = lineset.cross
 
     def counted(g, h):
-        read.append((g, h))
+        read.append([[tuple(t) for t in c.T] for c in (g, h)])
         return cross(g, h)
 
     monkeypatch.setattr(lineset, "cross", counted)
@@ -195,7 +196,7 @@ def test_classify_reads_the_crossings_of_consecutive_lines(rng,
             read.clear()
             classify_cap_cup(ls)
             hs = [l.homogeneous for l in ls]
-            assert read == list(zip(hs, hs[1:]))
+            assert read == [[hs[:-1], hs[1:]]]
 
 
 def test_longest_cap_cup_caches_no_crossing_points(rng, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from treelines import lineset, ramsey
 from treelines.geometry import (Line, PostconditionError, Ratio, angle_gap,
-                                at_infinity, gap_ratio, orientation, scalar)
+                                at_infinity, columns, gap_ratio, orientation,
+                                scalar)
 from treelines.lineset import (longest_cap_cup, ranked_chains,
                                verify_general_position)
 from treelines.ramsey import (
@@ -30,8 +31,8 @@ from treelines.ramsey import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      dualize_line, mirrored, random_cup, random_lines,
-                      tied_gap_lines)
+                      column_key, dualize_line, mirrored, random_cup,
+                      random_lines, tied_gap_lines)
 
 
 def test_mono_path_bound_table():
@@ -227,7 +228,8 @@ def test_extract_doubling_too_short():
 
 
 def _assert_same_chains(vertices, key, lower, upper, label):
-    assert ranked_chains(vertices, key, lower, upper) == \
+    # key is a scalar pair key, called here in its column form
+    assert ranked_chains(vertices, column_key(key), lower, upper) == \
         labelled_chains(vertices, label)
 
 
@@ -271,7 +273,7 @@ def _walks_back_to_vertex_0(rng, walk):
         cup = random_cup(rng, n)
         for ls in (cup, mirrored(cup)):
             key, label = _cap_cup_labelling(ls)
-            tables = ranked_chains(range(n), key, -1, +1)
+            tables = ranked_chains(range(n), column_key(key), -1, +1)
             lab, table = max(tables.items(), key=lambda t: max(t[1].length))
             top = max(table.length)
             chain = walk(table, *divmod(table.length.index(top), table.base))
@@ -407,6 +409,70 @@ def test_extraction_with_gaps_beyond_float_range():
     assert kind == lineset.CapCup.CAP
     assert sub.parent_ids == (4, 5, 6, 7, 8, 9)
     _assert_gap_chains_match(ls)
+
+
+def _lines_beyond_int64(rng, n):
+    """n lines whose slope numerators and denominators lie in
+    [2**40, 2**60), of both signs, so that the products in a pair's gap
+    or crossing key overflow int64."""
+    while True:
+        slopes = [Fraction(int(s) * int(p), int(q)) for s, p, q in zip(
+            rng.choice((-1, 1), n), *rng.integers(2**40, 2**60, (2, n)))]
+        if all(2**40 <= abs(s.numerator) < 2**60
+               and 2**40 <= s.denominator < 2**60 for s in slopes):
+            try:
+                return verify_general_position(
+                    [Line(s, Fraction(int(b), 7))
+                     for s, b in zip(slopes, rng.integers(-5000, 5000, n))])
+            except lineset.LineSetError:
+                continue
+
+
+def test_extraction_keys_are_exact_beyond_int64(rng, monkeypatch):
+    # each extractor ranks its pairs with one key call on the columns of
+    # all pairs, and the keys are exact where int64 would wrap around
+    ranked, key_calls = ranked_chains, []
+
+    def counting(vertices, key, lower, upper):
+        calls = []
+
+        def counted(lo, hi):
+            calls.append(len(lo))
+            return key(lo, hi)
+        tables = ranked(vertices, counted, lower, upper)
+        key_calls.append(calls)
+        return tables
+
+    monkeypatch.setattr(lineset, "ranked_chains", counting)
+    monkeypatch.setattr(ramsey, "ranked_chains", counting)
+    for n in (5, 9, 16, 24):
+        ls = _lines_beyond_int64(rng, n)
+        dirs = columns(at_infinity(1, l.slope) for l in ls)
+        assert max(abs(g) for g in gap_ratio(dirs[:, :-1], dirs[:, 1:])
+                   .numerator) >= 2**80
+        tc = color_by_gaps(ls)
+        assert ranked(range(1, n + 1), lambda lo, hi: gap_ratio(
+            dirs[:, lo - 1], dirs[:, hi - 1]), Color.RED, Color.BLUE) == \
+            labelled_chains(range(1, n + 1), tc.of)
+        hs = columns(l.homogeneous for l in ls)
+        _, label = _cap_cup_labelling(ls)
+        assert ranked(range(n), lambda lo, hi: lineset._abscissa(
+            hs[:, lo], hs[:, hi]), -1, +1) == labelled_chains(range(n), label)
+        key_calls.clear()
+        path = longest_mono_path(tc)
+        assert extract_monotone_gaps(ls) == MonotoneGapChain(
+            path.vertices, Direction.NON_INCREASING
+            if path.color == Color.RED else Direction.NON_DECREASING)
+        longest_cap_cup(ls)
+        try:
+            extract_doubling(ls)
+        except ChainTooShort:
+            pass
+        # monotone and cap/cup each call the key once on all pairs, and
+        # so does doubling on its subset unless that is too small
+        pairs = n * (n - 1) // 2
+        assert key_calls[:2] == [[pairs], [pairs]]
+        assert all(len(calls) == 1 for calls in key_calls)
 
 
 def test_ranked_chains_match_labelled_chains_on_cups_and_caps(rng):

@@ -213,6 +213,39 @@ def test_the_chain_recurrence_has_one_home():
     assert not found, found
 
 
+# numpy's fixed-width dtypes by name, and their codes such as "i8" or "<f8"
+FIXED_WIDTH_DTYPE = re.compile(
+    r"u?int(8|16|32|64|c|p|_)|float(16|32|64|96|128|_)"
+    r"|complex(64|128|192|256|_)|u?(byte|short|longlong)|half|single"
+    r"|double|longdouble|c(single|double|longdouble)|[<>=|]?[biufc]\d+")
+
+
+def test_exact_modules_hold_no_fixed_width_numbers():
+    # the exact predicates and the keys built from them hold Python ints,
+    # in numpy object columns at most; a fixed-width dtype, by name or as
+    # a string, a dtype other than object, or an astype would let them
+    # drift to machine numbers that wrap or round
+    found = []
+    for name in ("geometry", "lineset", "ramsey", "embed"):
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+            words = []
+            if isinstance(node, ast.Attribute):
+                words = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                words = [a.name for a in node.names]
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str):
+                words = [node.value]
+            elif isinstance(node, ast.keyword) and node.arg == "dtype" and \
+                    not (isinstance(node.value, ast.Name)
+                         and node.value.id == "object"):
+                words = ["dtype=" + ast.unparse(node.value)]
+            found += [f"{name}.py:{node.lineno} {w}"
+                      for w in words if w == "astype" or w.startswith("dtype=")
+                      or FIXED_WIDTH_DTYPE.fullmatch(w)]
+    assert not found, found
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer patches each name in LAYERS with getattr, so a
     # renamed or deleted function would crash a traced run
