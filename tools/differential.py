@@ -152,20 +152,6 @@ def outcome(fn: Callable, *args, **kwargs):
 # -- the corpus ---------------------------------------------------------------
 
 
-def _pair_key(scalar: Callable):
-    """The pair key ``scalar(i, j)``, a Fraction, in both call forms of
-    ``ranked_chains``: a tree that ranks one pair at a time calls key(i, j)
-    and gets the Fraction; one that ranks all pairs at once calls key(lo,
-    hi) on the two vertex columns and gets the numerator and denominator
-    columns."""
-    def key(i, j):
-        if np.ndim(i) == 0:
-            return scalar(i, j)
-        keys = [scalar(a, b) for a, b in zip(i.tolist(), j.tolist())]
-        return [k.numerator for k in keys], [k.denominator for k in keys]
-    return key
-
-
 class Corpus:
     """The families, each a generator of (case, record) pairs, run against
     the treelines modules in ``tl`` on inputs from the generators of
@@ -811,8 +797,13 @@ class Corpus:
         # j*base + k, as one sorted list of [j, k, label, value] rows per
         # list for the pairs with an entry (length > 0); (j, k, label) is
         # unique, so one sort orders both
-        tables = self.tl.lineset.ranked_chains(vertices, _pair_key(key),
-                                               "lower", "upper")
+        # a tree that ranks one pair at a time calls key(i, j); one that
+        # ranks all pairs at once calls the column form on the two vertex
+        # columns
+        columns = self.conftest.column_key(key)
+        tables = self.tl.lineset.ranked_chains(
+            vertices, lambda i, j: key(i, j) if np.ndim(i) == 0
+            else columns(i, j), "lower", "upper")
         rows = sorted([*divmod(c, t.base), lab, m, t.pred[c]]
                       for lab, t in tables.items()
                       for c, m in enumerate(t.length) if m)
