@@ -252,7 +252,9 @@ def _abscissa(g, h) -> Ratio:
     its sign normalised so that W > 0, unreduced.  On the columns of
     :func:`geometry.columns` it gives a column of each, pair by pair."""
     X, _, W = cross(g, h)
-    s = (W > 0) * 2 - 1     # the sign of W, +1 or -1
+    # the sign of W, +1 or -1: on columns a machine-integer column, exact
+    # as it only flips the signs of the object columns
+    s = (W > 0) * 2 - 1
     return Ratio(s * X, s * W)
 
 
@@ -304,14 +306,16 @@ def ranked_chains(vertices: Sequence[int],
     otherwise, for a rational pair key and increasing ``vertices``.
 
     Key contract: ``key`` is called once, as key(lo, hi), on the vertex
-    columns of all C(n, 2) pairs (lo[p], hi[p]), lo[p] < hi[p], two numpy
-    integer arrays, and returns one column of integer numerators and one
-    of denominators > 0, the key of pair p being their quotient at p,
-    which need not be in lowest terms: a ``geometry.Ratio`` of two numpy
-    object columns, as ``gap_ratio`` and ``_abscissa`` give on the
-    columns of ``geometry.columns``, or any two sequences of ints.  Object
-    columns hold Python ints, so the keys are exact at any size.  Keys are
-    compared by value, so 1/2 and 2/4 tie.
+    columns of all C(n, 2) pairs (lo[p], hi[p]), lo[p] < hi[p], and
+    returns one column of integer numerators and one of denominators > 0,
+    the key of pair p being their quotient at p, which need not be in
+    lowest terms: a ``geometry.Ratio`` of two numpy object columns, as
+    ``gap_ratio`` and ``_abscissa`` give on the columns of
+    ``geometry.columns``, or any two sequences of ints.  ``lo`` and ``hi``
+    are numpy machine-integer arrays, meant only to index the key's own
+    columns: arithmetic on them is not exact.  Object columns hold Python
+    ints, so the keys are exact at any size.  Keys are compared by value,
+    so 1/2 and 2/4 tie.
 
     Tie rule: the pairs (i, j), i < j, are sorted stably by the float
     numerator/denominator (:func:`_rank_key`, +-inf beyond float range),
@@ -334,13 +338,9 @@ def ranked_chains(vertices: Sequence[int],
     v = np.asarray(vertices)
     # the pairs by larger vertex, then smaller
     hi, lo = (v[c] for c in np.tril_indices(len(v), -1))
-    num, den = (np.asarray(c, dtype=object) for c in key(lo, hi))
-    try:
-        # numpy divides the object columns entry by entry, each the
-        # division of _rank_key, which also ranks a key beyond float range
-        rank = (num / den).tolist()
-    except OverflowError:
-        rank = list(map(_rank_key, num, den))
+    # as lists of Python ints, whatever sequences the key returns
+    num, den = (np.asarray(c, dtype=object).tolist() for c in key(lo, hi))
+    rank = list(map(_rank_key, num, den))
     order = np.argsort(rank, kind="stable").tolist()
     if len(set(rank)) < len(rank):
         # some pairs share a float: order each such run exactly

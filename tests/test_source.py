@@ -221,10 +221,11 @@ FIXED_WIDTH_DTYPE = re.compile(
 
 
 def test_exact_modules_hold_no_fixed_width_numbers():
-    # the exact predicates and the keys built from them hold Python ints,
-    # in numpy object columns at most; a fixed-width dtype, by name or as
-    # a string, a dtype other than object, or an astype would let them
-    # drift to machine numbers that wrap or round
+    # the exact modules name no fixed-width numpy dtype (as an attribute,
+    # a from-import or a whole string), pass no dtype= other than object
+    # and call no astype, so no exact key is cast to machine numbers that
+    # wrap or round; arrays numpy makes implicitly, such as the index
+    # columns of ranked_chains, are beyond this rule's reach
     found = []
     for name in ("geometry", "lineset", "ramsey", "embed"):
         for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
