@@ -1,13 +1,15 @@
 """Text file formats for instances and embeddings.
 
-An instance file holds `l <id> <slope> <offset>` rows (rationals as `p/q` or
-integers), `e <parent> <child>` rows (root is vertex 0) and optional
-`a <vertex> <line-id>` rows.  An embedding file holds `p <vertex> <x>` rows.
-Comments start with `#`.  All errors carry the 1-based source line number.
+An instance file holds `l <id> <slope> <offset>` rows, `e <parent> <child>`
+rows (root is vertex 0) and optional `a <vertex> <line-id>` rows.  An
+embedding file holds `p <vertex> <x>` rows.  Numbers are ASCII: rationals
+`[+-]?[0-9]+(/[0-9]+)?`, integers with no `/` part.  Comments start with
+`#`.  All errors carry the 1-based source line number.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -32,20 +34,28 @@ class ValidationProblem(ParseError):
     pass
 
 
+# int() and Fraction() would also read underscores and other scripts' digits
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational(tok: str, lineno: int) -> Fraction:
     if "." in tok or "e" in tok.lower():
         raise SyntaxProblem(lineno, f"rationals only, got {tok!r}")
     try:
-        return Fraction(tok)
+        if _NUMBER.fullmatch(tok):
+            return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise SyntaxProblem(lineno, f"bad rational {tok!r}")
+        pass
+    raise SyntaxProblem(lineno, f"bad rational {tok!r}")
 
 
 def _int(tok: str, lineno: int) -> int:
     try:
-        return int(tok)
+        if _NUMBER.fullmatch(tok):
+            return int(tok)     # which turns down a "/" part
     except ValueError:
-        raise SyntaxProblem(lineno, f"bad integer {tok!r}")
+        pass
+    raise SyntaxProblem(lineno, f"bad integer {tok!r}")
 
 
 def _rows(text: Union[bytes, str]) -> List[Tuple[int, List[str]]]:

@@ -259,31 +259,27 @@ def _abscissa(g, h) -> Ratio:
 
 
 class ChainTable(NamedTuple):
-    """A label's chain table, flat over the pair codes c = j*base + k,
-    where ``base`` is the largest vertex + 1: ``length[c]`` is the length
-    of the longest chain ending with j, k, or 0 when no triple extends the
-    pair, and ``pred[c]`` its smallest predecessor among the longest.
-    Whether a pair has an entry reads from ``length`` alone, since vertex
-    0 is a predecessor like any other.  Each list has base**2 entries,
-    however few the vertices."""
+    """A label's chain table over the ids 1..n, flat over the pair codes
+    c = j*base + k, base = n + 1: ``length[c]`` is the length of the
+    longest chain ending with j, k, or 0 when no triple extends the pair,
+    and ``pred[c]`` its smallest predecessor among the longest, 0 with no
+    entry.  Each list has base**2 entries."""
 
     base: int
     length: List[int]
     pred: List[int]
 
-
-def chain_ending(table: ChainTable, j: int, k: int) -> List[int]:
-    """The chain of ``table`` that ends with j, k, followed back through
-    the predecessors."""
-    base, length, pred = table
-    seq = [k, j]
-    c = j * base + k
-    while length[c]:
-        i = pred[c]
-        c = i * base + seq[-1]
-        seq.append(i)
-    seq.reverse()
-    return seq
+    def chain(self, c: int) -> List[int]:
+        """The chain that ends with the pair of code c, followed back
+        through the predecessors."""
+        j, k = divmod(c, self.base)
+        seq = [k, j]
+        while self.length[c]:
+            i = self.pred[c]
+            c = i * self.base + seq[-1]
+            seq.append(i)
+        seq.reverse()
+        return seq
 
 
 def _rank_key(numerator: int, denominator: int) -> float:
@@ -296,16 +292,16 @@ def _rank_key(numerator: int, denominator: int) -> float:
         return math.inf if numerator > 0 else -math.inf
 
 
-def ranked_chains(vertices: Sequence[int],
+def ranked_chains(n: int,
                   key: Callable[[np.ndarray, np.ndarray],
                                 Tuple[Sequence[int], Sequence[int]]],
                   lower: Hashable, upper: Hashable
                   ) -> Dict[Hashable, ChainTable]:
-    """The chain tables of the labelling that gives a triple i < j < k
-    the label ``lower`` when key(j, k) < key(i, j) and ``upper``
-    otherwise, for a rational pair key and increasing ``vertices``.
+    """The chain tables of the labelling that gives a triple i < j < k of
+    the ids 1..n the label ``lower`` when key(j, k) < key(i, j) and
+    ``upper`` otherwise, for a rational pair key.
 
-    Key contract: ``key`` is called once, as key(lo, hi), on the vertex
+    Key contract: ``key`` is called once, as key(lo, hi), on the id
     columns of all C(n, 2) pairs (lo[p], hi[p]), lo[p] < hi[p], and
     returns one column of integer numerators and one of denominators > 0,
     the key of pair p being their quotient at p, which need not be in
@@ -321,7 +317,7 @@ def ranked_chains(vertices: Sequence[int],
     numerator/denominator (:func:`_rank_key`, +-inf beyond float range),
     and only pairs that share a float are sorted again, stably, by their
     exact values.  That is the stable sort by (float, exact value): pairs
-    with equal keys keep the order of their larger vertex.
+    with equal keys keep the order of their larger id.
 
     Each label is one sweep over the sorted pairs in which pair (j, k)
     reads the best chain ending at j, the longest over the pairs (i, j)
@@ -335,9 +331,8 @@ def ranked_chains(vertices: Sequence[int],
     predecessor, as a :class:`ChainTable` over the pair codes.  A label
     with no chain of three gets no table.
     """
-    v = np.asarray(vertices)
-    # the pairs by larger vertex, then smaller
-    hi, lo = (v[c] for c in np.tril_indices(len(v), -1))
+    # the pairs by larger id, then smaller
+    hi, lo = (c + 1 for c in np.tril_indices(n, -1))
     # as lists of Python ints, whatever sequences the key returns
     num, den = (np.asarray(c, dtype=object).tolist() for c in key(lo, hi))
     rank = list(map(_rank_key, num, den))
@@ -352,13 +347,13 @@ def ranked_chains(vertices: Sequence[int],
             exact += run
         order = exact
     lo, hi = lo[order].tolist(), hi[order].tolist()
-    base = max(vertices, default=-1) + 1
+    base = n + 1
     tables: Dict[Hashable, ChainTable] = {}
     for lab, sweep in ((upper, zip(lo, hi)),
                        (lower, zip(reversed(lo), reversed(hi)))):
         length, pred = [0] * base ** 2, [0] * base ** 2
-        # the longest chain ending at each vertex so far and its smallest
-        # predecessor; a vertex alone is a chain of length 1
+        # the longest chain ending at each id so far and its smallest
+        # predecessor; an id alone is a chain of length 1
         best_length, best_pred = [1] * base, [0] * base
         for j, k in sweep:
             m = best_length[j] + 1
@@ -372,6 +367,35 @@ def ranked_chains(vertices: Sequence[int],
     return tables
 
 
+def labelled_chains(n: int, label: Callable[[int, int, int], Hashable]
+                    ) -> Dict[Hashable, ChainTable]:
+    """The chain tables of an arbitrary labelling of the triples of the
+    ids 1..n, equal to those of :func:`ranked_chains`, by the O(n^3)
+    dynamic program of Chvatal and Klincsek (1980), which labels each
+    triple i < j < k once.  A triple finds its label's table by a scan of
+    the few labels seen so far, which hashes no label: the hash of an
+    ``enum.Enum`` member such as ``ramsey.Color`` runs in Python."""
+    base = n + 1
+    labels: List[Hashable] = []
+    tables: List[ChainTable] = []
+    for j in range(2, n + 1):
+        for k in range(j + 1, n + 1):
+            c = j * base + k
+            for i in range(1, j):
+                lab = label(i, j, k)
+                try:
+                    table = tables[labels.index(lab)]
+                except ValueError:
+                    table = ChainTable(base, [0] * base ** 2, [0] * base ** 2)
+                    labels.append(lab)
+                    tables.append(table)
+                # a pair (i, j) with no entry is a chain of two
+                m = (table.length[i * base + j] or 2) + 1
+                if m > table.length[c]:
+                    table.length[c], table.pred[c] = m, i
+    return dict(zip(labels, tables))
+
+
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
     """Largest subset forming a cap or cup: the longest chain of ids whose
     consecutive crossings x_ij, x_jk (the exact abscissas of
@@ -383,15 +407,13 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
         raise TooFew("need at least 3 lines")
     hs = columns(l.homogeneous for l in ls.lines)
     tables = ranked_chains(
-        range(1, n + 1),
-        lambda lo, hi: _abscissa(hs[:, lo - 1], hs[:, hi - 1]), -1, +1)
+        n, lambda lo, hi: _abscissa(hs[:, lo - 1], hs[:, hi - 1]), -1, +1)
     # the longest chain of either label, the cap label -1 first on ties,
     # ending with its smallest pair: pair codes run in (j, k) order
     top, lab = min((-max(t.length), lab) for lab, t in tables.items())
     table = tables[lab]
-    j, k = divmod(table.length.index(-top), table.base)
     kind = CapCup.CAP if lab == -1 else CapCup.CUP
-    sub = ls.subset(chain_ending(table, j, k))
+    sub = ls.subset(table.chain(table.length.index(-top)))
     if classify_cap_cup(sub) != kind:
         raise PostconditionError(f"extracted {kind.value} fails the "
                                  f"cap/cup check")

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from .geometry import Line, PostconditionError, angle_gap, at_infinity, \
     columns, gap_ratio
 from .lineset import ChainTable, LineSet, LineSetError, TooFew, \
-    chain_ending, ranked_chains
+    labelled_chains, ranked_chains
 
 
 class Color(enum.Enum):
@@ -84,46 +84,16 @@ def mono_path_bound(n: int) -> int:
     return k
 
 
-def labelled_chains(vertices: Sequence[int],
-                    label: Callable[[int, int, int], Hashable]
-                    ) -> Dict[Hashable, ChainTable]:
-    """The chain tables of an arbitrary labelling of the triples, in the
-    flat layout of ``lineset.ranked_chains`` and equal to its tables, by
-    the O(n^3) dynamic program of Chvatal and Klincsek (1980), which
-    labels each triple i < j < k once.  A triple finds its label's table
-    by a scan of the few labels seen so far, which hashes no label: the
-    hash of an ``enum.Enum`` member such as ``Color`` runs in Python."""
-    base = max(vertices, default=-1) + 1
-    labels: List[Hashable] = []
-    tables: List[ChainTable] = []
-    for b, j in enumerate(vertices):
-        for k in vertices[b + 1:]:
-            c = j * base + k
-            for i in vertices[:b]:
-                lab = label(i, j, k)
-                try:
-                    table = tables[labels.index(lab)]
-                except ValueError:
-                    table = ChainTable(base, [0] * base ** 2, [0] * base ** 2)
-                    labels.append(lab)
-                    tables.append(table)
-                # a pair (i, j) with no entry is a chain of two
-                m = (table.length[i * base + j] or 2) + 1
-                if m > table.length[c]:
-                    table.length[c], table.pred[c] = m, i
-    return dict(zip(labels, tables))
-
-
-def _longest_path(tables: Dict[Color, ChainTable]) -> HyperPath:
-    # ties broken toward the lexicographically smallest sequence; a
-    # sequence of three or more vertices has one colour, so the sequences
-    # of the two colours never tie
+def _longest_path(tables: Dict[Hashable, ChainTable]
+                  ) -> Tuple[Tuple[int, ...], Hashable]:
+    # the longest chain of the tables and its label, ties broken toward the
+    # lexicographically smallest sequence; a sequence of three or more ids
+    # has one label, so the sequences of two labels never tie
     top = max(max(t.length) for t in tables.values())
-    ends = {tuple(chain_ending(t, *divmod(c, t.base))): color
-            for color, t in tables.items()
+    ends = {tuple(t.chain(c)): lab for lab, t in tables.items()
             for c, m in enumerate(t.length) if m == top}
     seq = min(ends)
-    return HyperPath(seq, ends[seq])
+    return seq, ends[seq]
 
 
 def longest_mono_path(tc: TripleColoring) -> HyperPath:
@@ -132,7 +102,7 @@ def longest_mono_path(tc: TripleColoring) -> HyperPath:
     if tc.n < 3:
         raise ValueError("need n >= 3")
     # every triple has a colour, so the first one is already a path of 3
-    return _longest_path(labelled_chains(range(1, tc.n + 1), tc.of))
+    return HyperPath(*_longest_path(labelled_chains(tc.n, tc.of)))
 
 
 def color_by_gaps(ls: LineSet) -> TripleColoring:
@@ -157,13 +127,10 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
     if n < 3:
         raise TooFew("need at least 3 lines")
     dirs = columns(at_infinity(1, l.slope) for l in ls.lines)
-    path = _longest_path(ranked_chains(
-        range(1, n + 1),
-        lambda lo, hi: gap_ratio(dirs[:, lo - 1], dirs[:, hi - 1]),
-        Color.RED, Color.BLUE))
-    direction = (Direction.NON_INCREASING if path.color == Color.RED
-                 else Direction.NON_DECREASING)
-    chain = MonotoneGapChain(path.vertices, direction)
+    # the lower label (a later gap below the earlier) is color_by_gaps' red
+    chain = MonotoneGapChain(*_longest_path(ranked_chains(
+        n, lambda lo, hi: gap_ratio(dirs[:, lo - 1], dirs[:, hi - 1]),
+        Direction.NON_INCREASING, Direction.NON_DECREASING)))
     if not check_monotone(ls, chain):
         raise PostconditionError("extracted chain has non-monotone gaps")
     return chain

@@ -476,8 +476,8 @@ class _FrameFloats:
     def __init__(self, frame: SixLineFrame):
         self.s = np.array([float(l.slope) for l in frame.lines])
         self.b = np.array([float(l.dual_offset) for l in frame.lines])
-        self.apex = np.array([[float(frame.apex(j).x),
-                               float(frame.apex(j).y)] for j in (1, 2, 3)])
+        self.apex = np.array([[float(a.x), float(a.y)]
+                              for a in map(frame.apex, (1, 2, 3))])
         pts = np.array([[float(p.x), float(p.y)]
                         for p in frame.sub.intersection_points()])
         center = pts.mean(axis=0)

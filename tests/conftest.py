@@ -72,7 +72,7 @@ def tied_gap_lines(rng: np.random.Generator, n: int) -> LineSet:
 
 def column_key(key):
     """The column form that lineset.ranked_chains calls of a scalar pair
-    key (i, j) -> Fraction | Ratio: on the vertex columns lo, hi it
+    key (i, j) -> Fraction | Ratio: on the id columns lo, hi it
     returns the numerators and the denominators of the keys of the pairs
     (lo[p], hi[p])."""
     def columns(lo, hi):

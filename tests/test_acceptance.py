@@ -196,16 +196,16 @@ def test_criterion_3_hyperpath_dp():
     _report(3, ok, detail, 120.0, time.time() - t0)
 
 
-def _first_found_chains(vertices, label):
+def _first_found_chains(n, label):
     """ramsey.labelled_chains keeping the first chain it finds for a pair,
     not the longest: its chains are valid, but not always the longest."""
-    base = max(vertices) + 1
+    base = n + 1
     tables = defaultdict(
         lambda: ChainTable(base, [0] * base ** 2, [0] * base ** 2))
-    for b, j in enumerate(vertices):
-        for k in vertices[b + 1:]:
+    for j in range(2, n + 1):
+        for k in range(j + 1, n + 1):
             c = j * base + k
-            for i in vertices[:b]:
+            for i in range(1, j):
                 table = tables[label(i, j, k)]
                 if not table.length[c]:
                     table.length[c] = max(table.length[i * base + j], 2) + 1
@@ -255,16 +255,16 @@ def test_criterion_4_chains():
     _report(4, ok, detail, 30.0, time.time() - t0)
 
 
-def _non_maximising_chains(vertices, key, lower, upper):
+def _non_maximising_chains(n, key, lower, upper):
     """lineset.ranked_chains with the best chain ending at k overwritten by
     the last pair swept into k instead of maximised: its chains are valid,
     but not always the longest."""
-    pairs = [(i, j) for b, j in enumerate(vertices) for i in vertices[:b]]
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     num, den = key(*(np.array(c) for c in zip(*pairs)))
     rank = list(map(lineset._rank_key, num, den))
     pairs = [pairs[x] for x in sorted(range(len(pairs)),
                                       key=rank.__getitem__)]
-    base = max(vertices) + 1
+    base = n + 1
     tables = {}
     for lab, sweep in ((upper, pairs), (lower, reversed(pairs))):
         length, pred = [0] * base ** 2, [0] * base ** 2

@@ -3,13 +3,16 @@ ParseError, and serializing then parsing gives back what was written."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treelines.cli import main
 from treelines.embed import Assignment, Embedding, Tree
 from treelines.geometry import Line
 from treelines.io_formats import (
     ParseError,
+    SyntaxProblem,
     parse_embedding,
     parse_instance,
     parse_lines,
@@ -150,3 +153,22 @@ def test_instance_round_trip(inst):
 @ROUND_TRIP
 def test_embedding_round_trip(emb):
     assert parse_embedding(serialize_embedding(emb), len(emb.pos)) == emb
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("l 1 -1 0\nl 2 1_0 3\n", 2, "bad rational '1_0'"),
+    ("l 1 -1 0\nl 2 \uff120 1\n", 2, "bad rational '\uff120'"),
+    ("l 1 -1 0\nl 2 0 1\nl \u0663 1 0\n", 3, "bad integer '\u0663'"),
+    ("l 1 -1 0\n# ids have no / part\nl 4/2 0 1\n", 3, "bad integer '4/2'"),
+], ids=["underscore", "fullwidth-digit", "arabic-indic-id", "ratio-id"])
+def test_numbers_are_ascii_digits_alone(text, lineno, message, tmp_path,
+                                        capsys):
+    # int() and Fraction() read the first three tokens as 10, 20 and 3,
+    # and Fraction() reads 4/2 as 2; the grammar turns all four down
+    with pytest.raises(SyntaxProblem) as exc:
+        parse_lines(text)
+    assert str(exc.value) == f"line {lineno}: {message}"
+    path = tmp_path / "lines.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"

@@ -227,68 +227,66 @@ def test_extract_doubling_too_short():
         extract_doubling(ls)
 
 
-def _assert_same_chains(vertices, key, lower, upper, label):
+def _assert_same_chains(n, key, lower, upper, label):
     # key is a scalar pair key, called here in its column form
-    assert ranked_chains(vertices, column_key(key), lower, upper) == \
-        labelled_chains(vertices, label)
+    assert ranked_chains(n, column_key(key), lower, upper) == \
+        labelled_chains(n, label)
 
 
 def _assert_gap_chains_match(ls):
-    n = len(ls)
     tc = color_by_gaps(ls)
-    _assert_same_chains(range(1, n + 1),
+    _assert_same_chains(len(ls),
                         lambda i, j: angle_gap(ls.line(i), ls.line(j)),
                         Color.RED, Color.BLUE, tc.of)
 
 
 def _cap_cup_labelling(ls):
-    """The cap/cup key of ls on vertices range(n), the slope between two
-    dual points, and the triple label it induces, their orientation."""
+    """The cap/cup key of ls on its ids 1..n, the slope between two dual
+    points, and the triple label it induces, their orientation."""
     duals = [dualize_line(l) for l in ls]
-    return (lambda i, j: (duals[j].y - duals[i].y) / (duals[j].x - duals[i].x),
-            lambda i, j, k: orientation(duals[i], duals[j], duals[k]))
+
+    def key(i, j):
+        p, q = duals[i - 1], duals[j - 1]
+        return (q.y - p.y) / (q.x - p.x)
+    return key, lambda i, j, k: orientation(
+        duals[i - 1], duals[j - 1], duals[k - 1])
 
 
 def _assert_cap_cup_chains_match(ls):
     key, label = _cap_cup_labelling(ls)
-    _assert_same_chains(range(len(ls)), key, -1, +1, label)
+    _assert_same_chains(len(ls), key, -1, +1, label)
 
 
-def _chain_ending_reading_pred(table, j, k):
-    """lineset.chain_ending taking pred[c] == 0 for "no entry", so a walk
-    back stops short of vertex 0."""
-    base, _, pred = table
-    seq = [k, j]
-    while pred[seq[-1] * base + seq[-2]]:
-        seq.append(pred[seq[-1] * base + seq[-2]])
-    seq.reverse()
-    return seq
-
-
-def _walks_back_to_vertex_0(rng, walk):
-    """Whether ``walk`` reads, from each cap/cup table on vertices
-    range(n) of random cups and caps, a longest chain that starts at
-    vertex 0 and whose triples all carry the table's label."""
+def test_chain_walks_back_a_longest_chain_of_its_label(rng):
+    # from the code of each table's first longest entry, on random cups
+    # and caps, the walk back reads a chain as long as the entry whose
+    # triples all carry the table's label
     for n in range(3, 16):
         cup = random_cup(rng, n)
         for ls in (cup, mirrored(cup)):
             key, label = _cap_cup_labelling(ls)
-            tables = ranked_chains(range(n), column_key(key), -1, +1)
-            lab, table = max(tables.items(), key=lambda t: max(t[1].length))
-            top = max(table.length)
-            chain = walk(table, *divmod(table.length.index(top), table.base))
-            if chain[0] != 0 or len(chain) != top or any(
-                    label(*chain[a:a + 3]) != lab for a in range(top - 2)):
-                return False
-    return True
+            for lab, table in ranked_chains(n, column_key(key),
+                                            -1, +1).items():
+                top = max(table.length)
+                chain = table.chain(table.length.index(top))
+                assert len(chain) == top and chain == sorted(set(chain))
+                assert all(label(*chain[a:a + 3]) == lab
+                           for a in range(top - 2))
 
 
-def test_chain_ending_walks_back_to_vertex_0(rng):
-    assert _walks_back_to_vertex_0(rng, lineset.chain_ending)
-
-
-def test_a_walk_that_reads_pred_for_entries_misses_vertex_0(rng):
-    assert not _walks_back_to_vertex_0(rng, _chain_ending_reading_pred)
+def test_chain_tables_hold_one_entry_per_pair_code(rng):
+    # each list of a table over the ids 1..n has (n + 1)**2 entries, the
+    # pair codes j*(n + 1) + k of 0 <= j, k <= n
+    for n in (3, 8, 21):
+        ls = tied_gap_lines(rng, n)
+        key, label = _cap_cup_labelling(ls)
+        for tables in (ranked_chains(n, column_key(key), -1, +1),
+                       labelled_chains(n, label),
+                       labelled_chains(n, color_by_gaps(ls).of)):
+            assert tables
+            for table in tables.values():
+                assert table.base == n + 1
+                assert len(table.length) == len(table.pred) == (n + 1) ** 2
 
 
 def test_ranked_chains_match_labelled_chains_on_random_sets(rng):
@@ -318,15 +316,15 @@ def test_ranked_chains_break_float_ties_exactly(rng):
     n = 14
     h = iter(int(v) for v in rng.integers(-4, 5, n * (n - 1) // 2))
     keys = {(i, j): 1 + Fraction(next(h), 2**80)
-            for j in range(n) for i in range(j)}
+            for j in range(1, n + 1) for i in range(1, j)}
     assert {float(k) for k in keys.values()} == {1.0}
     assert 1 < len(set(keys.values())) < len(keys)
     _assert_same_chains(
-        range(n), lambda i, j: keys[i, j], "lower", "upper",
+        n, lambda i, j: keys[i, j], "lower", "upper",
         lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
 
 
-def _assert_ratio_and_fraction_keys_agree(vertices, ratio_key):
+def _assert_ratio_and_fraction_keys_agree(n, ratio_key):
     """The Ratio keys and the equal Fractions both give the tables of the
     exact labelling."""
     def frac(i, j):
@@ -336,7 +334,7 @@ def _assert_ratio_and_fraction_keys_agree(vertices, ratio_key):
         return "lower" if frac(j, k) < frac(i, j) else "upper"
 
     for key in (ratio_key, frac):
-        _assert_same_chains(vertices, key, "lower", "upper", label)
+        _assert_same_chains(n, key, "lower", "upper", label)
 
 
 def _gap_key(ls):
@@ -349,48 +347,35 @@ def test_ranked_chains_take_ratio_keys_as_their_fractions(rng):
     # 10**200 whose gaps are beyond float range
     for n in (3, 7, 12, 18):
         for ls in (random_lines(rng, n), tied_gap_lines(rng, n)):
-            _assert_ratio_and_fraction_keys_agree(range(1, n + 1),
-                                                  _gap_key(ls))
+            _assert_ratio_and_fraction_keys_agree(n, _gap_key(ls))
     huge = verify_general_position(
         [Line(Fraction(10**200 + k * k), Fraction(7 * k + 1))
          for k in range(6)]
         + [Line(Fraction(-k), Fraction(k * k + 3)) for k in range(1, 4)])
-    _assert_ratio_and_fraction_keys_agree(range(1, 10), _gap_key(huge))
+    _assert_ratio_and_fraction_keys_agree(9, _gap_key(huge))
 
 
 def test_ranked_chains_break_float_ties_of_unreduced_ratios(rng):
     # 1 + h/2**80 all round to the float 1.0; written over 2**80 times a
     # random factor, equal keys come in different terms
     n = 14
-    pairs = [(i, j) for j in range(n) for i in range(j)]
+    pairs = [(i, j) for j in range(1, n + 1) for i in range(1, j)]
     keys = {p: Ratio(int(f) * (2**80 + int(h)), int(f) * 2**80)
             for p, h, f in zip(pairs, rng.integers(-4, 5, len(pairs)),
                                rng.integers(1, 6, len(pairs)))}
     assert {r.numerator / r.denominator for r in keys.values()} == {1.0}
     values = {Fraction(*r) for r in keys.values()}
     assert 1 < len(values) < len(set(keys.values()))
-    _assert_ratio_and_fraction_keys_agree(range(n), lambda i, j: keys[i, j])
+    _assert_ratio_and_fraction_keys_agree(n, lambda i, j: keys[i, j])
 
 
 def test_ranked_chains_on_vertices_with_gaps_between_them(rng):
-    # increasing vertex sequences that are not a range: the ids a subset
-    # keeps, and the Fibonacci numbers, on keys with many ties
-    fib = [1, 2]
-    while len(fib) < 16:
-        fib.append(fib[-1] + fib[-2])
-    keys = {(i, j): Fraction(int(rng.integers(-3, 4)), 2)
-            for j in fib for i in fib if i < j}
-    _assert_same_chains(
-        fib, lambda i, j: keys[i, j], "lower", "upper",
-        lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
+    # the lines a subset keeps, whose ids in the parent set have gaps
+    # between them, on their own ids 1..m, with many tied gaps
     for n in (9, 17, 25):
         ls = tied_gap_lines(rng, n)
-        kept = ls.subset([int(v) + 1 for v in rng.choice(
-            n, n // 2 + 1, replace=False)]).parent_ids
-        tc = color_by_gaps(ls)
-        _assert_same_chains(
-            kept, lambda i, j: angle_gap(ls.line(i), ls.line(j)),
-            Color.RED, Color.BLUE, tc.of)
+        _assert_gap_chains_match(ls.subset([int(v) + 1 for v in rng.choice(
+            n, n // 2 + 1, replace=False)]))
 
 
 def test_extraction_with_gaps_beyond_float_range():
@@ -433,13 +418,13 @@ def test_extraction_keys_are_exact_beyond_int64(rng, monkeypatch):
     # all pairs, and the keys are exact where int64 would wrap around
     ranked, key_calls = ranked_chains, []
 
-    def counting(vertices, key, lower, upper):
+    def counting(n, key, lower, upper):
         calls = []
 
         def counted(lo, hi):
             calls.append(len(lo))
             return key(lo, hi)
-        tables = ranked(vertices, counted, lower, upper)
+        tables = ranked(n, counted, lower, upper)
         key_calls.append(calls)
         return tables
 
@@ -451,13 +436,13 @@ def test_extraction_keys_are_exact_beyond_int64(rng, monkeypatch):
         assert max(abs(g) for g in gap_ratio(dirs[:, :-1], dirs[:, 1:])
                    .numerator) >= 2**80
         tc = color_by_gaps(ls)
-        assert ranked(range(1, n + 1), lambda lo, hi: gap_ratio(
+        assert ranked(n, lambda lo, hi: gap_ratio(
             dirs[:, lo - 1], dirs[:, hi - 1]), Color.RED, Color.BLUE) == \
-            labelled_chains(range(1, n + 1), tc.of)
+            labelled_chains(n, tc.of)
         hs = columns(l.homogeneous for l in ls)
         _, label = _cap_cup_labelling(ls)
-        assert ranked(range(n), lambda lo, hi: lineset._abscissa(
-            hs[:, lo], hs[:, hi]), -1, +1) == labelled_chains(range(n), label)
+        assert ranked(n, lambda lo, hi: lineset._abscissa(
+            hs[:, lo - 1], hs[:, hi - 1]), -1, +1) == labelled_chains(n, label)
         key_calls.clear()
         path = longest_mono_path(tc)
         assert extract_monotone_gaps(ls) == MonotoneGapChain(

@@ -134,9 +134,10 @@ def test_no_imports_inside_functions():
 
 
 def _functions_named(tree: ast.AST, names: set) -> set:
-    # the ids of every node inside the named function definitions
+    # the ids of every node inside the named function or class definitions
     return {id(node) for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name in names
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+            and fn.name in names
             for node in ast.walk(fn)}
 
 
@@ -212,6 +213,35 @@ def test_the_chain_recurrence_has_one_home():
              and id(node) not in allowed]
     assert not found, found
 
+
+
+def _names_base(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "base" or \
+        isinstance(node, ast.Attribute) and node.attr == "base"
+
+
+def test_the_pair_code_has_one_home():
+    # a chain table's pair code c = j*base + k is built and decoded only by
+    # the table and the two programmes that fill it: a product, quotient
+    # or remainder with a base, or a divmod by it, anywhere else in the
+    # package writes the layout again
+    homes = {"ChainTable", "ranked_chains", "labelled_chains"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = _functions_named(tree, homes) \
+            if path.name == "lineset.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(
+                    node.op, (ast.Mult, ast.FloorDiv, ast.Mod)):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.Call) and _dotted(node) == "divmod":
+                operands = node.args
+            else:
+                continue
+            if id(node) not in allowed and any(map(_names_base, operands)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 # numpy's fixed-width dtypes by name, and their codes such as "i8" or "<f8"
 FIXED_WIDTH_DTYPE = re.compile(

@@ -86,6 +86,7 @@ import dataclasses
 import enum
 import hashlib
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -762,18 +763,16 @@ class Corpus:
         float 1.0 and often tie exactly."""
         gap = self.tl.geometry.angle_gap
         for name, ls in self.line_sets():
-            ids = range(1, len(ls) + 1)
             yield f"{name} gaps", self._tables(
-                ids, lambda i, j: gap(ls.line(i), ls.line(j)))
+                len(ls), lambda i, j: gap(ls.line(i), ls.line(j)))
             yield f"{name} crossings", self._tables(
-                ids, lambda i, j: ls.intersection(i, j).x)
+                len(ls), lambda i, j: ls.intersection(i, j).x)
         rng = np.random.default_rng(1618)
         n = 14
         for k in range(self.size):
             keys = {(i, j): 1 + Fraction(int(rng.integers(-4, 5)), 2**80)
-                    for j in range(n) for i in range(j)}
-            yield f"float ties#{k}", self._tables(range(n),
-                                                  lambda i, j: keys[i, j])
+                    for j in range(1, n + 1) for i in range(1, j)}
+            yield f"float ties#{k}", self._tables(n, lambda i, j: keys[i, j])
 
     def coloring(self):
         """color_by_gaps on the line sets of up to 12 lines: the colour of
@@ -792,18 +791,21 @@ class Corpus:
                              "path": outcome(lambda: ramsey.longest_mono_path(
                                  ramsey.color_by_gaps(ls)))}
 
-    def _tables(self, vertices, key):
+    def _tables(self, n: int, key):
         # each label's length and predecessor lists over the pair codes
         # j*base + k, as one sorted list of [j, k, label, value] rows per
         # list for the pairs with an entry (length > 0); (j, k, label) is
         # unique, so one sort orders both
         # a tree that ranks one pair at a time calls key(i, j); one that
-        # ranks all pairs at once calls the column form on the two vertex
-        # columns
+        # ranks all pairs at once calls the column form on the two id
+        # columns.  A tree whose ranked_chains takes the ids themselves,
+        # not n, is given range(1, n + 1)
+        ranked = self.tl.lineset.ranked_chains
+        ids = (range(1, n + 1)
+               if "vertices" in inspect.signature(ranked).parameters else n)
         columns = self.conftest.column_key(key)
-        tables = self.tl.lineset.ranked_chains(
-            vertices, lambda i, j: key(i, j) if np.ndim(i) == 0
-            else columns(i, j), "lower", "upper")
+        tables = ranked(ids, lambda i, j: key(i, j) if np.ndim(i) == 0
+                        else columns(i, j), "lower", "upper")
         rows = sorted([*divmod(c, t.base), lab, m, t.pred[c]]
                       for lab, t in tables.items()
                       for c, m in enumerate(t.length) if m)
