@@ -289,7 +289,9 @@ def convex_hull(points: Sequence[Point]) -> List[Point]:
     or 2 points."""
     if not points:
         raise ValueError("convex_hull of empty set")
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    # one point per homogeneous triple, canonical as coordinates reduce
+    pts = sorted({p.homogeneous: p for p in points}.values(),
+                 key=lambda p: (p.x, p.y))
     if len(pts) <= 2:
         return pts
 

@@ -36,16 +36,18 @@ class ValidationProblem(ParseError):
 
 # int() and Fraction() would also read underscores and other scripts' digits
 _NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# a decimal or exponent literal, such as 0.5 or 1e3: a number, no rational
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _rational(tok: str, lineno: int) -> Fraction:
-    if "." in tok or "e" in tok.lower():
-        raise SyntaxProblem(lineno, f"rationals only, got {tok!r}")
     try:
         if _NUMBER.fullmatch(tok):
             return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         pass
+    if _DECIMAL.fullmatch(tok):
+        raise SyntaxProblem(lineno, f"rationals only, got {tok!r}")
     raise SyntaxProblem(lineno, f"bad rational {tok!r}")
 
 

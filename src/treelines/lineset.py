@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -73,6 +73,13 @@ class CapCup(enum.Enum):
     NEITHER = "neither"
 
 
+# crossings_on's points by their parameters t = n/d, d > 0: the last
+# coordinate of cross((n, d, 0), (n', d', 0)) is n*d' - d*n', of the sign
+# of t - t'
+_by_parameter = cmp_to_key(
+    lambda u, v: cross((*u[0], 0), (*v[0], 0))[2])
+
+
 class LineSet:
     """A general-position set of lines, slope-sorted with ids 1..n.
 
@@ -125,22 +132,28 @@ class LineSet:
         have them of one strict sign meets the segment at t = a/(a - b),
         or contains it when a = b = 0.  Along a line every other line's
         crossing is an arrangement point; otherwise the points are the t
-        that two lines share, never three in general position."""
+        that two lines share, never three in general position.  Each t is
+        keyed by its integers in lowest terms, denominator > 0, which are
+        canonical, and only the points found are sorted, by t exactly."""
         p, q = seg.p.homogeneous, seg.q.homogeneous
         along = None
-        hits: List[Tuple[Fraction, int]] = []
+        hits: Dict[Tuple[int, int], int] = {}
+        found: List[Tuple[Tuple[int, int], int, int]] = []
         for l in self._lines:
             h = l.homogeneous
             a, b = side(h, p) * q[2], side(h, q) * p[2]
             if a == b == 0:
                 along = l.id
             elif a * b <= 0:
-                hits.append((Fraction(a, a - b), l.id))
-        hits.sort()
+                g = math.gcd(a, b) if a > b else -math.gcd(a, b)
+                t = a // g, (a - b) // g
+                i = hits.setdefault(t, l.id)
+                if i != l.id:
+                    found.append((t, i, l.id))
         if along is not None:
-            return [self.intersection(along, j) for _, j in hits]
-        return [self.intersection(i, j)
-                for (t, i), (u, j) in zip(hits, hits[1:]) if t == u]
+            found = [(t, along, j) for t, j in hits.items()]
+        found.sort(key=_by_parameter)
+        return [self.intersection(i, j) for _, i, j in found]
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
         """A new LineSet of the selected lines, renumbered in slope order;
@@ -336,11 +349,14 @@ def ranked_chains(n: int,
     # as lists of Python ints, whatever sequences the key returns
     num, den = (np.asarray(c, dtype=object).tolist() for c in key(lo, hi))
     rank = list(map(_rank_key, num, den))
-    order = np.argsort(rank, kind="stable").tolist()
-    if len(set(rank)) < len(rank):
+    keys = np.array(rank)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
         # some pairs share a float: order each such run exactly
         exact = []
-        for _, run in itertools.groupby(order, key=rank.__getitem__):
+        for _, run in itertools.groupby(order.tolist(),
+                                        key=rank.__getitem__):
             run = list(run)
             if len(run) > 1:
                 run.sort(key=lambda x: Fraction(num[x], den[x]))
@@ -628,7 +644,7 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
     # vertices, in one counter-clockwise run
     q = convex_hull(finite)     # starts at the smallest vertex
     if dirs:
-        poly = set(q)
+        poly = {v.homogeneous for v in q}
         d_right, d_left = _extreme_directions(dirs)
         q = convex_hull([*q, *(v.translated(*d) for v in q
                                for d in (d_left, d_right))])
@@ -638,8 +654,10 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
         return RegionHull(r, tuple(q), tuple(
             HullSide(u, v) for u, v in zip(q, q[1:] + q[:1])), True)
 
-    k = next(k for k, v in enumerate(q) if v in poly and q[k - 1] not in poly)
-    chain = [v for v in q[k:] + q[:k] if v in poly]
+    on_poly = [v.homogeneous in poly for v in q]
+    k = next(k for k, f in enumerate(on_poly) if f and not on_poly[k - 1])
+    chain = [v for v, f in zip(q[k:] + q[:k], on_poly[k:] + on_poly[:k])
+             if f]
     # CCW boundary: in from infinity along -d_left, the chain, out along
     # +d_right
     sides: List[HullSide] = [HullSide(None, chain[0], d_left)]

@@ -90,8 +90,13 @@ def _longest_path(tables: Dict[Hashable, ChainTable]
     # lexicographically smallest sequence; a sequence of three or more ids
     # has one label, so the sequences of two labels never tie
     top = max(max(t.length) for t in tables.values())
-    ends = {tuple(t.chain(c)): lab for lab, t in tables.items()
-            for c, m in enumerate(t.length) if m == top}
+    ends = {}
+    for lab, t in tables.items():
+        # the entries that reach the top, found by the list's own scans
+        c = -1
+        for _ in range(t.length.count(top)):
+            c = t.length.index(top, c + 1)
+            ends[tuple(t.chain(c))] = lab
     seq = min(ends)
     return seq, ends[seq]
 

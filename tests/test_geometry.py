@@ -498,6 +498,16 @@ def test_convex_hull_examples():
     assert set(convex_hull(tri)) == set(tri)
     got = convex_hull([point(0, 0), point(2, 0), point(1, 0), point(1, 1)])
     assert got == [point(0, 0), point(2, 0), point(1, 1)]
+    # one point in unequal forms, ints beside Fractions or one crossing of
+    # three lines through (1, 1) reached from two pairs, is one vertex
+    a, b = Point(1, 2), Point(Fraction(1), Fraction(2))
+    l1, l2, l3 = Line(1, 0), Line(2, 1), Line(3, 2)
+    c, d = line_intersection(l1, l2), line_intersection(l1, l3)
+    assert convex_hull([a, b]) == [a]
+    assert convex_hull([c, d]) == [point(1, 1)]
+    assert convex_hull([a, c, b, d]) == [point(1, 1), a]
+    assert convex_hull([a, c, b, d, point(0, 0)]) == [
+        point(0, 0), point(1, 1), a]
 
 
 def _brute_hull(pts):

@@ -160,11 +160,21 @@ def test_embedding_round_trip(emb):
     ("l 1 -1 0\nl 2 \uff120 1\n", 2, "bad rational '\uff120'"),
     ("l 1 -1 0\nl 2 0 1\nl \u0663 1 0\n", 3, "bad integer '\u0663'"),
     ("l 1 -1 0\n# ids have no / part\nl 4/2 0 1\n", 3, "bad integer '4/2'"),
-], ids=["underscore", "fullwidth-digit", "arabic-indic-id", "ratio-id"])
+    ("l 1 one 0\n", 1, "bad rational 'one'"),
+    ("l 1 -1 0\nl 2 e 0\n", 2, "bad rational 'e'"),
+    ("l 1 E5 0\n", 1, "bad rational 'E5'"),
+    ("l 1 0.5 0\n", 1, "rationals only, got '0.5'"),
+    ("l 1 -1 0\nl 2 0 1.5\n", 2, "rationals only, got '1.5'"),
+    ("l 1 1e3 0\n", 1, "rationals only, got '1e3'"),
+], ids=["underscore", "fullwidth-digit", "arabic-indic-id", "ratio-id",
+        "word", "e", "exponent-alone", "decimal", "decimal-offset",
+        "exponent"])
 def test_numbers_are_ascii_digits_alone(text, lineno, message, tmp_path,
                                         capsys):
     # int() and Fraction() read the first three tokens as 10, 20 and 3,
-    # and Fraction() reads 4/2 as 2; the grammar turns all four down
+    # and Fraction() reads 4/2 as 2, and 0.5, 1.5 and 1e3 too; the grammar
+    # turns them all down, and names the decimal and exponent literals
+    # alone as such: a word with an e in it is no decimal
     with pytest.raises(SyntaxProblem) as exc:
         parse_lines(text)
     assert str(exc.value) == f"line {lineno}: {message}"

@@ -303,19 +303,27 @@ def test_intersection_order_on_cap():
     assert partners == [5, 4, 3, 2]     # right-to-left along l1 = ids 2..n
 
 
+def _along(s, r):
+    """The parameter t of the point r = s.p + t*(s.q - s.p) of s's line."""
+    dx, dy = s.q.x - s.p.x, s.q.y - s.p.y
+    return ((r.x - s.p.x) * dx + (r.y - s.p.y) * dy) / (dx * dx + dy * dy)
+
+
 def _assert_crossings_on(ls, seg):
     """crossings_on, both ways along seg, against the oracle: every
-    arrangement point that on_segment puts on the closed segment."""
+    arrangement point that on_segment puts on the closed segment, in
+    order from the segment's first end."""
     want = {p for p in ls.intersection_points() if on_segment(seg, p)}
     for s in (seg, Segment(seg.q, seg.p)):
         got = ls.crossings_on(s)
-        assert len(got) == len(set(got))
         assert set(got) == want, (s, got, want)
+        ts = [_along(s, r) for r in got]
+        assert all(t < u for t, u in zip(ts, ts[1:])), (s, got)
     return want
 
 
 def test_crossings_on_matches_the_points_on_the_segment(rng):
-    found = defaultdict(int)
+    found, several = defaultdict(int), defaultdict(int)
     for n in (2, 3, 5, 8, 12):
         for _ in range(8):
             ls = random_lines(rng, n)
@@ -357,10 +365,16 @@ def test_crossings_on_matches_the_points_on_the_segment(rng):
                 cases["along, ends on"] = (row[a], row[b])
             for kind, (p, q) in cases.items():
                 if p != q:
-                    found[kind] += len(_assert_crossings_on(
-                        ls, Segment(p, q)))
-    # every kind but the random segments meets crossings
+                    met = len(_assert_crossings_on(ls, Segment(p, q)))
+                    found[kind] += met
+                    several[kind] += met >= 3
+    # every kind but the random segments meets crossings, and the order
+    # is tested through three or more on the segments along a line and on
+    # those through two crossings, which meet a third often enough
     assert all(found[kind] > 0 for kind in found if kind != "random")
+    assert all(several[kind] > 0 for kind in ("through two",
+                                              "along, ends off",
+                                              "along, ends on"))
 
 
 def test_color_classes():

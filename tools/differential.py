@@ -40,7 +40,7 @@ embedding checker, solver and scan:
     clip             RegionHull.clip_parameter_interval of segments
     contains         RegionHull.contains of points
     comb_type        comb_type of segments in both directions, errors too,
-                     and LineSet.crossings_on of each, sorted by (x, y)
+                     and LineSet.crossings_on of each, in its order
     path_descriptor  path_descriptor of embedded root paths, errors too
     frame            validate_frame verdicts and errors
     validate_config  validate_config verdicts, rule (ii) among them
@@ -362,7 +362,8 @@ class Corpus:
 
     def comb_type(self):
         """comb_type of every arrangement's segments, both ways round, and
-        the arrangement points crossings_on finds on each."""
+        the arrangement points crossings_on finds on each, in the order it
+        returns them."""
         Segment, embed = self.tl.geometry.Segment, self.tl.embed
         for name, ls, cc, hulls, segs in self.arrangements():
             ok = not any(isinstance(h, Exception) for h in hulls.values())
@@ -372,8 +373,7 @@ class Corpus:
                     yield (f"{name} seg{k} {way}",
                            outcome(embed.comb_type, *args))
                     yield (f"{name} seg{k} {way} crossings_on",
-                           outcome(lambda: sorted(ls.crossings_on(seg),
-                                                  key=lambda p: (p.x, p.y))))
+                           outcome(ls.crossings_on, seg))
 
     def path_descriptor(self):
         ct, inputs, tl = self.conftest, self.inputs, self.tl
