@@ -283,15 +283,29 @@ def segments_intersect(s1: Segment, s2: Segment) -> SegmentRelation:
     return SegmentRelation.TOUCH_ENDPOINT_INTERIOR
 
 
+def ratio_float(numerator: int, denominator: int) -> float:
+    """numerator / denominator, denominator > 0, as a float that ranks
+    with the exact quotient: one correctly rounded division, the float
+    that float(Fraction(numerator, denominator)) gives, so a < b gives
+    ratio_float of a <= that of b; beyond float range, +-inf."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
 def convex_hull(points: Sequence[Point]) -> List[Point]:
     """Convex hull in counter-clockwise order from the smallest point by
     (x, y), collinear interior points removed.  Degenerate inputs yield 1
     or 2 points."""
     if not points:
         raise ValueError("convex_hull of empty set")
-    # one point per homogeneous triple, canonical as coordinates reduce
+    # one point per homogeneous triple, canonical as coordinates reduce,
+    # sorted by (x, y): by the float of x first, so that the Fractions are
+    # compared only where two floats tie
     pts = sorted({p.homogeneous: p for p in points}.values(),
-                 key=lambda p: (p.x, p.y))
+                 key=lambda p: (ratio_float(p.x.numerator, p.x.denominator),
+                                p.x, p.y))
     if len(pts) <= 2:
         return pts
 

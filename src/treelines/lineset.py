@@ -29,6 +29,7 @@ from .geometry import (
     cross,
     line_intersection,
     line_through,
+    ratio_float,
     side,
 )
 
@@ -295,16 +296,6 @@ class ChainTable(NamedTuple):
         return seq
 
 
-def _rank_key(numerator: int, denominator: int) -> float:
-    # n / d of two ints is one correctly rounded division, the float that
-    # float(Fraction(n, d)) gives, so a < b gives _rank_key of a <= that
-    # of b; a key beyond float range ranks as +-inf
-    try:
-        return numerator / denominator
-    except OverflowError:
-        return math.inf if numerator > 0 else -math.inf
-
-
 def ranked_chains(n: int,
                   key: Callable[[np.ndarray, np.ndarray],
                                 Tuple[Sequence[int], Sequence[int]]],
@@ -327,9 +318,9 @@ def ranked_chains(n: int,
     so 1/2 and 2/4 tie.
 
     Tie rule: the pairs (i, j), i < j, are sorted stably by the float
-    numerator/denominator (:func:`_rank_key`, +-inf beyond float range),
-    and only pairs that share a float are sorted again, stably, by their
-    exact values.  That is the stable sort by (float, exact value): pairs
+    numerator/denominator (``geometry.ratio_float``, +-inf beyond float
+    range), and only pairs that share a float are sorted again, stably, by
+    their exact values.  That is the stable sort by (float, exact value): pairs
     with equal keys keep the order of their larger id.
 
     Each label is one sweep over the sorted pairs in which pair (j, k)
@@ -348,7 +339,7 @@ def ranked_chains(n: int,
     hi, lo = (c + 1 for c in np.tril_indices(n, -1))
     # as lists of Python ints, whatever sequences the key returns
     num, den = (np.asarray(c, dtype=object).tolist() for c in key(lo, hi))
-    rank = list(map(_rank_key, num, den))
+    rank = list(map(ratio_float, num, den))
     keys = np.array(rank)
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]

@@ -410,6 +410,15 @@ _PREV = {k: j for j, k in _NEXT_EDGE.items()}
 # benchmark's among them, was set for the triples that this draws
 _CONFIGS_PER_TRIPLE = 21
 
+# the columns of a batch that the rule for the promising triples counts
+# first; on the benchmark's frames the 40 lie within the first 1,200
+_COUNTED_PREFIX = 2_000
+
+# the columns that _solve_edge works on at a time: the twenty or so (n,)
+# rows of _candidates then take under 1 MiB, and a batch's edge 1 ran 30 %
+# faster in blocks of 5,000 than in one of 20,000
+_BLOCK = 5_000
+
 
 def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
                        skip_properties: FrozenSet[str] = frozenset()
@@ -449,23 +458,19 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
         if n_refine:
             t = np.concatenate(
                 [t, geo.perturb_triples(rng, promising, n_refine)], axis=1)
-        u, feas_edges = geo.solve_u(t)
-        cand = np.flatnonzero(feas_edges == 3)
+        cand, u, keep = geo.solve_batch(t)
         if "ii" not in skip_properties:
-            cand = cand[~geo.clearly_meets_hull(u[:, cand], t[:, cand])]
-        for idx in cand:
+            clear = ~geo.clearly_meets_hull(u, t[:, cand])
+            cand, u = cand[clear], u[:, clear]
+        for idx, u_col in zip(cand, u.T):
             params = []
             for j in (1, 2, 3):
-                params.append(Fraction(float(u[j - 1, idx])))
+                params.append(Fraction(float(u_col[j - 1])))
                 params.append(Fraction(float(t[j - 1, idx])))
             cfg = config_from_params(frame, params)
             if all(rule in skip_properties
                    for rule, _ in validate_config(frame, cfg).failures):
                 return cfg
-        # the first 40 triples by falling count of feasible edges, each
-        # count in index order
-        keep = np.concatenate([np.flatnonzero(feas_edges == c)
-                               for c in (3, 2, 1, 0)])[:40]
         promising = t[:, keep]
     return None
 
@@ -518,9 +523,13 @@ class _FrameFloats:
     def sample_triples(self, rng, n: int) -> np.ndarray:
         """(3, n) even-endpoint abscissas: log-uniform offsets from each
         apex abscissa, either side, over a wide range of scales."""
-        off = 10.0 ** rng.uniform(-4, 2.5, size=(3, n)) * self.radius
-        sign = rng.choice([-1.0, 1.0], size=(3, n))
-        return self.apex[:, :1] + sign * off
+        off = rng.uniform(-4, 2.5, size=(3, n))
+        np.power(10.0, off, out=off)
+        off *= self.radius
+        # the signs that rng.choice([-1.0, 1.0]) draws: a draw of 0 negates
+        np.negative(off, out=off, where=rng.integers(0, 2, size=(3, n)) == 0)
+        off += self.apex[:, :1]
+        return off
 
     def perturb_triples(self, rng, base: np.ndarray, n: int) -> np.ndarray:
         """Jitter near-feasible triples, preserving each t's apex side."""
@@ -530,32 +539,71 @@ class _FrameFloats:
                                                           size=(3, n)))
 
     # -- per-edge feasible-u solving ---------------------------------------
-    def solve_u(self, t: np.ndarray):
-        """For each sampled triple, pick a u_j that ``_solve_edge`` finds
-        for each edge where one exists.  Returns the chosen u values
-        (3, n), meaningful only where that edge is feasible, and the
-        per-triple count of satisfiable edges."""
+    def solve_batch(self, t: np.ndarray):
+        """The search's float stage on a (3, n) batch of t-triples: the
+        columns on which ``_solve_edge`` finds a u for all three edges, in
+        index order, those u as a (3, m) array, and the columns of the 40
+        promising triples, the first 40 by falling count of feasible
+        edges, each count in index order.
+
+        Edge 1 runs on the whole batch, edge 2 only on the columns that
+        edge 1 accepts, and edge 3 only on those that both accept.  A
+        column's verdict and u do not depend on the other columns, so
+        they are those of the three edges run on every column."""
+        u1, ok1 = self._solve_edge(1, t)
+        cols = np.flatnonzero(ok1)
+        u2, ok2 = self._solve_edge(2, t[:, cols])
+        cols = cols[ok2]
+        u3, ok3 = self._solve_edge(3, t[:, cols])
+        full = cols[ok3]
+        u = np.stack([u1[full], u2[ok2][ok3], u3[ok3]])
+        return full, u, self._promising(t, ok1, full)
+
+    def _promising(self, t, ok1, full) -> np.ndarray:
+        """The columns of the 40 promising triples of the batch t, given
+        edge 1's verdicts ok1 and the columns full of count 3.  Beyond
+        those, the first _COUNTED_PREFIX columns are counted, with edge
+        1's verdicts reused; the whole batch is counted only when that
+        prefix holds too few triples of count 2 to fill the 40."""
+        short = 40 - len(full)
+        if short <= 0:
+            return full[:40]
         n = t.shape[1]
-        u_out = np.zeros((3, n))
-        feas_edges = np.zeros(n, dtype=np.int64)
-        for j in (1, 2, 3):
-            u, ok = self._solve_edge(j, t)
-            u_out[j - 1] = u
-            feas_edges += ok
-        return u_out, feas_edges
+        for p in sorted({min(n, _COUNTED_PREFIX), n}):
+            count = ok1[:p].astype(np.int64)
+            for j in (2, 3):
+                count += self._solve_edge(j, t[:, :p])[1]
+            if np.count_nonzero(count == 2) >= short:
+                break
+        return np.concatenate(
+            [full, *(np.flatnonzero(count == c) for c in (2, 1, 0))])[:40]
 
     def _solve_edge(self, j: int, t: np.ndarray):
         """Edge j's first candidate u per triple at which ``rule_i`` holds
         on edge j and ``rule_iii`` on edge _PREV[j], and whether it has
-        one; ``rule_ii``, which the control search ignores, is left to the
-        caller.
+        one; row 0 of ``_candidates`` where it has none.  ``rule_ii``,
+        which the control search ignores, is left to the caller.  The
+        columns go through ``_candidates`` _BLOCK at a time."""
+        n = t.shape[1]
+        u, ok = np.empty(n), np.empty(n, dtype=bool)
+        for c in range(0, n, _BLOCK):
+            block = slice(c, c + _BLOCK)
+            rows = self._candidates(j, t[:, block])
+            u[block], ok[block] = next(rows)
+            for u_k, ok_k in rows:
+                np.copyto(u[block], u_k, where=ok_k & ~ok[block])
+                ok[block] |= ok_k
+        return u, ok
+
+    def _candidates(self, j: int, t: np.ndarray):
+        """Yield edge j's five candidate rows of u, each an (n,) array with
+        its verdicts on ``rule_i`` and ``rule_iii``, one row at a time.
 
         Beyond the apex, the two rules change verdict only at four
         breakpoints, the roots of c1*u + c0 and d1*u + d0 and the u where
         the crossing abscissa meets tprev or has its pole, so one candidate
-        per cell between them decides the edge.  The five candidates of
-        every triple are built in one (5, n) buffer, and the two rules
-        work in three more, with in-place ufuncs.  Every element goes
+        per cell between them decides the edge.  The rows are built and
+        tested in (n,) buffers with in-place ufuncs.  Every element goes
         through the same float64 operations, up to exact rewrites such as
         -x/y == -(x/y) and products with factors of +-1 or 0, as in the
         plain array expressions of the seven-candidate reference in
@@ -564,7 +612,6 @@ class _FrameFloats:
         i = _PREV[j]
         ta = t[j - 1]
         tprev = t[i - 1]
-        n = ta.shape[0]
         ax, ay = self.apex[j - 1]
         so, bo = self.s[2 * j - 2], self.b[2 * j - 2]
         se, be = self.s[2 * j - 1], self.b[2 * j - 1]
@@ -586,18 +633,21 @@ class _FrameFloats:
         dt = ta - tprev
         e1 = -v_a + d1 * dt
         e0 = v_a * tprev + d0 * dt
+        del ya, dx, dt      # rows not read below: a smaller working set
 
         # u must sit on the far side of the apex from ta (rule (i) needs
-        # the apex abscissa inside the edge's x-range)
+        # the apex abscissa inside the edge's x-range); where ta is the
+        # apex abscissa, side and flip are 0 and rule (i)'s product below
+        # is 0 or NaN, never positive, on every row
         side = np.sign(ax - ta)
         flip = -side
-        u_test, work, v_p, cx = np.empty((4, 5, n))
+        dist = np.empty((4, ta.shape[0]))
+        work = np.empty_like(ta)
 
         # the roots -c0/c1, -d0/d1, -e0/e1 and -(d0 - v_a)/d1 as distances
         # (root - ax) * side = (x/y + ax) * -side beyond the apex; a zero
         # denominator, the scalar d1 among them, gives an infinite or NaN
         # distance
-        dist = work[:4]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(c0, c1, out=dist[0])
             dist[1] = d0 / d1
@@ -609,52 +659,53 @@ class _FrameFloats:
             # every distance that is not finite and positive becomes +0.0:
             # x - x is NaN for x infinite and +0.0 otherwise, and fmax
             # takes 0.0 over NaN and over anything below it
-            np.subtract(dist, dist, out=u_test[:4])
-            dist += u_test[:4]
+            for row in dist:
+                np.subtract(row, row, out=work)
+                row += work
         np.fmax(dist, 0.0, out=dist)
-        _sort4(dist, u_test[0])
-
-        # the candidates, as u = ax + side * mid: the midpoints of the
-        # cells between 0 and the sorted distances, and a point past them
-        u_test[0] = dist[0]
-        np.add(dist[:3], dist[1:], out=u_test[1:4])
-        u_test[:4] *= 0.5
-        np.multiply(dist[3], 2.0, out=u_test[4])
-        u_test[4] += self.radius
-        u_test *= side
-        u_test += ax
+        _sort4(dist, work)
+        del e1, e0
 
         want = -1.0 if j in (1, 3) else 1.0
-        np.multiply(u_test, c1, out=work)
-        work += c0
-        work *= flip * want
-        ok = work > 0.0
-        flag = np.empty((5, n), dtype=bool)
-        np.multiply(u_test, d1, out=v_p)
-        v_p += d0
-        np.multiply(v_p, v_a, out=work)
-        ok &= np.less(work, 0.0, out=flag)
-        # the crossing abscissa (v_p*ta - u*v_a) / (v_p - v_a) must be
-        # finite and lie between axi and tprev: with g the sign of
-        # tprev - axi, cx*g in [tprev*g, inf)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.multiply(u_test, v_a, out=work)
-            np.multiply(v_p, ta, out=cx)
-            cx -= work
-            v_p -= v_a
-            cx /= v_p
-            g = np.sign(tprev - axi)
-            cx *= g
-        ok &= np.greater_equal(cx, tprev * g, out=flag)
-        ok &= np.less(cx, np.inf, out=flag)
-        # the first feasible row, chosen from the last row up; row 0
-        # where there is none, as the plain expressions choose
-        u = u_test[0].copy()
-        for k in range(4, -1, -1):
-            np.copyto(u, u_test[k], where=ok[k])
-        any_ok = ok.any(axis=0)
-        any_ok &= side != 0
-        return u, any_ok
+        flip *= want
+        g = np.sign(tprev - axi)
+        tprev_g = tprev * g
+        v_p, cx = np.empty((2, ta.shape[0]))
+        flag = np.empty(ta.shape, dtype=bool)
+        for k in range(5):
+            # u = ax + side * mid: the midpoints of the cells between 0 and
+            # the sorted distances, and a point past them
+            if k < 4:
+                u = dist[k] + (dist[k - 1] if k else 0.0)
+                u *= 0.5
+            else:
+                u = dist[3] * 2.0
+                u += self.radius
+            u *= side
+            u += ax
+
+            np.multiply(u, c1, out=work)
+            work += c0
+            work *= flip
+            ok = work > 0.0
+            np.multiply(u, d1, out=v_p)
+            v_p += d0
+            np.multiply(v_p, v_a, out=work)
+            ok &= np.less(work, 0.0, out=flag)
+            # the crossing abscissa (v_p*ta - u*v_a) / (v_p - v_a) must be
+            # finite and lie between axi and tprev: with g the sign of
+            # tprev - axi, cx*g in [tprev*g, inf)
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                np.multiply(u, v_a, out=work)
+                np.multiply(v_p, ta, out=cx)
+                cx -= work
+                v_p -= v_a
+                cx /= v_p
+                cx *= g
+            ok &= np.greater_equal(cx, tprev_g, out=flag)
+            ok &= np.less(cx, np.inf, out=flag)
+            yield u, ok
 
 
 def _sort4(d: np.ndarray, low: np.ndarray) -> np.ndarray:

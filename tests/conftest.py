@@ -194,6 +194,16 @@ def random_frame(rng: np.random.Generator, cup: bool):
             continue
 
 
+def solve_every_edge(geo, t):
+    """_FrameFloats._solve_edge of all three edges on every column of the
+    (3, n) batch t: the (3, n) u rows, u meaningful where its edge is
+    feasible, and each column's count of feasible edges.  The search runs
+    later edges only on the columns earlier ones accept; this is the full
+    count it is checked against."""
+    u, ok = zip(*(geo._solve_edge(j, t) for j in (1, 2, 3)))
+    return np.array(u), np.sum(ok, axis=0)
+
+
 def checker_fixtures():
     """Criterion 7's drawings as (name, the violation kind the check must
     report or None for a crossing-free drawing, line set, tree,

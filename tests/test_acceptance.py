@@ -261,7 +261,7 @@ def _non_maximising_chains(n, key, lower, upper):
     but not always the longest."""
     pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     num, den = key(*(np.array(c) for c in zip(*pairs)))
-    rank = list(map(lineset._rank_key, num, den))
+    rank = list(map(geometry.ratio_float, num, den))
     pairs = [pairs[x] for x in sorted(range(len(pairs)),
                                       key=rank.__getitem__)]
     base = n + 1

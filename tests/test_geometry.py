@@ -30,6 +30,7 @@ from treelines.geometry import (
     on_segment,
     orientation,
     point,
+    ratio_float,
     scalar,
     segments_intersect,
     side,
@@ -508,6 +509,24 @@ def test_convex_hull_examples():
     assert convex_hull([a, c, b, d]) == [point(1, 1), a]
     assert convex_hull([a, c, b, d, point(0, 0)]) == [
         point(0, 0), point(1, 1), a]
+
+
+
+def test_convex_hull_orders_points_that_share_a_float_abscissa():
+    # 1 and 1 + 2**-60 are one float, and -10**400 - 1 and -10**400 both
+    # rank as -inf: the hull starts at the smaller exact abscissa, b, not
+    # at the lower point a that a sort on floats and y would put first
+    big = 10**400
+    for bx, ax in ((Fraction(1), 1 + Fraction(1, 2**60)),
+                   (Fraction(-big - 1), Fraction(-big))):
+        b, a = Point(bx, Fraction(5)), Point(ax, Fraction(0))
+        c, d = point(3, 2), point(2, 10)
+        assert ratio_float(bx.numerator, bx.denominator) == \
+            ratio_float(ax.numerator, ax.denominator)
+        for pts in ([a, b, c, d], [d, c, b, a]):
+            assert convex_hull(pts) == [b, a, c, d], bx
+    assert ratio_float(-big - 1, 1) == -math.inf
+    assert ratio_float(big, 3) == math.inf and ratio_float(1, 3) == 1 / 3
 
 
 def _brute_hull(pts):

@@ -36,7 +36,8 @@ from treelines.unstretch import (
 )
 
 from conftest import (DOUBLING_DEGREES, RIGHT_SPAN_DEGREES, angle_lineset,
-                      chain_with_margin, random_frame, slope_of_degrees)
+                      chain_with_margin, random_frame, slope_of_degrees,
+                      solve_every_edge)
 
 IDS = [1, 2, 3, 4, 5, 6]
 
@@ -306,17 +307,17 @@ def assert_screen_matches_reference(geo, u, t):
 @pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
 def test_hull_screen_is_bit_identical_to_the_reference(request, name):
     # every column of a sampled and a perturbed batch, those with fewer
-    # than three feasible edges included: solve_u leaves u at the apex
+    # than three feasible edges included: _solve_edge leaves u at the apex
     # abscissa on an edge with no feasible u, an edge that starts at a
     # vertex of the hull, where the float verdicts are arbitrary and the
     # batch must repeat them
     geo = _FrameFloats(request.getfixturevalue(name))
     rng = np.random.default_rng(30)
     t = geo.sample_triples(rng, 3000)
-    _, feasible = geo.solve_u(t)
+    _, feasible = solve_every_edge(geo, t)
     near = t[:, np.argsort(-feasible, kind="stable")[:40]]
     t = np.concatenate([t, geo.perturb_triples(rng, near, 3000)], axis=1)
-    u, feasible = geo.solve_u(t)
+    u, feasible = solve_every_edge(geo, t)
     at_apex = (u == geo.apex[:, :1]).any(axis=0)
     got = assert_screen_matches_reference(geo, u, t)
     for verdicts in (got[:3000], got[3000:], got[at_apex]):
@@ -612,7 +613,7 @@ def test_solve_edge_is_bit_identical_to_the_reference(request, name):
     geo = _FrameFloats(request.getfixturevalue(name))
     rng = np.random.default_rng(25)
     t = geo.sample_triples(rng, 20_000)
-    _, feasible = geo.solve_u(t)
+    _, feasible = solve_every_edge(geo, t)
     near = t[:, np.argsort(-feasible, kind="stable")[:40]]
     t = np.concatenate([t, geo.perturb_triples(rng, near, 20_000)], axis=1)
     assert_solver_matches_reference(geo, t)
@@ -647,6 +648,65 @@ def test_solve_edge_matches_the_reference_on_degenerate_columns(cup_frame):
         # l5 || l4: no scalar root
         geo.s = np.array([2.0, 3.0, 3.0, 5.0, 5.0, 2.0])
         assert_solver_matches_reference(geo, t)
+
+
+def reference_solve_batch(geo, t):
+    """_FrameFloats.solve_batch from the full count, all three edges run on
+    every column: the columns of count 3 with their u, and the first 40
+    columns by falling count, each count in index order."""
+    u, count = solve_every_edge(geo, t)
+    full = np.flatnonzero(count == 3)
+    keep = np.concatenate([np.flatnonzero(count == c)
+                           for c in (3, 2, 1, 0)])[:40]
+    return (full, u[:, full], keep), count
+
+
+@pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
+def test_cascade_matches_the_full_count(request, name):
+    geo = _FrameFloats(request.getfixturevalue(name))
+    rng = np.random.default_rng(32)
+    prefix = unstretch._COUNTED_PREFIX
+    sampled = geo.sample_triples(rng, 20_000)
+    count = solve_every_edge(geo, sampled)[1]
+    near = sampled[:, np.argsort(-count, kind="stable")[:40]]
+    batches = {
+        "sampled": sampled,
+        "perturbed": geo.perturb_triples(rng, near, 20_000),
+        "search": np.concatenate(
+            [sampled[:, :12_000], geo.perturb_triples(rng, near, 8_000)],
+            axis=1),
+        "short": sampled[:, :prefix // 4],
+        # the lowest counts first, so that the prefix cannot fill the 40
+        "low first": sampled[:, np.argsort(count, kind="stable")],
+    }
+    paths = {}
+    for batch, t in batches.items():
+        want, count = reference_solve_batch(geo, t)
+        got = geo.solve_batch(t)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), batch
+        # which count the 40 come from: the columns of count 3 alone, the
+        # prefix, or the whole batch
+        short = 40 - len(want[0])
+        paths[batch] = ("three" if short <= 0 else "prefix"
+                        if np.count_nonzero(count[:prefix] == 2) >= short
+                        else "whole batch")
+    assert paths["low first"] == "whole batch"
+    assert paths["sampled"] == "prefix"
+
+
+def test_sample_triples_draws_the_signs_of_rng_choice(cup_frame):
+    # the triples and the generator state after them, against the draws
+    # of 10.0 ** uniform offsets and rng.choice([-1.0, 1.0]) signs
+    geo = _FrameFloats(cup_frame)
+    got_rng, want_rng = (np.random.default_rng(33) for _ in range(2))
+    for n in (0, 1, 7, 20_000):
+        got = geo.sample_triples(got_rng, n)
+        off = 10.0 ** want_rng.uniform(-4, 2.5, size=(3, n)) * geo.radius
+        sign = want_rng.choice([-1.0, 1.0], size=(3, n))
+        want = geo.apex[:, :1] + sign * off
+        assert got.shape == (3, n) and got.tobytes() == want.tobytes(), n
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def exact_edge(geo, j, ta, tprev):
@@ -685,8 +745,7 @@ def exact_edge(geo, j, ta, tprev):
 
 
 @pytest.mark.parametrize("name", ["cup_frame", "cap_frame"])
-def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name,
-                                                           monkeypatch):
+def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name):
     # _solve_edge once also tried u at radius * 1e-3 and radius * 1e2
     # beyond the apex; each of those lies inside a cell between the exact
     # breakpoints that one of the five candidates holds, with the same
@@ -694,24 +753,14 @@ def test_five_candidates_cover_the_cells_of_the_dropped_two(request, name,
     geo = _FrameFloats(request.getfixturevalue(name))
     rng = np.random.default_rng(27)
     t = geo.sample_triples(rng, 200)
-    _, feasible = geo.solve_u(t)
+    _, feasible = solve_every_edge(geo, t)
     near = t[:, np.argsort(-feasible, kind="stable")[:20]]
     t = np.concatenate([t, geo.perturb_triples(rng, near, 200)], axis=1)
-    # the solver builds its candidates in the first of the four (5, n)
-    # buffers it takes from one np.empty
-    buffers = []
-    real_empty = np.empty
-
-    def recording_empty(shape, *args, **kwargs):
-        buffers.append(real_empty(shape, *args, **kwargs))
-        return buffers[-1]
-
-    monkeypatch.setattr(np, "empty", recording_empty)
     seen = set()
     for j in (1, 2, 3):
-        buffers.clear()
-        geo._solve_edge(j, t)
-        kept, = [b[0] for b in buffers if b.shape == (4, 5, t.shape[1])]
+        # the five candidate rows that _solve_edge tests, one at a time
+        kept = np.array([u for u, _ in geo._candidates(j, t)])
+        assert kept.shape == (5, t.shape[1])
         ax = geo.apex[j - 1, 0]
         for col in range(t.shape[1]):
             side, verdicts, dists = exact_edge(

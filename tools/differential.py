@@ -46,10 +46,10 @@ embedding checker, solver and scan:
     validate_config  validate_config verdicts, rule (ii) among them
     screen           _FrameFloats.clearly_meets_hull verdicts, also on every
                      batch of full-rule feasibility searches, in order
-    solve_u          _FrameFloats.solve_u on sampled and on perturbed
-                     triples: each triple's count of feasible edges, which
-                     edges are feasible, and float.hex of the chosen u on
-                     each feasible edge
+    solve_u          _FrameFloats._solve_edge of each edge on sampled and
+                     on perturbed triples: each triple's count of feasible
+                     edges, which edges are feasible, and float.hex of the
+                     chosen u on each feasible edge
     lemma            lemma24_check verdicts and HypothesisFail on criterion
                      5's chains, the benchmark's, edge cases, margins near
                      the guard band and derive_chain of control searches
@@ -464,7 +464,7 @@ class Corpus:
         geo = self.tl.unstretch._FrameFloats(frame)
         m = 30 * self.size
         t = geo.sample_triples(rng, 40 * m)
-        u, feasible = geo.solve_u(t)
+        u, feasible = self.conftest.solve_every_edge(geo, t)
         keep = np.flatnonzero(feasible == 3)[:m]
         u, t = u[:, keep], t[:, keep]
         apex = np.array([float(frame.apex(j).x) for j in (1, 2, 3)])
@@ -518,22 +518,23 @@ class Corpus:
                     "found": found, "verdicts": "".join(verdicts)}
 
     def solve_u(self):
-        """solve_u on a batch of sample_triples and one of perturb_triples
-        around its 40 triples with the most feasible edges, as the search
-        draws them, for every frame; _solve_edge says which edges are
-        feasible, as u is meaningful only there."""
-        us = self.tl.unstretch
+        """_solve_edge of each edge on a batch of sample_triples and on one
+        of perturb_triples around its 40 triples with the most feasible
+        edges, as the search draws them, for every frame: the count of
+        feasible edges, the feasible edges and u where it is feasible, as
+        u is meaningful only there."""
+        us, solve = self.tl.unstretch, self.conftest.solve_every_edge
         rng = np.random.default_rng(1627)
         for name, frame in self.frames():
             geo = us._FrameFloats(frame)
             m = 50 * self.size
             sampled = geo.sample_triples(rng, m)
-            _, count = geo.solve_u(sampled)
+            _, count = solve(geo, sampled)
             near = sampled[:, np.argsort(-count, kind="stable")[:40]]
             batches = (("sampled", sampled),
                        ("perturbed", geo.perturb_triples(rng, near, m)))
             for batch, t in batches:
-                u, count = geo.solve_u(t)
+                u, count = solve(geo, t)
                 ok = [geo._solve_edge(j, t)[1] for j in (1, 2, 3)]
                 yield f"{name} {batch}", {
                     "feas_edges": "".join(map(str, count)),
