@@ -10,7 +10,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,11 +88,14 @@ class Tree:
         # n-1 edges with unique child endpoints: connectivity is equivalent
         # to the search from the root reaching every vertex (it ends, since
         # no vertex has two parents and the root has none)
-        if len(self.bfs_order()) != self.n:
+        if len(self.order) != self.n:
             raise EmbedError("edges do not form a tree")
 
-    def parent_of(self) -> Dict[int, int]:
-        return {v: u for u, v in self.edges}
+    @cached_property
+    def parent(self) -> Mapping[int, int]:
+        """Each non-root vertex's parent, a read-only view cached on the
+        tree on first use."""
+        return MappingProxyType({v: u for u, v in self.edges})
 
     def children_of(self) -> Dict[int, List[int]]:
         out: Dict[int, List[int]] = {v: [] for v in range(self.n)}
@@ -98,15 +103,17 @@ class Tree:
             out[u].append(v)
         return out
 
-    def bfs_order(self) -> List[int]:
+    @cached_property
+    def order(self) -> Tuple[int, ...]:
         """The vertices level by level from the root, each level by id, so
-        every parent comes before its children."""
+        every parent comes before its children.  Cached on the tree, as
+        ``Point.homogeneous`` is, by the check in ``__post_init__``."""
         children = self.children_of()
         order, level = [], [0]
         while level:
             order += level
             level = sorted(w for v in level for w in children[v])
-        return order
+        return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,7 @@ def drawn_edges(pts: Sequence[Point], edges: Sequence[Tuple[int, int]]
                 ) -> List[Tuple[Tuple[int, int], Segment]]:
     """The edges of positive length, in order, each with its segment."""
     return [(e, Segment(pts[e[0]], pts[e[1]])) for e in edges
-            if pts[e[0]] != pts[e[1]]]
+            if pts[e[0]].homogeneous != pts[e[1]].homogeneous]
 
 
 def _violations(pts: Sequence[Point],
@@ -261,7 +268,7 @@ class _Placer:
     grid and restarts do, so a new point is never a placed one."""
 
     def __init__(self, t: Tree):
-        self.parent = t.parent_of()
+        self.parent = t.parent
         self.points: Dict[int, Point] = {}
         self.segs: Dict[int, Segment] = {}
 
@@ -290,7 +297,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
           budget: int, seed: int) -> SolveResult:
     """Search for a crossing-free embedding respecting the assignment.
 
-    Backtracking over the vertices in ``Tree.bfs_order``, so every parent
+    Backtracking over the vertices in ``Tree.order``, so every parent
     comes before its children, through the candidate points of
     ``candidate_positions`` (kept on the line set, so every bijection of a
     scan reuses them), then up to ``budget`` randomized continuous
@@ -308,7 +315,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     cand = {v: candidate_positions(ls, asg.line_of(v), refine)
             for v in range(t.n)}
     placer = _Placer(t)
-    order = t.bfs_order()
+    order = t.order
     nodes = 0
 
     def backtrack(k: int) -> bool:
@@ -343,7 +350,7 @@ def solve(ls: LineSet, t: Tree, asg: Assignment, refine: int,
     pts = [placer.points[v] for v in range(t.n)]
     # the scan reads the placer's own segments, so none is built twice:
     # one per non-root vertex, from its tree parent's point to its own
-    parent = t.parent_of()
+    parent = t.parent
     if placer.segs.keys() != parent.keys() or any(
             s.p is not pts[parent[v]] or s.q is not pts[v]
             for v, s in placer.segs.items()):
@@ -558,7 +565,7 @@ def build_iota(t: Tree, ls: LineSet, cc: ColorClasses, seed: int
         k: [i for i in cc.ids_of_class(k)] for k in range(1, cc.c + 1)}
     pool[cc.class_of(1)].remove(1)
     iota: Dict[int, int] = {0: 1}
-    for v in t.bfs_order():
+    for v in t.order:
         ch = sorted(children[v])
         if not ch:
             continue

@@ -114,7 +114,9 @@ class Segment:
     q: Point
 
     def __post_init__(self):
-        if self.p == self.q:
+        # the triples of reduced coordinates are equal iff the points are,
+        # and every predicate on the segment reads them
+        if self.p.homogeneous == self.q.homogeneous:
             raise ValueError("degenerate segment: endpoints coincide")
 
     @cached_property

@@ -458,10 +458,11 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
         if n_refine:
             t = np.concatenate(
                 [t, geo.perturb_triples(rng, promising, n_refine)], axis=1)
-        cand, u, keep = geo.solve_batch(t)
+        full, u, ok1 = geo.solve_batch(t)
+        cand = full
         if "ii" not in skip_properties:
-            clear = ~geo.clearly_meets_hull(u, t[:, cand])
-            cand, u = cand[clear], u[:, clear]
+            clear = ~geo.clearly_meets_hull(u, t[:, full])
+            cand, u = full[clear], u[:, clear]
         for idx, u_col in zip(cand, u.T):
             params = []
             for j in (1, 2, 3):
@@ -471,7 +472,8 @@ def feasibility_search(frame: SixLineFrame, samples: int, seed: int,
             if all(rule in skip_properties
                    for rule, _ in validate_config(frame, cfg).failures):
                 return cfg
-        promising = t[:, keep]
+        if drawn < budget:      # the next batch perturbs them
+            promising = t[:, geo._promising(t, ok1, full)]
     return None
 
 
@@ -527,7 +529,7 @@ class _FrameFloats:
         np.power(10.0, off, out=off)
         off *= self.radius
         # the signs that rng.choice([-1.0, 1.0]) draws: a draw of 0 negates
-        np.negative(off, out=off, where=rng.integers(0, 2, size=(3, n)) == 0)
+        off *= rng.integers(0, 2, size=(3, n)) * 2.0 - 1.0
         off += self.apex[:, :1]
         return off
 
@@ -542,9 +544,8 @@ class _FrameFloats:
     def solve_batch(self, t: np.ndarray):
         """The search's float stage on a (3, n) batch of t-triples: the
         columns on which ``_solve_edge`` finds a u for all three edges, in
-        index order, those u as a (3, m) array, and the columns of the 40
-        promising triples, the first 40 by falling count of feasible
-        edges, each count in index order.
+        index order, those u as a (3, m) array, and edge 1's verdicts on
+        every column, which ``_promising`` reuses.
 
         Edge 1 runs on the whole batch, edge 2 only on the columns that
         edge 1 accepts, and edge 3 only on those that both accept.  A
@@ -557,14 +558,16 @@ class _FrameFloats:
         u3, ok3 = self._solve_edge(3, t[:, cols])
         full = cols[ok3]
         u = np.stack([u1[full], u2[ok2][ok3], u3[ok3]])
-        return full, u, self._promising(t, ok1, full)
+        return full, u, ok1
 
     def _promising(self, t, ok1, full) -> np.ndarray:
-        """The columns of the 40 promising triples of the batch t, given
-        edge 1's verdicts ok1 and the columns full of count 3.  Beyond
-        those, the first _COUNTED_PREFIX columns are counted, with edge
-        1's verdicts reused; the whole batch is counted only when that
-        prefix holds too few triples of count 2 to fill the 40."""
+        """The columns of the 40 promising triples of the batch t, the
+        first 40 by falling count of feasible edges, each count in index
+        order, given the columns full of count 3 and edge 1's verdicts
+        ok1 that ``solve_batch`` returns.  Beyond those, the first
+        _COUNTED_PREFIX columns are counted, with edge 1's verdicts
+        reused; the whole batch is counted only when that prefix holds too
+        few triples of count 2 to fill the 40."""
         short = 40 - len(full)
         if short <= 0:
             return full[:40]

@@ -1,5 +1,6 @@
 """Embedding verification, backtracking search, and path descriptors."""
 
+import dataclasses
 from fractions import Fraction
 
 import networkx as nx
@@ -76,14 +77,14 @@ def test_tree_validation():
     with pytest.raises(EmbedError):
         Tree(4, ((0, 1), (1, 2), (3, 2)))  # two parents for vertex 2
     t = path_tree(4)
-    assert t.bfs_order() == [0, 1, 2, 3]
+    assert t.order == (0, 1, 2, 3)
     assert star_tree(4).children_of()[0] == [1, 2, 3]
 
 
 def test_bfs_order_goes_level_by_level_each_level_by_id():
     # a queue from the root would take 4, the child of 1, before 3
     t = Tree(5, ((0, 1), (0, 2), (1, 4), (2, 3)))
-    assert t.bfs_order() == [0, 1, 2, 3, 4]
+    assert t.order == (0, 1, 2, 3, 4)
 
 
 def test_tree_validation_vs_networkx(rng):
@@ -379,6 +380,50 @@ def test_solve_raises_when_the_segments_are_not_the_returned_drawing(
         solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=0, seed=0)
 
 
+class _RerootingPlacer(embed._Placer):
+    """Writes the star's parents into the parent map it was handed, in
+    place, and so draws every edge from the root."""
+
+    def __init__(self, t):
+        super().__init__(t)
+        for v in self.parent:
+            self.parent[v] = 0
+
+
+def test_solve_raises_when_the_placer_writes_into_the_parent_map(
+        four_lines, monkeypatch):
+    # had the placer written into the tree's own map, the postcondition
+    # would read the star it drew and solve would return it
+    monkeypatch.setattr(embed, "_Placer", _RerootingPlacer)
+    with pytest.raises((TypeError, PostconditionError)):
+        solve(four_lines, PATH4, ASG_BACKTRACKS, refine=3, budget=0, seed=0)
+    assert dict(PATH4.parent) == {1: 0, 2: 1, 3: 2}
+
+
+def test_tree_order_and_parent_are_computed_once_and_read_only(
+        four_lines, monkeypatch):
+    tree, asg = Tree(4, ((0, 1), (0, 2), (1, 3))), Assignment((2, 1, 4, 3))
+    order, parent = tree.order, tree.parent
+    first = solve(four_lines, tree, asg, refine=3, budget=200, seed=1)
+    assert first.found
+    with pytest.raises(TypeError):
+        parent[3] = 0
+    with pytest.raises(TypeError):
+        del parent[3]
+    with pytest.raises(TypeError):
+        order[1] = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.order = (0, 2, 1, 3)
+    tree.children_of()[0].reverse()    # a new dict on every call
+    # neither a read nor a later solve builds the order or the map again
+    monkeypatch.setattr(Tree, "children_of",
+                        lambda self: pytest.fail("order built again"))
+    assert solve(four_lines, tree, asg, refine=3, budget=200, seed=1) == \
+        first
+    assert tree.order is order and tree.parent is parent
+    assert order == (0, 1, 2, 3) and dict(parent) == {1: 0, 2: 0, 3: 1}
+
+
 @pytest.mark.parametrize("grid", [True, False])
 def test_solve_builds_one_segment_per_offered_edge(four_lines, monkeypatch,
                                                    grid):
@@ -432,7 +477,7 @@ def test_placer_keys_each_segment_by_its_child(four_lines, rng):
     # after each step segs maps exactly the placed non-root vertices, each
     # to the segment from its tree parent's placed point to its own
     tree, asg = Tree(4, ((0, 1), (0, 2), (1, 3))), Assignment((2, 1, 4, 3))
-    parent = tree.parent_of()
+    parent = tree.parent
     xs = {v: [p.x for p in candidate_positions(four_lines, asg.line_of(v), 2)]
           for v in range(tree.n)}
     placer = _placer(four_lines, tree, asg)
@@ -519,7 +564,7 @@ def test_random_attempt_skips_an_abscissa_on_a_breakpoint(four_lines):
     draw = 2 * embed._DENOM * 1000 // 5
     rng = _FirstDraws([draw], seed=3)
     placer = embed._Placer(PATH4)
-    assert embed._random_attempt(placer, PATH4.bfs_order(), lines, bps, rng)
+    assert embed._random_attempt(placer, PATH4.order, lines, bps, rng)
     assert not rng.first
     assert placer.points[0] != Point(0, 0)
     for v, p in placer.points.items():

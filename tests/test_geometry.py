@@ -200,6 +200,21 @@ def test_segments_intersect_examples():
         SegmentRelation.TOUCH_ENDPOINT_INTERIOR
 
 
+def test_segment_rejects_equal_ends_of_unequal_inputs():
+    # Fraction(2, 4) is Fraction(1, 2), and the int 3 is Fraction(6, 2)
+    half = Point(Fraction(1, 2), 3)
+    for other in (Point(Fraction(2, 4), Fraction(6, 2)),
+                  point("2/4", "3"), Point(Fraction(1, 2), Fraction(3))):
+        with pytest.raises(ValueError):
+            Segment(half, other)
+        with pytest.raises(ValueError):
+            Segment(other, half)
+    # two ends that share one coordinate make a segment
+    for other in (point("1/2", "-3"), point("-1/2", "3")):
+        s = Segment(half, other)
+        assert s.p is half and s.q is other
+
+
 def _brute_segment_relation(s1: Segment, s2: Segment) -> SegmentRelation:
     """Parametric oracle: solve p1 + t(q1-p1) = p2 + u(q2-p2) exactly."""
     d1 = (s1.q.x - s1.p.x, s1.q.y - s1.p.y)
