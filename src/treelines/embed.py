@@ -10,7 +10,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +24,7 @@ from .geometry import (
     Segment,
     SegmentRelation,
     convex_hull,
+    cross,
     on_segment,
     segments_intersect,
 )
@@ -439,11 +440,23 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     return [ct for _, ct in _visits(ls, cc, seg, hulls)]
 
 
+def _visit_order(u, v) -> int:
+    # by t_lo + t_hi, then by t_lo, then by region: each t an integer pair
+    # (n, d), d > 0, and n/d - n'/d' of the sign of the last coordinate of
+    # cross((n, d, 0), (n', d', 0))
+    for a, b in zip(u[:2], v[:2]):
+        s = cross((*a, 0), (*b, 0))[2]
+        if s:
+            return s
+    return (u[2] > v[2]) - (u[2] < v[2])
+
+
 def _visits(ls: LineSet, cc: ColorClasses, seg: Segment,
             hulls: Optional[Dict[RegionIndex, RegionHull]]
-            ) -> List[Tuple[Fraction, CombTuple]]:
+            ) -> List[Tuple[Tuple[int, int], CombTuple]]:
     """comb_type's traversals in its order, each with the parameter at
-    which the segment enters the hull: one clip per hull."""
+    which the segment enters the hull, as an integer pair (n, d) for
+    t = n/d: one clip per hull."""
     if ls.crossings_on(seg):
         raise DegenerateContact("segment touches an arrangement "
                                 "intersection point")
@@ -451,14 +464,14 @@ def _visits(ls: LineSet, cc: ColorClasses, seg: Segment,
         hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
     visits = []
     for r, h in hulls.items():
-        iv = h.clip_parameter_interval(seg)
+        iv = h.clip_parameters(seg)
         if iv is not None:
-            t_lo, t_hi, enter, leave = iv
+            (n0, d0), (n1, d1), enter, leave = iv
             # t_lo + t_hi orders the visits as their midpoints do
-            visits.append((t_lo + t_hi, t_lo,
-                           CombTuple(r.a, r.b, enter, leave)))
-    visits.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
-    return [(t_lo, ct) for _, t_lo, ct in visits]
+            visits.append(((n0 * d1 + n1 * d0, d0 * d1), (n0, d0),
+                           (r.a, r.b), CombTuple(r.a, r.b, enter, leave)))
+    visits.sort(key=cmp_to_key(_visit_order))
+    return [(t_lo, ct) for _, t_lo, _, ct in visits]
 
 
 def color_type(t: Tree, asg: Assignment, cc: ColorClasses,
@@ -526,7 +539,7 @@ def _walk_path(ls: LineSet, cc: ColorClasses, asg: Assignment,
             if ct.enter == 0 and r == regions[-1]:
                 continue       # still inside the region we were already in
             regions.append(r)
-            entries.append(seg.at(t_lo))
+            entries.append(seg.at(Fraction(*t_lo)))
     return regions, entries
 
 

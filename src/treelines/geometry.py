@@ -79,20 +79,20 @@ class Line:
     """A non-vertical line y = slope*x - dual_offset.  With the *negated*
     y-intercept, point-line duality is coordinate copying: (slope,
     dual_offset) <-> the dual point.  Its exact tests read the integer
-    triple ``homogeneous``, the form of every other line here."""
+    triple ``homogeneous``, the form of every other line here: the
+    integers (A, B, C) = (p*s, -q*s, -r*q) of y = (p/q)*x - r/s times q*s,
+    so A*X + B*Y + C*W at a point (X, Y, W), W > 0, is 0 on the line and,
+    as B < 0, positive below it.  It is kept once, at construction,
+    outside the compared fields."""
 
     slope: Fraction
     dual_offset: Fraction
     id: int = 0
 
-    @property
-    def homogeneous(self) -> Tuple[int, int, int]:
-        """The integers (A, B, C) = (p*s, -q*s, -r*q) of y = (p/q)*x - r/s
-        times q*s: A*X + B*Y + C*W at a point (X, Y, W), W > 0, is 0 on the
-        line and, as B < 0, positive below it."""
+    def __post_init__(self):
         p, q = self.slope.numerator, self.slope.denominator
         r, s = self.dual_offset.numerator, self.dual_offset.denominator
-        return p * s, -q * s, -r * q
+        object.__setattr__(self, "homogeneous", (p * s, -q * s, -r * q))
 
     def contains(self, p: Point) -> bool:
         return side(self.homogeneous, p.homogeneous) == 0
@@ -407,7 +407,10 @@ def angle_gap(l1: Line, l2: Line) -> Fraction:
 
 def compare_angle_gap(pair1: Tuple[Line, Line],
                       pair2: Tuple[Line, Line]) -> int:
-    """-1 / 0 / +1 as the first angle gap is smaller / equal / larger."""
-    g1 = angle_gap(*pair1)
-    g2 = angle_gap(*pair2)
+    """-1 / 0 / +1 as the first angle gap is smaller / equal / larger: the
+    two :func:`gap_ratio` values cross-multiplied, with no Fraction."""
+    (n1, d1), (n2, d2) = (gap_ratio(at_infinity(1, l1.slope),
+                                    at_infinity(1, l2.slope))
+                          for l1, l2 in (pair1, pair2))
+    g1, g2 = n1 * d2, n2 * d1
     return (g1 > g2) - (g1 < g2)

@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -277,11 +277,21 @@ class ChainTable(NamedTuple):
     c = j*base + k, base = n + 1: ``length[c]`` is the length of the
     longest chain ending with j, k, or 0 when no triple extends the pair,
     and ``pred[c]`` its smallest predecessor among the longest, 0 with no
-    entry.  Each list has base**2 entries."""
+    entry.  Each list has base**2 entries.  ``top`` is the largest
+    length, and ``ends`` the codes whose length is ``top``, ascending."""
 
     base: int
     length: List[int]
     pred: List[int]
+    top: int
+    ends: List[int]
+
+    @classmethod
+    def scanned(cls, base: int, length: List[int], pred: List[int]):
+        """The table of the two lists, its top and ends read by a scan."""
+        top = max(length)
+        return cls(base, length, pred, top,
+                   [c for c, m in enumerate(length) if m == top])
 
     def chain(self, c: int) -> List[int]:
         """The chain that ends with the pair of code c, followed back
@@ -332,8 +342,9 @@ def ranked_chains(n: int,
     ones, key(i, j) > key(j, k).  So one sort and O(n^2) steps give the
     tables of the O(n^3) programme of Chvatal and Klincsek (1980): each
     pair's longest chain of either label and, among those, its smallest
-    predecessor, as a :class:`ChainTable` over the pair codes.  A label
-    with no chain of three gets no table.
+    predecessor, as a :class:`ChainTable` over the pair codes.  Each pair
+    is written once, so the sweep also keeps the top length and the codes
+    that reach it.  A label with no chain of three gets no table.
     """
     # the pairs by larger id, then smaller
     hi, lo = (c + 1 for c in np.tril_indices(n, -1))
@@ -362,15 +373,21 @@ def ranked_chains(n: int,
         # the longest chain ending at each id so far and its smallest
         # predecessor; an id alone is a chain of length 1
         best_length, best_pred = [1] * base, [0] * base
+        top, ends = 3, []
         for j, k in sweep:
             m = best_length[j] + 1
             if m > 2:
                 c = j * base + k
                 length[c], pred[c] = m, best_pred[j]
+                if m >= top:
+                    if m > top:
+                        top, ends = m, []
+                    ends.append(c)
             if m > best_length[k] or m == best_length[k] and j < best_pred[k]:
                 best_length[k], best_pred[k] = m, j
-        if any(length):
-            tables[lab] = ChainTable(base, length, pred)
+        if ends:
+            ends.sort()
+            tables[lab] = ChainTable(base, length, pred, top, ends)
     return tables
 
 
@@ -379,28 +396,31 @@ def labelled_chains(n: int, label: Callable[[int, int, int], Hashable]
     """The chain tables of an arbitrary labelling of the triples of the
     ids 1..n, equal to those of :func:`ranked_chains`, by the O(n^3)
     dynamic program of Chvatal and Klincsek (1980), which labels each
-    triple i < j < k once.  A triple finds its label's table by a scan of
+    triple i < j < k once.  A triple finds its label's lists by a scan of
     the few labels seen so far, which hashes no label: the hash of an
-    ``enum.Enum`` member such as ``ramsey.Color`` runs in Python."""
+    ``enum.Enum`` member such as ``ramsey.Color`` runs in Python.  A pair
+    may be written more than once, so each table's top and ends are read
+    at the end, by one scan."""
     base = n + 1
     labels: List[Hashable] = []
-    tables: List[ChainTable] = []
+    lists: List[Tuple[List[int], List[int]]] = []
     for j in range(2, n + 1):
         for k in range(j + 1, n + 1):
             c = j * base + k
             for i in range(1, j):
                 lab = label(i, j, k)
                 try:
-                    table = tables[labels.index(lab)]
+                    length, pred = lists[labels.index(lab)]
                 except ValueError:
-                    table = ChainTable(base, [0] * base ** 2, [0] * base ** 2)
+                    length, pred = [0] * base ** 2, [0] * base ** 2
                     labels.append(lab)
-                    tables.append(table)
+                    lists.append((length, pred))
                 # a pair (i, j) with no entry is a chain of two
-                m = (table.length[i * base + j] or 2) + 1
-                if m > table.length[c]:
-                    table.length[c], table.pred[c] = m, i
-    return dict(zip(labels, tables))
+                m = (length[i * base + j] or 2) + 1
+                if m > length[c]:
+                    length[c], pred[c] = m, i
+    return {lab: ChainTable.scanned(base, *l)
+            for lab, l in zip(labels, lists)}
 
 
 def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
@@ -417,10 +437,10 @@ def longest_cap_cup(ls: LineSet) -> Tuple[CapCup, LineSet]:
         n, lambda lo, hi: _abscissa(hs[:, lo - 1], hs[:, hi - 1]), -1, +1)
     # the longest chain of either label, the cap label -1 first on ties,
     # ending with its smallest pair: pair codes run in (j, k) order
-    top, lab = min((-max(t.length), lab) for lab, t in tables.items())
+    _, lab = min((-t.top, lab) for lab, t in tables.items())
     table = tables[lab]
     kind = CapCup.CAP if lab == -1 else CapCup.CUP
-    sub = ls.subset(table.chain(table.length.index(-top)))
+    sub = ls.subset(table.chain(table.ends[0]))
     if classify_cap_cup(sub) != kind:
         raise PostconditionError(f"extracted {kind.value} fails the "
                                  f"cap/cup check")
@@ -499,22 +519,21 @@ class HullSide:
 
     ``start``/``end`` are the finite endpoints when present; for a ray side
     exactly one of them is None and ``direction`` points to infinity.  The
-    clip and ``RegionHull.contains`` read the side's ``halfplane``, an
-    integer line triple computed on first use, outside the fields."""
+    clip and ``RegionHull.contains`` read the side's ``halfplane``: its
+    directed line as a primitive integer triple (A, B, C), the hull on
+    A*x + B*y + C >= 0 (see ``geometry.line_through``), where a missing end
+    is the point at infinity along ``direction``, the one a ray with no
+    ``start`` comes from.  It is kept once, at construction, outside the
+    compared fields."""
 
     start: Optional[Point]
     end: Optional[Point]
     direction: Optional[Tuple[Fraction, Fraction]] = None
 
-    @cached_property
-    def halfplane(self) -> Tuple[int, int, int]:
-        """The side's directed line as a primitive integer triple
-        (A, B, C), the hull on A*x + B*y + C >= 0 (see
-        ``geometry.line_through``); a missing end is the point at infinity
-        along ``direction``, where a ray with no ``start`` comes from."""
+    def __post_init__(self):
         ends = [at_infinity(*self.direction) if p is None else p.homogeneous
                 for p in (self.start, self.end)]
-        return line_through(*ends)
+        object.__setattr__(self, "halfplane", line_through(*ends))
 
 
 class UnboundedHullError(LineSetError):
@@ -540,12 +559,13 @@ class RegionHull:
         h = p.homogeneous
         return all(side(s.halfplane, h) >= 0 for s in self.sides)
 
-    def clip_parameter_interval(
+    def clip_parameters(
         self, seg: Segment
-    ) -> Optional[Tuple[Fraction, Fraction, int, int]]:
+    ) -> Optional[Tuple[Tuple[int, int], Tuple[int, int], int, int]]:
         """Parameter interval [t0, t1] of seg (p at t=0, q at t=1) inside the
-        closed hull and the labels of the sides it enters and leaves by (0 at
-        an end of seg), or None if that is empty or a single point."""
+        closed hull, each t as an integer pair (n, d) with d > 0, and the
+        labels of the sides it enters and leaves by (0 at an end of seg),
+        or None if that is empty or a single point."""
         iv = clip_to_halfplanes((s.halfplane for s in self.sides),
                                 seg.p.homogeneous, seg.q.homogeneous)
         if iv is None:
@@ -553,8 +573,17 @@ class RegionHull:
         (n0, d0), (n1, d1), k0, k1 = iv
         if n0 * d1 == n1 * d0:
             return None
-        return (Fraction(n0, d0), Fraction(n1, d1),
+        return ((n0, d0), (n1, d1),
                 0 if k0 is None else k0 + 1, 0 if k1 is None else k1 + 1)
+
+    def clip_parameter_interval(
+        self, seg: Segment
+    ) -> Optional[Tuple[Fraction, Fraction, int, int]]:
+        """:meth:`clip_parameters` with t0 and t1 as Fractions."""
+        iv = self.clip_parameters(seg)
+        if iv is None:
+            return None
+        return (Fraction(*iv[0]), Fraction(*iv[1]), *iv[2:])
 
 
 def _region_members(ls: LineSet, cc: ColorClasses,
@@ -629,26 +658,20 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
         finite += f
         dirs += d
 
-    # an unbounded closure is the polygon of the finite member points plus
-    # the cone of d_left and d_right; its vertices are the vertices of the
-    # hull of the polygon's vertices and their translates that are polygon
-    # vertices, in one counter-clockwise run
     q = convex_hull(finite)     # starts at the smallest vertex
-    if dirs:
-        poly = {v.homogeneous for v in q}
-        d_right, d_left = _extreme_directions(dirs)
-        q = convex_hull([*q, *(v.translated(*d) for v in q
-                               for d in (d_left, d_right))])
-    if len(q) < 3:
-        raise LineSetError(f"degenerate (flat) region {r}")
     if not dirs:
+        if len(q) < 3:
+            raise LineSetError(f"degenerate (flat) region {r}")
         return RegionHull(r, tuple(q), tuple(
             HullSide(u, v) for u, v in zip(q, q[1:] + q[:1])), True)
 
-    on_poly = [v.homogeneous in poly for v in q]
-    k = next(k for k, f in enumerate(on_poly) if f and not on_poly[k - 1])
-    chain = [v for v, f in zip(q[k:] + q[:k], on_poly[k:] + on_poly[:k])
-             if f]
+    # an unbounded closure is the polygon q plus the cone of d_left and
+    # d_right: q's chain between its tangents along the two directions
+    d_right, d_left = _extreme_directions(dirs)
+    left, right = at_infinity(*d_left), at_infinity(*d_right)
+    chain = _tangent_chain(q, left, right)
+    if len(chain) == 1 and cross(left, right)[2] == 0:
+        raise LineSetError(f"degenerate (flat) region {r}")
     # CCW boundary: in from infinity along -d_left, the chain, out along
     # +d_right
     sides: List[HullSide] = [HullSide(None, chain[0], d_left)]
@@ -660,3 +683,33 @@ def region_hull(ls: LineSet, cc: ColorClasses, r: RegionIndex) -> RegionHull:
     if not hull.contains(probe):
         raise UnboundedHullError(f"inconsistent unbounded hull for {r}")
     return hull
+
+
+def _tangent_chain(q: List[Point], left: Tuple[int, int, int],
+                   right: Tuple[int, int, int]) -> List[Point]:
+    """The run of the convex polygon q (counter-clockwise) on the boundary
+    of q plus the cone from d_right counter-clockwise to d_left, given as
+    points at infinity: from where a line along d_left supports q to where
+    one along d_right does, without a vertex collinear with a ray.  The
+    edges turn counter-clockwise around q; the run starts where they turn
+    into the half-turn (-d_left, d_left] and ends where they turn out of
+    [-d_right, d_right)."""
+    m = len(q)
+    if m == 1:
+        return q
+    hs = [v.homogeneous for v in q]
+    edges = [cross(u, v) for u, v in zip(hs, hs[1:] + hs[:1])]
+
+    def turned(u, w):
+        # per edge: whether u lies to its left (side has the sign of the
+        # 2-D cross product), or, along a parallel edge, w does
+        return [(side(e, u) or side(e, w)) > 0 for e in edges]
+
+    # w: d_left turned a right angle counter-clockwise, d_right clockwise
+    a = turned(left, (-left[1], left[0], 0))
+    b = turned(right, (right[1], -right[0], 0))
+    first = next(k for k in range(m) if a[k] and not a[k - 1])
+    last = next(k for k in range(m) if b[k - 1] and not b[k])
+    if last < first:
+        last += m
+    return [q[k % m] for k in range(first, last + 1)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .geometry import Line, PostconditionError, angle_gap, at_infinity, \
-    columns, gap_ratio
+    columns, compare_angle_gap, gap_ratio
 from .lineset import ChainTable, LineSet, LineSetError, TooFew, \
     labelled_chains, ranked_chains
 
@@ -89,14 +89,9 @@ def _longest_path(tables: Dict[Hashable, ChainTable]
     # the longest chain of the tables and its label, ties broken toward the
     # lexicographically smallest sequence; a sequence of three or more ids
     # has one label, so the sequences of two labels never tie
-    top = max(max(t.length) for t in tables.values())
-    ends = {}
-    for lab, t in tables.items():
-        # the entries that reach the top, found by the list's own scans
-        c = -1
-        for _ in range(t.length.count(top)):
-            c = t.length.index(top, c + 1)
-            ends[tuple(t.chain(c))] = lab
+    top = max(t.top for t in tables.values())
+    ends = {tuple(t.chain(c)): lab for lab, t in tables.items()
+            if t.top == top for c in t.ends}
     seq = min(ends)
     return seq, ends[seq]
 
@@ -142,14 +137,12 @@ def extract_monotone_gaps(ls: LineSet) -> MonotoneGapChain:
 
 
 def check_monotone(ls: LineSet, chain: MonotoneGapChain) -> bool:
-    ids = chain.ids
-    falling = chain.direction == Direction.NON_INCREASING
-    for a, b, c in zip(ids, ids[1:], ids[2:]):
-        later = angle_gap(ls.line(b), ls.line(c))
-        earlier = angle_gap(ls.line(a), ls.line(b))
-        if (later > earlier) if falling else (later < earlier):
-            return False
-    return True
+    lines = [ls.line(i) for i in chain.ids]
+    # a falling chain fails where a later gap is larger, a rising one
+    # where it is smaller
+    bad = 1 if chain.direction == Direction.NON_INCREASING else -1
+    return all(compare_angle_gap((b, c), (a, b)) != bad
+               for a, b, c in zip(lines, lines[1:], lines[2:]))
 
 
 def doubling_failure(lines: Sequence[Line],
@@ -164,7 +157,7 @@ def doubling_failure(lines: Sequence[Line],
         else:
             later = (lines[j - 1], lines[j])
             earlier = (lines[j], lines[-1])
-        if angle_gap(*later) < angle_gap(*earlier):
+        if compare_angle_gap(later, earlier) < 0:
             return j + 1
     return None
 
@@ -186,8 +179,8 @@ def extract_doubling(ls: LineSet) -> DoublingChain:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    neg = [l.id for l in ls if l.slope < 0]
-    pos = [l.id for l in ls if l.slope >= 0]
+    neg = [l.id for l in ls if l.slope.numerator < 0]
+    pos = [l.id for l in ls if l.slope.numerator >= 0]
     majority = neg if len(neg) >= len(pos) else pos
     if len(majority) < 3:
         raise ChainTooShort("majority sign class below 3 lines")

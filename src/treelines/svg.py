@@ -80,9 +80,10 @@ def render_svg(scene: SvgScene) -> bytes:
                    f'fill-opacity="0.15" stroke="{color}" '
                    f'stroke-width="1"/>\n')
 
-    for k, l in enumerate(scene.lines):
-        xa, xb = Fraction(vx - vw).limit_denominator(10**6), \
-            Fraction(vx + 2 * vw).limit_denominator(10**6)
+    # every line is drawn between the same two abscissas
+    xa, xb = Fraction(vx - vw).limit_denominator(10**6), \
+        Fraction(vx + 2 * vw).limit_denominator(10**6)
+    for l in scene.lines:
         a, b = tx(l.point_at(xa)), tx(l.point_at(xb))
         out.append(f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" '
                    f'x2="{fmt(b[0])}" y2="{fmt(b[1])}" '

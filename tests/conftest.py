@@ -9,11 +9,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from treelines import unstretch
+from treelines import lineset, unstretch
 from treelines.embed import Assignment, Embedding, Tree, ViolationKind
-from treelines.geometry import Line, Point, scalar
+from treelines.geometry import Line, Point, convex_hull, scalar
 from treelines.io_formats import serialize_lines
-from treelines.lineset import LineSet, LineSetError, verify_general_position
+from treelines.lineset import (HullSide, LineSet, LineSetError, RegionHull,
+                               verify_general_position)
 
 
 def random_lines(rng: np.random.Generator, n: int,
@@ -79,6 +80,43 @@ def column_key(key):
         keys = [key(i, j) for i, j in zip(lo.tolist(), hi.tolist())]
         return ([k.numerator for k in keys], [k.denominator for k in keys])
     return columns
+
+
+def region_generators(ls: LineSet, cc, r):
+    """The finite ends and the ray directions of the member segments of
+    the region r, as region_hull collects them."""
+    finite, dirs = [], []
+    for i, seg_idx in lineset._region_members(ls, cc, r):
+        f, d = lineset._segment_geometry(ls, i, seg_idx, cc.block)
+        finite += f
+        dirs += d
+    return finite, dirs
+
+
+def translate_hull(ls: LineSet, cc, r) -> RegionHull:
+    """An unbounded region hull built as the convex hull of its polygon
+    and the polygon's translates along the two extreme ray directions,
+    whose run of polygon vertices is the chain: an oracle for
+    region_hull, which reads the chain off the polygon's tangents.  None
+    for a bounded region; raises region_hull's errors."""
+    finite, dirs = region_generators(ls, cc, r)
+    if not dirs:
+        return None
+    q = convex_hull(finite)
+    poly = {v.homogeneous for v in q}
+    d_right, d_left = lineset._extreme_directions(dirs)
+    q = convex_hull([*q, *(v.translated(*d) for v in q
+                           for d in (d_left, d_right))])
+    if len(q) < 3:
+        raise LineSetError(f"degenerate (flat) region {r}")
+    on_poly = [v.homogeneous in poly for v in q]
+    k = next(k for k, f in enumerate(on_poly) if f and not on_poly[k - 1])
+    chain = [v for v, f in zip(q[k:] + q[:k], on_poly[k:] + on_poly[:k])
+             if f]
+    sides = [HullSide(None, chain[0], d_left)]
+    sides += [HullSide(u, v) for u, v in zip(chain, chain[1:])]
+    sides.append(HullSide(chain[-1], None, d_right))
+    return RegionHull(r, tuple(chain), tuple(sides), False)
 
 
 def dualize_line(l: Line) -> Point:

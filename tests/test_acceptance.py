@@ -200,17 +200,17 @@ def _first_found_chains(n, label):
     """ramsey.labelled_chains keeping the first chain it finds for a pair,
     not the longest: its chains are valid, but not always the longest."""
     base = n + 1
-    tables = defaultdict(
-        lambda: ChainTable(base, [0] * base ** 2, [0] * base ** 2))
+    lists = defaultdict(lambda: ([0] * base ** 2, [0] * base ** 2))
     for j in range(2, n + 1):
         for k in range(j + 1, n + 1):
             c = j * base + k
             for i in range(1, j):
-                table = tables[label(i, j, k)]
-                if not table.length[c]:
-                    table.length[c] = max(table.length[i * base + j], 2) + 1
-                    table.pred[c] = i
-    return dict(tables)
+                length, pred = lists[label(i, j, k)]
+                if not length[c]:
+                    length[c] = max(length[i * base + j], 2) + 1
+                    pred[c] = i
+    # the top and ends of its own lengths
+    return {lab: ChainTable.scanned(base, *l) for lab, l in lists.items()}
 
 
 def test_criterion_3_fails_when_the_dp_keeps_the_first_chain(monkeypatch):
@@ -275,7 +275,7 @@ def _non_maximising_chains(n, key, lower, upper):
                 length[j * base + k], pred[j * base + k] = m, best_pred[j]
             best_length[k], best_pred[k] = m, j
         if any(length):
-            tables[lab] = ChainTable(base, length, pred)
+            tables[lab] = ChainTable.scanned(base, length, pred)
     return tables
 
 

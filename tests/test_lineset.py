@@ -16,6 +16,9 @@ from treelines.geometry import (
     Point,
     PostconditionError,
     Segment,
+    at_infinity,
+    convex_hull,
+    cross,
     line_intersection,
     on_segment,
     orientation,
@@ -47,7 +50,7 @@ from treelines.lineset import (
 from treelines.ramsey import mono_path_bound
 
 from conftest import (angle_lineset, dualize_line, mirrored, random_cup,
-                      random_lines)
+                      random_lines, region_generators, translate_hull)
 
 
 def L(s, b):
@@ -556,6 +559,46 @@ def test_region_hull_rejects_flat_regions(rng):
                 with pytest.raises(LineSetError,
                                    match=r"degenerate \(flat\) region"):
                     region_hull(ls, cc, RegionIndex(a, a))
+
+
+def _hull_or_error(build, ls, cc, r):
+    try:
+        return build(ls, cc, r)
+    except LineSetError as exc:
+        return type(exc), str(exc)
+
+
+def _ray_along_an_edge(ls, cc, r):
+    """Whether an edge of the polygon of the unbounded region r runs
+    along one of its two extreme ray directions."""
+    finite, dirs = region_generators(ls, cc, r)
+    q = [v.homogeneous for v in convex_hull(finite)]
+    ends = [at_infinity(*d) for d in lineset._extreme_directions(dirs)]
+    return len(q) > 1 and any(side(cross(u, v), e) == 0 for e in ends
+                              for u, v in zip(q, q[1:] + q[:1]))
+
+
+def test_unbounded_region_hulls_match_the_translate_hull(rng):
+    # the chain between the polygon's tangents against the hull of the
+    # polygon and its translates: vertices, sides with their directions
+    # and labels, or the same error; on cups, caps and sets that are
+    # neither, a polygon edge along a ray among them
+    kinds, along = set(), 0
+    for c, n in itertools.product(range(2, 7), range(3, 19)):
+        if n % c or n > 3 * c:
+            continue
+        cc = ColorClasses(c, n)
+        for _ in range(3):
+            cup = random_cup(rng, n)
+            for ls in (cup, mirrored(cup), random_lines(rng, n)):
+                kinds.add(classify_cap_cup(ls))
+                for r in all_region_indices(cc):
+                    oracle = _hull_or_error(translate_hull, ls, cc, r)
+                    if oracle is not None:
+                        assert _hull_or_error(region_hull, ls, cc,
+                                              r) == oracle, (c, r)
+                        along += _ray_along_an_edge(ls, cc, r)
+    assert kinds == set(CapCup) and along > 20
 
 
 def test_random_lines_needs_n_slopes(rng):

@@ -324,6 +324,45 @@ def test_ranked_chains_break_float_ties_exactly(rng):
         lambda i, j, k: "lower" if keys[j, k] < keys[i, j] else "upper")
 
 
+def _assert_top_and_ends_scan_length(tables):
+    """Each table's top and ends are the largest length and the codes
+    that reach it, ascending, as a full scan of the length list finds
+    them; returns the number of tables with more than one end."""
+    for table in tables.values():
+        top = max(table.length)
+        assert table.top == top
+        assert table.ends == [c for c, m in enumerate(table.length)
+                              if m == top]
+    return sum(len(table.ends) > 1 for table in tables.values())
+
+
+def test_chain_tables_keep_the_top_and_ends_of_their_length(rng):
+    # ranked_chains writes them during its sweep, labelled_chains at its
+    # end, on cups, caps, gaps that tie exactly and keys that tie in float
+    tied = 0
+    for n in range(3, 18):
+        cup = random_cup(rng, n)
+        for ls in (cup, mirrored(cup), tied_gap_lines(rng, n)):
+            dirs = [at_infinity(1, l.slope) for l in ls]
+            key, label = _cap_cup_labelling(ls)
+            tied += sum(map(_assert_top_and_ends_scan_length, (
+                ranked_chains(n, column_key(key), -1, +1),
+                ranked_chains(n, column_key(
+                    lambda i, j: gap_ratio(dirs[i - 1], dirs[j - 1])),
+                    Color.RED, Color.BLUE),
+                labelled_chains(n, label),
+                labelled_chains(n, color_by_gaps(ls).of))))
+    n = 14
+    h = iter(int(v) for v in rng.integers(-4, 5, n * (n - 1) // 2))
+    keys = {(i, j): 1 + Fraction(next(h), 2**80)
+            for j in range(1, n + 1) for i in range(1, j)}
+    tied += _assert_top_and_ends_scan_length(ranked_chains(
+        n, column_key(lambda i, j: keys[i, j]), "lower", "upper"))
+    # the top is reached by several pairs often enough to tell a sweep
+    # that keeps only the first of them
+    assert tied > 50
+
+
 def _assert_ratio_and_fraction_keys_agree(n, ratio_key):
     """The Ratio keys and the equal Fractions both give the tables of the
     exact labelling."""

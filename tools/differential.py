@@ -1,8 +1,9 @@
 """Record treelines' results on a fixed, seeded corpus, and compare records.
 
     python tools/differential.py record --tree PATH --out DIR [--size N]
-    python tools/differential.py compare A B
+    python tools/differential.py compare A B [--expect-change FAMILY.FIELD]
     python tools/differential.py compare --against REV [--size N]
+                                         [--expect-change FAMILY.FIELD]
 
 ``record`` runs the corpus against the sources in ``PATH/src``, in a
 subprocess with ``PYTHONHASHSEED=0``.  It writes one JSON-lines file per
@@ -19,7 +20,11 @@ are still recorded.
 that differs, and exits with 1 when any family differs.  ``--against REV``
 exports the commit REV of the repository this file sits in with
 ``git archive`` into a temporary directory, records it and this checkout's
-working tree at the same size, and compares the two.
+working tree at the same size, and compares the two.  A change meant to
+alter one field names it with ``--expect-change FAMILY.FIELD``, which may
+be repeated: the records of FAMILY may then differ in the key FIELD, at
+any depth of their results, and must be identical in everything else;
+the report counts the records whose FIELD changed.
 
 The inputs come from the generators of ``tests/conftest.py`` and
 ``perfbench/inputs.py`` of the checkout this file sits in, so both trees of
@@ -1163,11 +1168,20 @@ def _families(d: Path) -> Dict[str, str]:
     return sums
 
 
-def compare(a: Path, b: Path, out=sys.stdout) -> bool:
+def compare(a: Path, b: Path, out=sys.stdout, expect=()) -> bool:
     """Print each family's record count and its first differing record;
-    True when every family is identical in both directories."""
+    True when every family is identical in both directories, apart from
+    the fields that ``expect`` names as 'FAMILY.FIELD'."""
     fa, fb = _families(a), _families(b)
+    fields: Dict[str, set] = {}
+    for name in expect:
+        family, _, field = name.partition(".")
+        fields.setdefault(family, set()).add(field)
     same = True
+    for family in sorted(fields.keys() - (fa.keys() | fb.keys())):
+        print(f"{family}: named by --expect-change, recorded in neither",
+              file=out)
+        same = False
     for family in sorted(fa.keys() | fb.keys()):
         if family not in fa or family not in fb:
             print(f"{family}: only in {a if family in fa else b}", file=out)
@@ -1178,16 +1192,40 @@ def compare(a: Path, b: Path, out=sys.stdout) -> bool:
         if fa[family] == fb[family] and ra == rb:
             print(f"{family}: {len(ra)} records, identical", file=out)
             continue
+        names = fields.get(family, set())
+        # each record as compared: without the named keys, if any
+        key = (lambda x: x) if not names else \
+            (lambda x: x and _without(x, names))
+        if names and list(map(key, ra)) == list(map(key, rb)):
+            changed = sum(x != y for x, y in zip(ra, rb))
+            print(f"{family}: {len(ra)} records, {changed} with "
+                  f"{', '.join(sorted(names))} changed, everything else "
+                  f"identical", file=out)
+            continue
         same = False
         print(f"{family}: {len(ra)} vs {len(rb)} records, DIFFERENT",
               file=out)
         for k, (x, y) in enumerate(itertools.zip_longest(ra, rb)):
-            if x != y:
+            if key(x) != key(y):
                 print(f"  first difference at record {k + 1}:\n"
                       f"  A: {_excerpt(x, y)}\n  B: {_excerpt(y, x)}",
                       file=out)
                 break
     return same
+
+
+def _without(line: str, names) -> str:
+    """A record line as JSON text with the keys in ``names`` dropped at
+    every depth of its result; its case is kept."""
+    def drop(v):
+        if isinstance(v, dict):
+            return {k: drop(w) for k, w in v.items() if k not in names}
+        if isinstance(v, list):
+            return [drop(w) for w in v]
+        return v
+    rec = json.loads(line)
+    return json.dumps({"case": rec["case"], "record": drop(rec["record"])},
+                      sort_keys=True)
 
 
 def _excerpt(line, other, width: int = 400):
@@ -1201,7 +1239,7 @@ def _excerpt(line, other, width: int = 400):
     return f"[{json.loads(line)['case']}] ...{line[lo:lo + width]}..."
 
 
-def against(rev: str, size: int) -> bool:
+def against(rev: str, size: int, expect=()) -> bool:
     """Record REV (exported with git archive) and this working tree, and
     compare them."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1214,7 +1252,14 @@ def against(rev: str, size: int) -> bool:
         record(base, Path(tmp) / "A", size)
         record(ROOT, Path(tmp) / "B", size)
         print(f"A = {rev}, B = working tree of {ROOT}")
-        return compare(Path(tmp) / "A", Path(tmp) / "B")
+        return compare(Path(tmp) / "A", Path(tmp) / "B", expect=expect)
+
+
+def _field(name: str) -> str:
+    family, dot, field = name.partition(".")
+    if not (family and dot and field):
+        raise argparse.ArgumentTypeError(f"{name!r} is not FAMILY.FIELD")
+    return name
 
 
 def main(argv=None) -> int:
@@ -1228,6 +1273,9 @@ def main(argv=None) -> int:
     p.add_argument("dirs", type=Path, nargs="*")
     p.add_argument("--against", metavar="REV")
     p.add_argument("--size", type=int, default=DEFAULT_SIZE)
+    p.add_argument("--expect-change", metavar="FAMILY.FIELD", type=_field,
+                   action="append", default=[],
+                   help="a field that may differ; repeatable")
     p = sub.add_parser("corpus")    # the subprocess that record starts
     p.add_argument("tree", type=Path)
     p.add_argument("out", type=Path)
@@ -1242,10 +1290,11 @@ def main(argv=None) -> int:
     if args.against:
         if args.dirs:
             ap.error("compare takes two directories or --against REV")
-        return 0 if against(args.against, args.size) else 1
+        return 0 if against(args.against, args.size,
+                            args.expect_change) else 1
     if len(args.dirs) != 2:
         ap.error("compare takes two directories or --against REV")
-    return 0 if compare(*args.dirs) else 1
+    return 0 if compare(*args.dirs, expect=args.expect_change) else 1
 
 
 if __name__ == "__main__":
