@@ -10,9 +10,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .geometry import (
     PostconditionError,
     Segment,
     SegmentRelation,
+    by_parameter,
     convex_hull,
-    cross,
     on_segment,
     segments_intersect,
 )
@@ -68,7 +67,10 @@ class DivisibilityError(EmbedError):
 @dataclass(frozen=True)
 class Tree:
     """A tree on vertices 0..n-1 rooted at vertex 0, with edges directed
-    away from the root."""
+    away from the root.  Kept at construction, outside the compared
+    fields: ``parent``, each non-root vertex's parent as a read-only map,
+    and ``order``, the vertices level by level from the root, each level
+    by id, so every parent comes before its children."""
 
     n: int
     edges: Tuple[Tuple[int, int], ...]
@@ -79,42 +81,31 @@ class Tree:
         if len(self.edges) != self.n - 1:
             raise EmbedError(f"a tree on {self.n} vertices needs "
                              f"{self.n - 1} edges")
-        children = set()
+        parent: Dict[int, int] = {}
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise EmbedError(f"edge ({u},{v}) outside vertex range")
-            if v in children or v == 0:
+            if v in parent or v == 0:
                 raise EmbedError(f"vertex {v} has two parents or is the root")
-            children.add(v)
+            parent[v] = u
+        children = self.children_of()
+        order, level = [], [0]
+        while level:
+            order += level
+            level = sorted(w for v in level for w in children[v])
         # n-1 edges with unique child endpoints: connectivity is equivalent
         # to the search from the root reaching every vertex (it ends, since
         # no vertex has two parents and the root has none)
-        if len(self.order) != self.n:
+        if len(order) != self.n:
             raise EmbedError("edges do not form a tree")
-
-    @cached_property
-    def parent(self) -> Mapping[int, int]:
-        """Each non-root vertex's parent, a read-only view cached on the
-        tree on first use."""
-        return MappingProxyType({v: u for u, v in self.edges})
+        object.__setattr__(self, "parent", MappingProxyType(parent))
+        object.__setattr__(self, "order", tuple(order))
 
     def children_of(self) -> Dict[int, List[int]]:
         out: Dict[int, List[int]] = {v: [] for v in range(self.n)}
         for u, v in self.edges:
             out[u].append(v)
         return out
-
-    @cached_property
-    def order(self) -> Tuple[int, ...]:
-        """The vertices level by level from the root, each level by id, so
-        every parent comes before its children.  Cached on the tree, as
-        ``Point.homogeneous`` is, by the check in ``__post_init__``."""
-        children = self.children_of()
-        order, level = [], [0]
-        while level:
-            order += level
-            level = sorted(w for v in level for w in children[v])
-        return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -440,17 +431,6 @@ def comb_type(ls: LineSet, cc: ColorClasses, seg: Segment,
     return [ct for _, ct in _visits(ls, cc, seg, hulls)]
 
 
-def _visit_order(u, v) -> int:
-    # by t_lo + t_hi, then by t_lo, then by region: each t an integer pair
-    # (n, d), d > 0, and n/d - n'/d' of the sign of the last coordinate of
-    # cross((n, d, 0), (n', d', 0))
-    for a, b in zip(u[:2], v[:2]):
-        s = cross((*a, 0), (*b, 0))[2]
-        if s:
-            return s
-    return (u[2] > v[2]) - (u[2] < v[2])
-
-
 def _visits(ls: LineSet, cc: ColorClasses, seg: Segment,
             hulls: Optional[Dict[RegionIndex, RegionHull]]
             ) -> List[Tuple[Tuple[int, int], CombTuple]]:
@@ -470,7 +450,8 @@ def _visits(ls: LineSet, cc: ColorClasses, seg: Segment,
             # t_lo + t_hi orders the visits as their midpoints do
             visits.append(((n0 * d1 + n1 * d0, d0 * d1), (n0, d0),
                            (r.a, r.b), CombTuple(r.a, r.b, enter, leave)))
-    visits.sort(key=cmp_to_key(_visit_order))
+    # by t_lo + t_hi, then by t_lo, then by region
+    visits.sort(key=lambda v: (by_parameter(v[0]), by_parameter(v[1]), v[2]))
     return [(t_lo, ct) for _, t_lo, _, ct in visits]
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -55,19 +55,18 @@ class DegenerateContact(ValueError):
 
 @dataclass(frozen=True)
 class Point:
+    """The point (x, y).  Its exact tests read ``homogeneous``, the integer
+    coordinates (X, Y, W) with W > 0 of the point (X/W, Y/W), kept at
+    construction, as ``Line.homogeneous`` is, outside the compared
+    fields."""
+
     x: Fraction
     y: Fraction
 
-    @cached_property
-    def homogeneous(self) -> Tuple[int, int, int]:
-        """Integer coordinates (X, Y, W) with W > 0 of the point
-        (X/W, Y/W); computed on first use, outside the dataclass fields."""
+    def __post_init__(self):
         xn, xd = self.x.numerator, self.x.denominator
         yn, yd = self.y.numerator, self.y.denominator
-        return xn * yd, yn * xd, xd * yd
-
-    def translated(self, dx: Fraction, dy: Fraction) -> "Point":
-        return Point(self.x + dx, self.y + dy)
+        object.__setattr__(self, "homogeneous", (xn * yd, yn * xd, xd * yd))
 
 
 def point(x: ScalarLike, y: ScalarLike) -> Point:
@@ -110,22 +109,21 @@ def line(slope: ScalarLike, dual_offset: ScalarLike, id: int = 0) -> Line:
 
 @dataclass(frozen=True)
 class Segment:
+    """The closed segment from p to q.  Its predicates read ``line``, the
+    primitive integer triple ``line_through`` p and q, directed from p to
+    q: ``side(line, r.homogeneous)`` has the sign of
+    ``orientation(p, q, r)``.  It is kept at construction, as
+    ``Point.homogeneous`` is, outside the compared fields."""
+
     p: Point
     q: Point
 
     def __post_init__(self):
-        # the triples of reduced coordinates are equal iff the points are,
-        # and every predicate on the segment reads them
-        if self.p.homogeneous == self.q.homogeneous:
+        # the triples of reduced coordinates are equal iff the points are
+        p, q = self.p.homogeneous, self.q.homogeneous
+        if p == q:
             raise ValueError("degenerate segment: endpoints coincide")
-
-    @cached_property
-    def line(self) -> Tuple[int, int, int]:
-        """The primitive integer triple ``line_through`` p and q, directed
-        from p to q: ``side(line, r.homogeneous)`` has the sign of
-        ``orientation(p, q, r)``.  Computed on first use, as
-        ``Point.homogeneous`` is."""
-        return line_through(self.p.homogeneous, self.q.homogeneous)
+        object.__setattr__(self, "line", line_through(p, q))
 
     def at(self, t: Fraction) -> Point:
         """The point p + t*(q - p): p at t=0, q at t=1."""
@@ -225,6 +223,12 @@ def clip_to_halfplanes(sides: Iterable[Tuple], p: Tuple, q: Tuple
         if n_lo * d_hi > n_hi * d_lo:
             return None
     return (n_lo, d_lo), (n_hi, d_hi), k_lo, k_hi
+
+
+# sort key of a parameter t = n/d given as its integer pair (n, d), d > 0:
+# the last coordinate of cross((n, d, 0), (n', d', 0)) is n*d' - d*n', of
+# the sign of t - t'
+by_parameter = cmp_to_key(lambda u, v: cross((*u, 0), (*v, 0))[2])
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:

@@ -10,7 +10,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -23,6 +22,7 @@ from .geometry import (
     Ratio,
     Segment,
     at_infinity,
+    by_parameter,
     clip_to_halfplanes,
     columns,
     convex_hull,
@@ -72,13 +72,6 @@ class CapCup(enum.Enum):
     CAP = "cap"
     CUP = "cup"
     NEITHER = "neither"
-
-
-# crossings_on's points by their parameters t = n/d, d > 0: the last
-# coordinate of cross((n, d, 0), (n', d', 0)) is n*d' - d*n', of the sign
-# of t - t'
-_by_parameter = cmp_to_key(
-    lambda u, v: cross((*u[0], 0), (*v[0], 0))[2])
 
 
 class LineSet:
@@ -153,7 +146,7 @@ class LineSet:
                     found.append((t, i, l.id))
         if along is not None:
             found = [(t, along, j) for t, j in hits.items()]
-        found.sort(key=_by_parameter)
+        found.sort(key=lambda f: by_parameter(f[0]))
         return [self.intersection(i, j) for _, i, j in found]
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
@@ -575,15 +568,6 @@ class RegionHull:
             return None
         return ((n0, d0), (n1, d1),
                 0 if k0 is None else k0 + 1, 0 if k1 is None else k1 + 1)
-
-    def clip_parameter_interval(
-        self, seg: Segment
-    ) -> Optional[Tuple[Fraction, Fraction, int, int]]:
-        """:meth:`clip_parameters` with t0 and t1 as Fractions."""
-        iv = self.clip_parameters(seg)
-        if iv is None:
-            return None
-        return (Fraction(*iv[0]), Fraction(*iv[1]), *iv[2:])
 
 
 def _region_members(ls: LineSet, cc: ColorClasses,

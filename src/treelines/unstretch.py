@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import FrozenSet, Optional, Sequence, Tuple
 
@@ -66,12 +65,22 @@ class SixLineFrame:
     """Six slope-ordered lines forming a cap or cup, with angle span below a
     right angle and doubling gap growth (one of the two inequality
     families).  ``sub``, the LineSet of the six lines, keeps their
-    crossings; it is left out of equality, hash and repr."""
+    crossings; it is left out of equality, hash and repr.  Kept at
+    construction, outside the compared fields: ``hull_halfplanes``, the
+    CCW hull of the 15 crossings as the primitive integer triples
+    (A, B, C) of its sides, the hull on A*x + B*y + C >= 0 (see
+    ``geometry.line_through``)."""
 
     lines: Tuple[Line, ...]     # ids 1..6 in slope order
     variant: Variant
     cap_cup: CapCup
     sub: LineSet = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        hull = convex_hull(self.sub.intersection_points())
+        object.__setattr__(self, "hull_halfplanes", tuple(
+            line_through(u.homogeneous, v.homogeneous)
+            for u, v in zip(hull, hull[1:] + hull[:1])))
 
     def line(self, k: int) -> Line:
         return self.lines[k - 1]
@@ -79,16 +88,6 @@ class SixLineFrame:
     def apex(self, j: int) -> Point:
         """Intersection of the two lines edge j joins (l_{2j-1}, l_{2j})."""
         return self.sub.intersection(2 * j - 1, 2 * j)
-
-    @cached_property
-    def hull_halfplanes(self) -> Tuple[Tuple[int, int, int], ...]:
-        """The CCW hull of the 15 crossings as the primitive integer
-        triples (A, B, C) of its sides, the hull on A*x + B*y + C >= 0
-        (see ``geometry.line_through``); built on first use and kept with
-        the frame."""
-        hull = convex_hull(self.sub.intersection_points())
-        return tuple(line_through(u.homogeneous, v.homogeneous)
-                     for u, v in zip(hull, hull[1:] + hull[:1]))
 
 
 def validate_frame(ls: LineSet, ids: Sequence[int]) -> SixLineFrame:

@@ -105,8 +105,8 @@ def translate_hull(ls: LineSet, cc, r) -> RegionHull:
     q = convex_hull(finite)
     poly = {v.homogeneous for v in q}
     d_right, d_left = lineset._extreme_directions(dirs)
-    q = convex_hull([*q, *(v.translated(*d) for v in q
-                           for d in (d_left, d_right))])
+    q = convex_hull([*q, *(Point(v.x + dx, v.y + dy) for v in q
+                           for dx, dy in (d_left, d_right))])
     if len(q) < 3:
         raise LineSetError(f"degenerate (flat) region {r}")
     on_poly = [v.homogeneous in poly for v in q]

@@ -667,5 +667,5 @@ def test_criterion_10_fails_when_every_crossing_reads_ahead(monkeypatch):
     real = geometry.orientation
     up = Fraction(10**9)
     monkeypatch.setattr(geometry, "orientation",
-                        lambda p, q, r: real(p, q, r.translated(0, up)))
+                        lambda p, q, r: real(p, q, Point(r.x, r.y + up)))
     assert not _criterion_10()[0]

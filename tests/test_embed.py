@@ -664,11 +664,12 @@ def test_comb_type_labels_name_the_side_crossed(rng):
                 continue
             want = []
             for r, h in hulls.items():
-                iv = h.clip_parameter_interval(seg)
+                iv = h.clip_parameters(seg)
                 if iv is None:
                     continue
+                t0, t1 = Fraction(*iv[0]), Fraction(*iv[1])
                 labels = []
-                for t, end in ((iv[0], 0), (iv[1], 1)):
+                for t, end in ((t0, 0), (t1, 1)):
                     if t == end:
                         labels.append(0)
                         continue
@@ -677,7 +678,7 @@ def test_comb_type_labels_name_the_side_crossed(rng):
                     assert len(on) == 1, (r, t, on)
                     labels.append(on[0])
                     checked += 1
-                want.append(((iv[0] + iv[1]) / 2, iv[0],
+                want.append(((t0 + t1) / 2, t0,
                              CombTuple(r.a, r.b, *labels)))
             want.sort(key=lambda v: (v[0], v[1], (v[2].a, v[2].b)))
             assert got == [v[2] for v in want]

@@ -67,8 +67,8 @@ def test_orientation_antisymmetry(p, q, r):
 
 @given(points, points, points, rationals, rationals)
 def test_orientation_translation_invariant(p, q, r, dx, dy):
-    assert orientation(p.translated(dx, dy), q.translated(dx, dy),
-                       r.translated(dx, dy)) == orientation(p, q, r)
+    p2, q2, r2 = (Point(v.x + dx, v.y + dy) for v in (p, q, r))
+    assert orientation(p2, q2, r2) == orientation(p, q, r)
 
 
 def test_line_intersection_examples():

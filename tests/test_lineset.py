@@ -345,7 +345,8 @@ def test_crossings_on_matches_the_points_on_the_segment(rng):
             cases = {"random": (near(u, v), near(v, u)),
                      "one end on": (u, near(u, v)),
                      "both ends on": (u, v),
-                     "through": (u.translated(-1, -3), u.translated(1, 3))}
+                     "through": (Point(u.x - 1, u.y - 3),
+                                 Point(u.x + 1, u.y + 3))}
             if u != v:
                 # through two crossings, both inside the segment
                 cases["through two"] = (Segment(u, v).at(Fraction(-1, 3)),
@@ -482,11 +483,12 @@ def _past_ends(s):
     both ends of a finite side, behind the apex of a ray side."""
     if s.start is not None and s.end is not None:
         dx, dy = (s.end.x - s.start.x) / 64, (s.end.y - s.start.y) / 64
-        return [s.end.translated(dx, dy), s.start.translated(-dx, -dy)]
+        return [Point(s.end.x + dx, s.end.y + dy),
+                Point(s.start.x - dx, s.start.y - dy)]
     # a ray side is its apex plus the nonnegative multiples of direction
     apex = s.start if s.start is not None else s.end
     dx, dy = s.direction
-    return [apex.translated(-dx / 64, -dy / 64)]
+    return [Point(apex.x - dx / 64, apex.y - dy / 64)]
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=97)

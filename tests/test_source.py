@@ -39,6 +39,25 @@ def _dotted(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
+def _functools_names(tree: ast.Module) -> dict:
+    """Each local name the module binds to functools or to a name in it,
+    mapped to the dotted name it stands for."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name, a.name)
+                         for a in node.names if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((a.asname or a.name, f"functools.{a.name}")
+                         for a in node.names)
+    return names
+
+
+def _resolved(node: ast.expr, names: dict) -> str:
+    head, _, rest = _dotted(node).partition(".")
+    return names.get(head, head) + (f".{rest}" if rest else "")
+
+
 def test_no_process_wide_caches_in_the_package():
     # an lru_cache or cache decorator keeps every argument and result for
     # the life of the process; caches belong on the object they describe
@@ -46,24 +65,31 @@ def test_no_process_wide_caches_in_the_package():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        names = {}      # local name -> what it imports from functools
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names.update((a.asname or a.name, a.name)
-                             for a in node.names if a.name == "functools")
-            elif isinstance(node, ast.ImportFrom) and \
-                    node.module == "functools":
-                names.update((a.asname or a.name, f"functools.{a.name}")
-                             for a in node.names)
+        names = _functools_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 for dec in node.decorator_list:
-                    head, _, rest = _dotted(dec).partition(".")
-                    name = names.get(head, head) + (f".{rest}" if rest
-                                                    else "")
-                    if name in banned:
+                    if _resolved(dec, names) in banned:
                         found.append(f"{path.name}:{dec.lineno}")
+    assert not found, found
+
+
+def test_no_cached_property_in_the_package():
+    # a value derived from an object's fields is set in its __post_init__,
+    # outside the compared fields, as Line.homogeneous is: one idiom for
+    # derived data, with no first-use path
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _functools_names(tree)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and
+                  _resolved(node, names) == "functools.cached_property"]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and
+                  node.module == "functools" and
+                  any(a.name == "cached_property" for a in node.names)]
     assert not found, found
 
 

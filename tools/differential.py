@@ -42,7 +42,8 @@ embedding checker, solver and scan:
                      on equal slopes, and Line.contains on and off the
                      crossings
     region_hull      vertices, sides and boundedness of every region hull
-    clip             RegionHull.clip_parameter_interval of segments
+    clip             RegionHull.clip_parameters of segments, each end's
+                     parameter as a Fraction
     contains         RegionHull.contains of points
     comb_type        comb_type of segments in both directions, errors too,
                      and LineSet.crossings_on of each, in its order
@@ -257,8 +258,9 @@ class Corpus:
             for a, b in itertools.combinations(ls.lines, 2):
                 pt = g.line_intersection(a, b)
                 points.append([pt.x, pt.y])
+                above = g.Point(pt.x, pt.y + up)
                 contains.append("".join(str(int(ln.contains(p)))
-                                        for p in (pt, pt.translated(0, up))
+                                        for p in (pt, above)
                                         for ln in (a, b)))
             yield name, {"points": canonical(points),
                          "contains": " ".join(contains)}
@@ -347,11 +349,18 @@ class Corpus:
 
     def clip(self):
         Segment = self.tl.geometry.Segment
+
+        def interval(h, seg):
+            iv = h.clip_parameters(seg)
+            if iv is None:
+                return None
+            return (Fraction(*iv[0]), Fraction(*iv[1]), *iv[2:])
+
         for case, h, segs in self._good_hulls():
             for k, s in enumerate(segs):
                 for way, seg in (("fwd", s), ("bwd", Segment(s.q, s.p))):
                     yield (f"{case} seg{k} {way}",
-                           outcome(h.clip_parameter_interval, seg))
+                           outcome(interval, h, seg))
 
     def contains(self):
         Point = self.tl.geometry.Point
