@@ -279,9 +279,9 @@ _COMPARED_SINES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
 
 def _sine_ordering(s: Sequence) -> bool:
     """The lemma's hypothesis on sin(alpha_1) .. sin(alpha_6)."""
-    down = all(s[k] >= s[k + 1] for k in range(1, 5)) and s[0] >= s[1]
-    up = all(s[k] <= s[k + 1] for k in range(1, 5)) and s[0] >= s[5]
-    return down or up
+    s1, s2, s3, s4, s5, s6 = s
+    return (s1 >= s2 >= s3 >= s4 >= s5 >= s6
+            or (s2 <= s3 <= s4 <= s5 <= s6 and s1 >= s6))
 
 
 def lemma24_check(cv: ChainValues) -> Lemma24Result:
@@ -368,19 +368,21 @@ def _float_verdict(cv: ChainValues) -> Optional[Lemma24Result]:
     Raises HypothesisFail, as the DPS-digit path does, when the sine
     ordering certainly fails."""
     x = [float(v) for v in (*cv.alpha, cv.a[2], *cv.r)]
-    if not all(map(math.isfinite, x)):
-        return None
+    for f in x:
+        if not math.isfinite(f):
+            return None
     m = [math.sin(f) for f in x[:6]]
     e = [(_SIN_ULPS + 2) * max(math.ulp(v), math.ulp(f))
          for v, f in zip(m, x)]
-    if any(abs(m[a] - m[b]) <= 2 * (e[a] + e[b]) for a, b in _COMPARED_SINES):
-        return None
+    for a, b in _COMPARED_SINES:
+        if abs(m[a] - m[b]) <= 2 * (e[a] + e[b]):
+            return None
     if not _sine_ordering(m):
         raise HypothesisFail(_NO_ORDERING)
     # 2**-1022 is the smallest normal float
     if min(m) < 2.0 ** -1022:
         return None
-    rho = max(ek / mk for ek, mk in zip(e, m))
+    rho = max([ek / mk for ek, mk in zip(e, m)])
     if rho > 2.0 ** -20:
         return None
     a3, r = x[6], x[7:]
@@ -514,30 +516,37 @@ class _FrameFloats:
                 b = side(l, (t, qy, w)) * w
                 live &= ~((a < 0) & (b < 0))
                 enter = live & (a < b) & (-a * d_lo > n_lo * (b - a))
-                n_lo, d_lo = np.where(enter, (-a, b - a), (n_lo, d_lo))
+                np.copyto(n_lo, -a, where=enter)
+                np.copyto(d_lo, b - a, where=enter)
                 leave = live & (a > b) & (a * d_hi < n_hi * (a - b))
-                n_hi, d_hi = np.where(leave, (a, a - b), (n_hi, d_hi))
+                np.copyto(n_hi, a, where=leave)
+                np.copyto(d_hi, a - b, where=leave)
                 live &= ~(n_lo * d_hi > n_hi * d_lo)
             return np.where(live, n_hi / d_hi - n_lo / d_lo, 0.0)
 
     # -- sampling ----------------------------------------------------------
     def sample_triples(self, rng, n: int) -> np.ndarray:
-        """(3, n) even-endpoint abscissas: log-uniform offsets from each
-        apex abscissa, either side, over a wide range of scales."""
+        """(3, n) even-endpoint abscissas: log-uniform offsets radius *
+        10**x, x uniform in [-4, 2.5], from each apex abscissa, on the side
+        that rng.choice([-1.0, 1.0]) draws (a draw of 0 negates)."""
         off = rng.uniform(-4, 2.5, size=(3, n))
-        np.power(10.0, off, out=off)
+        off *= math.log(10.0)
+        np.exp(off, out=off)
         off *= self.radius
-        # the signs that rng.choice([-1.0, 1.0]) draws: a draw of 0 negates
-        off *= rng.integers(0, 2, size=(3, n)) * 2.0 - 1.0
+        np.copysign(off, rng.integers(0, 2, size=(3, n)) - 0.5, out=off)
         off += self.apex[:, :1]
         return off
 
     def perturb_triples(self, rng, base: np.ndarray, n: int) -> np.ndarray:
-        """Jitter near-feasible triples, preserving each t's apex side."""
+        """Jitter near-feasible triples, preserving each t's apex side: each
+        offset from the apex is scaled by exp(z), z ~ N(0, 0.5**2)."""
         picks = rng.integers(0, base.shape[1], size=n)
         off = base[:, picks] - self.apex[:, :1]
-        return self.apex[:, :1] + off * np.exp(rng.normal(0.0, 0.5,
-                                                          size=(3, n)))
+        z = rng.normal(0.0, 0.5, size=(3, n))
+        np.exp(z, out=z)
+        off *= z
+        off += self.apex[:, :1]
+        return off
 
     # -- per-edge feasible-u solving ---------------------------------------
     def solve_batch(self, t: np.ndarray):

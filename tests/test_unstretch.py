@@ -347,6 +347,14 @@ def test_hull_screen_matches_the_reference_at_its_edge_cases(cup_frame):
     u = t = np.array([[20.0, 0.5]] * 3)
     got = assert_screen_matches_reference(geo, u, t)
     assert got.tolist() == [False, True]
+    # batches of one column and of none: the bounds are updated in place
+    # on (3, 1) and (3, 0) arrays
+    for col, want in ((0, [False]), (1, [True])):
+        got = assert_screen_matches_reference(geo, u[:, col:col + 1],
+                                              t[:, col:col + 1])
+        assert got.tolist() == want
+    got = assert_screen_matches_reference(geo, u[:, :0], t[:, :0])
+    assert got.shape == (0,)
 
 
 def test_chain_equal_angles_contradiction():
@@ -699,12 +707,13 @@ def test_cascade_matches_the_full_count(request, name):
 
 def test_sample_triples_draws_the_signs_of_rng_choice(cup_frame):
     # the triples and the generator state after them, against the draws
-    # of 10.0 ** uniform offsets and rng.choice([-1.0, 1.0]) signs
+    # of exp(uniform * log(10)) offsets and rng.choice([-1.0, 1.0]) signs
     geo = _FrameFloats(cup_frame)
     got_rng, want_rng = (np.random.default_rng(33) for _ in range(2))
     for n in (0, 1, 7, 20_000):
         got = geo.sample_triples(got_rng, n)
-        off = 10.0 ** want_rng.uniform(-4, 2.5, size=(3, n)) * geo.radius
+        off = np.exp(want_rng.uniform(-4, 2.5, size=(3, n))
+                     * math.log(10.0)) * geo.radius
         sign = want_rng.choice([-1.0, 1.0], size=(3, n))
         want = geo.apex[:, :1] + sign * off
         assert got.shape == (3, n) and got.tobytes() == want.tobytes(), n
