@@ -109,7 +109,7 @@ def _dispatch(args) -> int:
         print(f"lines: {len(ls)}")
         print("general position: yes")
         print("slope order: " +
-              " ".join(f"{l.id}:{l.slope}" for l in ls))
+              " ".join(f"{i}:{l.slope}" for i, l in enumerate(ls, 1)))
         print(f"cap/cup: {kind.value}")
         return 0
 
@@ -171,7 +171,7 @@ def _dispatch(args) -> int:
         return 0 if report.all_found else 1
 
     if cmd == "unstretch":
-        frame = unstretch.validate_frame(ls, [l.id for l in ls])
+        frame = unstretch.validate_frame(ls, range(1, len(ls) + 1))
         print(f"frame: {frame.cap_cup.value}, {frame.variant.value} variant")
         cfg = unstretch.feasibility_search(frame, args.samples, args.seed)
         if cfg is None:

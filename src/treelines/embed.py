@@ -172,7 +172,8 @@ def check_embedding(ls: LineSet, t: Tree, asg: Assignment,
     violations = _violations(pts, drawn)
     warnings = [f"vertex {v} sits on an arrangement intersection point"
                 for v, p in enumerate(pts)
-                if any(l.contains(p) for l in ls if l.id != asg.line_of(v))]
+                if any(l.contains(p) for i, l in enumerate(ls, 1)
+                       if i != asg.line_of(v))]
     for e, s in drawn:
         if any(q not in (s.p, s.q) for q in ls.crossings_on(s)):
             warnings.append(f"edge {e} passes through an arrangement "

@@ -75,7 +75,8 @@ def point(x: ScalarLike, y: ScalarLike) -> Point:
 
 @dataclass(frozen=True)
 class Line:
-    """A non-vertical line y = slope*x - dual_offset.  With the *negated*
+    """A non-vertical line y = slope*x - dual_offset, and nothing else: a
+    line set names its lines by their places in it.  With the *negated*
     y-intercept, point-line duality is coordinate copying: (slope,
     dual_offset) <-> the dual point.  Its exact tests read the integer
     triple ``homogeneous``, the form of every other line here: the
@@ -86,7 +87,6 @@ class Line:
 
     slope: Fraction
     dual_offset: Fraction
-    id: int = 0
 
     def __post_init__(self):
         p, q = self.slope.numerator, self.slope.denominator
@@ -98,13 +98,6 @@ class Line:
 
     def point_at(self, x: Fraction) -> Point:
         return Point(x, self.slope * x - self.dual_offset)
-
-    def with_id(self, new_id: int) -> "Line":
-        return Line(self.slope, self.dual_offset, new_id)
-
-
-def line(slope: ScalarLike, dual_offset: ScalarLike, id: int = 0) -> Line:
-    return Line(scalar(slope), scalar(dual_offset), id)
 
 
 @dataclass(frozen=True)
@@ -238,7 +231,7 @@ def line_intersection(l1: Line, l2: Line) -> Point:
     included, which raise ParallelLines."""
     X, Y, W = cross(l1.homogeneous, l2.homogeneous)
     if W == 0:
-        raise ParallelLines(f"lines {l1.id} and {l2.id} have equal slope")
+        raise ParallelLines(f"two lines have equal slope {l1.slope}")
     return Point(Fraction(X, W), Fraction(Y, W))
 
 

@@ -117,7 +117,7 @@ def _parse(text, allow_tree: bool, require_assign: bool):
     # at the source line of the last of them
     try:
         ls = verify_general_position(
-            [Line(s, b, i) for _, i, s, b in lines])
+            [Line(s, b) for _, _, s, b in lines])
     except (DuplicateLine, ParallelPair) as exc:
         first, last = (lines[k] for k in exc.pair)
         what = ("coincide" if isinstance(exc, DuplicateLine)
@@ -183,7 +183,8 @@ def parse_embedding(text: Union[bytes, str], n: int) -> Embedding:
 
 
 def serialize_lines(ls: LineSet) -> str:
-    return "".join(f"l {l.id} {l.slope} {l.dual_offset}\n" for l in ls)
+    return "".join(f"l {i} {l.slope} {l.dual_offset}\n"
+                   for i, l in enumerate(ls, 1))
 
 
 def serialize_embedding(emb: Embedding) -> str:

@@ -75,13 +75,15 @@ class CapCup(enum.Enum):
 
 
 class LineSet:
-    """A general-position set of lines, slope-sorted with ids 1..n.
+    """A general-position set of lines, slope-sorted; a line's id is its
+    1-based position in the set, so ids are 1..n by slope.
 
     Construct through :func:`verify_general_position`; instances are
     immutable and keep, when first asked for, each line's crossing order
-    and candidate positions.  A set cut out by :meth:`subset` keeps in
-    ``parent_ids[k]`` the id that its line k+1 has in the set it was cut
-    from; other sets have ``parent_ids`` None.
+    and candidate positions.  A set cut out by :meth:`subset` holds its
+    parent's own ``Line`` objects and keeps in ``parent_ids[k]`` the id
+    that its line k+1 has in the parent; other sets have ``parent_ids``
+    None.
     """
 
     def __init__(self, lines: Sequence[Line], _validated: bool = False,
@@ -133,35 +135,37 @@ class LineSet:
         along = None
         hits: Dict[Tuple[int, int], int] = {}
         found: List[Tuple[Tuple[int, int], int, int]] = []
-        for l in self._lines:
+        for j, l in enumerate(self._lines, 1):
             h = l.homogeneous
             a, b = side(h, p) * q[2], side(h, q) * p[2]
             if a == b == 0:
-                along = l.id
+                along = j
             elif a * b <= 0:
                 g = math.gcd(a, b) if a > b else -math.gcd(a, b)
                 t = a // g, (a - b) // g
-                i = hits.setdefault(t, l.id)
-                if i != l.id:
-                    found.append((t, i, l.id))
+                i = hits.setdefault(t, j)
+                if i != j:
+                    found.append((t, i, j))
         if along is not None:
             found = [(t, along, j) for t, j in hits.items()]
         found.sort(key=lambda f: by_parameter(f[0]))
         return [self.intersection(i, j) for _, i, j in found]
 
     def subset(self, ids: Sequence[int]) -> "LineSet":
-        """A new LineSet of the selected lines, renumbered in slope order;
-        its ``parent_ids`` are the selected ids (ids are slope ranks, so
-        they come out sorted)."""
+        """A new LineSet of the selected lines, the parent's own ``Line``
+        objects in slope order, so their ids are their new positions; its
+        ``parent_ids`` are the selected ids (ids are slope ranks, so they
+        come out sorted)."""
         picked = sorted(ids)
-        return LineSet([self.line(i).with_id(k + 1)
-                        for k, i in enumerate(picked)],
-                       _validated=True, parent_ids=picked)
+        return LineSet([self.line(i) for i in picked], _validated=True,
+                       parent_ids=picked)
 
 
 def verify_general_position(lines: Sequence[Line]) -> LineSet:
     """Sort by slope and verify no duplicates, no parallels, no three
-    concurrent.  Errors name the violating input positions (0-based)."""
+    concurrent.  The set holds the input lines themselves, sorted, so a
+    line's id is its slope rank.  Errors name the violating input
+    positions (0-based)."""
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             if lines[i].slope == lines[j].slope:
@@ -180,9 +184,7 @@ def verify_general_position(lines: Sequence[Line]) -> LineSet:
                 ids = sorted(set(seen[p]) | {i, j})
                 raise ConcurrentTriple(*ids[:3])
             seen[p] = (i, j)
-    ordered = sorted(lines, key=lambda l: l.slope)
-    return LineSet([l.with_id(k + 1) for k, l in enumerate(ordered)],
-                   _validated=True)
+    return LineSet(sorted(lines, key=lambda l: l.slope), _validated=True)
 
 
 def intersection_order(ls: LineSet, i: int) -> Tuple[Tuple[int, Point], ...]:

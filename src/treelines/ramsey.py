@@ -179,8 +179,8 @@ def extract_doubling(ls: LineSet) -> DoublingChain:
     n = len(ls)
     if n < 3:
         raise TooFew("need at least 3 lines")
-    neg = [l.id for l in ls if l.slope.numerator < 0]
-    pos = [l.id for l in ls if l.slope.numerator >= 0]
+    neg = [i for i, l in enumerate(ls, 1) if l.slope.numerator < 0]
+    pos = [i for i, l in enumerate(ls, 1) if l.slope.numerator >= 0]
     majority = neg if len(neg) >= len(pos) else pos
     if len(majority) < 3:
         raise ChainTooShort("majority sign class below 3 lines")

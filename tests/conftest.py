@@ -124,9 +124,9 @@ def dualize_line(l: Line) -> Point:
     return Point(l.slope, l.dual_offset)
 
 
-def dualize_point(p: Point, id: int = 0) -> Line:
+def dualize_point(p: Point) -> Line:
     """(a, b)  ->  y = a*x - b.  Inverse of dualize_line."""
-    return Line(p.x, p.y, id)
+    return Line(p.x, p.y)
 
 
 def mirrored(ls: LineSet) -> LineSet:

@@ -226,7 +226,8 @@ def test_cli_extract_cap_prints_input_ids(tmp_path, capsys, rng):
         ls = random_lines(rng, 12)
         _, sub = longest_cap_cup(ls)
         picked = {(m.slope, m.dual_offset) for m in sub}
-        ids = [l.id for l in ls if (l.slope, l.dual_offset) in picked]
+        ids = [i for i, l in enumerate(ls, 1)
+               if (l.slope, l.dual_offset) in picked]
         if ids != list(range(1, len(ids) + 1)):
             break
     path = tmp_path / "lines.txt"
@@ -348,6 +349,26 @@ def test_cli_unstretch_prints_a_found_configuration(files, capsys,
     assert out[:2] == ["frame: cup, lower variant", "configuration found:"]
     assert [row.split(":")[0] for row in out[2:5]] == ["  e1", "  e2", "  e3"]
     assert out[5:] == ["chain check: contradiction"]
+
+
+def test_cli_unstretch_prints_a_failed_hypothesis(files, capsys,
+                                                  monkeypatch):
+    # a chain whose sine orderings both fail is reported, not raised
+    search = unstretch.feasibility_search
+    monkeypatch.setattr(unstretch, "feasibility_search",
+                        lambda frame, samples, seed: search(
+                            frame, samples, seed, frozenset({"ii"})))
+
+    def fail(chain):
+        raise unstretch.HypothesisFail("neither sine ordering holds")
+
+    monkeypatch.setattr(unstretch, "lemma24_check", fail)
+    assert main(["unstretch", str(files / "cup6.txt"), "--samples", "60000",
+                 "--seed", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "configuration found:"
+    assert out[-1] == ("chain check: hypothesis failed: "
+                       "neither sine ordering holds")
 
 
 def test_cli_regions_and_svg(files, tmp_path, capsys):

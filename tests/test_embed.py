@@ -199,7 +199,8 @@ def test_candidate_points_lie_on_their_line_and_no_other(four_lines, rng):
             for refine in (1, 3):
                 for p in candidate_positions(ls, i, refine):
                     assert p == ls.line(i).point_at(p.x)
-                    assert not any(l.contains(p) for l in ls if l.id != i)
+                    assert not any(l.contains(p) for j, l in enumerate(ls, 1)
+                                   if j != i)
 
 
 def test_a_second_scan_builds_no_candidate_point(four_lines, monkeypatch):
@@ -555,7 +556,8 @@ def test_random_attempt_skips_an_abscissa_on_a_breakpoint(four_lines):
     # skips every abscissa where a second line crosses the vertex's own
     asg = Assignment((3, 1, 2, 4))
     lines = {v: four_lines.line(asg.line_of(v)) for v in range(4)}
-    bps = {v: [p.x for _, p in intersection_order(four_lines, lines[v].id)]
+    bps = {v: [p.x for _, p in intersection_order(four_lines,
+                                                  asg.line_of(v))]
            for v in range(4)}
     # vertex 0 is on y = x, with breakpoints 0, 1/2 and 1, so the restart
     # draws x from [-2, 3]: the first draw, 2/5 of the way, is x = 0, the
@@ -568,7 +570,8 @@ def test_random_attempt_skips_an_abscissa_on_a_breakpoint(four_lines):
     assert not rng.first
     assert placer.points[0] != Point(0, 0)
     for v, p in placer.points.items():
-        assert [l.id for l in four_lines if l.contains(p)] == [lines[v].id]
+        assert [i for i, l in enumerate(four_lines, 1)
+                if l.contains(p)] == [asg.line_of(v)]
 
 
 def test_scan_universality_small(four_lines, rng):

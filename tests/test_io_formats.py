@@ -106,7 +106,6 @@ def test_parse_lines_fuzz(text):
     ls = _parses_or_raises_parse_error(parse_lines, text)
     if ls is not None:
         assert isinstance(ls, LineSet) and len(ls) >= 1
-        assert [l.id for l in ls] == list(range(1, len(ls) + 1))
 
 
 @given(st.one_of(mutated(instances().map(

@@ -38,6 +38,7 @@ from treelines.lineset import (
     ParallelPair,
     RegionIndex,
     TooFew,
+    UnboundedHullError,
     all_region_indices,
     classify_cap_cup,
     intersection_order,
@@ -66,7 +67,6 @@ def test_general_position_examples():
         verify_general_position([L(1, 0), L(1, 0)])
     ls = verify_general_position([L(0, 0), L(1, 0), L(-1, -5)])
     assert [l.slope for l in ls] == [-1, 0, 1]
-    assert [l.id for l in ls] == [1, 2, 3]
 
 
 def test_general_position_errors_carry_input_positions():
@@ -275,9 +275,9 @@ def test_subset_keeps_parent_ids(rng):
     sub = ls.subset([9, 2, 5, 7])
     assert ls.parent_ids is None
     assert sub.parent_ids == (2, 5, 7, 9)
-    assert [l.id for l in sub] == [1, 2, 3, 4]
-    assert [(l.slope, l.dual_offset) for l in sub] == [
-        (ls.line(i).slope, ls.line(i).dual_offset) for i in sub.parent_ids]
+    # the subset holds the parent's own lines, not copies of them
+    assert len(sub) == 4 and all(
+        l is ls.line(i) for l, i in zip(sub, sub.parent_ids))
     # ids refer to the set a subset was cut from, not to the first one
     assert sub.subset([2, 4]).parent_ids == (2, 4)
 
@@ -580,6 +580,50 @@ def _ray_along_an_edge(ls, cc, r):
                               for u, v in zip(q, q[1:] + q[:1]))
 
 
+def test_extreme_directions_bound_the_cone_or_raise(rng):
+    def d(x, y):
+        return Fraction(x), Fraction(y)
+
+    # no direction has all the others on one side of it
+    for dirs in ([d(1, 0), d(-1, 1), d(-1, -1)],
+                 [d(1, 0), d(0, 1), d(-1, 0), d(0, -1)]):
+        with pytest.raises(UnboundedHullError,
+                           match="spans a halfplane or more"):
+            lineset._extreme_directions(dirs)
+    # otherwise every direction lies counter-clockwise from d_right and
+    # clockwise from d_left, so the two span the cone in that order
+    for _ in range(300):
+        dirs = [d(*rng.integers(-3, 4, 2)) for _ in range(rng.integers(1, 5))]
+        dirs = [v for v in dirs if v != d(0, 0)]
+        try:
+            ends = lineset._extreme_directions(dirs)
+        except UnboundedHullError:
+            continue
+        right, left = (at_infinity(*e) for e in ends)
+        for v in dirs:
+            u = at_infinity(*v)
+            assert cross(right, u)[2] >= 0 and cross(u, left)[2] >= 0
+        assert cross(right, left)[2] >= 0
+
+
+def test_region_hull_rejects_an_inconsistent_tangent_chain(rng,
+                                                           monkeypatch):
+    # the chain run backwards turns the unbounded boundary inside out, so
+    # the probe between the two rays falls outside it
+    ls, cc = random_cup(rng, 6), ColorClasses(3, 6)
+    hulls = {r: region_hull(ls, cc, r) for r in all_region_indices(cc)}
+    real = lineset._tangent_chain
+    monkeypatch.setattr(lineset, "_tangent_chain",
+                        lambda q, left, right: real(q, left, right)[::-1])
+    unbounded = [r for r, h in hulls.items()
+                 if not h.bounded and len(h.vertices) > 1]
+    assert unbounded
+    for r in unbounded:
+        with pytest.raises(UnboundedHullError,
+                           match="inconsistent unbounded hull"):
+            region_hull(ls, cc, r)
+
+
 def test_unbounded_region_hulls_match_the_translate_hull(rng):
     # the chain between the polygon's tangents against the hull of the
     # polygon and its translates: vertices, sides with their directions
@@ -621,7 +665,8 @@ def _line_pieces(ls, i):
     """(sample x, finite endpoints, ray directions) of the n pieces of line
     i between consecutive crossings, left to right."""
     l = ls.line(i)
-    xs = sorted(line_intersection(l, m).x for m in ls if m.id != i)
+    xs = sorted(line_intersection(l, m).x
+                for j, m in enumerate(ls, 1) if j != i)
     pts = [l.point_at(x) for x in xs]
     pieces = [(xs[0] - 1, [pts[0]], [(Fraction(-1), -l.slope)])]
     pieces += [((x0 + x1) / 2, [p0, p1], [])

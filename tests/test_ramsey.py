@@ -196,7 +196,7 @@ def test_extract_doubling_maps_ids_back_to_the_input(rng):
     # prefix of the ids, so the subset's ids differ from the input's
     while True:
         ls = random_lines(rng, 16)
-        majority = [l.id for l in ls if l.slope >= 0]
+        majority = [i for i, l in enumerate(ls, 1) if l.slope >= 0]
         if len(majority) > 8:
             break
     chain = extract_doubling(ls)

@@ -271,10 +271,10 @@ class Corpus:
         """(case, pair): the first line of ls against a parallel and an
         identical line, both ways round."""
         first = ls.line(1)
+        Line = self.tl.geometry.Line
         for kind, other in (
-                ("parallel", self.tl.geometry.Line(first.slope,
-                                                   first.dual_offset + 1)),
-                ("identical", first.with_id(0))):
+                ("parallel", Line(first.slope, first.dual_offset + 1)),
+                ("identical", Line(first.slope, first.dual_offset))):
             for way, pair in (("fwd", (first, other)),
                               ("bwd", (other, first))):
                 yield f"{kind} {way}", pair
